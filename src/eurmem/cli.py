@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,6 +39,10 @@ from .states import (
 )
 
 SWEEP_HEADER = "p,q_mu,s_cond,i_ab,i_xb,i_zb,delta,bound_berta,bound_pati,bound_ours,actual"
+# Largest sweep accepted, in rows: p_step 1e-5 over [0, 1].  Each row runs
+# the J_A optimizer, so this is already minutes of work.
+MAX_SWEEP_ROWS = 100_001
+VALIDATE_CSV_HEADER = "name,passed,residual,tolerance"
 
 _SWEEP_FAMILIES = {
     "werner": werner,
@@ -156,7 +161,11 @@ def _sweep_grid(p_start: float, p_end: float, p_step: float) -> list[float]:
         raise ValueError("sweep requires 0 <= p_start <= p_end <= 1")
     if not p_step > 0.0:
         raise ValueError("sweep requires p_step > 0")
-    count = int((p_end - p_start) / p_step + 1e-9)
+    span = (p_end - p_start) / p_step + 1e-9
+    if span >= MAX_SWEEP_ROWS:
+        rows = math.floor(span) + 1 if math.isfinite(span) else span
+        raise ValueError(f"sweep would have {rows} rows, above the limit of {MAX_SWEEP_ROWS}")
+    count = int(span)
     ps = [p_start + k * p_step for k in range(count + 1)]
     if ps[-1] > p_end:
         ps[-1] = p_end
@@ -221,6 +230,9 @@ def cmd_sweep(args) -> int:
 
     if args.spec:
         doc = _read_json_text(Path(args.spec).read_text(encoding="utf-8"))
+        for field in ("family", "p_start", "p_end", "p_step"):
+            if field not in doc:
+                raise ValueError(f"sweep spec is missing field {field!r}")
         family = doc["family"]
         ps = _sweep_grid(doc["p_start"], doc["p_end"], doc["p_step"])
         pairs = doc.get("pairs")
@@ -289,6 +301,12 @@ def cmd_validate(args) -> int:
 def _render_flat_report(report, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report.to_dict(), indent=2) + "\n"
+    if fmt == "csv":
+        rows = [VALIDATE_CSV_HEADER] + [
+            f"{c.name},{str(c.passed).lower()},{_fmt(c.residual)},{_fmt(c.tolerance)}"
+            for c in report.checks
+        ]
+        return "\n".join(rows) + "\n"
     lines = [f"passed: {report.passed}"]
     for c in report.checks:
         lines.append(

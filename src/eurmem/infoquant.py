@@ -15,7 +15,11 @@ Core quantities on a bipartite state rho^AB:
 
 The classical-correlation optimizer searches rank-1 projective qubit
 measurements parameterized by a Bloch direction (a coarse hemisphere grid
-followed by derivative-free pattern-search refinement).  It therefore
+followed by derivative-free pattern-search refinement).  For two qubits
+the objective is evaluated in the real Pauli-correlation form of the
+state (a few 3-vector operations per direction, with all refinement step
+halvings batched into one call); for dB >= 3 it diagonalizes the
+conditional states of B with LAPACK, one step halving per call.  It
 reports a projective optimum; it does not claim optimality over general
 POVMs, although for the named state families the two coincide.
 """
@@ -27,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .matops import PAULIS
+from .matops import I2, PAULIS
 from .measure import (
     ZERO_PROB,
     ProjectiveObservable,
@@ -57,10 +61,9 @@ _MAX_REFINE_STEPS = 10_000
 
 
 def _xlog2x(x):
-    """x * log2(x) elementwise with the 0 * log 0 = 0 convention."""
+    """x * log2(x) elementwise for x >= 0, with the 0 * log 0 = 0 convention."""
     x = np.asarray(x, dtype=float)
-    safe = np.where(x > 0.0, x, 1.0)
-    return np.where(x > 0.0, x * np.log2(safe), 0.0)
+    return x * np.log2(np.where(x > 0.0, x, 1.0))
 
 
 def shannon_entropy(probs) -> float:
@@ -205,43 +208,84 @@ class CorrelationReport:
         }
 
 
-def _bloch_transfer(rho: DensityMatrix):
-    """Precompute rho^B and T_i = Tr_A[(sigma_i (x) I) rho] for fast sweeps.
+def _conditional_sum(eigs) -> np.ndarray:
+    """sum_i p_i S(omega_i / p_i) over the two outcomes of each direction.
+
+    ``eigs`` has shape (k, 2, G): the k eigenvalues mu_j of the unnormalized
+    conditional state omega_i of each outcome, for G directions; the
+    eigenvalue axis leads so that the sums run over contiguous rows.  Uses
+    p_i S(omega_i / p_i) = p_i log2 p_i - sum_j mu_j log2 mu_j, and outcomes
+    below the zero-probability cut add 0.
+    """
+    probs = eigs.sum(axis=0)
+    cond = _xlog2x(probs) - _xlog2x(eigs).sum(axis=0)
+    return np.where(probs < ZERO_PROB, 0.0, cond).sum(axis=0)
+
+
+def _general_objective(rho: DensityMatrix):
+    """I(P_n;B) over Bloch directions for any dB, from LAPACK eigenvalues.
 
     For the projectors (I +- n.sigma)/2 the unnormalized conditional states
-    are (rho^B +- sum_i n_i T_i)/2, which turns each Holevo evaluation into
-    two small eigenvalue problems.
+    are (rho^B +- sum_i n_i T_i)/2 with T_i = Tr_A[(sigma_i (x) I) rho], two
+    dB x dB eigenvalue problems per direction.
+
+    Returns the objective, which maps directions of shape (3, G) to values
+    of shape (G,), and the number of refinement levels to batch into one
+    call of it (one: a larger stack of LAPACK calls costs more than the
+    calls it saves).
     """
-    dB = rho.dB
-    r4 = rho.mat.reshape(2, dB, 2, dB)
+    r4 = rho.mat.reshape(2, rho.dB, 2, rho.dB)
     rho_b = np.trace(r4, axis1=0, axis2=2)
     transfer = np.stack([np.einsum("pq,qjpk->jk", sigma, r4) for sigma in PAULIS])
-    return rho_b, transfer
+    s_b = von_neumann_entropy(rho_b)
+
+    def objective(dirs):
+        w = np.einsum("ig,ijk->gjk", dirs, transfer)
+        omegas = np.stack([(rho_b[None] + w) * 0.5, (rho_b[None] - w) * 0.5])
+        eigs = np.maximum(np.linalg.eigvalsh(omegas), 0.0)
+        return s_b - _conditional_sum(np.ascontiguousarray(np.moveaxis(eigs, -1, 0)))
+
+    return objective, 1
 
 
-def _eigvalsh_batch(mats: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a stack of Hermitian matrices (closed form for 2x2)."""
-    if mats.shape[-1] == 2:
-        a = mats[..., 0, 0].real
-        d = mats[..., 1, 1].real
-        half_gap = np.hypot(0.5 * (a - d), np.abs(mats[..., 0, 1]))
-        mean = 0.5 * (a + d)
-        return np.stack([mean - half_gap, mean + half_gap], axis=-1)
-    return np.linalg.eigvalsh(mats)
+# Row (mu, nu) of this matrix dotted with vec(rho) is T_{mu nu} = tr(rho sigma_mu (x) sigma_nu).
+_PAULI_PAIRS = np.array(
+    [np.kron(s, t).T.ravel() for s in (I2,) + PAULIS for t in (I2,) + PAULIS]
+)
+# The two outcomes n+- of a direction, along the leading axis.
+_SIGNS = np.array([[1.0], [-1.0]])
 
 
-def _holevo_directions(rho_b, transfer, s_b, directions) -> np.ndarray:
-    """I(P_n;B) for a batch of Bloch directions, shape (G, 3) -> (G,)."""
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    w = np.einsum("gi,ijk->gjk", dirs, transfer)
-    omegas = np.concatenate([(rho_b[None] + w) * 0.5, (rho_b[None] - w) * 0.5])
-    eigs = np.clip(_eigvalsh_batch(omegas), 0.0, None)
-    probs = eigs.sum(axis=-1)
-    # p_i * S(omega_i / p_i) = p_i log2 p_i - sum_j mu_j log2 mu_j
-    cond = _xlog2x(probs) - _xlog2x(eigs).sum(axis=-1)
-    cond = np.where(probs < ZERO_PROB, 0.0, cond)
-    g = dirs.shape[0]
-    return s_b - (cond[:g] + cond[g:])
+def _two_qubit_objective(rho: DensityMatrix):
+    """I(P_n;B) over Bloch directions for dA = dB = 2, in the real Pauli form.
+
+    With T_{mu nu} = tr(rho sigma_mu (x) sigma_nu), a = T_{i0}, b = T_{0j}
+    and C = T_{ij}, the outcome n+- has probability (1 +- a.n)/2 and its
+    unnormalized conditional state on B the eigenvalues
+    ((1 +- a.n) +- |b +- C^T n|)/4, so each direction costs a few real
+    3-vector operations.  All remaining refinement levels go into one call.
+    """
+    q = 0.25 * (_PAULI_PAIRS @ rho.mat.reshape(-1)).real.reshape(4, 4)
+    s_b = von_neumann_entropy(rho.mat.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2))
+
+    def objective(dirs):
+        # n.(a, C) as an elementwise sum rather than a matmul, so that a
+        # direction's value does not depend on the batch it is in.
+        lin = (q[1:, :, None] * dirs[:, None, :]).sum(axis=0)
+        # [1 +- a.n, b +- C^T n] / 4 for both outcomes, shape (4, 2, G).
+        signed = q[0, :, None, None] + _SIGNS * lin[:, None, :]
+        weight, u = signed[0], signed[1:]
+        radius = np.sqrt((u * u).sum(axis=0))
+        eigs = np.maximum(np.stack([weight - radius, weight + radius]), 0.0)
+        return s_b - _conditional_sum(eigs)
+
+    return objective, _MAX_REFINE_STEPS
+
+
+def _directions(angles: np.ndarray) -> np.ndarray:
+    """Bloch directions of (theta, phi) rows, shape (G, 2) -> (3, G)."""
+    st = np.sin(angles[:, 0])
+    return np.stack([st * np.cos(angles[:, 1]), st * np.sin(angles[:, 1]), np.cos(angles[:, 0])])
 
 
 @lru_cache(maxsize=8)
@@ -250,11 +294,7 @@ def _hemisphere_grid(grid_theta: int, grid_phi: int):
     phis = np.linspace(0.0, 2.0 * np.pi, grid_phi, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     angles = np.column_stack([tt.ravel(), pp.ravel()])
-    st = np.sin(angles[:, 0])
-    dirs = np.column_stack(
-        [st * np.cos(angles[:, 1]), st * np.sin(angles[:, 1]), np.cos(angles[:, 0])]
-    )
-    return angles, dirs
+    return angles, _directions(angles)
 
 
 _AXIS_EPS = 1e-12
@@ -273,57 +313,53 @@ def _canonical_direction(n: np.ndarray) -> np.ndarray:
     return n
 
 
-def classical_correlation(
-    rho: DensityMatrix, config: OptimizerConfig | None = None
-) -> CorrelationReport:
-    """Maximize the Holevo quantity over projective qubit measurements on A.
+def _search(rho: DensityMatrix, cfg: OptimizerConfig, objective, levels_per_call: int):
+    """Grid search, then compass refinement, of ``objective`` on the hemisphere.
 
-    A coarse grid over the upper hemisphere (directions n and -n induce the
-    same two-outcome measurement) seeds a compass pattern search on
-    (theta, phi) whose step halves until it drops below ``refine_tol``.
-    Grid ties resolve to the lowest (theta, phi) index, so the result is
-    deterministic.  Returns J_A, the discord D_A = I(A;B) - J_A, and the
-    optimizing direction.
+    The refinement tries the four compass neighbours at the current step,
+    moves to the best if it gains more than ``IMPROVE_ATOL`` and halves the
+    step otherwise.  Without a move the next points are known in advance,
+    so the neighbours of up to ``levels_per_call`` successive halvings are
+    evaluated in one objective call, walked in order, and discarded after
+    a move.  The iterates do not depend on ``levels_per_call``.
     """
-    if rho.dA != 2:
-        raise ValueError(f"classical_correlation supports dA = 2 only, got dA = {rho.dA}")
-    cfg = config or OptimizerConfig()
-
-    rho_b, transfer = _bloch_transfer(rho)
-    s_b = von_neumann_entropy(rho_b)
-
     angles, dirs = _hemisphere_grid(cfg.grid_theta, cfg.grid_phi)
-    values = _holevo_directions(rho_b, transfer, s_b, dirs)
+    values = objective(dirs)
     best = int(np.argmax(values))
     grid_best = float(values[best])
     theta, phi = (float(a) for a in angles[best])
 
-    step_theta = (np.pi / 2.0) / (cfg.grid_theta - 1)
-    step_phi = (2.0 * np.pi) / cfg.grid_phi
+    step = ((np.pi / 2.0) / (cfg.grid_theta - 1), (2.0 * np.pi) / cfg.grid_phi)
     f_cur = grid_best
     iterations = 0
-    while max(step_theta, step_phi) >= cfg.refine_tol and iterations < _MAX_REFINE_STEPS:
+    while max(step) >= cfg.refine_tol and iterations < _MAX_REFINE_STEPS:
+        steps = [step]
+        while (
+            len(steps) < min(levels_per_call, _MAX_REFINE_STEPS - iterations)
+            and 0.5 * max(steps[-1]) >= cfg.refine_tol
+        ):
+            steps.append((0.5 * steps[-1][0], 0.5 * steps[-1][1]))
         candidates = np.array(
             [
-                [theta + step_theta, phi],
-                [theta - step_theta, phi],
-                [theta, phi + step_phi],
-                [theta, phi - step_phi],
+                move
+                for st, sp in steps
+                for move in (
+                    (theta + st, phi), (theta - st, phi), (theta, phi + sp), (theta, phi - sp)
+                )
             ]
         )
-        st = np.sin(candidates[:, 0])
-        cand_dirs = np.column_stack(
-            [st * np.cos(candidates[:, 1]), st * np.sin(candidates[:, 1]), np.cos(candidates[:, 0])]
-        )
-        cand_vals = _holevo_directions(rho_b, transfer, s_b, cand_dirs)
-        k = int(np.argmax(cand_vals))
-        iterations += 1
-        if float(cand_vals[k]) > f_cur + IMPROVE_ATOL:
-            theta, phi = (float(a) for a in candidates[k])
-            f_cur = float(cand_vals[k])
-        else:
-            step_theta *= 0.5
-            step_phi *= 0.5
+        cand_vals = objective(_directions(candidates)).reshape(len(steps), 4)
+        gains = np.flatnonzero(cand_vals.max(axis=1) > f_cur + IMPROVE_ATOL)
+        if gains.size == 0:
+            iterations += len(steps)
+            step = (0.5 * steps[-1][0], 0.5 * steps[-1][1])
+            continue
+        level = int(gains[0])
+        k = 4 * level + int(np.argmax(cand_vals[level]))
+        iterations += level + 1
+        theta, phi = (float(v) for v in candidates[k])
+        f_cur = float(cand_vals.flat[k])
+        step = steps[level]
 
     j_a = max(f_cur, 0.0)
     direction = _canonical_direction(bloch_vector(theta, phi))
@@ -335,3 +371,23 @@ def classical_correlation(
         refined_best=f_cur,
         iterations=iterations,
     )
+
+
+def classical_correlation(
+    rho: DensityMatrix, config: OptimizerConfig | None = None
+) -> CorrelationReport:
+    """Maximize the Holevo quantity over projective qubit measurements on A.
+
+    A coarse grid over the upper hemisphere (directions n and -n induce the
+    same two-outcome measurement) seeds a compass pattern search on
+    (theta, phi) whose step halves until it drops below ``refine_tol``.
+    Grid ties resolve to the lowest (theta, phi) index, so the result is
+    deterministic.  Two-qubit states use the real Pauli-correlation
+    objective, wider B the LAPACK one.  Returns J_A, the discord
+    D_A = I(A;B) - J_A, and the optimizing direction.
+    """
+    if rho.dA != 2:
+        raise ValueError(f"classical_correlation supports dA = 2 only, got dA = {rho.dA}")
+    cfg = config or OptimizerConfig()
+    objective = _two_qubit_objective(rho) if rho.dB == 2 else _general_objective(rho)
+    return _search(rho, cfg, *objective)

@@ -1,8 +1,9 @@
 """Bipartite density matrices and the named two-qubit state families.
 
-A :class:`DensityMatrix` is validated at construction: Hermitian within
-1e-10, unit trace within 1e-10, and positive semidefinite with eigenvalues
-no lower than -1e-10.  Bell-state conventions are fixed as
+A :class:`DensityMatrix` is validated at construction: finite entries,
+Hermitian within 1e-10, unit trace within 1e-10, and positive
+semidefinite with eigenvalues no lower than -1e-10.  Bell-state
+conventions are fixed as
 
     |Psi+-> = (|01> +- |10>) / sqrt(2),   |Phi+-> = (|00> +- |11>) / sqrt(2).
 
@@ -116,8 +117,9 @@ def validate(mat, dA: int, dB: int) -> ValidationReport:
     """Check the density-matrix invariants of a raw matrix.
 
     Reports pass/fail and the measured residual for each invariant
-    (shape, Hermiticity, unit trace, positive semidefiniteness).  Never
-    raises on a bad state; construction raises, this reports.
+    (shape, finite entries, Hermiticity, unit trace, positive
+    semidefiniteness).  The finite residual counts NaN and inf entries.
+    Never raises on a bad state; construction raises, this reports.
     """
     mat = np.asarray(mat, dtype=complex)
     checks = []
@@ -127,6 +129,12 @@ def validate(mat, dA: int, dB: int) -> ValidationReport:
     shape_residual = 0.0 if dim_ok else float(abs((mat.shape[0] if square else -1) - dA * dB))
     checks.append(InvariantCheck("shape", dim_ok, shape_residual, 0.0))
     if not dim_ok:
+        return ValidationReport(tuple(checks))
+
+    finite = bool(np.isfinite(mat).all())
+    finite_residual = 0.0 if finite else float(np.count_nonzero(~np.isfinite(mat)))
+    checks.append(InvariantCheck("finite", finite, finite_residual, 0.0))
+    if not finite:
         return ValidationReport(tuple(checks))
 
     herm_res = hermiticity_defect(mat)

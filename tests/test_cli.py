@@ -1,13 +1,16 @@
 """CLI behavior: formats, exit codes, presets, determinism, round trips."""
 
 import json
+import os
+import re
+import resource
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from eurmem.cli import SWEEP_HEADER, main
+from eurmem.cli import MAX_SWEEP_ROWS, SWEEP_HEADER, VALIDATE_CSV_HEADER, main
 from eurmem.infoquant import binary_entropy
 from eurmem.states import from_spec, werner
 
@@ -290,3 +293,69 @@ def test_bounds_output_deterministic(capsys, tmp_path):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+def test_non_finite_entry_fails_as_finite(capsys, tmp_path, entry):
+    real = (np.eye(4) * 0.25).tolist()
+    real[1][2] = entry
+    state = write_state(tmp_path, {"explicit": {"dA": 2, "dB": 2, "re": real}})
+    code, out, _ = run_cli(capsys, "validate", "--state", state)
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == ["shape", "finite"]
+    assert checks[1]["passed"] is False
+    code, _, err = run_cli(capsys, "bounds", "--state", state, "--x", "sigma_x", "--z", "sigma_z")
+    assert code == 2
+    assert "invariant 'finite' violated" in err
+
+
+def _limit_memory():
+    # Without the cap this sweep would build a 1e9-entry list; fail fast instead.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_sweep_row_count_capped(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-m", "eurmem", "sweep", "--family", "werner", "--x", "sigma_x",
+         "--z", "sigma_z", "--p-step", "1e-9", "--out", str(tmp_path / "x.csv")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_memory,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    )
+    assert result.returncode == 2
+    assert re.fullmatch(
+        rf"error: sweep would have 1\d{{9}} rows, above the limit of {MAX_SWEEP_ROWS}\n",
+        result.stderr,
+    )
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["family", "p_start", "p_end", "p_step"])
+def test_sweep_spec_missing_field_named(capsys, tmp_path, field):
+    spec = {"family": "xstate", "p_start": 0.0, "p_end": 0.2, "p_step": 0.1,
+            "pairs": [["sigma_x", "sigma_z"]]}
+    del spec[field]
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    code, _, err = run_cli(
+        capsys, "sweep", "--spec", str(spec_path), "--out", str(tmp_path / "x.csv")
+    )
+    assert code == 2
+    assert err == f"error: sweep spec is missing field '{field}'\n"
+
+
+def test_validate_csv_format(capsys, tmp_path):
+    bad = write_state(
+        tmp_path, {"explicit": {"dA": 2, "dB": 2, "re": (np.eye(4) * 0.375).tolist()}}
+    )
+    code, out, _ = run_cli(capsys, "validate", "--state", bad, "--format", "csv")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == VALIDATE_CSV_HEADER
+    rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
+    assert list(rows) == ["shape", "finite", "hermitian", "trace", "psd"]
+    assert rows["trace"][1:] == ["false", "0.5", "1e-10"]
+    assert rows["psd"][1] == "true"

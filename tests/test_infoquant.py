@@ -15,7 +15,12 @@ from eurmem.infoquant import (
     shannon_entropy,
     von_neumann_entropy,
 )
-from eurmem.infoquant import _bloch_transfer, _holevo_directions
+from eurmem.infoquant import (
+    _MAX_REFINE_STEPS,
+    _general_objective,
+    _search,
+    _two_qubit_objective,
+)
 from eurmem.matops import tensor
 from eurmem.measure import (
     observable_from_bloch,
@@ -217,17 +222,65 @@ def test_identity_marginal_entropy_decomposition():
 # ---------------------------------------------------------------------------
 
 
-def test_fast_direction_objective_matches_holevo():
+def _unit_directions(rng, count):
+    n = rng.normal(size=(3, count))
+    return n / np.linalg.norm(n, axis=0)
+
+
+def test_direction_objectives_match_holevo():
     rng = np.random.default_rng(41)
-    for _ in range(10):
-        rho = random_density_matrix(rng)
-        rho_b, transfer = _bloch_transfer(rho)
-        s_b = von_neumann_entropy(rho_b)
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        fast = _holevo_directions(rho_b, transfer, s_b, n[None, :])[0]
-        slow = holevo(rho, observable_from_bloch(n))
-        assert fast == pytest.approx(slow, abs=1e-12)
+    for dB in (2, 3, 4):
+        for _ in range(5):
+            rho = random_density_matrix(rng, dB=dB)
+            dirs = _unit_directions(rng, 4)
+            slow = [holevo(rho, observable_from_bloch(n)) for n in dirs.T]
+            objectives = [_general_objective(rho)[0]]
+            if dB == 2:
+                objectives.append(_two_qubit_objective(rho)[0])
+            for objective in objectives:
+                np.testing.assert_allclose(objective(dirs), slow, rtol=0.0, atol=1e-12)
+
+
+def _two_qubit_corpus():
+    rng = np.random.default_rng(43)
+    states = [random_density_matrix(rng) for _ in range(12)]
+    states += [random_density_matrix(rng, rank=2) for _ in range(4)]
+    states += [x_state_special(p) for p in (0.2, 0.7)]
+    states += [bell_diagonal(random_bell_diagonal_r(rng)) for _ in range(2)]
+    return states
+
+
+def test_two_qubit_search_matches_general_path():
+    cfg = OptimizerConfig()
+    for rho in _two_qubit_corpus():
+        fast = _search(rho, cfg, *_two_qubit_objective(rho))
+        general = _search(rho, cfg, *_general_objective(rho))
+        assert fast.iterations == general.iterations
+        for field in ("classical_correlation", "grid_best", "refined_best"):
+            assert getattr(fast, field) == pytest.approx(getattr(general, field), abs=1e-12)
+
+
+def test_batched_refinement_keeps_iterates():
+    cfg = OptimizerConfig()
+    for rho in _two_qubit_corpus()[:6]:
+        objective, _ = _two_qubit_objective(rho)
+        batched = _search(rho, cfg, objective, _MAX_REFINE_STEPS)
+        single = _search(rho, cfg, objective, 1)
+        assert batched.iterations == single.iterations
+        assert batched.refined_best == single.refined_best
+        np.testing.assert_array_equal(batched.optimal_direction, single.optimal_direction)
+
+
+def test_classical_correlation_wide_memory_never_below_pauli_axes():
+    rng = np.random.default_rng(59)
+    axes = [pauli_observable(a) for a in "xyz"]
+    for _ in range(3):
+        rho = random_density_matrix(rng, dB=4)
+        report = classical_correlation(rho)
+        assert report.classical_correlation >= max(holevo(rho, a) for a in axes) - 1e-9
+        assert report.classical_correlation + report.discord == pytest.approx(
+            mutual_information(rho), abs=1e-9
+        )
 
 
 def test_classical_correlation_bell_diagonal_closed_form():

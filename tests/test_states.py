@@ -152,3 +152,16 @@ def test_maximally_mixed_helper():
     rho = maximally_mixed()
     assert rho.dim == 4
     assert np.trace(rho.mat).real == pytest.approx(1.0)
+
+
+def test_validate_reports_non_finite_entries():
+    mat = np.eye(4, dtype=complex) / 4
+    mat[0, 1] = np.nan
+    mat[2, 2] = np.inf
+    report = validate(mat, 2, 2)
+    assert [c.name for c in report.checks] == ["shape", "finite"]
+    assert not report.passed
+    assert report.checks[1].residual == 2.0
+    with pytest.raises(StateValidationError) as err:
+        DensityMatrix(mat, 2, 2)
+    assert err.value.invariant == "finite"
