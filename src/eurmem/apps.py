@@ -20,22 +20,18 @@ with Pe the Helstrom-optimal two-outcome discrimination error
 are Koashi-Winter complements by construction: their sum is S(rho^B).
 Both are evaluated on the given bipartite state; the tripartite purification
 behind the common-randomness statement is not operationalized here.
+Everything is arithmetic on one ``infoquant.evaluate`` pass; the Helstrom
+errors use omega_0 - omega_1 of its conditional states, so A must be a qubit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import actual_uncertainty
-from .infoquant import binary_entropy, delta, von_neumann_entropy
-from .measure import (
-    MeasurementEnsemble,
-    ProjectiveObservable,
-    outcome_ensemble,
-    q_mu,
-)
+from .infoquant import Evaluation, binary_entropy, evaluate
+from .measure import MeasurementEnsemble, ProjectiveObservable
 from .states import DensityMatrix
 
 __all__ = [
@@ -68,12 +64,7 @@ class WitnessVerdict:
     margin_ours: float
 
     def to_dict(self) -> dict:
-        return {
-            "entangled_by_berta": self.entangled_by_berta,
-            "entangled_by_ours": self.entangled_by_ours,
-            "margin_berta": self.margin_berta,
-            "margin_ours": self.margin_ours,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -92,20 +83,28 @@ class FanoInputs:
             raise ValueError(f"outcome count d must be >= 2, got {self.d}")
 
 
-def witness(
-    rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
-) -> WitnessVerdict:
-    """Flag entanglement when the measured uncertainty undercuts a threshold."""
-    actual = actual_uncertainty(rho, x, z)
-    qmu = q_mu(x, z)
-    margin_berta = qmu - actual
-    margin_ours = qmu + max(0.0, delta(rho, x, z)) - actual
+def _verdict(ev: Evaluation) -> WitnessVerdict:
+    margin_berta = ev.q_mu - ev.actual
+    margin_ours = ev.q_mu + ev.correction - ev.actual
     return WitnessVerdict(
         entangled_by_berta=margin_berta > WITNESS_MARGIN,
         entangled_by_ours=margin_ours > WITNESS_MARGIN,
         margin_berta=margin_berta,
         margin_ours=margin_ours,
     )
+
+
+def witness(
+    rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
+) -> WitnessVerdict:
+    """Flag entanglement when the measured uncertainty undercuts a threshold."""
+    return _verdict(evaluate(rho, x, z))
+
+
+def _trace_norm_error(gap: np.ndarray) -> float:
+    """(1 - ||gap||_1) / 2 clamped to [0, 1/2], for gap = p0 rho0 - p1 rho1."""
+    trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T)))))
+    return float(min(max(0.5 * (1.0 - trace_norm), 0.0), 0.5))
 
 
 def helstrom_error(ensemble: MeasurementEnsemble) -> float:
@@ -119,9 +118,9 @@ def helstrom_error(ensemble: MeasurementEnsemble) -> float:
         raise ValueError(
             f"helstrom_error supports exactly 2 outcomes, got {len(ensemble.probs)}"
         )
-    gap = ensemble.probs[0] * ensemble.cond_states[0] - ensemble.probs[1] * ensemble.cond_states[1]
-    trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T)))))
-    return float(min(max(0.5 * (1.0 - trace_norm), 0.0), 0.5))
+    return _trace_norm_error(
+        ensemble.probs[0] * ensemble.cond_states[0] - ensemble.probs[1] * ensemble.cond_states[1]
+    )
 
 
 def fano_term(f: FanoInputs) -> float:
@@ -135,16 +134,6 @@ def fano_term(f: FanoInputs) -> float:
     )
 
 
-def _fano_inputs(
-    rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
-) -> FanoInputs:
-    return FanoInputs(
-        pe_x=helstrom_error(outcome_ensemble(rho, x)),
-        pe_z=helstrom_error(outcome_ensemble(rho, z)),
-        d=x.d,
-    )
-
-
 def eof_lower_bound(
     rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
 ) -> float:
@@ -153,8 +142,7 @@ def eof_lower_bound(
     May be negative, in which case it is vacuous; the value is reported
     as-is (callers flag vacuousness), never clamped.
     """
-    b_f = fano_term(_fano_inputs(rho, x, z))
-    return q_mu(x, z) + max(0.0, delta(rho, x, z)) - b_f
+    return applications_report(rho, x, z)["eof_lower_bound"]
 
 
 def common_randomness_upper_bound(
@@ -162,29 +150,29 @@ def common_randomness_upper_bound(
 ) -> float:
     """One-way distillable-common-randomness upper bound
     S(rho^B) + b_F - q_mu - max{0, delta}."""
-    b_f = fano_term(_fano_inputs(rho, x, z))
-    return (
-        von_neumann_entropy(rho.reduced_b())
-        + b_f
-        - q_mu(x, z)
-        - max(0.0, delta(rho, x, z))
-    )
+    return applications_report(rho, x, z)["crand_upper_bound"]
 
 
 def applications_report(
     rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
 ) -> dict:
-    """Witness verdict plus both application bounds as one flat record."""
-    verdict = witness(rho, x, z)
-    eof = eof_lower_bound(rho, x, z)
-    crand = common_randomness_upper_bound(rho, x, z)
-    out = verdict.to_dict()
+    """Witness verdict plus both application bounds as one flat record (dA = 2)."""
+    if rho.dA != 2:
+        raise ValueError(
+            "applications_report supports dA = 2 only (the Helstrom errors "
+            f"discriminate two outcomes), got dA = {rho.dA}"
+        )
+    ev = evaluate(rho, x, z)
+    pe_x, pe_z = (_trace_norm_error(t.omegas[0] - t.omegas[1]) for t in (ev.x, ev.z))
+    eof = ev.q_mu + ev.correction - fano_term(FanoInputs(pe_x, pe_z, x.d))
+    out = _verdict(ev).to_dict()
     out.update(
         {
             "eof_lower_bound": eof,
             "eof_vacuous": eof < 0.0,
-            "crand_upper_bound": crand,
-            "s_b": von_neumann_entropy(rho.reduced_b()),
+            # S(rho^B) + b_F - q_mu - max{0, delta}, the Koashi-Winter complement.
+            "crand_upper_bound": ev.s_b - eof,
+            "s_b": ev.s_b,
         }
     )
     return out

@@ -1,9 +1,12 @@
 """Entropic uncertainty lower bounds in the presence of quantum memory.
 
 For a bipartite state rho^AB and observables X, Z measured on A, the actual
-uncertainty is S(X|B) + S(Z|B) with the conditional entropies taken on the
-post-measurement (classical-quantum) states.  Five lower bounds are
-computed:
+uncertainty is S(X|B) + S(Z|B) on the post-measurement (classical-quantum)
+states.  It is computed as H(X) - I(X;B) + H(Z) - I(Z;B), since
+S(X|B) = H(X) - I(X;B), so no post-measurement state is built; the tests
+check it against the explicit classical-quantum state.  Everything is
+arithmetic on one ``infoquant.evaluate`` pass, and each ``bound_*`` function
+is a view of ``bounds_report``.  Six lower bounds are computed:
 
     bound_mu            q_mu                      (Maassen-Uffink)
     bound_mu_mixed      q_mu + S(A)               (no-memory, mixed input)
@@ -35,26 +38,12 @@ top two |r_i| tie.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .infoquant import (
-    CorrelationReport,
-    binary_entropy,
-    conditional_entropy,
-    delta,
-    holevo,
-    mutual_information,
-    von_neumann_entropy,
-)
-from .measure import (
-    ProjectiveObservable,
-    pauli_observable,
-    post_measurement_state,
-    q_mu,
-    q_prime,
-)
+from .infoquant import CorrelationReport, binary_entropy, evaluate
+from .measure import ProjectiveObservable, pauli_observable, q_mu
 from .states import DensityMatrix
 
 __all__ = [
@@ -98,69 +87,7 @@ class BoundsReport:
     pati_correction: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "q_mu": self.q_mu,
-            "q_prime": self.q_prime,
-            "s_cond": self.s_cond,
-            "i_ab": self.i_ab,
-            "i_xb": self.i_xb,
-            "i_zb": self.i_zb,
-            "delta": self.delta,
-            "bound_mu": self.bound_mu,
-            "bound_mu_mixed": self.bound_mu_mixed,
-            "bound_berta": self.bound_berta,
-            "bound_coles_piani": self.bound_coles_piani,
-            "bound_pati": self.bound_pati,
-            "bound_ours": self.bound_ours,
-            "actual": self.actual,
-            "pati_correction": self.pati_correction,
-        }
-
-
-def actual_uncertainty(
-    rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
-) -> float:
-    """S(X|B) + S(Z|B) on the post-measurement states; each term is >= 0."""
-    return conditional_entropy(post_measurement_state(rho, x)) + conditional_entropy(
-        post_measurement_state(rho, z)
-    )
-
-
-def bound_maassen_uffink(x: ProjectiveObservable, z: ProjectiveObservable) -> float:
-    """q_mu = log2(1/c), the state-independent incompatibility bound."""
-    return q_mu(x, z)
-
-
-def bound_mu_mixed(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable) -> float:
-    """q_mu + S(A): the no-memory bound strengthened for mixed inputs."""
-    return q_mu(x, z) + von_neumann_entropy(rho.reduced_a())
-
-
-def bound_berta(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable) -> float:
-    """q_mu + S(A|B): the memory-assisted bound."""
-    return q_mu(x, z) + conditional_entropy(rho)
-
-
-def bound_coles_piani(
-    rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
-) -> float:
-    """q' + S(A|B); equals the Berta bound whenever A is a qubit (c = c2)."""
-    return q_prime(x, z) + conditional_entropy(rho)
-
-
-def bound_pati(
-    rho: DensityMatrix,
-    x: ProjectiveObservable,
-    z: ProjectiveObservable,
-    corr: CorrelationReport,
-) -> float:
-    """Berta bound plus max{0, D_A - J_A} from a precomputed correlation report."""
-    return bound_berta(rho, x, z) + max(0.0, corr.discord - corr.classical_correlation)
-
-
-def bound_ours(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable) -> float:
-    """Berta bound plus max{0, delta}: the Holevo-corrected bound."""
-    return bound_berta(rho, x, z) + max(0.0, delta(rho, x, z))
+        return asdict(self)
 
 
 def bounds_report(
@@ -170,15 +97,8 @@ def bounds_report(
     corr: CorrelationReport | None = None,
 ) -> BoundsReport:
     """Evaluate every bound and its ingredients for one (state, X, Z) triple."""
-    qmu = q_mu(x, z)
-    qp = q_prime(x, z)
-    s_cond = conditional_entropy(rho)
-    i_ab = mutual_information(rho)
-    i_xb = holevo(rho, x)
-    i_zb = holevo(rho, z)
-    dlt = i_ab - i_xb - i_zb
-    s_a = von_neumann_entropy(rho.reduced_a())
-    berta = qmu + s_cond
+    ev = evaluate(rho, x, z)
+    berta = ev.q_mu + ev.s_cond
     if corr is not None:
         correction = max(0.0, corr.discord - corr.classical_correlation)
         pati = berta + correction
@@ -186,22 +106,66 @@ def bounds_report(
         correction = None
         pati = None
     return BoundsReport(
-        q_mu=qmu,
-        q_prime=qp,
-        s_cond=s_cond,
-        i_ab=i_ab,
-        i_xb=i_xb,
-        i_zb=i_zb,
-        delta=dlt,
-        bound_mu=qmu,
-        bound_mu_mixed=qmu + s_a,
+        q_mu=ev.q_mu,
+        q_prime=ev.q_prime,
+        s_cond=ev.s_cond,
+        i_ab=ev.i_ab,
+        i_xb=ev.x.holevo,
+        i_zb=ev.z.holevo,
+        delta=ev.delta,
+        bound_mu=ev.q_mu,
+        bound_mu_mixed=ev.q_mu + ev.s_a,
         bound_berta=berta,
-        bound_coles_piani=qp + s_cond,
+        bound_coles_piani=ev.q_prime + ev.s_cond,
         bound_pati=pati,
-        bound_ours=berta + max(0.0, dlt),
-        actual=actual_uncertainty(rho, x, z),
+        bound_ours=berta + ev.correction,
+        actual=ev.actual,
         pati_correction=correction,
     )
+
+
+def actual_uncertainty(
+    rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
+) -> float:
+    """S(X|B) + S(Z|B), computed as H(X) - I(X;B) + H(Z) - I(Z;B)."""
+    return evaluate(rho, x, z).actual
+
+
+def bound_maassen_uffink(x: ProjectiveObservable, z: ProjectiveObservable) -> float:
+    """q_mu = log2(1/c), the state-independent incompatibility bound."""
+    return q_mu(x, z)
+
+
+def bound_mu_mixed(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable) -> float:
+    """q_mu + S(A): the no-memory bound strengthened for mixed inputs."""
+    return bounds_report(rho, x, z).bound_mu_mixed
+
+
+def bound_berta(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable) -> float:
+    """q_mu + S(A|B): the memory-assisted bound."""
+    return bounds_report(rho, x, z).bound_berta
+
+
+def bound_coles_piani(
+    rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
+) -> float:
+    """q' + S(A|B); equals the Berta bound whenever A is a qubit (c = c2)."""
+    return bounds_report(rho, x, z).bound_coles_piani
+
+
+def bound_pati(
+    rho: DensityMatrix,
+    x: ProjectiveObservable,
+    z: ProjectiveObservable,
+    corr: CorrelationReport,
+) -> float:
+    """Berta bound plus max{0, D_A - J_A} from a precomputed correlation report."""
+    return bounds_report(rho, x, z, corr).bound_pati
+
+
+def bound_ours(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable) -> float:
+    """Berta bound plus max{0, delta}: the Holevo-corrected bound."""
+    return bounds_report(rho, x, z).bound_ours
 
 
 # ---------------------------------------------------------------------------

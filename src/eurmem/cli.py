@@ -71,16 +71,12 @@ def _fmt(value: float) -> str:
     return format(float(value) + 0.0, ".12g")
 
 
-def _read_json_text(text: str):
-    return json.loads(text)
-
-
 def _load_state_arg(arg: str):
     """State from a file path or inline JSON; returns (state, echo-fields)."""
     if arg.strip().startswith("{"):
-        doc = _read_json_text(arg)
+        doc = json.loads(arg)
     else:
-        doc = _read_json_text(Path(arg).read_text(encoding="utf-8"))
+        doc = json.loads(Path(arg).read_text(encoding="utf-8"))
     rho = from_spec(doc)
     echo: dict = {}
     if isinstance(doc, dict) and "family" in doc:
@@ -96,9 +92,9 @@ def _load_observable_arg(arg: str):
     if text in _PAULI_SHORTHAND:
         return observable_from_spec({"named": _PAULI_SHORTHAND[text]})
     if text.startswith("{"):
-        return observable_from_spec(_read_json_text(text))
+        return observable_from_spec(json.loads(text))
     if text.startswith("@"):
-        return observable_from_spec(_read_json_text(Path(text[1:]).read_text(encoding="utf-8")))
+        return observable_from_spec(json.loads(Path(text[1:]).read_text(encoding="utf-8")))
     raise ValueError(
         f"cannot parse observable {arg!r}: expected sigma_x|sigma_y|sigma_z, "
         "inline JSON, or @file"
@@ -184,26 +180,8 @@ def _sweep_rows(family: str, ps, observables_for, cfg: OptimizerConfig) -> str:
     for p in ps:
         rho = builder(p)
         x, z = observables_for(p)
-        corr = classical_correlation(rho, cfg)
-        rep = bounds_report(rho, x, z, corr)
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    p,
-                    rep.q_mu,
-                    rep.s_cond,
-                    rep.i_ab,
-                    rep.i_xb,
-                    rep.i_zb,
-                    rep.delta,
-                    rep.bound_berta,
-                    rep.bound_pati,
-                    rep.bound_ours,
-                    rep.actual,
-                )
-            )
-        )
+        row = {"p": p, **bounds_report(rho, x, z, classical_correlation(rho, cfg)).to_dict()}
+        lines.append(",".join(_fmt(row[key]) for key in SWEEP_HEADER.split(",")))
     return "\n".join(lines) + "\n"
 
 
@@ -229,7 +207,7 @@ def cmd_sweep(args) -> int:
         return 0
 
     if args.spec:
-        doc = _read_json_text(Path(args.spec).read_text(encoding="utf-8"))
+        doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
         for field in ("family", "p_start", "p_end", "p_step"):
             if field not in doc:
                 raise ValueError(f"sweep spec is missing field {field!r}")
@@ -287,7 +265,7 @@ def cmd_validate(args) -> int:
         if args.state.strip().startswith("{")
         else Path(args.state).read_text(encoding="utf-8")
     )
-    doc = _read_json_text(text)
+    doc = json.loads(text)
     if isinstance(doc, dict) and "explicit" in doc:
         mat, dA, dB = parse_explicit(doc["explicit"])
         report = validate(mat, dA, dB)

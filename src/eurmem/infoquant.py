@@ -13,6 +13,10 @@ Core quantities on a bipartite state rho^AB:
                       on A
     D_A               quantum discord I(A;B) - J_A
 
+``evaluate`` computes every spectrum a (state, X, Z) triple needs once: those
+of rho^AB, rho^A and rho^B, and one batched stack of the conditional states
+of both observables; the bounds and application numbers are arithmetic on it.
+
 The classical-correlation optimizer searches rank-1 projective qubit
 measurements parameterized by a Bloch direction (a coarse hemisphere grid
 followed by derivative-free pattern-search refinement).  For two qubits
@@ -26,7 +30,7 @@ POVMs, although for the named state families the two coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +40,10 @@ from .measure import (
     ZERO_PROB,
     ProjectiveObservable,
     bloch_vector,
-    outcome_ensemble,
+    conditional_stack,
+    incompatibility,
+    overlap_matrix,
+    require_on_a,
 )
 from .states import DensityMatrix
 
@@ -46,6 +53,8 @@ __all__ = [
     "von_neumann_entropy",
     "conditional_entropy",
     "mutual_information",
+    "Evaluation",
+    "evaluate",
     "holevo",
     "delta",
     "delta_floor",
@@ -86,9 +95,9 @@ def binary_entropy(x) -> float:
     return float(-(_xlog2x(x) + _xlog2x(1.0 - x)))
 
 
-def _spectrum(state) -> np.ndarray:
-    mat = state.mat if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
-    return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+def _require_nonnegative(min_eig: float):
+    if min_eig < -1e-8:
+        raise ValueError(f"state has a significantly negative eigenvalue: {min_eig!r}")
 
 
 def von_neumann_entropy(state) -> float:
@@ -97,36 +106,116 @@ def von_neumann_entropy(state) -> float:
     Eigenvalues are clipped to [0, 1] before the entropy sum so that
     machine-precision negativity cannot poison the logarithms.
     """
-    w = _spectrum(state)
+    mat = state.mat if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
+    w = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
     total = float(w.sum())
     if abs(total - 1.0) > PROB_SUM_ATOL:
         raise ValueError(f"state trace must be 1 within {PROB_SUM_ATOL:.0e}, got {total!r}")
-    if float(w.min()) < -1e-8:
-        raise ValueError(f"state has a significantly negative eigenvalue: {float(w.min())!r}")
+    _require_nonnegative(float(w.min()))
     return float(-np.sum(_xlog2x(np.clip(w, 0.0, 1.0))))
+
+
+@dataclass(frozen=True)
+class StateEntropies:
+    """S(rho^AB), S(rho^A) and S(rho^B) of one bipartite state."""
+
+    s_ab: float
+    s_a: float
+    s_b: float
+
+    @property
+    def s_cond(self) -> float:
+        return self.s_ab - self.s_b
+
+    @property
+    def i_ab(self) -> float:
+        return self.s_a + self.s_b - self.s_ab
+
+
+def _state_entropies(rho: DensityMatrix) -> StateEntropies:
+    reduced = (rho.mat, rho.reduced_a(), rho.reduced_b())
+    return StateEntropies(*(von_neumann_entropy(m) for m in reduced))
 
 
 def conditional_entropy(rho: DensityMatrix) -> float:
     """S(A|B) = S(rho^AB) - S(rho^B); negative values certify entanglement."""
-    return von_neumann_entropy(rho) - von_neumann_entropy(rho.reduced_b())
+    return _state_entropies(rho).s_cond
 
 
 def mutual_information(rho: DensityMatrix) -> float:
     """I(A;B) = S(rho^A) + S(rho^B) - S(rho^AB)."""
-    return (
-        von_neumann_entropy(rho.reduced_a())
-        + von_neumann_entropy(rho.reduced_b())
-        - von_neumann_entropy(rho)
-    )
+    return _state_entropies(rho).i_ab
 
 
-def _ensemble_conditional_entropy(ensemble) -> float:
-    """sum_i p_i S(rho^B_i), skipping outcomes below the zero-probability cut."""
-    acc = 0.0
-    for p, state, ok in zip(ensemble.probs, ensemble.cond_states, ensemble.effective):
-        if ok:
-            acc += float(p) * von_neumann_entropy(state / np.trace(state).real)
-    return acc
+def _conditional_sum(eigs) -> np.ndarray:
+    """sum_i p_i S(omega_i / p_i) over the outcomes of one or more measurements.
+
+    ``eigs`` has shape (k, n, ...): the k eigenvalues mu_j of the unnormalized
+    conditional state omega_i of each of n outcomes, for a trailing batch of
+    measurements; the eigenvalue axis leads so that the sums run over contiguous
+    rows.  Uses p_i S(omega_i / p_i) = p_i log2 p_i - sum_j mu_j log2 mu_j, and
+    outcomes below the zero-probability cut add 0.
+    """
+    probs = eigs.sum(axis=0)
+    cond = _xlog2x(probs) - _xlog2x(eigs).sum(axis=0)
+    return np.where(probs < ZERO_PROB, 0.0, cond).sum(axis=0)
+
+
+@dataclass(frozen=True)
+class OutcomeTerms:
+    """One observable: p_i, the stack omega_i = <x_i|rho|x_i>_A, H and I(.;B)."""
+
+    probs: np.ndarray
+    omegas: np.ndarray
+    shannon: float
+    holevo: float
+
+
+def _outcome_terms(rho: DensityMatrix, observables, s_b: float) -> list[OutcomeTerms]:
+    """The terms of each observable, from one batched eigenvalue call."""
+    omegas = np.stack([conditional_stack(rho, obs) for obs in observables])
+    probs = np.maximum(np.einsum("mijj->mi", omegas).real, 0.0)
+    mu = np.linalg.eigvalsh(0.5 * (omegas + omegas.conj().swapaxes(-1, -2)))
+    # Negativity is judged on the normalized conditional states omega_i / p_i.
+    scale = np.where(probs >= ZERO_PROB, probs, np.inf)
+    _require_nonnegative(float((mu.min(axis=-1) / scale).min()))
+    holevos = s_b - _conditional_sum(np.maximum(mu, 0.0).T)
+    return [
+        OutcomeTerms(p, om, shannon_entropy(p), float(h))
+        for p, om, h in zip(probs, omegas, holevos)
+    ]
+
+
+@dataclass(frozen=True)
+class Evaluation(StateEntropies):
+    """The marginal entropies, the outcome terms of X and Z, and q_mu and q'."""
+
+    x: OutcomeTerms
+    z: OutcomeTerms
+    q_mu: float
+    q_prime: float
+
+    @property
+    def delta(self) -> float:
+        return self.i_ab - self.x.holevo - self.z.holevo
+
+    @property
+    def correction(self) -> float:
+        """max{0, delta}, what the Holevo-corrected bound adds to Berta's."""
+        return max(0.0, self.delta)
+
+    @property
+    def actual(self) -> float:
+        """S(X|B) + S(Z|B), with S(X|B) = H(X) - I(X;B)."""
+        return (self.x.shannon - self.x.holevo) + (self.z.shannon - self.z.holevo)
+
+
+def evaluate(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable) -> Evaluation:
+    """One pass over (rho, X, Z), after rejecting mismatched dimensions."""
+    require_on_a(rho, x, z)
+    e = _state_entropies(rho)
+    terms = _outcome_terms(rho, (x, z), e.s_b)
+    return Evaluation(e.s_ab, e.s_a, e.s_b, *terms, *incompatibility(overlap_matrix(x, z)))
 
 
 def holevo(rho: DensityMatrix, obs: ProjectiveObservable) -> float:
@@ -136,15 +225,13 @@ def holevo(rho: DensityMatrix, obs: ProjectiveObservable) -> float:
     accessible from system B; it satisfies
     0 <= I(P;B) <= min(H(outcomes), S(rho^B)).
     """
-    ensemble = outcome_ensemble(rho, obs)
-    return von_neumann_entropy(rho.reduced_b()) - _ensemble_conditional_entropy(ensemble)
+    require_on_a(rho, obs)
+    return _outcome_terms(rho, (obs,), von_neumann_entropy(rho.reduced_b()))[0].holevo
 
 
 def delta(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable) -> float:
     """Holevo correction delta = I(A;B) - [I(X;B) + I(Z;B)]; may be negative."""
-    if x.d != z.d:
-        raise ValueError(f"observables have different dimensions: {x.d} vs {z.d}")
-    return mutual_information(rho) - holevo(rho, x) - holevo(rho, z)
+    return evaluate(rho, x, z).delta
 
 
 def delta_floor(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable) -> float:
@@ -155,9 +242,8 @@ def delta_floor(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObserv
     mixed, and when one observable leaves A undisturbed while the other is
     unbiased on it.
     """
-    hx = shannon_entropy(outcome_ensemble(rho, x).probs)
-    hz = shannon_entropy(outcome_ensemble(rho, z).probs)
-    return float(np.log2(rho.dA)) + von_neumann_entropy(rho.reduced_a()) - hx - hz
+    ev = evaluate(rho, x, z)
+    return float(np.log2(rho.dA)) + ev.s_a - ev.x.shannon - ev.z.shannon
 
 
 # ---------------------------------------------------------------------------
@@ -197,29 +283,7 @@ class CorrelationReport:
     search_space: str = "rank-1 projective (Bloch sphere)"
 
     def to_dict(self) -> dict:
-        return {
-            "classical_correlation": self.classical_correlation,
-            "discord": self.discord,
-            "optimal_direction": [float(v) for v in self.optimal_direction],
-            "grid_best": self.grid_best,
-            "refined_best": self.refined_best,
-            "iterations": self.iterations,
-            "search_space": self.search_space,
-        }
-
-
-def _conditional_sum(eigs) -> np.ndarray:
-    """sum_i p_i S(omega_i / p_i) over the two outcomes of each direction.
-
-    ``eigs`` has shape (k, 2, G): the k eigenvalues mu_j of the unnormalized
-    conditional state omega_i of each outcome, for G directions; the
-    eigenvalue axis leads so that the sums run over contiguous rows.  Uses
-    p_i S(omega_i / p_i) = p_i log2 p_i - sum_j mu_j log2 mu_j, and outcomes
-    below the zero-probability cut add 0.
-    """
-    probs = eigs.sum(axis=0)
-    cond = _xlog2x(probs) - _xlog2x(eigs).sum(axis=0)
-    return np.where(probs < ZERO_PROB, 0.0, cond).sum(axis=0)
+        return {**asdict(self), "optimal_direction": [float(v) for v in self.optimal_direction]}
 
 
 def _general_objective(rho: DensityMatrix):

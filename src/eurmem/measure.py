@@ -6,6 +6,9 @@ leaves Bob with conditional states
 
     rho^B_i = Tr_A[(|x_i><x_i| (x) I) rho (|x_i><x_i| (x) I)] / p_i.
 
+All of these come from one contraction, ``conditional_stack``, of the states
+omega_i = p_i rho^B_i; ``post_measurement_state`` is its independent reference.
+
 Incompatibility of two observables is measured through the overlap matrix
 c_ij = |<x_i|z_j>|^2: q_mu = log2(1/c) with c = max_ij c_ij, and the
 refinement q' adds a term driven by the second-largest entry c_2.
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matops import partial_trace, projector, tensor
+from .matops import projector, tensor
 from .states import DensityMatrix
 
 __all__ = [
@@ -33,6 +36,9 @@ __all__ = [
     "overlap_matrix",
     "q_mu",
     "q_prime",
+    "incompatibility",
+    "require_on_a",
+    "conditional_stack",
     "MeasurementEnsemble",
     "post_measurement_state",
     "outcome_ensemble",
@@ -161,22 +167,31 @@ def _require_same_dim(x: ProjectiveObservable, z: ProjectiveObservable):
         raise ValueError(f"observables have different dimensions: {x.d} vs {z.d}")
 
 
+def require_on_a(rho: DensityMatrix, *observables: ProjectiveObservable):
+    """Reject observables of unequal dimensions, or of a dimension other than dA."""
+    for obs in observables:
+        _require_same_dim(observables[0], obs)
+        if obs.d != rho.dA:
+            raise ValueError(f"observable dimension {obs.d} does not match dA = {rho.dA}")
+
+
 def overlap_matrix(x: ProjectiveObservable, z: ProjectiveObservable) -> np.ndarray:
     """c_ij = |<x_i|z_j>|^2, a doubly stochastic real matrix."""
     _require_same_dim(x, z)
     return np.abs(x.basis.conj().T @ z.basis) ** 2
 
 
-def q_mu(x: ProjectiveObservable, z: ProjectiveObservable) -> float:
-    """Incompatibility log2(1/c) with c the largest squared basis overlap."""
-    c = float(np.max(overlap_matrix(x, z)))
-    return float(np.log2(1.0 / c))
-
-
-def _q_prime_from_overlaps(c_matrix: np.ndarray) -> float:
+def incompatibility(c_matrix: np.ndarray) -> tuple[float, float]:
+    """(q_mu, q') of an overlap matrix; see ``q_prime`` for c2."""
     ordered = np.sort(np.asarray(c_matrix, dtype=float).reshape(-1))[::-1]
     c, c2 = float(ordered[0]), float(ordered[1])
-    return float(np.log2(1.0 / c) + 0.5 * (1.0 - np.sqrt(c)) * np.log2(c / c2))
+    qmu = float(np.log2(1.0 / c))
+    return qmu, float(qmu + 0.5 * (1.0 - np.sqrt(c)) * np.log2(c / c2))
+
+
+def q_mu(x: ProjectiveObservable, z: ProjectiveObservable) -> float:
+    """Incompatibility log2(1/c) with c the largest squared basis overlap."""
+    return incompatibility(overlap_matrix(x, z))[0]
 
 
 def q_prime(x: ProjectiveObservable, z: ProjectiveObservable) -> float:
@@ -186,7 +201,7 @@ def q_prime(x: ProjectiveObservable, z: ProjectiveObservable) -> float:
     multiplicity, so q' = q_mu whenever the maximum is attained twice.
     For qubit observables c = c2 and q' reduces to q_mu.
     """
-    return _q_prime_from_overlaps(overlap_matrix(x, z))
+    return incompatibility(overlap_matrix(x, z))[1]
 
 
 @dataclass(frozen=True)
@@ -203,14 +218,19 @@ class MeasurementEnsemble:
     effective: tuple[bool, ...]
 
 
+def conditional_stack(rho: DensityMatrix, obs: ProjectiveObservable) -> np.ndarray:
+    """omega_i = <x_i|rho|x_i>_A = p_i rho^B_i, shape (d, dB, dB); see ``require_on_a``."""
+    r4 = rho.mat.reshape(rho.dA, rho.dB, rho.dA, rho.dB)
+    return np.einsum("ai,ajbk,bi->ijk", obs.basis.conj(), r4, obs.basis)
+
+
 def post_measurement_state(rho: DensityMatrix, obs: ProjectiveObservable) -> DensityMatrix:
     """The classical-quantum state sum_i (P_i (x) I) rho (P_i (x) I).
 
     Block-diagonal in the measured basis; applying the same measurement
-    twice is idempotent.
+    twice is idempotent.  The reference route to S(X|B) in the tests.
     """
-    if obs.d != rho.dA:
-        raise ValueError(f"observable dimension {obs.d} does not match dA = {rho.dA}")
+    require_on_a(rho, obs)
     idB = np.eye(rho.dB, dtype=complex)
     out = np.zeros_like(rho.mat)
     for i in range(obs.d):
@@ -221,22 +241,12 @@ def post_measurement_state(rho: DensityMatrix, obs: ProjectiveObservable) -> Den
 
 def outcome_ensemble(rho: DensityMatrix, obs: ProjectiveObservable) -> MeasurementEnsemble:
     """Measurement statistics of ``obs`` on subsystem A of ``rho``."""
-    if obs.d != rho.dA:
-        raise ValueError(f"observable dimension {obs.d} does not match dA = {rho.dA}")
-    idB = np.eye(rho.dB, dtype=complex)
-    probs = np.empty(obs.d)
-    cond = []
-    effective = []
-    for i in range(obs.d):
-        pi = tensor(obs.projector(i), idB)
-        sandwiched = pi @ rho.mat @ pi
-        p = float(np.real(np.trace(sandwiched)))
-        p = max(p, 0.0)
-        probs[i] = p
-        if p < ZERO_PROB:
-            cond.append(np.eye(rho.dB, dtype=complex) / rho.dB)
-            effective.append(False)
-        else:
-            cond.append(partial_trace(sandwiched, (rho.dA, rho.dB), "B") / p)
-            effective.append(True)
-    return MeasurementEnsemble(probs, tuple(cond), tuple(effective))
+    require_on_a(rho, obs)
+    omegas = conditional_stack(rho, obs)
+    probs = np.maximum(np.einsum("ijj->i", omegas).real, 0.0)
+    effective = tuple(bool(p >= ZERO_PROB) for p in probs)
+    placeholder = np.eye(rho.dB, dtype=complex) / rho.dB
+    cond = tuple(
+        omega / p if ok else placeholder for omega, p, ok in zip(omegas, probs, effective)
+    )
+    return MeasurementEnsemble(probs, cond, effective)

@@ -20,7 +20,7 @@ x_state_special(p)         p |Psi+><Psi+| + (1-p) |11><11|
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -87,12 +87,7 @@ class InvariantCheck:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

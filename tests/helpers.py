@@ -9,6 +9,8 @@ from eurmem import (
     ProjectiveObservable,
     bell_diagonal,
     observable_from_basis,
+    partial_trace,
+    tensor,
 )
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -77,3 +79,9 @@ def random_product_state(rng: np.random.Generator) -> DensityMatrix:
 def random_schmidt_coeffs(rng: np.random.Generator, n: int = 2) -> np.ndarray:
     lam = rng.uniform(0.0, 1.0, size=n)
     return lam / lam.sum()
+
+
+def conditional_blocks(rho: DensityMatrix, obs: ProjectiveObservable) -> list[np.ndarray]:
+    """p_i rho^B_i of each outcome, from the explicit projectors P_i (x) I."""
+    projectors = [tensor(obs.projector(i), np.eye(rho.dB)) for i in range(obs.d)]
+    return [partial_trace(pi @ rho.mat @ pi, (rho.dA, rho.dB), "B") for pi in projectors]

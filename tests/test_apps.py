@@ -12,11 +12,23 @@ from eurmem.apps import (
     helstrom_error,
     witness,
 )
+from eurmem.bounds import bounds_report
 from eurmem.infoquant import binary_entropy, von_neumann_entropy
-from eurmem.measure import MeasurementEnsemble, outcome_ensemble, pauli_observable
-from eurmem.states import maximally_mixed, pure_state, werner
+from eurmem.measure import (
+    MeasurementEnsemble,
+    observable_from_basis,
+    outcome_ensemble,
+    pauli_observable,
+)
+from eurmem.states import maximally_mixed, pure_schmidt, pure_state, werner
 
-from helpers import random_density_matrix, random_mub_pair, random_product_state
+from helpers import (
+    conditional_blocks,
+    random_density_matrix,
+    random_mub_pair,
+    random_observable,
+    random_product_state,
+)
 
 X = pauli_observable("x")
 Z = pauli_observable("z")
@@ -159,3 +171,40 @@ def test_applications_report_fields():
     assert report["eof_vacuous"]
     report = applications_report(_ket11_state(), X, Z)
     assert not report["entangled_by_berta"] and not report["entangled_by_ours"]
+
+
+def _ensemble_by_projectors(rho, obs):
+    blocks = conditional_blocks(rho, obs)
+    probs = np.array([np.trace(b).real for b in blocks])
+    return MeasurementEnsemble(probs, tuple(b / p for b, p in zip(blocks, probs)), (True, True))
+
+
+def test_application_bounds_match_per_ensemble_helstrom():
+    # The report takes the Helstrom errors from omega_0 - omega_1 of its
+    # evaluation pass; here they come from explicitly built ensembles.
+    rng = np.random.default_rng(17)
+    for dB in (2, 3, 4):
+        for _ in range(5):
+            rho = random_density_matrix(rng, dB=dB)
+            x, z = random_observable(rng), random_observable(rng)
+            pe_x = helstrom_error(_ensemble_by_projectors(rho, x))
+            pe_z = helstrom_error(_ensemble_by_projectors(rho, z))
+            rep = bounds_report(rho, x, z)
+            b_f = fano_term(FanoInputs(pe_x, pe_z, 2))
+            eof = rep.q_mu + max(0.0, rep.delta) - b_f
+            s_b = von_neumann_entropy(rho.reduced_b())
+            report = applications_report(rho, x, z)
+            assert report["eof_lower_bound"] == pytest.approx(eof, abs=1e-12)
+            assert report["crand_upper_bound"] == pytest.approx(s_b - eof, abs=1e-12)
+            assert report["s_b"] == pytest.approx(s_b, abs=1e-12)
+
+
+def test_applications_reject_qutrit_a_at_entry():
+    rho = pure_schmidt([0.5, 0.3, 0.2])
+    x = observable_from_basis(np.eye(3))
+    z = random_observable(np.random.default_rng(23), 3)
+    for fn in (applications_report, eof_lower_bound, common_randomness_upper_bound):
+        with pytest.raises(ValueError, match="applications_report supports dA = 2 only"):
+            fn(rho, x, z)
+    # The witness needs no Helstrom error, so it keeps working on a qutrit.
+    assert witness(rho, x, z).entangled_by_berta

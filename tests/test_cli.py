@@ -243,6 +243,17 @@ def test_apps_maximally_mixed_vacuous(capsys, tmp_path):
     assert record["eof_lower_bound"] == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_apps_qutrit_exits_2_at_entry(capsys, tmp_path):
+    state = write_state(tmp_path, {"family": {"name": "pure_schmidt", "lambdas": [0.5, 0.3, 0.2]}})
+    x = json.dumps({"basis": {"re": np.eye(3).tolist()}})
+    z = json.dumps({"basis": {"re": np.eye(3)[:, [1, 2, 0]].tolist()}})
+    code, out, err = run_cli(capsys, "apps", "--state", state, "--x", x, "--z", z)
+    assert code == 2
+    assert out == ""
+    assert "applications_report supports dA = 2 only" in err
+    assert "got dA = 3" in err
+
+
 def test_validate_command_pass_and_fail(capsys, tmp_path):
     good = write_state(
         tmp_path, {"explicit": {"dA": 2, "dB": 2, "re": np.diag([0.25] * 4).tolist()}}, "good.json"

@@ -10,6 +10,7 @@ from eurmem.infoquant import (
     conditional_entropy,
     delta,
     delta_floor,
+    evaluate,
     holevo,
     mutual_information,
     shannon_entropy,
@@ -38,6 +39,7 @@ from eurmem.states import (
 )
 
 from helpers import (
+    conditional_blocks,
     random_bell_diagonal,
     random_bell_diagonal_r,
     random_density_matrix,
@@ -215,6 +217,73 @@ def test_identity_marginal_entropy_decomposition():
         assert conditional_entropy(rho) + mutual_information(rho) == pytest.approx(
             s_a, abs=1e-9
         )
+
+
+# ---------------------------------------------------------------------------
+# evaluation pass
+# ---------------------------------------------------------------------------
+
+
+def _per_state_terms(rho, obs):
+    """Probabilities, conditional blocks, H(X), I(X;B) and S(X|B) of one
+    observable, each from explicit projectors and one entropy per state."""
+    blocks = conditional_blocks(rho, obs)
+    probs = np.array([np.trace(b).real for b in blocks])
+    cond = sum(p * von_neumann_entropy(b / p) for p, b in zip(probs, blocks) if p > 1e-14)
+    i_b = von_neumann_entropy(rho.reduced_b()) - cond
+    s_xb = conditional_entropy(post_measurement_state(rho, obs))
+    return probs, np.array(blocks), shannon_entropy(probs), i_b, s_xb
+
+
+def _incompatibility_by_loops(x, z):
+    c = sorted(
+        (abs(np.vdot(x.basis[:, i], z.basis[:, j])) ** 2 for i in range(x.d) for j in range(z.d)),
+        reverse=True,
+    )
+    return -np.log2(c[0]), -np.log2(c[0]) + 0.5 * (1.0 - np.sqrt(c[0])) * np.log2(c[0] / c[1])
+
+
+@pytest.mark.parametrize(
+    "dA,dB,rank",
+    [(2, 2, 1), (2, 2, 2), (2, 2, 4), (2, 3, 1), (2, 3, 2), (2, 4, 1), (2, 4, 2), (2, 4, 8),
+     (3, 2, 1), (3, 2, 2), (3, 3, 2), (3, 3, 9)],
+)
+def test_evaluation_pass_matches_cq_route(dA, dB, rank):
+    rng = np.random.default_rng(100 * dA + 10 * dB + rank)
+    for _ in range(4):
+        rho = random_density_matrix(rng, dA, dB, rank)
+        x, z = random_observable(rng, dA), random_observable(rng, dA)
+        ev = evaluate(rho, x, z)
+        assert ev.s_ab == pytest.approx(von_neumann_entropy(rho), abs=1e-12)
+        assert ev.s_a == pytest.approx(von_neumann_entropy(rho.reduced_a()), abs=1e-12)
+        assert ev.s_b == pytest.approx(von_neumann_entropy(rho.reduced_b()), abs=1e-12)
+        actual = 0.0
+        holevos = []
+        for obs, terms in ((x, ev.x), (z, ev.z)):
+            probs, blocks, h, i_b, s_xb = _per_state_terms(rho, obs)
+            np.testing.assert_allclose(terms.probs, probs, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(terms.omegas, blocks, rtol=0, atol=1e-12)
+            assert terms.shannon == pytest.approx(h, abs=1e-12)
+            assert terms.holevo == pytest.approx(i_b, abs=1e-12)
+            assert holevo(rho, obs) == pytest.approx(i_b, abs=1e-12)
+            actual += s_xb
+            holevos.append(i_b)
+        assert ev.actual == pytest.approx(actual, abs=1e-12)
+        assert ev.delta == pytest.approx(mutual_information(rho) - sum(holevos), abs=1e-12)
+        assert (ev.q_mu, ev.q_prime) == pytest.approx(_incompatibility_by_loops(x, z), abs=1e-12)
+
+
+def test_evaluate_rejects_mismatched_dimensions_at_entry():
+    rho = werner(0.5)
+    qubit = pauli_observable("x")
+    qutrit = random_observable(np.random.default_rng(43), 3)
+    for fn in (evaluate, delta, delta_floor):
+        with pytest.raises(ValueError, match="different dimensions: 2 vs 3"):
+            fn(rho, qubit, qutrit)
+        with pytest.raises(ValueError, match="observable dimension 3 does not match dA = 2"):
+            fn(rho, qutrit, qutrit)
+    with pytest.raises(ValueError, match="does not match dA = 2"):
+        holevo(rho, qutrit)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from eurmem.matops import I2, SIGMA_Y, projector, tensor
 from eurmem.measure import (
     ZERO_PROB,
+    incompatibility,
     observable_from_basis,
     observable_from_bloch,
     observable_from_spec,
@@ -16,7 +17,6 @@ from eurmem.measure import (
     q_mu,
     q_prime,
 )
-from eurmem.measure import _q_prime_from_overlaps
 from eurmem.states import DensityMatrix, pure_schmidt, pure_state, werner
 
 from helpers import random_density_matrix, random_observable, random_schmidt_coeffs
@@ -122,14 +122,14 @@ def test_q_prime_second_overlap_formula():
     # c = 0.5, c2 = 0.25 -> 1 + (1 - sqrt(0.5))/2 * log2(2) ~= 1.14645
     c = np.array([[0.5, 0.25], [0.15, 0.1]])
     expected = 1.0 + 0.5 * (1.0 - np.sqrt(0.5)) * 1.0
-    assert _q_prime_from_overlaps(c) == pytest.approx(expected, abs=1e-12)
+    assert incompatibility(c) == pytest.approx((1.0, expected), abs=1e-12)
     assert expected == pytest.approx(1.1464466094067263, abs=1e-12)
 
 
 def test_q_prime_counts_duplicate_maxima():
     # the maximum attained twice means c2 = c and the correction vanishes
     c = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
-    assert _q_prime_from_overlaps(c) == pytest.approx(1.0, abs=1e-12)
+    assert incompatibility(c) == pytest.approx((1.0, 1.0), abs=1e-12)
 
 
 def test_q_prime_exceeds_q_mu_in_higher_dimension():
