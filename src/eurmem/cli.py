@@ -40,7 +40,8 @@ from .states import (
 
 SWEEP_HEADER = "p,q_mu,s_cond,i_ab,i_xb,i_zb,delta,bound_berta,bound_pati,bound_ours,actual"
 # Largest sweep accepted, in rows: p_step 1e-5 over [0, 1].  Each row runs
-# the J_A optimizer, so this is already minutes of work.
+# the J_A optimizer and the bounds, about 1 ms on a family state, so this is
+# already a minute or two of work.
 MAX_SWEEP_ROWS = 100_001
 VALIDATE_CSV_HEADER = "name,passed,residual,tolerance"
 
@@ -310,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "table", "csv"), default="json")
         p.add_argument("--out", help="write output to this path instead of stdout")
         if optimizer:
-            p.add_argument("--grid-theta", type=int, default=60)
-            p.add_argument("--grid-phi", type=int, default=120)
+            p.add_argument("--grid-theta", type=int, default=OptimizerConfig.grid_theta)
+            p.add_argument("--grid-phi", type=int, default=OptimizerConfig.grid_phi)
 
     p_bounds = sub.add_parser("bounds", help="bound report for one (state, X, Z) triple")
     add_common(p_bounds, observables=True, optimizer=True)
@@ -337,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--x", help="first observable spec (custom sweeps)")
     p_sweep.add_argument("--z", help="second observable spec (custom sweeps)")
     p_sweep.add_argument("--out", help="output CSV path")
-    p_sweep.add_argument("--grid-theta", type=int, default=60)
-    p_sweep.add_argument("--grid-phi", type=int, default=120)
+    p_sweep.add_argument("--grid-theta", type=int, default=OptimizerConfig.grid_theta)
+    p_sweep.add_argument("--grid-phi", type=int, default=OptimizerConfig.grid_phi)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_discord = sub.add_parser("discord", help="classical correlation and discord")

@@ -18,8 +18,10 @@ of rho^AB, rho^A and rho^B, and one batched stack of the conditional states
 of both observables; the bounds and application numbers are arithmetic on it.
 
 The classical-correlation optimizer searches rank-1 projective qubit
-measurements parameterized by a Bloch direction (a coarse hemisphere grid
-followed by derivative-free pattern-search refinement).  For two qubits
+measurements parameterized by a Bloch direction: a coarse 12 x 24
+hemisphere grid, then derivative-free pattern-search refinement from each
+of the grid's local maxima (at most three, sharing every objective call),
+accepting any gain above the 1e-13 noise floor.  For two qubits
 the objective is evaluated in the real Pauli-correlation form of the
 state (a few 3-vector operations per direction, with all refinement step
 halvings batched into one call); for dB >= 3 it diagonalizes the
@@ -64,9 +66,13 @@ __all__ = [
 ]
 
 PROB_SUM_ATOL = 1e-9
-# Objective gains below this are treated as noise by the pattern search.
-IMPROVE_ATOL = 1e-9
+# Objective gains below this are treated as noise by the pattern search, and
+# grid values closer than this as tied.  A larger threshold stalls the search
+# up to ~2e-9 below the optimum (1e-9 did), which a coarse grid cannot afford.
+IMPROVE_ATOL = 1e-13
 _MAX_REFINE_STEPS = 10_000
+# Local maxima of the grid refined, best first.
+_MAX_STARTS = 3
 
 
 def _xlog2x(x):
@@ -255,13 +261,18 @@ def delta_floor(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObserv
 class OptimizerConfig:
     """Grid resolution and refinement threshold for the J_A search."""
 
-    grid_theta: int = 60
-    grid_phi: int = 120
+    grid_theta: int = 12
+    grid_phi: int = 24
     refine_tol: float = 1e-6
 
     def __post_init__(self):
         if self.grid_theta < 2 or self.grid_phi < 4:
             raise ValueError("optimizer grid must have grid_theta >= 2 and grid_phi >= 4")
+        if self.grid_phi % 2:
+            raise ValueError(
+                f"optimizer grid_phi must be even, got {self.grid_phi}: the grid pairs "
+                "each equator point with its antipode grid_phi / 2 columns away"
+            )
         if not self.refine_tol > 0.0:
             raise ValueError("refine_tol must be positive")
 
@@ -377,63 +388,151 @@ def _canonical_direction(n: np.ndarray) -> np.ndarray:
     return n
 
 
-def _search(rho: DensityMatrix, cfg: OptimizerConfig, objective, levels_per_call: int):
-    """Grid search, then compass refinement, of ``objective`` on the hemisphere.
+@lru_cache(maxsize=8)
+def _sphere_neighbours(rows: int, cols: int) -> np.ndarray:
+    """Flat indices of the 3 x 3 neighbourhood of each cell of a hemisphere
+    grid, shape (9, rows * cols); see ``_sphere_neighbourhood``."""
+    index = np.arange(rows * cols).reshape(rows, cols)
+    ext = np.vstack([index[:1], index, np.roll(index[-2], cols // 2)])
+    ext = np.hstack([ext[:, -1:], ext, ext[:, :1]])
+    return np.stack([ext[i : i + rows, j : j + cols].ravel() for i in range(3) for j in range(3)])
 
-    The refinement tries the four compass neighbours at the current step,
-    moves to the best if it gains more than ``IMPROVE_ATOL`` and halves the
-    step otherwise.  Without a move the next points are known in advance,
-    so the neighbours of up to ``levels_per_call`` successive halvings are
-    evaluated in one objective call, walked in order, and discarded after
-    a move.  The iterates do not depend on ``levels_per_call``.
+
+def _sphere_neighbourhood(grid: np.ndarray, reduce) -> np.ndarray:
+    """``reduce`` over the 3 x 3 neighbourhood of each cell of a hemisphere grid.
+
+    The grid has rows theta = 0 ... pi/2 and columns phi = 0 ... 2 pi, with
+    the sphere's topology: phi wraps around; the pole row is one cell, whose
+    neighbourhood is all of row 1; the row beyond the equator is the row
+    before it turned by pi (theta -> pi - theta with n -> -n, the same
+    measurement).  Each equator cell is also the same point as its antipode
+    grid_phi / 2 columns away, with the same neighbourhood.
+    """
+    rows, cols = grid.shape
+    out = reduce.reduce(grid.ravel()[_sphere_neighbours(rows, cols)], axis=0).reshape(rows, cols)
+    out[0] = reduce.reduce(out[0])
+    return out
+
+
+def _grid_peaks(values: np.ndarray) -> np.ndarray:
+    """Flat indices of the local maxima of a hemisphere grid of values, best first.
+
+    A cell is a maximum when no neighbour exceeds it by more than
+    ``IMPROVE_ATOL``; a connected set of maxima (a plateau, the pole row or
+    an antipodal equator pair) counts once, at its best cell.  Ties go to
+    the lowest flat index.
+    """
+    half = values.shape[1] // 2
+    peak = values >= _sphere_neighbourhood(values, np.maximum) - IMPROVE_ATOL
+    # An equator cell and its antipode are one point, whatever their rounding.
+    peak[-1, :half] = peak[-1, half:] = peak[-1, :half] | peak[-1, half:]
+    cells = np.flatnonzero(peak)
+    # Each maximum's label is the index of a maximum it is connected to, the
+    # lowest one once the spreading below settles; the copies of the pole and
+    # of each equator point start with one label.  Other cells hold a label
+    # past the end, which the jump maps to itself.
+    none = values.size
+    index = np.arange(none).reshape(values.shape)
+    index[0] = 0
+    index[-1, half:] = index[-1, :half]
+    labels = np.where(peak, index, none)
+    while np.ptp(labels.flat[cells]) > 0:
+        spread = np.where(peak, _sphere_neighbourhood(labels, np.minimum), none)
+        spread = np.append(spread.ravel(), none)[spread]
+        if np.array_equal(spread, labels):
+            break
+        labels = spread
+    order = cells[np.argsort(-values.flat[cells], kind="stable")]
+    _, first = np.unique(labels.flat[order], return_index=True)
+    return order[np.sort(first)]
+
+
+# The four compass moves, +-theta and +-phi, in units of the step.
+_COMPASS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+
+@dataclass
+class _Climb:
+    """One compass search on (theta, phi): its point, value, step and halvings."""
+
+    theta: float
+    phi: float
+    value: float
+    step: tuple[float, float]
+    iterations: int = 0
+
+    def active(self, refine_tol: float) -> bool:
+        return max(self.step) >= refine_tol and self.iterations < _MAX_REFINE_STEPS
+
+    def plan(self, levels_per_call: int, refine_tol: float):
+        """Up to ``levels_per_call`` successive halvings of the step, shape
+        (levels, 2), and the four compass neighbours at each, shape (4 * levels, 2)."""
+        levels, size = 1, max(self.step)
+        cap = min(levels_per_call, _MAX_REFINE_STEPS - self.iterations)
+        while levels < cap and 0.5 * size >= refine_tol:
+            levels, size = levels + 1, 0.5 * size
+        steps = np.array(self.step) * 0.5 ** np.arange(levels)[:, None]
+        moves = np.array([self.theta, self.phi]) + steps[:, None, :] * _COMPASS
+        return steps, moves.reshape(-1, 2)
+
+    def advance(self, steps: np.ndarray, candidates: np.ndarray, values: np.ndarray):
+        """Walk the planned levels in order: move to the best neighbour of the
+        first level that gains more than ``IMPROVE_ATOL``, else halve past all."""
+        values = values.reshape(len(steps), 4)
+        gains = np.flatnonzero(values.max(axis=1) > self.value + IMPROVE_ATOL)
+        if gains.size == 0:
+            self.iterations += len(steps)
+            self.step = tuple(0.5 * steps[-1])
+            return
+        level = int(gains[0])
+        k = 4 * level + int(np.argmax(values[level]))
+        self.iterations += level + 1
+        self.theta, self.phi = (float(v) for v in candidates[k])
+        self.value = float(values.flat[k])
+        self.step = tuple(steps[level])
+
+
+def _search(rho: DensityMatrix, cfg: OptimizerConfig, objective, levels_per_call: int):
+    """Grid search, then compass refinement from every grid peak, of ``objective``.
+
+    The grid's local maxima (``_grid_peaks``, at most ``_MAX_STARTS``, best
+    first) each start a compass search: it tries the four neighbours at the
+    current step, moves to the best if it gains more than ``IMPROVE_ATOL``
+    and halves the step otherwise.  Without a move the next points are
+    known in advance, so the neighbours of up to ``levels_per_call``
+    successive halvings are evaluated at once, walked in order, and
+    discarded after a move; the iterates do not depend on
+    ``levels_per_call``.  Every round evaluates the points of all active
+    searches in one objective call.  The first search wins unless a later
+    one ends more than ``IMPROVE_ATOL`` higher; ``iterations`` counts the
+    halvings tried by all of them.
     """
     angles, dirs = _hemisphere_grid(cfg.grid_theta, cfg.grid_phi)
     values = objective(dirs)
-    best = int(np.argmax(values))
-    grid_best = float(values[best])
-    theta, phi = (float(a) for a in angles[best])
-
+    peaks = _grid_peaks(values.reshape(cfg.grid_theta, cfg.grid_phi))[:_MAX_STARTS]
     step = ((np.pi / 2.0) / (cfg.grid_theta - 1), (2.0 * np.pi) / cfg.grid_phi)
-    f_cur = grid_best
-    iterations = 0
-    while max(step) >= cfg.refine_tol and iterations < _MAX_REFINE_STEPS:
-        steps = [step]
-        while (
-            len(steps) < min(levels_per_call, _MAX_REFINE_STEPS - iterations)
-            and 0.5 * max(steps[-1]) >= cfg.refine_tol
-        ):
-            steps.append((0.5 * steps[-1][0], 0.5 * steps[-1][1]))
-        candidates = np.array(
-            [
-                move
-                for st, sp in steps
-                for move in (
-                    (theta + st, phi), (theta - st, phi), (theta, phi + sp), (theta, phi - sp)
-                )
-            ]
-        )
-        cand_vals = objective(_directions(candidates)).reshape(len(steps), 4)
-        gains = np.flatnonzero(cand_vals.max(axis=1) > f_cur + IMPROVE_ATOL)
-        if gains.size == 0:
-            iterations += len(steps)
-            step = (0.5 * steps[-1][0], 0.5 * steps[-1][1])
-            continue
-        level = int(gains[0])
-        k = 4 * level + int(np.argmax(cand_vals[level]))
-        iterations += level + 1
-        theta, phi = (float(v) for v in candidates[k])
-        f_cur = float(cand_vals.flat[k])
-        step = steps[level]
+    climbs = [_Climb(*(float(a) for a in angles[k]), float(values[k]), step) for k in peaks]
 
-    j_a = max(f_cur, 0.0)
-    direction = _canonical_direction(bloch_vector(theta, phi))
+    while active := [c for c in climbs if c.active(cfg.refine_tol)]:
+        plans = [c.plan(levels_per_call, cfg.refine_tol) for c in active]
+        cand_vals = objective(_directions(np.concatenate([moves for _, moves in plans])))
+        start = 0
+        for climb, (steps, moves) in zip(active, plans):
+            climb.advance(steps, moves, cand_vals[start : start + len(moves)])
+            start += len(moves)
+
+    best = climbs[0]
+    for climb in climbs[1:]:
+        if climb.value > best.value + IMPROVE_ATOL:
+            best = climb
+    j_a = max(best.value, 0.0)
     return CorrelationReport(
         classical_correlation=j_a,
         discord=mutual_information(rho) - j_a,
-        optimal_direction=direction,
-        grid_best=grid_best,
-        refined_best=f_cur,
-        iterations=iterations,
+        optimal_direction=_canonical_direction(bloch_vector(best.theta, best.phi)),
+        grid_best=float(values.max()),
+        refined_best=best.value,
+        iterations=sum(c.iterations for c in climbs),
     )
 
 
@@ -444,10 +543,10 @@ def classical_correlation(
 
     A coarse grid over the upper hemisphere (directions n and -n induce the
     same two-outcome measurement) seeds a compass pattern search on
-    (theta, phi) whose step halves until it drops below ``refine_tol``.
-    Grid ties resolve to the lowest (theta, phi) index, so the result is
-    deterministic.  Two-qubit states use the real Pauli-correlation
-    objective, wider B the LAPACK one.  Returns J_A, the discord
+    (theta, phi) from each of its local maxima, whose step halves until it
+    drops below ``refine_tol``.  Grid ties resolve to the lowest
+    (theta, phi) index, so the result is deterministic.  Two-qubit states
+    use the real Pauli-correlation objective, wider B the LAPACK one.  Returns J_A, the discord
     D_A = I(A;B) - J_A, and the optimizing direction.
     """
     if rho.dA != 2:

@@ -182,9 +182,17 @@ def overlap_matrix(x: ProjectiveObservable, z: ProjectiveObservable) -> np.ndarr
 
 
 def incompatibility(c_matrix: np.ndarray) -> tuple[float, float]:
-    """(q_mu, q') of an overlap matrix; see ``q_prime`` for c2."""
-    ordered = np.sort(np.asarray(c_matrix, dtype=float).reshape(-1))[::-1]
-    c, c2 = float(ordered[0]), float(ordered[1])
+    """(q_mu, q') of an overlap matrix; see ``q_prime`` for c2.
+
+    The largest entry c of a doubly stochastic d x d matrix lies in [1/d, 1],
+    so c is clamped there (and c2 to at most c): the overlaps of an exact
+    pair of mutually unbiased bases round to just below 1/d, which would put
+    q_mu just above log2 d.
+    """
+    c_matrix = np.asarray(c_matrix, dtype=float)
+    ordered = np.sort(c_matrix.reshape(-1))[::-1]
+    c = min(max(float(ordered[0]), 1.0 / c_matrix.shape[0]), 1.0)
+    c2 = min(float(ordered[1]), c)
     qmu = float(np.log2(1.0 / c))
     return qmu, float(qmu + 0.5 * (1.0 - np.sqrt(c)) * np.log2(c / c2))
 

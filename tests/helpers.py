@@ -85,3 +85,74 @@ def conditional_blocks(rho: DensityMatrix, obs: ProjectiveObservable) -> list[np
     """p_i rho^B_i of each outcome, from the explicit projectors P_i (x) I."""
     projectors = [tensor(obs.projector(i), np.eye(rho.dB)) for i in range(obs.d)]
     return [partial_trace(pi @ rho.mat @ pi, (rho.dA, rho.dB), "B") for pi in projectors]
+
+
+_REF_PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def dense_reference_j_a(rho: DensityMatrix) -> float:
+    """J_A as found by a frozen copy of the library's earlier dense search.
+
+    The best of a 60 x 120 hemisphere grid of Bloch directions seeds a
+    compass search on (theta, phi) that tries the four neighbours at the
+    current step, moves to the best if it gains more than 1e-9 and halves
+    the step otherwise, until the step is below 1e-6.  Each value is the
+    Holevo quantity of a real projective measurement on A, so the result
+    never exceeds the true J_A.  It uses numpy only, not the library's
+    optimizer, so that the optimizer can be tested against it.
+    """
+    r4 = rho.mat.reshape(2, rho.dB, 2, rho.dB)
+    rho_b = np.trace(r4, axis1=0, axis2=2)
+    transfer = np.stack([np.einsum("pq,qjpk->jk", s, r4) for s in _REF_PAULIS])
+
+    def xlog2x(x):
+        return x * np.log2(np.where(x > 0.0, x, 1.0))
+
+    s_b = -xlog2x(np.clip(np.linalg.eigvalsh(rho_b), 0.0, 1.0)).sum()
+
+    def holevo_at(angles):
+        theta, phi = angles[:, 0], angles[:, 1]
+        dirs = np.column_stack(
+            [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+        )
+        w = np.einsum("gi,ijk->gjk", dirs, transfer)
+        omegas = np.stack([rho_b + w, rho_b - w]) / 2.0
+        if rho.dB == 2:
+            # Closed-form 2 x 2 Hermitian eigenvalues: mean -+ half-gap.
+            a, d = omegas[..., 0, 0].real, omegas[..., 1, 1].real
+            gap = np.hypot(0.5 * (a - d), np.abs(omegas[..., 0, 1]))
+            eigs = np.stack([0.5 * (a + d) - gap, 0.5 * (a + d) + gap], axis=-1)
+        else:
+            eigs = np.linalg.eigvalsh(omegas)
+        eigs = np.clip(eigs, 0.0, None)
+        probs = eigs.sum(axis=-1)
+        cond = np.where(probs < 1e-14, 0.0, xlog2x(probs) - xlog2x(eigs).sum(axis=-1))
+        return s_b - cond.sum(axis=0)
+
+    thetas = np.linspace(0.0, np.pi / 2.0, 60)
+    phis = np.linspace(0.0, 2.0 * np.pi, 120, endpoint=False)
+    grid = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
+    values = holevo_at(grid)
+    best = int(np.argmax(values))
+    (theta, phi), value = grid[best], float(values[best])
+    step_theta, step_phi = (np.pi / 2.0) / 59, (2.0 * np.pi) / 120
+    while max(step_theta, step_phi) >= 1e-6:
+        moves = np.array(
+            [
+                (theta + step_theta, phi),
+                (theta - step_theta, phi),
+                (theta, phi + step_phi),
+                (theta, phi - step_phi),
+            ]
+        )
+        vals = holevo_at(moves)
+        k = int(np.argmax(vals))
+        if vals[k] > value + 1e-9:
+            (theta, phi), value = moves[k], float(vals[k])
+        else:
+            step_theta, step_phi = 0.5 * step_theta, 0.5 * step_phi
+    return max(value, 0.0)

@@ -222,6 +222,14 @@ def test_discord_singlet(capsys, tmp_path):
     assert record["discord"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_discord_odd_grid_phi_exits_2_at_entry(capsys, tmp_path):
+    state = write_state(tmp_path, {"family": {"name": "werner", "p": 0.5}})
+    code, out, err = run_cli(capsys, "discord", "--state", state, "--grid-phi", "25")
+    assert code == 2
+    assert out == ""
+    assert "optimizer grid_phi must be even, got 25" in err
+
+
 def test_apps_singlet(capsys, tmp_path):
     state = write_state(tmp_path, {"family": {"name": "werner", "p": 1.0}})
     code, out, _ = run_cli(capsys, "apps", "--state", state, "--x", "sigma_x", "--z", "sigma_z")

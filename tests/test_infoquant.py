@@ -17,8 +17,12 @@ from eurmem.infoquant import (
     von_neumann_entropy,
 )
 from eurmem.infoquant import (
+    IMPROVE_ATOL,
     _MAX_REFINE_STEPS,
+    _directions,
     _general_objective,
+    _grid_peaks,
+    _hemisphere_grid,
     _search,
     _two_qubit_objective,
 )
@@ -40,6 +44,7 @@ from eurmem.states import (
 
 from helpers import (
     conditional_blocks,
+    dense_reference_j_a,
     random_bell_diagonal,
     random_bell_diagonal_r,
     random_density_matrix,
@@ -359,7 +364,7 @@ def test_classical_correlation_bell_diagonal_closed_form():
         rho = bell_diagonal(r)
         report = classical_correlation(rho)
         expected = 1.0 - binary_entropy((1.0 + np.max(np.abs(r))) / 2.0)
-        assert report.classical_correlation == pytest.approx(expected, abs=1e-6)
+        assert report.classical_correlation == pytest.approx(expected, abs=1e-12)
         assert report.classical_correlation + report.discord == pytest.approx(
             mutual_information(rho), abs=1e-9
         )
@@ -379,7 +384,7 @@ def test_classical_correlation_x_state_attained_by_sigma_x():
         rho = x_state_special(p)
         report = classical_correlation(rho)
         assert report.classical_correlation == pytest.approx(
-            holevo(rho, pauli_observable("x")), abs=1e-6
+            holevo(rho, pauli_observable("x")), abs=1e-12
         )
 
 
@@ -411,6 +416,8 @@ def test_optimizer_config_validation():
         OptimizerConfig(grid_theta=1)
     with pytest.raises(ValueError):
         OptimizerConfig(refine_tol=0.0)
+    with pytest.raises(ValueError, match="grid_phi must be even, got 25"):
+        OptimizerConfig(grid_phi=25)
 
 
 def test_classical_correlation_coarse_grid_still_converges():
@@ -420,3 +427,88 @@ def test_classical_correlation_coarse_grid_still_converges():
     assert report.classical_correlation == pytest.approx(
         1.0 - binary_entropy(0.75), abs=1e-6
     )
+
+
+def test_grid_peaks_follow_the_sphere():
+    cfg = OptimizerConfig()
+    shape = (cfg.grid_theta, cfg.grid_phi)
+    dirs = _hemisphere_grid(*shape)[1]
+    nx, ny, nz = dirs
+    equator_row = (shape[0] - 1) * shape[1]
+    rng = np.random.default_rng(67)
+    # a plateau at the noise level: one peak, at the first cell
+    plateau = 0.3 + 1e-15 * rng.standard_normal(nx.size)
+    assert len(_grid_peaks(plateau.reshape(shape))) == 1
+    # the pole row is one cell
+    np.testing.assert_array_equal(_grid_peaks((nz**2).reshape(shape)), [0])
+    # an equator maximum and its antipode are one peak
+    phi = 2.0 * np.pi * 3 / shape[1]
+    equator = (np.cos(phi) * nx + np.sin(phi) * ny) ** 2
+    np.testing.assert_array_equal(_grid_peaks(equator.reshape(shape)), [equator_row + 3])
+    # a saddle at the pole is no peak
+    np.testing.assert_array_equal(_grid_peaks((nx**2 - ny**2).reshape(shape)), [equator_row])
+    # a bump three rows above the equator is one peak: the equator cells
+    # across the wrap from it see its slope
+    inner = equator_row - 3 * shape[1] + 3
+    bump = (dirs[:, inner] @ dirs) ** 2
+    np.testing.assert_array_equal(_grid_peaks(bump.reshape(shape)), [inner])
+    # ridges along the equator and along a meridian through the pole
+    for ridge in (nx**2 + ny**2, ny**2 + nz**2):
+        assert len(_grid_peaks(ridge.reshape(shape))) == 1
+    # two separated bumps: two peaks, the higher first
+    bumps = np.maximum(np.exp(-8.0 * (1.0 - nz**2)), 0.9 * np.exp(-8.0 * (1.0 - nx**2)))
+    peaks = _grid_peaks(bumps.reshape(shape))
+    np.testing.assert_array_equal(peaks, [0, equator_row])
+
+
+@pytest.mark.parametrize("lift", [-1e-3, 0.5 * IMPROVE_ATOL, 10.0 * IMPROVE_ATOL])
+def test_search_keeps_first_start_unless_a_later_one_gains_beyond_noise(lift):
+    # A grid maximum at the pole, and a bump of height 1 + lift half a grid
+    # step off the grid in both angles, where the compass search lands exactly.
+    cfg = OptimizerConfig()
+    angles, _ = _hemisphere_grid(cfg.grid_theta, cfg.grid_phi)
+    st, sp = (np.pi / 2.0) / (cfg.grid_theta - 1), (2.0 * np.pi) / cfg.grid_phi
+    theta, phi = angles[9 * cfg.grid_phi + 6]
+    centre = _directions(np.array([[theta + 0.5 * st, phi + 0.5 * sp]]))[:, 0]
+
+    def objective(dirs):
+        pole = np.exp(-8.0 * (1.0 - dirs[2] ** 2))
+        return np.maximum(pole, (1.0 + lift) * np.exp(-8.0 * (1.0 - (centre @ dirs) ** 2)))
+
+    report = _search(werner(0.5), cfg, objective, 1)
+    assert report.grid_best == 1.0
+    if lift > IMPROVE_ATOL:
+        assert report.refined_best == pytest.approx(1.0 + lift, abs=1e-15)
+        np.testing.assert_allclose(report.optimal_direction, centre, atol=1e-12)
+    else:
+        assert report.refined_best == 1.0
+        np.testing.assert_array_equal(report.optimal_direction, [0.0, 0.0, 1.0])
+
+
+def _two_peak_state():
+    """dB = 4, rank 3: grid maxima 0.47362 and 0.47304, and J_A 0.475575 is
+    reached only from the second (one start ends at 0.474446)."""
+    rng = np.random.default_rng(99)
+    for dB in (2, 3, 4):
+        for rank in (1, 2, 3, None):
+            d = 2 * dB
+            for i in range(60):
+                g = rng.normal(size=(d, rank or d)) + 1j * rng.normal(size=(d, rank or d))
+                if (dB, rank, i) == (4, 3, 56):
+                    m = g @ g.conj().T
+                    return DensityMatrix(m / np.trace(m).real, 2, dB)
+
+
+def test_classical_correlation_reaches_dense_reference():
+    rng = np.random.default_rng(71)
+    per_rank = {2: 13, 3: 4, 4: 4}
+    states = [
+        random_density_matrix(rng, dB=dB, rank=rank)
+        for dB, count in per_rank.items()
+        for rank in (1, 2, 3, None)
+        for _ in range(count)
+    ]
+    states.append(_two_peak_state())
+    for rho in states:
+        report = classical_correlation(rho)
+        assert report.classical_correlation >= dense_reference_j_a(rho) - 1e-12

@@ -19,7 +19,12 @@ from eurmem.measure import (
 )
 from eurmem.states import DensityMatrix, pure_schmidt, pure_state, werner
 
-from helpers import random_density_matrix, random_observable, random_schmidt_coeffs
+from helpers import (
+    random_density_matrix,
+    random_mub_pair,
+    random_observable,
+    random_schmidt_coeffs,
+)
 
 
 def _projectors(obs):
@@ -104,6 +109,21 @@ def test_q_mu_values():
     theta = np.pi / 3
     tilted = observable_from_bloch((np.sin(theta), 0.0, np.cos(theta)))
     assert q_mu(pauli_observable("z"), tilted) == pytest.approx(np.log2(4.0 / 3.0), abs=1e-12)
+
+
+def test_q_mu_exact_for_mub_and_capped_at_log_d():
+    # The overlaps of exact MUBs round to just below 1/d; q_mu must not pass log2 d.
+    for a, b in ("xz", "zx", "xy", "yz"):
+        x, z = pauli_observable(a), pauli_observable(b)
+        assert incompatibility(overlap_matrix(x, z)) == (1.0, 1.0)
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        assert q_mu(*random_mub_pair(rng)) <= 1.0
+    for d in (2, 3, 4):
+        for _ in range(10):
+            x, z = random_observable(rng, d), random_observable(rng, d)
+            assert 0.0 <= q_mu(x, z) <= np.log2(d)
+            assert q_prime(x, z) >= q_mu(x, z)
 
 
 def test_q_prime_equals_q_mu_for_qubits():
