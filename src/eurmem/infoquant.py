@@ -19,19 +19,20 @@ of both observables; the bounds and application numbers are arithmetic on it.
 
 The classical-correlation optimizer searches rank-1 projective qubit
 measurements parameterized by a Bloch direction: a coarse 12 x 24
-hemisphere grid, then derivative-free pattern-search refinement from each
-of the grid's local maxima (at most three, sharing every objective call),
-accepting any gain above the 1e-13 noise floor.  For two qubits
-the objective is evaluated in the real Pauli-correlation form of the
-state (a few 3-vector operations per direction, with all refinement step
-halvings batched into one call); for dB >= 3 it diagonalizes the
-conditional states of B with LAPACK, one step halving per call.  It
-reports a projective optimum; it does not claim optimality over general
-POVMs, although for the named state families the two coincide.
+hemisphere grid, then a trust-region Newton ascent on the unit sphere from
+each of the grid's local maxima (at most three).  Each ascent step takes
+the gradient and Hessian from a 9-point finite-difference stencil in a
+tangent chart, and the stencils of all ascents share one objective call.
+For two qubits the objective is evaluated in the real Pauli-correlation
+form of the state (a few 3-vector operations per direction); for dB >= 3
+it diagonalizes the conditional states of B with LAPACK.  It reports a
+projective optimum; it does not claim optimality over general POVMs,
+although for the named state families the two coincide.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -41,7 +42,6 @@ from .matops import I2, PAULIS
 from .measure import (
     ZERO_PROB,
     ProjectiveObservable,
-    bloch_vector,
     conditional_stack,
     incompatibility,
     overlap_matrix,
@@ -66,11 +66,9 @@ __all__ = [
 ]
 
 PROB_SUM_ATOL = 1e-9
-# Objective gains below this are treated as noise by the pattern search, and
-# grid values closer than this as tied.  A larger threshold stalls the search
-# up to ~2e-9 below the optimum (1e-9 did), which a coarse grid cannot afford.
+# Grid values closer than this are tied, and a later ascent must beat the
+# first by more than this to win.
 IMPROVE_ATOL = 1e-13
-_MAX_REFINE_STEPS = 10_000
 # Local maxima of the grid refined, best first.
 _MAX_STARTS = 3
 
@@ -259,11 +257,10 @@ def delta_floor(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObserv
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Grid resolution and refinement threshold for the J_A search."""
+    """Grid resolution of the J_A search."""
 
     grid_theta: int = 12
     grid_phi: int = 24
-    refine_tol: float = 1e-6
 
     def __post_init__(self):
         if self.grid_theta < 2 or self.grid_phi < 4:
@@ -273,8 +270,6 @@ class OptimizerConfig:
                 f"optimizer grid_phi must be even, got {self.grid_phi}: the grid pairs "
                 "each equator point with its antipode grid_phi / 2 columns away"
             )
-        if not self.refine_tol > 0.0:
-            raise ValueError("refine_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -305,9 +300,7 @@ def _general_objective(rho: DensityMatrix):
     dB x dB eigenvalue problems per direction.
 
     Returns the objective, which maps directions of shape (3, G) to values
-    of shape (G,), and the number of refinement levels to batch into one
-    call of it (one: a larger stack of LAPACK calls costs more than the
-    calls it saves).
+    of shape (G,).
     """
     r4 = rho.mat.reshape(2, rho.dB, 2, rho.dB)
     rho_b = np.trace(r4, axis1=0, axis2=2)
@@ -320,7 +313,7 @@ def _general_objective(rho: DensityMatrix):
         eigs = np.maximum(np.linalg.eigvalsh(omegas), 0.0)
         return s_b - _conditional_sum(np.ascontiguousarray(np.moveaxis(eigs, -1, 0)))
 
-    return objective, 1
+    return objective
 
 
 # Row (mu, nu) of this matrix dotted with vec(rho) is T_{mu nu} = tr(rho sigma_mu (x) sigma_nu).
@@ -338,7 +331,7 @@ def _two_qubit_objective(rho: DensityMatrix):
     and C = T_{ij}, the outcome n+- has probability (1 +- a.n)/2 and its
     unnormalized conditional state on B the eigenvalues
     ((1 +- a.n) +- |b +- C^T n|)/4, so each direction costs a few real
-    3-vector operations.  All remaining refinement levels go into one call.
+    3-vector operations.
     """
     q = 0.25 * (_PAULI_PAIRS @ rho.mat.reshape(-1)).real.reshape(4, 4)
     s_b = von_neumann_entropy(rho.mat.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2))
@@ -354,7 +347,7 @@ def _two_qubit_objective(rho: DensityMatrix):
         eigs = np.maximum(np.stack([weight - radius, weight + radius]), 0.0)
         return s_b - _conditional_sum(eigs)
 
-    return objective, _MAX_REFINE_STEPS
+    return objective
 
 
 def _directions(angles: np.ndarray) -> np.ndarray:
@@ -424,115 +417,190 @@ def _grid_peaks(values: np.ndarray) -> np.ndarray:
     """
     half = values.shape[1] // 2
     peak = values >= _sphere_neighbourhood(values, np.maximum) - IMPROVE_ATOL
-    # An equator cell and its antipode are one point, whatever their rounding.
+    # The pole row, and an equator cell with its antipode, are one point
+    # each, whatever their rounding.
+    peak[0] = peak[0].any()
     peak[-1, :half] = peak[-1, half:] = peak[-1, :half] | peak[-1, half:]
     cells = np.flatnonzero(peak)
-    # Each maximum's label is the index of a maximum it is connected to, the
-    # lowest one once the spreading below settles; the copies of the pole and
-    # of each equator point start with one label.  Other cells hold a label
-    # past the end, which the jump maps to itself.
-    none = values.size
-    index = np.arange(none).reshape(values.shape)
+    if len(cells) in (1, values.size):
+        # One maximum, or a plateau over the whole sphere: one peak.
+        return cells[[np.argmax(values.flat[cells])]]
+    # Label propagation among the maxima alone: each label is the position
+    # in ``cells`` of a maximum connected to it, the lowest once it settles.
+    # The copies of the pole and of each equator point start with one label;
+    # neighbours that are no maxima point at a sentinel that never wins.
+    count = len(cells)
+    position = np.full(values.size, count)
+    position[cells] = np.arange(count)
+    neighbours = position[_sphere_neighbours(*values.shape)[:, cells]]
+    index = np.arange(values.size).reshape(values.shape)
     index[0] = 0
     index[-1, half:] = index[-1, :half]
-    labels = np.where(peak, index, none)
-    while np.ptp(labels.flat[cells]) > 0:
-        spread = np.where(peak, _sphere_neighbourhood(labels, np.minimum), none)
-        spread = np.append(spread.ravel(), none)[spread]
-        if np.array_equal(spread, labels):
+    labels = np.append(position[index.flat[cells]], count)
+    while True:
+        spread = labels.take(neighbours).min(axis=0)
+        while not np.array_equal(jumped := spread[spread], spread):
+            spread = jumped
+        if np.array_equal(spread, labels[:count]):
             break
-        labels = spread
-    order = cells[np.argsort(-values.flat[cells], kind="stable")]
-    _, first = np.unique(labels.flat[order], return_index=True)
-    return order[np.sort(first)]
+        labels[:count] = spread
+    order = np.argsort(-values.flat[cells], kind="stable")
+    _, first = np.unique(labels[order], return_index=True)
+    return cells[order[np.sort(first)]]
 
 
-# The four compass moves, +-theta and +-phi, in units of the step.
-_COMPASS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+def _tangent_frame(x: float, y: float, z: float):
+    """Rows n = (x, y, z) and an orthonormal basis u, v of its tangent plane,
+    branchless and regular at every unit n (Duff et al., JCGT 6(1), 2017)."""
+    sign = math.copysign(1.0, z)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    return (x, y, z), (1.0 + sign * x * x * a, sign * b, -sign * x), (b, sign + y * y * a, -y)
 
 
-@dataclass
-class _Climb:
-    """One compass search on (theta, phi): its point, value, step and halvings."""
+def _trust_step(g1: float, g2: float, a: float, b: float, c: float, radius: float):
+    """The maximiser s of g.s + s.H.s / 2 over |s| <= radius, H = [[a, b], [b, c]].
 
-    theta: float
-    phi: float
-    value: float
-    step: tuple[float, float]
-    iterations: int = 0
+    The Lagrange multiplier lam >= max(0, lambda_max(H)) gives
+    s = (lam - H)^-1 g; it is 0 when the Newton step fits, and otherwise
+    found by bisection on |s(lam)| = radius in the eigenbasis (q, p) of H.
+    In the hard case (g without a component along the top eigenvector q)
+    the rest of the radius goes along q.  Returns s, its predicted gain and
+    whether it lies on the boundary.
+    """
+    half = 0.5 * (a - c)
+    gap = math.hypot(half, b)
+    top, low = 0.5 * (a + c) + gap, 0.5 * (a + c) - gap
+    qx, qy = (half + gap, b) if half >= 0.0 else (b, gap - half)
+    norm = math.hypot(qx, qy)
+    qx, qy = (qx / norm, qy / norm) if norm > 0.0 else (1.0, 0.0)
+    gq, gp = g1 * qx + g2 * qy, g2 * qx - g1 * qy
 
-    def active(self, refine_tol: float) -> bool:
-        return max(self.step) >= refine_tol and self.iterations < _MAX_REFINE_STEPS
+    def length(lam):
+        return math.hypot(gq / (lam - top), gp / (lam - low))
 
-    def plan(self, levels_per_call: int, refine_tol: float):
-        """Up to ``levels_per_call`` successive halvings of the step, shape
-        (levels, 2), and the four compass neighbours at each, shape (4 * levels, 2)."""
-        levels, size = 1, max(self.step)
-        cap = min(levels_per_call, _MAX_REFINE_STEPS - self.iterations)
-        while levels < cap and 0.5 * size >= refine_tol:
-            levels, size = levels + 1, 0.5 * size
-        steps = np.array(self.step) * 0.5 ** np.arange(levels)[:, None]
-        moves = np.array([self.theta, self.phi]) + steps[:, None, :] * _COMPASS
-        return steps, moves.reshape(-1, 2)
-
-    def advance(self, steps: np.ndarray, candidates: np.ndarray, values: np.ndarray):
-        """Walk the planned levels in order: move to the best neighbour of the
-        first level that gains more than ``IMPROVE_ATOL``, else halve past all."""
-        values = values.reshape(len(steps), 4)
-        gains = np.flatnonzero(values.max(axis=1) > self.value + IMPROVE_ATOL)
-        if gains.size == 0:
-            self.iterations += len(steps)
-            self.step = tuple(0.5 * steps[-1])
-            return
-        level = int(gains[0])
-        k = 4 * level + int(np.argmax(values[level]))
-        self.iterations += level + 1
-        self.theta, self.phi = (float(v) for v in candidates[k])
-        self.value = float(values.flat[k])
-        self.step = tuple(steps[level])
+    lam = 0.0
+    if top >= 0.0 or length(0.0) > radius:
+        lo = max(top, 0.0)
+        hi = lo + math.hypot(g1, g2) / radius
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            lo, hi = (mid, hi) if length(mid) > radius else (lo, mid)
+        lam = hi
+    sq = gq / (lam - top) if lam > top else 0.0
+    sp = gp / (lam - low) if lam > low else 0.0
+    if top >= 0.0:
+        sq = math.copysign(math.sqrt(max(radius * radius - sp * sp, 0.0)), sq)
+    s1, s2 = sq * qx - sp * qy, sq * qy + sp * qx
+    gain = g1 * s1 + g2 * s2 + 0.5 * (a * s1 * s1 + 2.0 * b * s1 * s2 + c * s2 * s2)
+    return s1, s2, gain, lam > 0.0
 
 
-def _search(rho: DensityMatrix, cfg: OptimizerConfig, objective, levels_per_call: int):
-    """Grid search, then compass refinement from every grid peak, of ``objective``.
+# Stencil offsets in the tangent chart: the centre, +-u, +-v and the diagonals.
+_H = 1e-4
+_STENCIL = _H * np.array(
+    [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float
+)
+# Rounding noise of the central differences, eps / h and eps / h^2: a point
+# whose gradient and top curvature are below these is stationary.
+_GRAD_NOISE, _CURV_NOISE = 1e-9, 1e-6
+_MAX_ROUNDS = 60
+
+
+def _ascent(value: float, direction: np.ndarray, radius: float):
+    """Trust-region Newton ascent of the objective from one grid peak.
+
+    A coroutine: it yields the tangent frame of each stencil centre and is
+    sent back the stencil's points and values.  Each stencil gives the
+    gradient and Hessian of the objective pulled back to the chart
+    n + s1 u + s2 v (normalized) by central differences at step ``_H``, and
+    its centre value decides on the step that led there: accepted if it
+    gains at least a tenth of the predicted gain, with the radius doubled
+    when it gains over three quarters on the boundary; rejected otherwise,
+    with the radius cut to a quarter of the step.  It stops where the
+    gradient and top curvature are within their rounding noise, when the
+    predicted gain falls to 1e-15 or the radius below 1e-12, on a
+    non-finite stencil, or after ``_MAX_ROUNDS``.  Returns the best value
+    and point of all stencils, and the number of stencils.
+    """
+    best = (value, direction)
+    frame = _tangent_frame(*direction)
+    for rounds in range(1, _MAX_ROUNDS + 1):
+        points, vals = yield frame
+        highest = max(vals)
+        if highest > best[0]:
+            best = (highest, points[vals.index(highest)])
+        if rounds == 1 or (ratio := (vals[0] - here_value) / gain) >= 0.1:
+            if rounds > 1 and ratio > 0.75 and boundary:
+                radius *= 2.0
+            here, here_value = frame, vals[0]
+            f0, pu, mu, pv, mv, pp, pm, mp, mm = vals
+            g1, g2 = (pu - mu) / (2.0 * _H), (pv - mv) / (2.0 * _H)
+            a, c = (pu - 2.0 * f0 + mu) / _H**2, (pv - 2.0 * f0 + mv) / _H**2
+            b = (pp - pm - mp + mm) / (4.0 * _H**2)
+            curvature = 0.5 * (a + c + math.hypot(a - c, 2.0 * b))
+            if not math.isfinite(g1 + g2 + curvature) or (
+                math.hypot(g1, g2) <= _GRAD_NOISE and curvature <= _CURV_NOISE
+            ):
+                break
+        else:
+            radius = 0.25 * math.hypot(s1, s2)
+            if radius < 1e-12:
+                break
+        s1, s2, gain, boundary = _trust_step(g1, g2, a, b, c, radius)
+        if gain <= 1e-15:
+            break
+        point = [n + s1 * u + s2 * v for n, u, v in zip(*here)]
+        norm = math.hypot(*point)
+        frame = _tangent_frame(*(x / norm for x in point))
+    return best, rounds
+
+
+def _search(rho: DensityMatrix, cfg: OptimizerConfig, objective):
+    """Grid search, then trust-region Newton ascent from every grid peak, of ``objective``.
 
     The grid's local maxima (``_grid_peaks``, at most ``_MAX_STARTS``, best
-    first) each start a compass search: it tries the four neighbours at the
-    current step, moves to the best if it gains more than ``IMPROVE_ATOL``
-    and halves the step otherwise.  Without a move the next points are
-    known in advance, so the neighbours of up to ``levels_per_call``
-    successive halvings are evaluated at once, walked in order, and
-    discarded after a move; the iterates do not depend on
-    ``levels_per_call``.  Every round evaluates the points of all active
-    searches in one objective call.  The first search wins unless a later
-    one ends more than ``IMPROVE_ATOL`` higher; ``iterations`` counts the
-    halvings tried by all of them.
+    first) each start an ``_ascent`` with a radius of one grid row.  Every
+    round evaluates the 9-point stencils of all active ascents in one
+    objective call.  Each ascent's result is the best stencil value it saw,
+    the Holevo quantity of a real measurement, so J_A never exceeds the
+    truth.  The first ascent wins unless a later one ends more than
+    ``IMPROVE_ATOL`` higher; ``iterations`` counts the stencil rounds of
+    all of them.
     """
-    angles, dirs = _hemisphere_grid(cfg.grid_theta, cfg.grid_phi)
+    _, dirs = _hemisphere_grid(cfg.grid_theta, cfg.grid_phi)
     values = objective(dirs)
     peaks = _grid_peaks(values.reshape(cfg.grid_theta, cfg.grid_phi))[:_MAX_STARTS]
-    step = ((np.pi / 2.0) / (cfg.grid_theta - 1), (2.0 * np.pi) / cfg.grid_phi)
-    climbs = [_Climb(*(float(a) for a in angles[k]), float(values[k]), step) for k in peaks]
+    radius = (np.pi / 2.0) / (cfg.grid_theta - 1)
+    ascents = [_ascent(float(values[k]), dirs[:, k], radius) for k in peaks]
+    pending = {ascent: next(ascent) for ascent in ascents}
+    results = {}
+    while pending:
+        frames = np.array(list(pending.values()))
+        points = frames[:, :1] + _STENCIL @ frames[:, 1:]
+        points /= np.sqrt((points * points).sum(axis=-1, keepdims=True))
+        vals = objective(points.reshape(-1, 3).T).reshape(len(frames), 9).tolist()
+        for ascent, pts, v in zip(list(pending), points, vals):
+            try:
+                pending[ascent] = ascent.send((pts, v))
+            except StopIteration as stop:
+                del pending[ascent]
+                results[ascent] = stop.value
 
-    while active := [c for c in climbs if c.active(cfg.refine_tol)]:
-        plans = [c.plan(levels_per_call, cfg.refine_tol) for c in active]
-        cand_vals = objective(_directions(np.concatenate([moves for _, moves in plans])))
-        start = 0
-        for climb, (steps, moves) in zip(active, plans):
-            climb.advance(steps, moves, cand_vals[start : start + len(moves)])
-            start += len(moves)
-
-    best = climbs[0]
-    for climb in climbs[1:]:
-        if climb.value > best.value + IMPROVE_ATOL:
-            best = climb
-    j_a = max(best.value, 0.0)
+    (value, direction), _ = results[ascents[0]]
+    for (v, d), _ in (results[a] for a in ascents[1:]):
+        if v > value + IMPROVE_ATOL:
+            value, direction = v, d
+    j_a = max(value, 0.0)
     return CorrelationReport(
         classical_correlation=j_a,
         discord=mutual_information(rho) - j_a,
-        optimal_direction=_canonical_direction(bloch_vector(best.theta, best.phi)),
+        optimal_direction=_canonical_direction(direction),
         grid_best=float(values.max()),
-        refined_best=best.value,
-        iterations=sum(c.iterations for c in climbs),
+        refined_best=value,
+        iterations=sum(rounds for _, rounds in results.values()),
     )
 
 
@@ -542,15 +610,15 @@ def classical_correlation(
     """Maximize the Holevo quantity over projective qubit measurements on A.
 
     A coarse grid over the upper hemisphere (directions n and -n induce the
-    same two-outcome measurement) seeds a compass pattern search on
-    (theta, phi) from each of its local maxima, whose step halves until it
-    drops below ``refine_tol``.  Grid ties resolve to the lowest
-    (theta, phi) index, so the result is deterministic.  Two-qubit states
-    use the real Pauli-correlation objective, wider B the LAPACK one.  Returns J_A, the discord
+    same two-outcome measurement) seeds a trust-region Newton ascent on the
+    sphere from each of its local maxima (see ``_search``).  Grid ties
+    resolve to the lowest (theta, phi) index, so the result is
+    deterministic.  Two-qubit states use the real Pauli-correlation
+    objective, wider B the LAPACK one.  Returns J_A, the discord
     D_A = I(A;B) - J_A, and the optimizing direction.
     """
     if rho.dA != 2:
         raise ValueError(f"classical_correlation supports dA = 2 only, got dA = {rho.dA}")
     cfg = config or OptimizerConfig()
     objective = _two_qubit_objective(rho) if rho.dB == 2 else _general_objective(rho)
-    return _search(rho, cfg, *objective)
+    return _search(rho, cfg, objective)

@@ -12,6 +12,7 @@ from eurmem import (
     partial_trace,
     tensor,
 )
+from eurmem.infoquant import IMPROVE_ATOL, _sphere_neighbourhood
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -156,3 +157,28 @@ def dense_reference_j_a(rho: DensityMatrix) -> float:
         else:
             step_theta, step_phi = 0.5 * step_theta, 0.5 * step_phi
     return max(value, 0.0)
+
+
+def spreading_grid_peaks(values: np.ndarray) -> np.ndarray:
+    """The library's earlier ``_grid_peaks``, kept as the reference for the
+    current one: the same peak test, with the labels of the maxima spread
+    over the whole grid in full passes (with pointer jumping) until they
+    settle."""
+    half = values.shape[1] // 2
+    peak = values >= _sphere_neighbourhood(values, np.maximum) - IMPROVE_ATOL
+    peak[-1, :half] = peak[-1, half:] = peak[-1, :half] | peak[-1, half:]
+    cells = np.flatnonzero(peak)
+    none = values.size
+    index = np.arange(none).reshape(values.shape)
+    index[0] = 0
+    index[-1, half:] = index[-1, :half]
+    labels = np.where(peak, index, none)
+    while np.ptp(labels.flat[cells]) > 0:
+        spread = np.where(peak, _sphere_neighbourhood(labels, np.minimum), none)
+        spread = np.append(spread.ravel(), none)[spread]
+        if np.array_equal(spread, labels):
+            break
+        labels = spread
+    order = cells[np.argsort(-values.flat[cells], kind="stable")]
+    _, first = np.unique(labels.flat[order], return_index=True)
+    return order[np.sort(first)]

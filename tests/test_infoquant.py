@@ -1,5 +1,7 @@
 """Entropy, Holevo, delta, and classical-correlation optimizer tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,12 +20,12 @@ from eurmem.infoquant import (
 )
 from eurmem.infoquant import (
     IMPROVE_ATOL,
-    _MAX_REFINE_STEPS,
     _directions,
     _general_objective,
     _grid_peaks,
     _hemisphere_grid,
     _search,
+    _trust_step,
     _two_qubit_objective,
 )
 from eurmem.matops import tensor
@@ -36,8 +38,10 @@ from eurmem.measure import (
 from eurmem.states import (
     DensityMatrix,
     bell_diagonal,
+    bell_diagonal_special,
     maximally_mixed,
     pure_schmidt,
+    pure_state,
     werner,
     x_state_special,
 )
@@ -52,6 +56,7 @@ from helpers import (
     random_product_state,
     random_schmidt_coeffs,
     random_single_qubit_density,
+    spreading_grid_peaks,
 )
 
 
@@ -308,9 +313,9 @@ def test_direction_objectives_match_holevo():
             rho = random_density_matrix(rng, dB=dB)
             dirs = _unit_directions(rng, 4)
             slow = [holevo(rho, observable_from_bloch(n)) for n in dirs.T]
-            objectives = [_general_objective(rho)[0]]
+            objectives = [_general_objective(rho)]
             if dB == 2:
-                objectives.append(_two_qubit_objective(rho)[0])
+                objectives.append(_two_qubit_objective(rho))
             for objective in objectives:
                 np.testing.assert_allclose(objective(dirs), slow, rtol=0.0, atol=1e-12)
 
@@ -327,22 +332,11 @@ def _two_qubit_corpus():
 def test_two_qubit_search_matches_general_path():
     cfg = OptimizerConfig()
     for rho in _two_qubit_corpus():
-        fast = _search(rho, cfg, *_two_qubit_objective(rho))
-        general = _search(rho, cfg, *_general_objective(rho))
+        fast = _search(rho, cfg, _two_qubit_objective(rho))
+        general = _search(rho, cfg, _general_objective(rho))
         assert fast.iterations == general.iterations
         for field in ("classical_correlation", "grid_best", "refined_best"):
             assert getattr(fast, field) == pytest.approx(getattr(general, field), abs=1e-12)
-
-
-def test_batched_refinement_keeps_iterates():
-    cfg = OptimizerConfig()
-    for rho in _two_qubit_corpus()[:6]:
-        objective, _ = _two_qubit_objective(rho)
-        batched = _search(rho, cfg, objective, _MAX_REFINE_STEPS)
-        single = _search(rho, cfg, objective, 1)
-        assert batched.iterations == single.iterations
-        assert batched.refined_best == single.refined_best
-        np.testing.assert_array_equal(batched.optimal_direction, single.optimal_direction)
 
 
 def test_classical_correlation_wide_memory_never_below_pauli_axes():
@@ -414,8 +408,6 @@ def test_classical_correlation_requires_qubit_a():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(grid_theta=1)
-    with pytest.raises(ValueError):
-        OptimizerConfig(refine_tol=0.0)
     with pytest.raises(ValueError, match="grid_phi must be even, got 25"):
         OptimizerConfig(grid_phi=25)
 
@@ -429,42 +421,75 @@ def test_classical_correlation_coarse_grid_still_converges():
     )
 
 
-def test_grid_peaks_follow_the_sphere():
-    cfg = OptimizerConfig()
-    shape = (cfg.grid_theta, cfg.grid_phi)
+def _synthetic_grids(shape):
+    """Named test landscapes on a hemisphere grid, with the flat index of
+    the first equator cell."""
     dirs = _hemisphere_grid(*shape)[1]
     nx, ny, nz = dirs
     equator_row = (shape[0] - 1) * shape[1]
     rng = np.random.default_rng(67)
-    # a plateau at the noise level: one peak, at the first cell
-    plateau = 0.3 + 1e-15 * rng.standard_normal(nx.size)
-    assert len(_grid_peaks(plateau.reshape(shape))) == 1
-    # the pole row is one cell
-    np.testing.assert_array_equal(_grid_peaks((nz**2).reshape(shape)), [0])
-    # an equator maximum and its antipode are one peak
     phi = 2.0 * np.pi * 3 / shape[1]
-    equator = (np.cos(phi) * nx + np.sin(phi) * ny) ** 2
-    np.testing.assert_array_equal(_grid_peaks(equator.reshape(shape)), [equator_row + 3])
+    inner = equator_row - 3 * shape[1] + 3
+    grids = {
+        "plateau": 0.3 + 1e-15 * rng.standard_normal(nx.size),
+        "pole": nz**2,
+        "equator": (np.cos(phi) * nx + np.sin(phi) * ny) ** 2,
+        "pole saddle": nx**2 - ny**2,
+        "inner bump": (dirs[:, inner] @ dirs) ** 2,
+        "equator ridge": nx**2 + ny**2,
+        "meridian ridge": ny**2 + nz**2,
+        "two bumps": np.maximum(np.exp(-8.0 * (1.0 - nz**2)), 0.9 * np.exp(-8.0 * (1.0 - nx**2))),
+    }
+    # the pole copies rounded apart, so that only some of them pass the peak test
+    pole_noise = np.zeros(nx.size)
+    pole_noise[: shape[1]] = 1e-12 * rng.standard_normal(shape[1])
+    grids["two bumps, pole rounded"] = grids["two bumps"] + pole_noise
+    return {name: v.reshape(shape) for name, v in grids.items()}, equator_row
+
+
+def test_grid_peaks_follow_the_sphere():
+    cfg = OptimizerConfig()
+    shape = (cfg.grid_theta, cfg.grid_phi)
+    grids, equator_row = _synthetic_grids(shape)
+    # a plateau at the noise level: one peak, at the first cell
+    assert len(_grid_peaks(grids["plateau"])) == 1
+    # the pole row is one cell
+    np.testing.assert_array_equal(_grid_peaks(grids["pole"]), [0])
+    # an equator maximum and its antipode are one peak
+    np.testing.assert_array_equal(_grid_peaks(grids["equator"]), [equator_row + 3])
     # a saddle at the pole is no peak
-    np.testing.assert_array_equal(_grid_peaks((nx**2 - ny**2).reshape(shape)), [equator_row])
+    np.testing.assert_array_equal(_grid_peaks(grids["pole saddle"]), [equator_row])
     # a bump three rows above the equator is one peak: the equator cells
     # across the wrap from it see its slope
     inner = equator_row - 3 * shape[1] + 3
-    bump = (dirs[:, inner] @ dirs) ** 2
-    np.testing.assert_array_equal(_grid_peaks(bump.reshape(shape)), [inner])
+    np.testing.assert_array_equal(_grid_peaks(grids["inner bump"]), [inner])
     # ridges along the equator and along a meridian through the pole
-    for ridge in (nx**2 + ny**2, ny**2 + nz**2):
-        assert len(_grid_peaks(ridge.reshape(shape))) == 1
+    for ridge in ("equator ridge", "meridian ridge"):
+        assert len(_grid_peaks(grids[ridge])) == 1
     # two separated bumps: two peaks, the higher first
-    bumps = np.maximum(np.exp(-8.0 * (1.0 - nz**2)), 0.9 * np.exp(-8.0 * (1.0 - nx**2)))
-    peaks = _grid_peaks(bumps.reshape(shape))
-    np.testing.assert_array_equal(peaks, [0, equator_row])
+    np.testing.assert_array_equal(_grid_peaks(grids["two bumps"]), [0, equator_row])
+    # the pole is one peak, at its best copy
+    pole = int(np.argmax(grids["two bumps, pole rounded"][0]))
+    np.testing.assert_array_equal(
+        _grid_peaks(grids["two bumps, pole rounded"]), [pole, equator_row]
+    )
+
+
+@pytest.mark.parametrize("shape", [(12, 24), (60, 120)])
+def test_grid_peaks_match_full_grid_label_spreading(shape):
+    grids = list(_synthetic_grids(shape)[0].values())
+    dirs = _hemisphere_grid(*shape)[1]
+    for family in (werner, bell_diagonal_special, x_state_special):
+        for p in np.linspace(0.0, 1.0, 101):
+            grids.append(_two_qubit_objective(family(float(p)))(dirs).reshape(shape))
+    for values in grids:
+        np.testing.assert_array_equal(_grid_peaks(values), spreading_grid_peaks(values))
 
 
 @pytest.mark.parametrize("lift", [-1e-3, 0.5 * IMPROVE_ATOL, 10.0 * IMPROVE_ATOL])
 def test_search_keeps_first_start_unless_a_later_one_gains_beyond_noise(lift):
     # A grid maximum at the pole, and a bump of height 1 + lift half a grid
-    # step off the grid in both angles, where the compass search lands exactly.
+    # step off the grid in both angles.
     cfg = OptimizerConfig()
     angles, _ = _hemisphere_grid(cfg.grid_theta, cfg.grid_phi)
     st, sp = (np.pi / 2.0) / (cfg.grid_theta - 1), (2.0 * np.pi) / cfg.grid_phi
@@ -475,7 +500,7 @@ def test_search_keeps_first_start_unless_a_later_one_gains_beyond_noise(lift):
         pole = np.exp(-8.0 * (1.0 - dirs[2] ** 2))
         return np.maximum(pole, (1.0 + lift) * np.exp(-8.0 * (1.0 - (centre @ dirs) ** 2)))
 
-    report = _search(werner(0.5), cfg, objective, 1)
+    report = _search(werner(0.5), cfg, objective)
     assert report.grid_best == 1.0
     if lift > IMPROVE_ATOL:
         assert report.refined_best == pytest.approx(1.0 + lift, abs=1e-15)
@@ -483,6 +508,21 @@ def test_search_keeps_first_start_unless_a_later_one_gains_beyond_noise(lift):
     else:
         assert report.refined_best == 1.0
         np.testing.assert_array_equal(report.optimal_direction, [0.0, 0.0, 1.0])
+
+
+def test_ascent_converges_quadratically_on_a_quadratic_form():
+    # n.M n peaks at the top eigenvector of M; its tangent Hessian there has
+    # two different curvatures, and a cross term in a generic chart.
+    rng = np.random.default_rng(97)
+    for _ in range(10):
+        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        m = q @ np.diag([1.0, 0.6, 0.2]) @ q.T
+        report = _search(
+            werner(0.5), OptimizerConfig(), lambda dirs: np.einsum("ig,ij,jg->g", dirs, m, dirs)
+        )
+        assert report.iterations <= 4
+        assert report.refined_best == pytest.approx(1.0, abs=1e-15)
+        assert abs(report.optimal_direction @ q[:, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def _two_peak_state():
@@ -512,3 +552,111 @@ def test_classical_correlation_reaches_dense_reference():
     for rho in states:
         report = classical_correlation(rho)
         assert report.classical_correlation >= dense_reference_j_a(rho) - 1e-12
+
+
+def _tangent_circle(n, angle, count):
+    """``count`` unit vectors at ``angle`` from the unit vector n, evenly spread."""
+    axis = np.eye(3)[np.argmin(np.abs(n))]
+    u = np.cross(n, axis)
+    u /= np.linalg.norm(u)
+    v = np.cross(n, u)
+    turns = 2.0 * np.pi * np.arange(count) / count
+    ring = np.outer(np.cos(turns), u) + np.outer(np.sin(turns), v)
+    return np.cos(angle) * n + np.sin(angle) * ring
+
+
+def test_classical_correlation_is_locally_optimal():
+    # Checked through ``holevo`` on explicit observables, not the stencil.
+    rng = np.random.default_rng(73)
+    for dB in (2, 3, 4):
+        for rank in range(1, 2 * dB + 1):
+            for _ in range(3 if dB == 2 else 1):
+                rho = random_density_matrix(rng, dB=dB, rank=rank)
+                report = classical_correlation(rho)
+                for n in _tangent_circle(report.optimal_direction, 1e-3, 16):
+                    n /= np.linalg.norm(n)
+                    assert holevo(rho, observable_from_bloch(n)) <= (
+                        report.classical_correlation + 1e-13
+                    )
+
+
+def _cq_state(rng, dB, p):
+    """p |0><0| (x) sigma_0 + (1 - p) |1><1| (x) sigma_1 and its J_A, the
+    Holevo quantity of {p, sigma_0; 1 - p, sigma_1}, reached at the pole."""
+    sigmas = [random_density_matrix(rng, 1, dB).mat for _ in range(2)]
+    cq = np.zeros((2 * dB, 2 * dB), dtype=complex)
+    cq[:dB, :dB], cq[dB:, dB:] = p * sigmas[0], (1.0 - p) * sigmas[1]
+    rho = DensityMatrix(cq, 2, dB)
+    chi = von_neumann_entropy(rho.reduced_b()) - sum(
+        w * von_neumann_entropy(sigma) for w, sigma in zip((p, 1.0 - p), sigmas)
+    )
+    return rho, chi
+
+
+def _degenerate_states():
+    rng = np.random.default_rng(79)
+    states = []
+    for dB in (2, 3, 4):
+        vec = rng.normal(size=2 * dB) + 1j * rng.normal(size=2 * dB)
+        states.append(pure_state(vec, 2, dB))
+        states.append(maximally_mixed(2, dB))
+        b = random_density_matrix(rng, 1, dB).mat
+        states.append(DensityMatrix(np.kron(random_single_qubit_density(rng), b), 2, dB))
+        states.append(_cq_state(rng, dB, 0.3)[0])
+    for family in (werner, bell_diagonal_special, x_state_special):
+        states += [family(p) for p in (0.0, 1e-13, 1.0 - 1e-13, 1.0)]
+    return states
+
+
+def test_classical_correlation_degenerate_inputs_stay_finite():
+    for rho in _degenerate_states():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = classical_correlation(rho)
+        fields = (report.classical_correlation, report.discord, report.refined_best)
+        assert np.all(np.isfinite(fields)) and np.all(np.isfinite(report.optimal_direction))
+        assert report.classical_correlation >= dense_reference_j_a(rho) - 1e-12
+
+
+def test_classical_correlation_classical_quantum_state_at_the_pole():
+    rng = np.random.default_rng(83)
+    for dB in (2, 3, 4):
+        rho, chi = _cq_state(rng, dB, 0.4)
+        assert classical_correlation(rho).classical_correlation == pytest.approx(chi, abs=1e-12)
+
+
+def _model(g, hess, s):
+    return g @ s + 0.5 * s @ hess @ s
+
+
+@pytest.mark.parametrize("case", range(60))
+def test_trust_step_maximises_the_quadratic_model(case):
+    rng = np.random.default_rng(89 + case)
+    radius = 10.0 ** rng.uniform(-6, 0)
+    q = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+    curvatures = rng.normal(size=2) * 10.0 ** rng.uniform(-3, 2, size=2)
+    if case % 4 == 1:
+        curvatures = -np.abs(curvatures)
+    hess = q @ np.diag(curvatures) @ q.T
+    g = rng.normal(size=2) * 10.0 ** rng.uniform(-6, 1)
+    if case % 4 == 2:
+        # the hard case: g has no component along the top eigenvector
+        g = q[:, np.argmin(curvatures)] * rng.normal()
+    if case % 4 == 3:
+        g = np.zeros(2)
+    s1, s2, gain, boundary = _trust_step(*g, hess[0, 0], hess[0, 1], hess[1, 1], radius)
+    s = np.array([s1, s2])
+    assert np.hypot(s1, s2) <= radius * (1.0 + 1e-12)
+    assert gain == pytest.approx(_model(g, hess, s), rel=1e-12, abs=1e-300)
+    # the best point of a fine ring at the boundary, and the interior Newton step
+    turns = np.linspace(0.0, 2.0 * np.pi, 20001)
+    candidates = list(radius * np.column_stack([np.cos(turns), np.sin(turns)]))
+    if np.all(curvatures < 0.0):
+        newton = np.linalg.solve(-hess, g)
+        if np.hypot(*newton) <= radius:
+            candidates.append(newton)
+    best = max(_model(g, hess, c) for c in candidates)
+    scale = np.linalg.norm(g) * radius + np.abs(curvatures).max() * radius**2
+    assert gain >= best - 1e-9 * scale
+    if np.max(curvatures) >= 0.0:
+        assert boundary and np.hypot(s1, s2) == pytest.approx(radius, rel=1e-9)
