@@ -2,31 +2,16 @@
 
 A small numpy-based toolkit for bipartite density matrices: named state
 families, projective observables, entropic and correlation quantities
-(including quantum discord via a Bloch-sphere optimizer), five uncertainty
+(including quantum discord via a Bloch-sphere optimizer), six uncertainty
 lower bounds with closed-form oracles for the one-parameter families, and
 application bounds (entanglement witness, entanglement of formation,
 distillable common randomness).  The ``eurmem`` CLI exposes all of it.
 """
 
-from .apps import (
-    FanoInputs,
-    WitnessVerdict,
-    applications_report,
-    common_randomness_upper_bound,
-    eof_lower_bound,
-    fano_term,
-    helstrom_error,
-    witness,
-)
+from .apps import WitnessVerdict, applications_report, helstrom_error, witness
 from .bounds import (
     BoundsReport,
     actual_uncertainty,
-    bound_berta,
-    bound_coles_piani,
-    bound_maassen_uffink,
-    bound_mu_mixed,
-    bound_ours,
-    bound_pati,
     bounds_report,
     closed_form_curves,
     family_pair_observables,
@@ -37,8 +22,6 @@ from .infoquant import (
     binary_entropy,
     classical_correlation,
     conditional_entropy,
-    delta,
-    delta_floor,
     holevo,
     mutual_information,
     shannon_entropy,

@@ -7,9 +7,10 @@ entanglement.  The Holevo-corrected threshold q_mu + max{0, delta} dominates
 the plain q_mu threshold, so anything the Berta witness catches this one
 catches too.
 
-Bob's guessing errors enter through the Fano term
+Bob's guessing errors enter through the Fano term, which for two-outcome
+measurements (d = 2, so the Pe log2(d-1) terms vanish) is
 
-    b_F = h(Pe_X) + Pe_X log2(d-1) + h(Pe_Z) + Pe_Z log2(d-1),
+    b_F = h(Pe_X) + h(Pe_Z),
 
 with Pe the Helstrom-optimal two-outcome discrimination error
 (1 - ||p0 rho0 - p1 rho1||_1) / 2.  The two application bounds
@@ -37,12 +38,8 @@ from .states import DensityMatrix
 __all__ = [
     "WITNESS_MARGIN",
     "WitnessVerdict",
-    "FanoInputs",
     "witness",
     "helstrom_error",
-    "fano_term",
-    "eof_lower_bound",
-    "common_randomness_upper_bound",
     "applications_report",
 ]
 
@@ -65,22 +62,6 @@ class WitnessVerdict:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class FanoInputs:
-    """Guess-error probabilities for the X and Z measurements, outcome count d."""
-
-    pe_x: float
-    pe_z: float
-    d: int
-
-    def __post_init__(self):
-        for label, value in (("pe_x", self.pe_x), ("pe_z", self.pe_z)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{label} must be a probability in [0, 1], got {value!r}")
-        if self.d < 2:
-            raise ValueError(f"outcome count d must be >= 2, got {self.d}")
 
 
 def _verdict(ev: Evaluation) -> WitnessVerdict:
@@ -123,36 +104,6 @@ def helstrom_error(ensemble: MeasurementEnsemble) -> float:
     )
 
 
-def fano_term(f: FanoInputs) -> float:
-    """b_F = h(Pe_X) + Pe_X log2(d-1) + h(Pe_Z) + Pe_Z log2(d-1)."""
-    extra = float(np.log2(f.d - 1)) if f.d > 2 else 0.0
-    return (
-        binary_entropy(f.pe_x)
-        + f.pe_x * extra
-        + binary_entropy(f.pe_z)
-        + f.pe_z * extra
-    )
-
-
-def eof_lower_bound(
-    rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
-) -> float:
-    """Entanglement-of-formation lower bound q_mu + max{0, delta} - b_F.
-
-    May be negative, in which case it is vacuous; the value is reported
-    as-is (callers flag vacuousness), never clamped.
-    """
-    return applications_report(rho, x, z)["eof_lower_bound"]
-
-
-def common_randomness_upper_bound(
-    rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
-) -> float:
-    """One-way distillable-common-randomness upper bound
-    S(rho^B) + b_F - q_mu - max{0, delta}."""
-    return applications_report(rho, x, z)["crand_upper_bound"]
-
-
 def applications_report(
     rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
 ) -> dict:
@@ -164,7 +115,8 @@ def applications_report(
         )
     ev = evaluate(rho, x, z)
     pe_x, pe_z = (_trace_norm_error(t.omegas[0] - t.omegas[1]) for t in (ev.x, ev.z))
-    eof = ev.q_mu + ev.correction - fano_term(FanoInputs(pe_x, pe_z, x.d))
+    # b_F = h(Pe_X) + h(Pe_Z); the errors are already clamped to [0, 1/2].
+    eof = ev.q_mu + ev.correction - (binary_entropy(pe_x) + binary_entropy(pe_z))
     out = _verdict(ev).to_dict()
     out.update(
         {

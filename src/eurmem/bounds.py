@@ -4,9 +4,9 @@ For a bipartite state rho^AB and observables X, Z measured on A, the actual
 uncertainty is S(X|B) + S(Z|B) on the post-measurement (classical-quantum)
 states.  It is computed as H(X) - I(X;B) + H(Z) - I(Z;B), since
 S(X|B) = H(X) - I(X;B), so no post-measurement state is built; the tests
-check it against the explicit classical-quantum state.  Everything is
-arithmetic on one ``infoquant.evaluate`` pass, and each ``bound_*`` function
-is a view of ``bounds_report``.  Six lower bounds are computed:
+check it against the explicit classical-quantum state.  ``bounds_report``
+is arithmetic on one ``infoquant.evaluate`` pass and returns six lower
+bounds, one field each:
 
     bound_mu            q_mu                      (Maassen-Uffink)
     bound_mu_mixed      q_mu + S(A)               (no-memory, mixed input)
@@ -43,18 +43,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .infoquant import CorrelationReport, binary_entropy, evaluate
-from .measure import ProjectiveObservable, pauli_observable, q_mu
+from .measure import ProjectiveObservable, pauli_observable
 from .states import DensityMatrix
 
 __all__ = [
     "BoundsReport",
     "actual_uncertainty",
-    "bound_maassen_uffink",
-    "bound_mu_mixed",
-    "bound_berta",
-    "bound_coles_piani",
-    "bound_pati",
-    "bound_ours",
     "bounds_report",
     "ClosedFormCurves",
     "closed_form_curves",
@@ -129,43 +123,6 @@ def actual_uncertainty(
 ) -> float:
     """S(X|B) + S(Z|B), computed as H(X) - I(X;B) + H(Z) - I(Z;B)."""
     return evaluate(rho, x, z).actual
-
-
-def bound_maassen_uffink(x: ProjectiveObservable, z: ProjectiveObservable) -> float:
-    """q_mu = log2(1/c), the state-independent incompatibility bound."""
-    return q_mu(x, z)
-
-
-def bound_mu_mixed(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable) -> float:
-    """q_mu + S(A): the no-memory bound strengthened for mixed inputs."""
-    return bounds_report(rho, x, z).bound_mu_mixed
-
-
-def bound_berta(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable) -> float:
-    """q_mu + S(A|B): the memory-assisted bound."""
-    return bounds_report(rho, x, z).bound_berta
-
-
-def bound_coles_piani(
-    rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
-) -> float:
-    """q' + S(A|B); equals the Berta bound whenever A is a qubit (c = c2)."""
-    return bounds_report(rho, x, z).bound_coles_piani
-
-
-def bound_pati(
-    rho: DensityMatrix,
-    x: ProjectiveObservable,
-    z: ProjectiveObservable,
-    corr: CorrelationReport,
-) -> float:
-    """Berta bound plus max{0, D_A - J_A} from a precomputed correlation report."""
-    return bounds_report(rho, x, z, corr).bound_pati
-
-
-def bound_ours(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable) -> float:
-    """Berta bound plus max{0, delta}: the Holevo-corrected bound."""
-    return bounds_report(rho, x, z).bound_ours
 
 
 # ---------------------------------------------------------------------------

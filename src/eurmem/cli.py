@@ -28,33 +28,28 @@ from .bounds import bounds_report, family_pair_observables
 from .infoquant import OptimizerConfig, classical_correlation
 from .measure import observable_from_spec
 from .states import (
+    ONE_PARAMETER_FAMILIES,
     StateValidationError,
-    bell_diagonal_special,
     from_spec,
     parse_explicit,
     to_spec,
     validate,
-    werner,
-    x_state_special,
 )
 
 SWEEP_HEADER = "p,q_mu,s_cond,i_ab,i_xb,i_zb,delta,bound_berta,bound_pati,bound_ours,actual"
+_SWEEP_FIELDS = SWEEP_HEADER.split(",")
 # Largest sweep accepted, in rows: p_step 1e-5 over [0, 1].  Each row runs
 # the J_A optimizer and the bounds, about 1 ms on a family state, so this is
 # already a minute or two of work.
 MAX_SWEEP_ROWS = 100_001
 VALIDATE_CSV_HEADER = "name,passed,residual,tolerance"
 
-_SWEEP_FAMILIES = {
-    "werner": werner,
-    "bell_diagonal_special": bell_diagonal_special,
-    "xstate": x_state_special,
-}
-
+# Canned sweep specs over p in [0, 1] in steps of 0.01.  A string pair is
+# a bounds.family_pair_observables label, resolved at each p.
 PRESETS = {
-    "fig1a": {"family": "bell_diagonal_special", "pair": "xy"},
-    "fig1b": {"family": "bell_diagonal_special", "pair": "xz"},
-    "fig2": {"family": "xstate", "pair": "xz"},
+    "fig1a": {"family": "bell_diagonal_special", "pairs": ["xy"]},
+    "fig1b": {"family": "bell_diagonal_special", "pairs": ["xz"]},
+    "fig2": {"family": "xstate", "pairs": ["xz"]},
 }
 
 _PAULI_SHORTHAND = {
@@ -171,72 +166,74 @@ def _sweep_grid(p_start: float, p_end: float, p_step: float) -> list[float]:
     return ps
 
 
-def _sweep_rows(family: str, ps, observables_for, cfg: OptimizerConfig) -> str:
-    builder = _SWEEP_FAMILIES.get(family)
-    if builder is None:
-        raise ValueError(
-            f"sweep family must be one of {sorted(_SWEEP_FAMILIES)}, got {family!r}"
-        )
-    lines = [SWEEP_HEADER]
-    for p in ps:
-        rho = builder(p)
-        x, z = observables_for(p)
-        row = {"p": p, **bounds_report(rho, x, z, classical_correlation(rho, cfg)).to_dict()}
-        lines.append(",".join(_fmt(row[key]) for key in SWEEP_HEADER.split(",")))
-    return "\n".join(lines) + "\n"
-
-
 def _indexed_path(path: Path, index: int, total: int) -> Path:
     if total == 1:
         return path
     return path.with_name(f"{path.stem}_pair{index + 1}{path.suffix}")
 
 
-def cmd_sweep(args) -> int:
-    cfg = _optimizer_config(args)
-
+def _sweep_spec(args) -> tuple[dict, Path]:
+    """The sweep named by --preset, --spec or --family as a spec, and its path."""
     if args.preset:
-        preset = PRESETS[args.preset]
-        family = preset["family"]
-        pair = preset["pair"]
-        ps = _sweep_grid(0.0, 1.0, 0.01)
-        out = Path(args.out) if args.out else Path(f"{args.preset}.csv")
-        text = _sweep_rows(
-            family, ps, lambda p: family_pair_observables(family, p, pair), cfg
-        )
-        out.write_text(text, encoding="utf-8", newline="")
-        return 0
-
+        spec = {**PRESETS[args.preset], "p_start": 0.0, "p_end": 1.0, "p_step": 0.01}
+        return spec, Path(args.out or f"{args.preset}.csv")
     if args.spec:
-        doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        if not isinstance(spec, dict):
+            raise ValueError("sweep spec must be a JSON object")
         for field in ("family", "p_start", "p_end", "p_step"):
-            if field not in doc:
+            if field not in spec:
                 raise ValueError(f"sweep spec is missing field {field!r}")
-        family = doc["family"]
-        ps = _sweep_grid(doc["p_start"], doc["p_end"], doc["p_step"])
-        pairs = doc.get("pairs")
-        if not pairs:
-            raise ValueError("sweep spec needs a nonempty 'pairs' list of [X, Z] entries")
-        out_base = Path(args.out or doc.get("out") or f"{family}_sweep.csv")
-        texts = []
-        for raw_x, raw_z in pairs:
-            x = _load_observable_arg(raw_x if isinstance(raw_x, str) else json.dumps(raw_x))
-            z = _load_observable_arg(raw_z if isinstance(raw_z, str) else json.dumps(raw_z))
-            texts.append(_sweep_rows(family, ps, lambda p: (x, z), cfg))
-        for i, text in enumerate(texts):
-            _indexed_path(out_base, i, len(texts)).write_text(
-                text, encoding="utf-8", newline=""
-            )
-        return 0
-
+        for field in ("p_start", "p_end", "p_step"):
+            value = spec[field]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"sweep spec field {field!r} must be a number, got {value!r}")
+        return spec, Path(args.out or spec.get("out") or f"{spec['family']}_sweep.csv")
     if not (args.family and args.x and args.z):
         raise ValueError("sweep needs --preset, --spec, or --family with --x and --z")
-    x = _load_observable_arg(args.x)
-    z = _load_observable_arg(args.z)
-    ps = _sweep_grid(args.p_start, args.p_end, args.p_step)
-    out = Path(args.out) if args.out else Path(f"{args.family}_sweep.csv")
-    text = _sweep_rows(args.family, ps, lambda p: (x, z), cfg)
-    out.write_text(text, encoding="utf-8", newline="")
+    spec = dict(family=args.family, p_start=args.p_start, p_end=args.p_end, p_step=args.p_step)
+    spec["pairs"] = [[args.x, args.z]]
+    return spec, Path(args.out or f"{args.family}_sweep.csv")
+
+
+def _sweep_pairs(family: str, pairs) -> list:
+    """One function of p giving (X, Z) per spec ``pairs`` entry."""
+    if not isinstance(pairs, list) or not pairs:
+        raise ValueError("sweep spec needs a nonempty 'pairs' list of [X, Z] entries")
+    resolved = []
+    for i, entry in enumerate(pairs):
+        if entry in ("xy", "xz"):
+            resolved.append(lambda p, label=entry: family_pair_observables(family, p, label))
+        elif isinstance(entry, list) and len(entry) == 2:
+            xz = [_load_observable_arg(r if isinstance(r, str) else json.dumps(r)) for r in entry]
+            resolved.append(lambda p, xz=xz: xz)
+        else:
+            raise ValueError(
+                f"sweep spec pairs[{i}] must be an [X, Z] list of two observables "
+                f"or a pair label 'xy' or 'xz', got {entry!r}"
+            )
+    return resolved
+
+
+def cmd_sweep(args) -> int:
+    spec, out = _sweep_spec(args)
+    ps = _sweep_grid(spec["p_start"], spec["p_end"], spec["p_step"])
+    family = spec["family"]
+    pairs = _sweep_pairs(family, spec.get("pairs"))
+    if not isinstance(family, str) or family not in ONE_PARAMETER_FAMILIES:
+        names = sorted(ONE_PARAMETER_FAMILIES)
+        raise ValueError(f"sweep family must be one of {names}, got {family!r}")
+    cfg = _optimizer_config(args)
+    tables = [[SWEEP_HEADER] for _ in pairs]
+    for p in ps:
+        rho = ONE_PARAMETER_FAMILIES[family](p)
+        corr = classical_correlation(rho, cfg)
+        for lines, observables_for in zip(tables, pairs):
+            row = {"p": p, **bounds_report(rho, *observables_for(p), corr).to_dict()}
+            lines.append(",".join(_fmt(row[key]) for key in _SWEEP_FIELDS))
+    for i, lines in enumerate(tables):
+        text = "\n".join(lines) + "\n"
+        _indexed_path(out, i, len(tables)).write_text(text, encoding="utf-8", newline="")
     return 0
 
 
@@ -331,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="CSV sweep over a one-parameter family")
     p_sweep.add_argument("--preset", choices=sorted(PRESETS))
     p_sweep.add_argument("--spec", help="sweep specification JSON file")
-    p_sweep.add_argument("--family", choices=sorted(_SWEEP_FAMILIES))
+    p_sweep.add_argument("--family", choices=sorted(ONE_PARAMETER_FAMILIES))
     p_sweep.add_argument("--p-start", type=float, default=0.0)
     p_sweep.add_argument("--p-end", type=float, default=1.0)
     p_sweep.add_argument("--p-step", type=float, default=0.01)

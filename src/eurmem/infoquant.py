@@ -58,8 +58,6 @@ __all__ = [
     "Evaluation",
     "evaluate",
     "holevo",
-    "delta",
-    "delta_floor",
     "OptimizerConfig",
     "CorrelationReport",
     "classical_correlation",
@@ -231,23 +229,6 @@ def holevo(rho: DensityMatrix, obs: ProjectiveObservable) -> float:
     """
     require_on_a(rho, obs)
     return _outcome_terms(rho, (obs,), von_neumann_entropy(rho.reduced_b()))[0].holevo
-
-
-def delta(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable) -> float:
-    """Holevo correction delta = I(A;B) - [I(X;B) + I(Z;B)]; may be negative."""
-    return evaluate(rho, x, z).delta
-
-
-def delta_floor(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable) -> float:
-    """log2(dA) + S(rho^A) - H(X) - H(Z), a lower bound on delta for
-    complementary observables.
-
-    It vanishes (guaranteeing delta >= 0) when subsystem A is maximally
-    mixed, and when one observable leaves A undisturbed while the other is
-    unbiased on it.
-    """
-    ev = evaluate(rho, x, z)
-    return float(np.log2(rho.dA)) + ev.s_a - ev.x.shannon - ev.z.shannon
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ __all__ = [
     "PAULIS",
     "dagger",
     "hermiticity_defect",
-    "is_hermitian",
     "tensor",
     "basis_ket",
     "projector",
@@ -49,10 +48,6 @@ def hermiticity_defect(m):
     """max_ij |M_ij - conj(M_ji)|, the distance from the Hermitian cone."""
     m = np.asarray(m)
     return float(np.max(np.abs(m - dagger(m))))
-
-
-def is_hermitian(m, atol: float = HERM_ATOL) -> bool:
-    return hermiticity_defect(m) <= atol
 
 
 def tensor(*factors):

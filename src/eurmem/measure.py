@@ -32,7 +32,6 @@ __all__ = [
     "observable_from_bloch",
     "pauli_observable",
     "observable_from_spec",
-    "bloch_vector",
     "overlap_matrix",
     "q_mu",
     "q_prime",
@@ -74,9 +73,6 @@ class ProjectiveObservable:
     def d(self) -> int:
         return self.basis.shape[0]
 
-    def ket(self, i: int) -> np.ndarray:
-        return self.basis[:, i]
-
     def projector(self, i: int) -> np.ndarray:
         return projector(self.basis[:, i])
 
@@ -86,12 +82,6 @@ class ProjectiveObservable:
 
 def observable_from_basis(columns, name: str | None = None) -> ProjectiveObservable:
     return ProjectiveObservable(np.asarray(columns, dtype=complex), name)
-
-
-def bloch_vector(theta: float, phi: float) -> np.ndarray:
-    """Unit vector at polar angle theta from +z and azimuth phi."""
-    st = np.sin(theta)
-    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
 
 
 def observable_from_bloch(n) -> ProjectiveObservable:

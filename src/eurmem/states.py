@@ -53,8 +53,10 @@ __all__ = [
     "bell_diagonal",
     "bell_diagonal_special",
     "x_state_special",
+    "ONE_PARAMETER_FAMILIES",
     "from_spec",
     "to_spec",
+    "maximally_mixed",
 ]
 
 TRACE_ATOL = 1e-10
@@ -283,13 +285,16 @@ def x_state_special(p) -> DensityMatrix:
     return DensityMatrix(mat, 2, 2)
 
 
+# Every family by document name, with the parameter field its document gives.
 _FAMILY_BUILDERS = {
-    "werner": lambda params: werner(params["p"]),
-    "bell_diagonal": lambda params: bell_diagonal(params["r"]),
-    "bell_diagonal_special": lambda params: bell_diagonal_special(params["p"]),
-    "xstate": lambda params: x_state_special(params["p"]),
-    "pure_schmidt": lambda params: pure_schmidt(params["lambdas"]),
+    "werner": (werner, "p"),
+    "bell_diagonal": (bell_diagonal, "r"),
+    "bell_diagonal_special": (bell_diagonal_special, "p"),
+    "xstate": (x_state_special, "p"),
+    "pure_schmidt": (pure_schmidt, "lambdas"),
 }
+# The one-parameter families, which sweeps run along p.
+ONE_PARAMETER_FAMILIES = {name: fn for name, (fn, key) in _FAMILY_BUILDERS.items() if key == "p"}
 
 
 def parse_explicit(doc: dict) -> tuple[np.ndarray, int, int]:
@@ -325,13 +330,13 @@ def from_spec(doc: dict) -> DensityMatrix:
         if not isinstance(family, dict):
             raise ValueError("'family' entry must be an object with a 'name' field")
         name = family.get("name")
-        builder = _FAMILY_BUILDERS.get(name)
-        if builder is None:
+        if name not in _FAMILY_BUILDERS:
             raise ValueError(
                 f"unknown state family {name!r}; expected one of {sorted(_FAMILY_BUILDERS)}"
             )
+        build, key = _FAMILY_BUILDERS[name]
         try:
-            return builder(family)
+            return build(family[key])
         except KeyError as exc:
             raise ValueError(f"state family {name!r} is missing parameter {exc}") from None
     if "explicit" in doc:

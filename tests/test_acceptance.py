@@ -10,8 +10,6 @@ import numpy as np
 
 from eurmem.bounds import (
     actual_uncertainty,
-    bound_berta,
-    bound_ours,
     bounds_report,
     closed_form_curves,
     family_pair_observables,
@@ -20,7 +18,6 @@ from eurmem.cli import main
 from eurmem.infoquant import (
     binary_entropy,
     classical_correlation,
-    delta,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -31,11 +28,7 @@ from eurmem.states import (
     werner,
     x_state_special,
 )
-from eurmem.apps import (
-    common_randomness_upper_bound,
-    eof_lower_bound,
-    witness,
-)
+from eurmem.apps import applications_report, witness
 
 from helpers import (
     random_bell_diagonal,
@@ -154,13 +147,14 @@ def test_criterion_04_new_bound_validity_random_states():
     rng = np.random.default_rng(20160422)
     violations = 0
     for _ in range(1000):
-        rho = random_density_matrix(rng)
-        if actual_uncertainty(rho, SIGMA_X, SIGMA_Z) < bound_ours(rho, SIGMA_X, SIGMA_Z) - 1e-9:
+        rep = bounds_report(random_density_matrix(rng), SIGMA_X, SIGMA_Z)
+        if rep.actual < rep.bound_ours - 1e-9:
             violations += 1
     for _ in range(100):
         rho = random_density_matrix(rng)
         x, z = random_projective_pair(rng)
-        if actual_uncertainty(rho, x, z) < bound_ours(rho, x, z) - 1e-9:
+        rep = bounds_report(rho, x, z)
+        if rep.actual < rep.bound_ours - 1e-9:
             violations += 1
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and elapsed < 30.0
@@ -181,7 +175,7 @@ def test_criterion_05_tightness_bell_diagonal():
             worst,
             abs(
                 actual_uncertainty(rho, SIGMA_X, SIGMA_Z)
-                - bound_ours(rho, SIGMA_X, SIGMA_Z)
+                - bounds_report(rho, SIGMA_X, SIGMA_Z).bound_ours
             ),
         )
     ok = worst <= 1e-9
@@ -199,8 +193,9 @@ def test_criterion_06_pure_state_coincidence():
     for _ in range(100):
         rho = pure_schmidt(random_schmidt_coeffs(rng))
         x, z = random_projective_pair(rng)
-        worst_delta = max(worst_delta, abs(delta(rho, x, z)))
-        worst_gap = max(worst_gap, abs(bound_ours(rho, x, z) - bound_berta(rho, x, z)))
+        rep = bounds_report(rho, x, z)
+        worst_delta = max(worst_delta, abs(rep.delta))
+        worst_gap = max(worst_gap, abs(rep.bound_ours - rep.bound_berta))
     ok = worst_delta <= 1e-9 and worst_gap <= 1e-12
     _report(
         6,
@@ -217,14 +212,12 @@ def test_criterion_07_werner_coincidence():
         p = k * 0.1
         rho = werner(p)
         corr = classical_correlation(rho)
-        d = delta(rho, SIGMA_X, SIGMA_Z)
+        rep = bounds_report(rho, SIGMA_X, SIGMA_Z)
         worst_delta_gap = max(
-            worst_delta_gap, abs(d - (corr.discord - corr.classical_correlation))
+            worst_delta_gap, abs(rep.delta - (corr.discord - corr.classical_correlation))
         )
-        pati = bound_berta(rho, SIGMA_X, SIGMA_Z) + max(
-            0.0, corr.discord - corr.classical_correlation
-        )
-        worst_bound_gap = max(worst_bound_gap, abs(bound_ours(rho, SIGMA_X, SIGMA_Z) - pati))
+        pati = rep.bound_berta + max(0.0, corr.discord - corr.classical_correlation)
+        worst_bound_gap = max(worst_bound_gap, abs(rep.bound_ours - pati))
     ok = worst_delta_gap <= 1e-6 and worst_bound_gap <= 1e-6
     _report(
         7,
@@ -294,15 +287,16 @@ def test_criterion_09_exact_identities():
 
 def test_criterion_10_applications():
     singlet = werner(1.0)
-    ok = abs(eof_lower_bound(singlet, SIGMA_X, SIGMA_Z) - 1.0) <= 1e-9
-    ok &= abs(common_randomness_upper_bound(singlet, SIGMA_X, SIGMA_Z)) <= 1e-9
+    report = applications_report(singlet, SIGMA_X, SIGMA_Z)
+    ok = abs(report["eof_lower_bound"] - 1.0) <= 1e-9
+    ok &= abs(report["crand_upper_bound"]) <= 1e-9
 
     rng = np.random.default_rng(10)
     for _ in range(200):
         rho = random_density_matrix(rng)
         x, z = random_mub_pair(rng)
-        eof = eof_lower_bound(rho, x, z)
-        crand = common_randomness_upper_bound(rho, x, z)
+        report = applications_report(rho, x, z)
+        eof, crand = report["eof_lower_bound"], report["crand_upper_bound"]
         ok &= abs(eof + crand - von_neumann_entropy(rho.reduced_b())) <= 1e-12
         verdict = witness(rho, x, z)
         ok &= (not verdict.entangled_by_berta) or verdict.entangled_by_ours

@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from eurmem.apps import (
-    FanoInputs,
-    applications_report,
-    common_randomness_upper_bound,
-    eof_lower_bound,
-    fano_term,
-    helstrom_error,
-    witness,
-)
+from eurmem.apps import applications_report, helstrom_error, witness
 from eurmem.bounds import bounds_report
 from eurmem.infoquant import binary_entropy, von_neumann_entropy
 from eurmem.measure import (
@@ -114,40 +106,29 @@ def test_helstrom_rejects_more_outcomes():
 
 
 def test_fano_term_values():
-    assert fano_term(FanoInputs(0.0, 0.0, 2)) == pytest.approx(0.0, abs=1e-15)
-    assert fano_term(FanoInputs(0.5, 0.5, 2)) == pytest.approx(2.0, abs=1e-12)
+    # b_F = h(Pe_X) + h(Pe_Z) for two-outcome measurements.
+    assert binary_entropy(0.0) + binary_entropy(0.0) == pytest.approx(0.0, abs=1e-15)
+    assert binary_entropy(0.5) + binary_entropy(0.5) == pytest.approx(2.0, abs=1e-12)
     expected = binary_entropy(0.1) + binary_entropy(0.2)
-    assert fano_term(FanoInputs(0.1, 0.2, 2)) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(1.1909236884766435, abs=1e-10)
 
 
-def test_fano_inputs_validation():
-    with pytest.raises(ValueError, match="probability"):
-        FanoInputs(1.2, 0.0, 2)
-    with pytest.raises(ValueError, match="d must be"):
-        FanoInputs(0.1, 0.1, 1)
-
-
-def test_fano_dimension_term():
-    # for d > 2 the log2(d-1) penalty enters linearly in the error rates
-    val = fano_term(FanoInputs(0.25, 0.0, 5))
-    assert val == pytest.approx(binary_entropy(0.25) + 0.25 * np.log2(4.0), abs=1e-12)
-
-
 def test_eof_lower_bound_singlet():
-    assert eof_lower_bound(werner(1.0), X, Z) == pytest.approx(1.0, abs=1e-9)
+    eof = applications_report(werner(1.0), X, Z)["eof_lower_bound"]
+    assert eof == pytest.approx(1.0, abs=1e-9)
 
 
 def test_eof_lower_bound_vacuous_cases():
     rng = np.random.default_rng(11)
-    assert eof_lower_bound(random_product_state(rng), X, Z) < 1e-9
-    assert eof_lower_bound(maximally_mixed(), X, Z) == pytest.approx(-1.0, abs=1e-9)
+    assert applications_report(random_product_state(rng), X, Z)["eof_lower_bound"] < 1e-9
+    eof = applications_report(maximally_mixed(), X, Z)["eof_lower_bound"]
+    assert eof == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_common_randomness_upper_bound_values():
-    assert common_randomness_upper_bound(werner(1.0), X, Z) == pytest.approx(0.0, abs=1e-9)
-    assert common_randomness_upper_bound(maximally_mixed(), X, Z) == pytest.approx(2.0, abs=1e-9)
-    assert common_randomness_upper_bound(_ket11_state(), X, Z) == pytest.approx(0.0, abs=1e-9)
+    for rho, expected in ((werner(1.0), 0.0), (maximally_mixed(), 2.0), (_ket11_state(), 0.0)):
+        crand = applications_report(rho, X, Z)["crand_upper_bound"]
+        assert crand == pytest.approx(expected, abs=1e-9)
 
 
 def test_koashi_winter_complementarity():
@@ -155,8 +136,8 @@ def test_koashi_winter_complementarity():
     for _ in range(50):
         rho = random_density_matrix(rng)
         x, z = random_mub_pair(rng)
-        eof = eof_lower_bound(rho, x, z)
-        crand = common_randomness_upper_bound(rho, x, z)
+        report = applications_report(rho, x, z)
+        eof, crand = report["eof_lower_bound"], report["crand_upper_bound"]
         s_b = von_neumann_entropy(rho.reduced_b())
         assert eof + crand == pytest.approx(s_b, abs=1e-12)
 
@@ -190,7 +171,7 @@ def test_application_bounds_match_per_ensemble_helstrom():
             pe_x = helstrom_error(_ensemble_by_projectors(rho, x))
             pe_z = helstrom_error(_ensemble_by_projectors(rho, z))
             rep = bounds_report(rho, x, z)
-            b_f = fano_term(FanoInputs(pe_x, pe_z, 2))
+            b_f = binary_entropy(pe_x) + binary_entropy(pe_z)
             eof = rep.q_mu + max(0.0, rep.delta) - b_f
             s_b = von_neumann_entropy(rho.reduced_b())
             report = applications_report(rho, x, z)
@@ -203,8 +184,7 @@ def test_applications_reject_qutrit_a_at_entry():
     rho = pure_schmidt([0.5, 0.3, 0.2])
     x = observable_from_basis(np.eye(3))
     z = random_observable(np.random.default_rng(23), 3)
-    for fn in (applications_report, eof_lower_bound, common_randomness_upper_bound):
-        with pytest.raises(ValueError, match="applications_report supports dA = 2 only"):
-            fn(rho, x, z)
+    with pytest.raises(ValueError, match="applications_report supports dA = 2 only"):
+        applications_report(rho, x, z)
     # The witness needs no Helstrom error, so it keeps working on a qutrit.
     assert witness(rho, x, z).entangled_by_berta

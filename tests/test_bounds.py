@@ -5,12 +5,6 @@ import pytest
 
 from eurmem.bounds import (
     actual_uncertainty,
-    bound_berta,
-    bound_coles_piani,
-    bound_maassen_uffink,
-    bound_mu_mixed,
-    bound_ours,
-    bound_pati,
     bounds_report,
     closed_form_curves,
     family_pair_observables,
@@ -28,6 +22,7 @@ from eurmem.measure import (
     outcome_ensemble,
     pauli_observable,
     post_measurement_state,
+    q_mu,
 )
 from eurmem.states import (
     bell_diagonal,
@@ -73,31 +68,33 @@ def test_actual_uncertainty_terms_nonnegative():
 
 
 def test_bound_maassen_uffink_is_q_mu():
-    assert bound_maassen_uffink(X, Z) == pytest.approx(1.0, abs=1e-12)
-    assert bound_maassen_uffink(Z, Z) == pytest.approx(0.0, abs=1e-12)
+    assert q_mu(X, Z) == pytest.approx(1.0, abs=1e-12)
+    assert q_mu(Z, Z) == pytest.approx(0.0, abs=1e-12)
     theta = np.pi / 3
     tilted = observable_from_bloch((np.sin(theta), 0.0, np.cos(theta)))
-    assert bound_maassen_uffink(Z, tilted) == pytest.approx(np.log2(4 / 3), abs=1e-12)
+    assert q_mu(Z, tilted) == pytest.approx(np.log2(4 / 3), abs=1e-12)
 
 
 def test_bound_mu_mixed_examples():
     ket11 = np.zeros(4)
     ket11[3] = 1.0
     pure = pure_state(ket11, 2, 2)
-    assert bound_mu_mixed(pure, X, Z) == pytest.approx(1.0, abs=1e-9)
-    assert bound_mu_mixed(werner(0.3), X, Z) == pytest.approx(2.0, abs=1e-9)
-    assert bound_mu_mixed(x_state_special(0.5), X, Z) == pytest.approx(
+    assert bounds_report(pure, X, Z).bound_mu_mixed == pytest.approx(1.0, abs=1e-9)
+    assert bounds_report(werner(0.3), X, Z).bound_mu_mixed == pytest.approx(2.0, abs=1e-9)
+    assert bounds_report(x_state_special(0.5), X, Z).bound_mu_mixed == pytest.approx(
         1.0 + binary_entropy(0.25), abs=1e-9
     )
 
 
 def test_bound_berta_examples():
-    assert bound_berta(werner(1.0), X, Z) == pytest.approx(0.0, abs=1e-9)
+    assert bounds_report(werner(1.0), X, Z).bound_berta == pytest.approx(0.0, abs=1e-9)
     for p in (0.0, 0.3, 0.8, 1.0):
         expected = binary_entropy(p) + (1.0 - p)  # -p log p - (1-p) log((1-p)/2)
-        assert bound_berta(bell_diagonal_special(p), X, Z) == pytest.approx(expected, abs=1e-9)
-        assert bound_berta(bell_diagonal_special(p), X, Y) == pytest.approx(expected, abs=1e-9)
-    assert bound_berta(bell_diagonal_special(0.0), X, Z) == pytest.approx(1.0, abs=1e-9)
+        rho = bell_diagonal_special(p)
+        assert bounds_report(rho, X, Z).bound_berta == pytest.approx(expected, abs=1e-9)
+        assert bounds_report(rho, X, Y).bound_berta == pytest.approx(expected, abs=1e-9)
+    rho = bell_diagonal_special(0.0)
+    assert bounds_report(rho, X, Z).bound_berta == pytest.approx(1.0, abs=1e-9)
 
 
 def test_bound_coles_piani_equals_berta_for_qubits():
@@ -105,7 +102,8 @@ def test_bound_coles_piani_equals_berta_for_qubits():
     for _ in range(10):
         rho = random_density_matrix(rng)
         x, z = random_mub_pair(rng)
-        assert bound_coles_piani(rho, x, z) == pytest.approx(bound_berta(rho, x, z), abs=1e-9)
+        rep = bounds_report(rho, x, z)
+        assert rep.bound_coles_piani == pytest.approx(rep.bound_berta, abs=1e-9)
 
 
 def test_bound_coles_piani_equal_bases_product():
@@ -114,21 +112,21 @@ def test_bound_coles_piani_equal_bases_product():
 
     rho = random_product_state(rng)
     s_a = von_neumann_entropy(rho.reduced_a())
-    assert bound_coles_piani(rho, Z, Z) == pytest.approx(s_a, abs=1e-9)
+    assert bounds_report(rho, Z, Z).bound_coles_piani == pytest.approx(s_a, abs=1e-9)
 
 
 def test_bound_pati_werner_equals_ours():
     for p in (0.1, 0.5, 0.9):
         rho = werner(p)
-        corr = classical_correlation(rho)
-        assert bound_pati(rho, X, Z, corr) == pytest.approx(bound_ours(rho, X, Z), abs=1e-6)
+        rep = bounds_report(rho, X, Z, classical_correlation(rho))
+        assert rep.bound_pati == pytest.approx(rep.bound_ours, abs=1e-6)
 
 
 def test_bound_pati_pure_state_equals_berta():
     rng = np.random.default_rng(13)
     rho = pure_schmidt(random_schmidt_coeffs(rng))
-    corr = classical_correlation(rho)
-    assert bound_pati(rho, X, Z, corr) == pytest.approx(bound_berta(rho, X, Z), abs=1e-6)
+    rep = bounds_report(rho, X, Z, classical_correlation(rho))
+    assert rep.bound_pati == pytest.approx(rep.bound_berta, abs=1e-6)
 
 
 def test_bound_pati_bell_diagonal_special_display():
@@ -140,7 +138,7 @@ def test_bound_pati_bell_diagonal_special_display():
         s_ab = h(p) + (1.0 - p)
         display = s_ab + max(0.0, 2.0 - s_ab - 2.0 * max(1 - h(p), 1 - h((1 + p) / 2)))
         xx, zz = family_pair_observables("bell_diagonal_special", p, "xz")
-        assert bound_pati(rho, xx, zz, corr) == pytest.approx(display, abs=1e-6)
+        assert bounds_report(rho, xx, zz, corr).bound_pati == pytest.approx(display, abs=1e-6)
 
 
 def test_bound_ours_pure_schmidt_coincides_with_berta():
@@ -148,7 +146,8 @@ def test_bound_ours_pure_schmidt_coincides_with_berta():
     for _ in range(10):
         rho = pure_schmidt(random_schmidt_coeffs(rng))
         x, z = random_mub_pair(rng)
-        assert abs(bound_ours(rho, x, z) - bound_berta(rho, x, z)) <= 1e-12
+        rep = bounds_report(rho, x, z)
+        assert abs(rep.bound_ours - rep.bound_berta) <= 1e-12
 
 
 def test_bound_ours_bell_diagonal_special_xy_closed_form():
@@ -161,14 +160,15 @@ def test_bound_ours_bell_diagonal_special_xy_closed_form():
         s_ab = h(p) + (1.0 - p)
         expected = s_ab + max(0.0, (2.0 - s_ab) - max(a, b) - b)
         xx, yy = family_pair_observables("bell_diagonal_special", p, "xy")
-        assert bound_ours(rho, xx, yy) == pytest.approx(expected, abs=1e-9)
+        assert bounds_report(rho, xx, yy).bound_ours == pytest.approx(expected, abs=1e-9)
 
 
 def test_bound_ours_tight_for_bell_diagonal_mub():
     rng = np.random.default_rng(19)
     for _ in range(20):
         rho = random_bell_diagonal(rng)
-        assert bound_ours(rho, X, Z) == pytest.approx(actual_uncertainty(rho, X, Z), abs=1e-9)
+        expected = actual_uncertainty(rho, X, Z)
+        assert bounds_report(rho, X, Z).bound_ours == pytest.approx(expected, abs=1e-9)
 
 
 def test_ordering_chain_random_states():

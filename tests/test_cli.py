@@ -366,6 +366,46 @@ def test_sweep_spec_missing_field_named(capsys, tmp_path, field):
     assert err == f"error: sweep spec is missing field '{field}'\n"
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"pairs": [["sigma_x"]]}, "sweep spec pairs[0] must be an [X, Z] list of two observables"),
+        (
+            {"pairs": [["sigma_x", "sigma_z"], ["sigma_x", "sigma_y", "sigma_z"]]},
+            "sweep spec pairs[1] must be an [X, Z] list of two observables",
+        ),
+        ({"pairs": ["yz"]}, "sweep spec pairs[0] must be an [X, Z] list of two observables"),
+        ({"pairs": "xz"}, "sweep spec needs a nonempty 'pairs' list of [X, Z] entries"),
+        ({"p_start": "0"}, "sweep spec field 'p_start' must be a number, got '0'"),
+        ({"p_step": None}, "sweep spec field 'p_step' must be a number, got None"),
+        ({"p_end": True}, "sweep spec field 'p_end' must be a number, got True"),
+    ],
+)
+def test_sweep_spec_malformed_entry_named(capsys, tmp_path, change, message):
+    spec = {"family": "xstate", "p_start": 0.0, "p_end": 0.2, "p_step": 0.1,
+            "pairs": [["sigma_x", "sigma_z"]], **change}
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    code, _, err = run_cli(
+        capsys, "sweep", "--spec", str(spec_path), "--out", str(tmp_path / "x.csv")
+    )
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert not list(tmp_path.glob("x*.csv"))
+
+
+def test_sweep_spec_pair_label_matches_preset(capsys, tmp_path):
+    spec = {"family": "xstate", "p_start": 0.0, "p_end": 1.0, "p_step": 0.01,
+            "pairs": ["xz", ["sigma_x", "sigma_y"]]}
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "xs.csv")]) == 0
+    assert main(["sweep", "--preset", "fig2", "--out", str(tmp_path / "fig2.csv")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "xs_pair1.csv").read_bytes() == (tmp_path / "fig2.csv").read_bytes()
+    assert (tmp_path / "xs_pair2.csv").exists()
+
+
 def test_validate_csv_format(capsys, tmp_path):
     bad = write_state(
         tmp_path, {"explicit": {"dA": 2, "dB": 2, "re": (np.eye(4) * 0.375).tolist()}}

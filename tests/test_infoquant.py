@@ -10,8 +10,6 @@ from eurmem.infoquant import (
     binary_entropy,
     classical_correlation,
     conditional_entropy,
-    delta,
-    delta_floor,
     evaluate,
     holevo,
     mutual_information,
@@ -168,8 +166,9 @@ def test_holevo_bounds_on_random_states():
 def test_delta_vanishes_for_pure_and_product_states():
     rng = np.random.default_rng(19)
     x, z = pauli_observable("x"), pauli_observable("z")
-    assert delta(pure_schmidt(random_schmidt_coeffs(rng)), x, z) == pytest.approx(0.0, abs=1e-9)
-    assert delta(random_product_state(rng), x, z) == pytest.approx(0.0, abs=1e-9)
+    rho = pure_schmidt(random_schmidt_coeffs(rng))
+    assert evaluate(rho, x, z).delta == pytest.approx(0.0, abs=1e-9)
+    assert evaluate(random_product_state(rng), x, z).delta == pytest.approx(0.0, abs=1e-9)
 
 
 def test_delta_werner_equals_discord_minus_classical():
@@ -177,25 +176,37 @@ def test_delta_werner_equals_discord_minus_classical():
     for p in (0.2, 0.5, 0.9):
         rho = werner(p)
         corr = classical_correlation(rho)
-        assert delta(rho, x, z) == pytest.approx(
+        assert evaluate(rho, x, z).delta == pytest.approx(
             corr.discord - corr.classical_correlation, abs=1e-6
         )
+
+
+def _complementarity_floor(rho, x, z):
+    """log2(dA) + S(rho^A) - H(X) - H(Z), a lower bound on delta for
+    complementary observables.
+
+    It vanishes (guaranteeing delta >= 0) when subsystem A is maximally
+    mixed, and when one observable leaves A undisturbed while the other is
+    unbiased on it.
+    """
+    ev = evaluate(rho, x, z)
+    return float(np.log2(rho.dA)) + ev.s_a - ev.x.shannon - ev.z.shannon
 
 
 def test_delta_floor_zero_cases():
     x, z = pauli_observable("x"), pauli_observable("z")
     rng = np.random.default_rng(23)
     # Bell diagonal with any MUB pair
-    assert delta_floor(random_bell_diagonal(rng), x, z) == pytest.approx(0.0, abs=1e-9)
+    assert _complementarity_floor(random_bell_diagonal(rng), x, z) == pytest.approx(0.0, abs=1e-9)
     # maximally mixed
-    assert delta_floor(maximally_mixed(), x, z) == pytest.approx(0.0, abs=1e-9)
+    assert _complementarity_floor(maximally_mixed(), x, z) == pytest.approx(0.0, abs=1e-9)
     # maximally correlated mixed state, Z undisturbing and X unbiased
     tau = random_single_qubit_density(rng)
     mc = np.zeros((4, 4), dtype=complex)
     mc[0, 0], mc[0, 3], mc[3, 0], mc[3, 3] = tau[0, 0], tau[0, 1], tau[1, 0], tau[1, 1]
     rho_mc = DensityMatrix(mc, 2, 2)
-    assert delta_floor(rho_mc, x, z) == pytest.approx(0.0, abs=1e-9)
-    assert delta(rho_mc, x, z) >= -1e-9
+    assert _complementarity_floor(rho_mc, x, z) == pytest.approx(0.0, abs=1e-9)
+    assert evaluate(rho_mc, x, z).delta >= -1e-9
 
 
 def test_delta_dominates_floor_for_complementary_observables():
@@ -203,7 +214,7 @@ def test_delta_dominates_floor_for_complementary_observables():
     x, z = pauli_observable("x"), pauli_observable("z")
     for _ in range(50):
         rho = random_density_matrix(rng)
-        assert delta(rho, x, z) >= delta_floor(rho, x, z) - 1e-9
+        assert evaluate(rho, x, z).delta >= _complementarity_floor(rho, x, z) - 1e-9
 
 
 def test_identity_conditional_plus_holevo_is_outcome_entropy():
@@ -287,11 +298,10 @@ def test_evaluate_rejects_mismatched_dimensions_at_entry():
     rho = werner(0.5)
     qubit = pauli_observable("x")
     qutrit = random_observable(np.random.default_rng(43), 3)
-    for fn in (evaluate, delta, delta_floor):
-        with pytest.raises(ValueError, match="different dimensions: 2 vs 3"):
-            fn(rho, qubit, qutrit)
-        with pytest.raises(ValueError, match="observable dimension 3 does not match dA = 2"):
-            fn(rho, qutrit, qutrit)
+    with pytest.raises(ValueError, match="different dimensions: 2 vs 3"):
+        evaluate(rho, qubit, qutrit)
+    with pytest.raises(ValueError, match="observable dimension 3 does not match dA = 2"):
+        evaluate(rho, qutrit, qutrit)
     with pytest.raises(ValueError, match="does not match dA = 2"):
         holevo(rho, qutrit)
 
