@@ -5,14 +5,24 @@ families, projective observables, entropic and correlation quantities
 (including quantum discord via a Bloch-sphere optimizer), six uncertainty
 lower bounds with closed-form oracles for the one-parameter families, and
 application bounds (entanglement witness, entanglement of formation,
-distillable common randomness).  The ``eurmem`` CLI exposes all of it.
+distillable common randomness).  Each report has a stacked form that
+evaluates many states of one shape at once (``family_stack``,
+``bounds_table``, ``applications_table``, ``classical_correlation_stack``).
+The ``eurmem`` CLI exposes all of it.
 """
 
-from .apps import WitnessVerdict, applications_report, helstrom_error, witness
+from .apps import (
+    WitnessVerdict,
+    applications_report,
+    applications_table,
+    helstrom_error,
+    witness,
+)
 from .bounds import (
     BoundsReport,
     actual_uncertainty,
     bounds_report,
+    bounds_table,
     closed_form_curves,
     family_pair_observables,
 )
@@ -21,6 +31,7 @@ from .infoquant import (
     OptimizerConfig,
     binary_entropy,
     classical_correlation,
+    classical_correlation_stack,
     conditional_entropy,
     holevo,
     mutual_information,
@@ -34,7 +45,7 @@ from .matops import (
     SIGMA_Y,
     SIGMA_Z,
     basis_ket,
-    herm_eigensystem,
+    hermitian_eigvals,
     partial_trace,
     projector,
     tensor,
@@ -54,10 +65,12 @@ from .measure import (
 )
 from .states import (
     DensityMatrix,
+    StateStack,
     StateValidationError,
     ValidationReport,
     bell_diagonal,
     bell_diagonal_special,
+    family_stack,
     from_spec,
     maximally_mixed,
     pure_schmidt,

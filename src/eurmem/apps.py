@@ -21,8 +21,10 @@ with Pe the Helstrom-optimal two-outcome discrimination error
 are Koashi-Winter complements by construction: their sum is S(rho^B).
 Both are evaluated on the given bipartite state; the tripartite purification
 behind the common-randomness statement is not operationalized here.
-Everything is arithmetic on one ``infoquant.evaluate`` pass; the Helstrom
-errors use omega_0 - omega_1 of its conditional states, so A must be a qubit.
+Everything is arithmetic on one ``infoquant.evaluate_stack`` pass; the
+Helstrom errors use omega_0 - omega_1 of its conditional states, so A must
+be a qubit.  ``applications_table`` gives each number as a column over the
+rows of a state stack, and ``applications_report`` is its one-row view.
 """
 
 from __future__ import annotations
@@ -31,15 +33,17 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .infoquant import Evaluation, binary_entropy, evaluate
+from .infoquant import Evaluation, binary_entropy, evaluate_stack
+from .matops import hermitian_eigvals
 from .measure import MeasurementEnsemble, ProjectiveObservable
-from .states import DensityMatrix
+from .states import DensityMatrix, StateStack
 
 __all__ = [
     "WITNESS_MARGIN",
     "WitnessVerdict",
     "witness",
     "helstrom_error",
+    "applications_table",
     "applications_report",
 ]
 
@@ -64,28 +68,34 @@ class WitnessVerdict:
         return asdict(self)
 
 
-def _verdict(ev: Evaluation) -> WitnessVerdict:
+def _verdict(ev: Evaluation) -> dict[str, np.ndarray]:
+    """The ``WitnessVerdict`` fields as columns over the rows of ``ev``."""
     margin_berta = ev.q_mu - ev.actual
     margin_ours = ev.q_mu + ev.correction - ev.actual
-    return WitnessVerdict(
-        entangled_by_berta=margin_berta > WITNESS_MARGIN,
-        entangled_by_ours=margin_ours > WITNESS_MARGIN,
-        margin_berta=margin_berta,
-        margin_ours=margin_ours,
-    )
+    return {
+        "entangled_by_berta": margin_berta > WITNESS_MARGIN,
+        "entangled_by_ours": margin_ours > WITNESS_MARGIN,
+        "margin_berta": margin_berta,
+        "margin_ours": margin_ours,
+    }
+
+
+def _first_row(table: dict) -> dict:
+    return {key: column[0].item() for key, column in table.items()}
 
 
 def witness(
     rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
 ) -> WitnessVerdict:
     """Flag entanglement when the measured uncertainty undercuts a threshold."""
-    return _verdict(evaluate(rho, x, z))
+    return WitnessVerdict(**_first_row(_verdict(evaluate_stack(rho.stack, x, z))))
 
 
-def _trace_norm_error(gap: np.ndarray) -> float:
-    """(1 - ||gap||_1) / 2 clamped to [0, 1/2], for gap = p0 rho0 - p1 rho1."""
-    trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T)))))
-    return float(min(max(0.5 * (1.0 - trace_norm), 0.0), 0.5))
+def _trace_norm_error(gap: np.ndarray) -> np.ndarray:
+    """(1 - ||gap||_1) / 2 clamped to [0, 1/2], for gap = p0 rho0 - p1 rho1,
+    or for each gap of a stack."""
+    error = 0.5 * (1.0 - np.abs(hermitian_eigvals(gap)).sum(axis=-1))
+    return np.where(error < 0.0, 0.0, np.where(error > 0.5, 0.5, error))
 
 
 def helstrom_error(ensemble: MeasurementEnsemble) -> float:
@@ -99,32 +109,38 @@ def helstrom_error(ensemble: MeasurementEnsemble) -> float:
         raise ValueError(
             f"helstrom_error supports exactly 2 outcomes, got {len(ensemble.probs)}"
         )
-    return _trace_norm_error(
-        ensemble.probs[0] * ensemble.cond_states[0] - ensemble.probs[1] * ensemble.cond_states[1]
+    return float(
+        _trace_norm_error(
+            ensemble.probs[0] * ensemble.cond_states[0]
+            - ensemble.probs[1] * ensemble.cond_states[1]
+        )
     )
+
+
+def applications_table(states: StateStack, x, z) -> dict[str, np.ndarray]:
+    """Witness verdict plus both application bounds, each a column over the
+    rows of a state stack (dA = 2); ``x`` and ``z`` as in ``evaluate_stack``."""
+    if states.dA != 2:
+        raise ValueError(
+            "applications_report supports dA = 2 only (the Helstrom errors "
+            f"discriminate two outcomes), got dA = {states.dA}"
+        )
+    ev = evaluate_stack(states, x, z)
+    pe_x, pe_z = (_trace_norm_error(t.omegas[:, 0] - t.omegas[:, 1]) for t in (ev.x, ev.z))
+    # b_F = h(Pe_X) + h(Pe_Z); the errors are already clamped to [0, 1/2].
+    eof = ev.q_mu + ev.correction - (binary_entropy(pe_x) + binary_entropy(pe_z))
+    return {
+        **_verdict(ev),
+        "eof_lower_bound": eof,
+        "eof_vacuous": eof < 0.0,
+        # S(rho^B) + b_F - q_mu - max{0, delta}, the Koashi-Winter complement.
+        "crand_upper_bound": ev.s_b - eof,
+        "s_b": ev.s_b,
+    }
 
 
 def applications_report(
     rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
 ) -> dict:
     """Witness verdict plus both application bounds as one flat record (dA = 2)."""
-    if rho.dA != 2:
-        raise ValueError(
-            "applications_report supports dA = 2 only (the Helstrom errors "
-            f"discriminate two outcomes), got dA = {rho.dA}"
-        )
-    ev = evaluate(rho, x, z)
-    pe_x, pe_z = (_trace_norm_error(t.omegas[0] - t.omegas[1]) for t in (ev.x, ev.z))
-    # b_F = h(Pe_X) + h(Pe_Z); the errors are already clamped to [0, 1/2].
-    eof = ev.q_mu + ev.correction - (binary_entropy(pe_x) + binary_entropy(pe_z))
-    out = _verdict(ev).to_dict()
-    out.update(
-        {
-            "eof_lower_bound": eof,
-            "eof_vacuous": eof < 0.0,
-            # S(rho^B) + b_F - q_mu - max{0, delta}, the Koashi-Winter complement.
-            "crand_upper_bound": ev.s_b - eof,
-            "s_b": ev.s_b,
-        }
-    )
-    return out
+    return _first_row(applications_table(rho.stack, x, z))

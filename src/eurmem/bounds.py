@@ -5,8 +5,9 @@ uncertainty is S(X|B) + S(Z|B) on the post-measurement (classical-quantum)
 states.  It is computed as H(X) - I(X;B) + H(Z) - I(Z;B), since
 S(X|B) = H(X) - I(X;B), so no post-measurement state is built; the tests
 check it against the explicit classical-quantum state.  ``bounds_report``
-is arithmetic on one ``infoquant.evaluate`` pass and returns six lower
-bounds, one field each:
+is arithmetic on one ``infoquant.evaluate_stack`` pass and returns six lower
+bounds, one field each (``bounds_table`` gives each field as a column over
+the rows of a state stack, and ``bounds_report`` is its one-row view):
 
     bound_mu            q_mu                      (Maassen-Uffink)
     bound_mu_mixed      q_mu + S(A)               (no-memory, mixed input)
@@ -42,13 +43,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .infoquant import CorrelationReport, binary_entropy, evaluate
+from .infoquant import CorrelationReport, binary_entropy, evaluate_stack
 from .measure import ProjectiveObservable, pauli_observable
-from .states import DensityMatrix
+from .states import DensityMatrix, StateStack
 
 __all__ = [
     "BoundsReport",
     "actual_uncertainty",
+    "bounds_table",
     "bounds_report",
     "ClosedFormCurves",
     "closed_form_curves",
@@ -84,6 +86,46 @@ class BoundsReport:
         return asdict(self)
 
 
+def bounds_table(
+    states: StateStack,
+    x,
+    z,
+    corr: list[CorrelationReport] | None = None,
+) -> dict[str, np.ndarray | None]:
+    """Every ``BoundsReport`` field as a column over the rows of a state stack.
+
+    ``x`` and ``z`` are as in ``infoquant.evaluate_stack`` (one observable,
+    or one per row); ``corr`` holds one correlation report per row.
+    """
+    ev = evaluate_stack(states, x, z)
+    berta = ev.q_mu + ev.s_cond
+    if corr is not None:
+        if len(corr) != len(states):
+            raise ValueError(f"got {len(corr)} correlation reports for {len(states)} states")
+        correction = np.array([max(0.0, c.discord - c.classical_correlation) for c in corr])
+        pati = berta + correction
+    else:
+        correction = None
+        pati = None
+    return {
+        "q_mu": ev.q_mu,
+        "q_prime": ev.q_prime,
+        "s_cond": ev.s_cond,
+        "i_ab": ev.i_ab,
+        "i_xb": ev.x.holevo,
+        "i_zb": ev.z.holevo,
+        "delta": ev.delta,
+        "bound_mu": ev.q_mu,
+        "bound_mu_mixed": ev.q_mu + ev.s_a,
+        "bound_berta": berta,
+        "bound_coles_piani": ev.q_prime + ev.s_cond,
+        "bound_pati": pati,
+        "bound_ours": berta + ev.correction,
+        "actual": ev.actual,
+        "pati_correction": correction,
+    }
+
+
 def bounds_report(
     rho: DensityMatrix,
     x: ProjectiveObservable,
@@ -91,38 +133,15 @@ def bounds_report(
     corr: CorrelationReport | None = None,
 ) -> BoundsReport:
     """Evaluate every bound and its ingredients for one (state, X, Z) triple."""
-    ev = evaluate(rho, x, z)
-    berta = ev.q_mu + ev.s_cond
-    if corr is not None:
-        correction = max(0.0, corr.discord - corr.classical_correlation)
-        pati = berta + correction
-    else:
-        correction = None
-        pati = None
-    return BoundsReport(
-        q_mu=ev.q_mu,
-        q_prime=ev.q_prime,
-        s_cond=ev.s_cond,
-        i_ab=ev.i_ab,
-        i_xb=ev.x.holevo,
-        i_zb=ev.z.holevo,
-        delta=ev.delta,
-        bound_mu=ev.q_mu,
-        bound_mu_mixed=ev.q_mu + ev.s_a,
-        bound_berta=berta,
-        bound_coles_piani=ev.q_prime + ev.s_cond,
-        bound_pati=pati,
-        bound_ours=berta + ev.correction,
-        actual=ev.actual,
-        pati_correction=correction,
-    )
+    table = bounds_table(rho.stack, x, z, None if corr is None else [corr])
+    return BoundsReport(**{k: None if v is None else float(v[0]) for k, v in table.items()})
 
 
 def actual_uncertainty(
     rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
 ) -> float:
     """S(X|B) + S(Z|B), computed as H(X) - I(X;B) + H(Z) - I(Z;B)."""
-    return evaluate(rho, x, z).actual
+    return float(evaluate_stack(rho.stack, x, z).actual[0])
 
 
 # ---------------------------------------------------------------------------

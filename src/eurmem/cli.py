@@ -24,12 +24,13 @@ import sys
 from pathlib import Path
 
 from .apps import applications_report
-from .bounds import bounds_report, family_pair_observables
-from .infoquant import OptimizerConfig, classical_correlation
+from .bounds import bounds_report, bounds_table, family_pair_observables
+from .infoquant import OptimizerConfig, classical_correlation, classical_correlation_stack
 from .measure import observable_from_spec
 from .states import (
     ONE_PARAMETER_FAMILIES,
     StateValidationError,
+    family_stack,
     from_spec,
     parse_explicit,
     to_spec,
@@ -39,9 +40,13 @@ from .states import (
 SWEEP_HEADER = "p,q_mu,s_cond,i_ab,i_xb,i_zb,delta,bound_berta,bound_pati,bound_ours,actual"
 _SWEEP_FIELDS = SWEEP_HEADER.split(",")
 # Largest sweep accepted, in rows: p_step 1e-5 over [0, 1].  Each row runs
-# the J_A optimizer and the bounds, about 1 ms on a family state, so this is
-# already a minute or two of work.
+# the J_A optimizer and the bounds, about 0.15-0.2 ms on a family state with
+# one pair (10 001-row sweeps take 1.7-2.0 s, start-up included, on a 2-vCPU
+# x86-64 host), so this is already 15-20 s of work.
 MAX_SWEEP_ROWS = 100_001
+# A sweep is evaluated as stacks of this many states (one spectra pass each),
+# so that its memory does not grow with its length.
+SWEEP_BLOCK_ROWS = 128
 VALIDATE_CSV_HEADER = "name,passed,residual,tolerance"
 
 # Canned sweep specs over p in [0, 1] in steps of 0.01.  A string pair is
@@ -197,16 +202,21 @@ def _sweep_spec(args) -> tuple[dict, Path]:
 
 
 def _sweep_pairs(family: str, pairs) -> list:
-    """One function of p giving (X, Z) per spec ``pairs`` entry."""
+    """One function of a block of p values giving (X, Z) per spec ``pairs``
+    entry: an observable each for all rows, or a list each of one per row."""
     if not isinstance(pairs, list) or not pairs:
         raise ValueError("sweep spec needs a nonempty 'pairs' list of [X, Z] entries")
     resolved = []
     for i, entry in enumerate(pairs):
         if entry in ("xy", "xz"):
-            resolved.append(lambda p, label=entry: family_pair_observables(family, p, label))
+            resolved.append(
+                lambda ps, label=entry: tuple(
+                    zip(*(family_pair_observables(family, p, label) for p in ps))
+                )
+            )
         elif isinstance(entry, list) and len(entry) == 2:
             xz = [_load_observable_arg(r if isinstance(r, str) else json.dumps(r)) for r in entry]
-            resolved.append(lambda p, xz=xz: xz)
+            resolved.append(lambda ps, xz=xz: xz)
         else:
             raise ValueError(
                 f"sweep spec pairs[{i}] must be an [X, Z] list of two observables "
@@ -225,12 +235,14 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"sweep family must be one of {names}, got {family!r}")
     cfg = _optimizer_config(args)
     tables = [[SWEEP_HEADER] for _ in pairs]
-    for p in ps:
-        rho = ONE_PARAMETER_FAMILIES[family](p)
-        corr = classical_correlation(rho, cfg)
+    for start in range(0, len(ps), SWEEP_BLOCK_ROWS):
+        block = ps[start : start + SWEEP_BLOCK_ROWS]
+        states = family_stack(family, block)
+        corr = classical_correlation_stack(states, cfg)
         for lines, observables_for in zip(tables, pairs):
-            row = {"p": p, **bounds_report(rho, *observables_for(p), corr).to_dict()}
-            lines.append(",".join(_fmt(row[key]) for key in _SWEEP_FIELDS))
+            columns = {"p": block, **bounds_table(states, *observables_for(block), corr)}
+            rows = zip(*(list(columns[key]) for key in _SWEEP_FIELDS))
+            lines.extend(",".join(map(_fmt, row)) for row in rows)
     for i, lines in enumerate(tables):
         text = "\n".join(lines) + "\n"
         _indexed_path(out, i, len(tables)).write_text(text, encoding="utf-8", newline="")

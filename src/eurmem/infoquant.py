@@ -13,9 +13,16 @@ Core quantities on a bipartite state rho^AB:
                       on A
     D_A               quantum discord I(A;B) - J_A
 
-``evaluate`` computes every spectrum a (state, X, Z) triple needs once: those
-of rho^AB, rho^A and rho^B, and one batched stack of the conditional states
-of both observables; the bounds and application numbers are arithmetic on it.
+``evaluate_stack`` evaluates a stack of P states of one shape (a
+``states.StateStack``) with X and Z in one pass: the spectra of rho^AB, rho^A
+and rho^B of all rows, which the stack computes once and J_A shares, and one
+batched eigenvalue call over the conditional states of both observables of
+all rows; the bounds and application numbers are arithmetic on it.
+``evaluate`` and ``classical_correlation`` are the one-row views of
+``evaluate_stack`` and ``classical_correlation_stack``, and a row's numbers
+do not depend on the rows around it.  A caller bounds memory by the stacks
+it builds (the CLI sweeps in blocks of 128 rows); the J_A search bounds its
+own, with at most ``_CALL_DIRECTIONS`` directions per objective call.
 
 The classical-correlation optimizer searches rank-1 projective qubit
 measurements parameterized by a Bloch direction: a coarse 12 x 24
@@ -23,6 +30,7 @@ hemisphere grid, then a trust-region Newton ascent on the unit sphere from
 each of the grid's local maxima (at most three).  Each ascent step takes
 the gradient and Hessian from a 9-point finite-difference stencil in a
 tangent chart, and the stencils of all ascents share one objective call.
+On a stack, a block of rows shares the grid call and each ascent round.
 For two qubits the objective is evaluated in the real Pauli-correlation
 form of the state (a few 3-vector operations per direction); for dB >= 3
 it diagonalizes the conditional states of B with LAPACK.  It reports a
@@ -33,21 +41,21 @@ although for the named state families the two coincide.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .matops import I2, PAULIS
+from .matops import I2, PAULIS, hermitian_eigvals
 from .measure import (
     ZERO_PROB,
     ProjectiveObservable,
     conditional_stack,
     incompatibility,
-    overlap_matrix,
+    overlaps,
     require_on_a,
 )
-from .states import DensityMatrix
+from .states import DensityMatrix, StateStack
 
 __all__ = [
     "shannon_entropy",
@@ -56,10 +64,13 @@ __all__ = [
     "conditional_entropy",
     "mutual_information",
     "Evaluation",
+    "evaluate_stack",
     "evaluate",
     "holevo",
     "OptimizerConfig",
+    "MAX_GRID_POINTS",
     "CorrelationReport",
+    "classical_correlation_stack",
     "classical_correlation",
 ]
 
@@ -77,76 +88,106 @@ def _xlog2x(x):
     return x * np.log2(np.where(x > 0.0, x, 1.0))
 
 
+def _first(values, mask) -> float:
+    """The first entry of ``values`` where ``mask`` holds, as a float."""
+    return float(np.broadcast_to(values, mask.shape)[mask][0])
+
+
+def _entropies(w: np.ndarray) -> np.ndarray:
+    """-sum w log2 w over the last axis of ``w`` (a spectrum or a probability
+    vector), with entries clipped to [0, 1] so that machine-precision
+    negativity cannot poison the logarithms."""
+    return -_xlog2x(np.clip(w, 0.0, 1.0)).sum(axis=-1)
+
+
+def _shannon(p: np.ndarray) -> np.ndarray:
+    """H of each probability vector along the last axis of ``p``."""
+    negative = (p < -1e-12).any(axis=-1)
+    if negative.any():
+        raise ValueError(f"negative probability in {p[negative][0]!r}")
+    total = p.sum(axis=-1)
+    off = np.abs(total - 1.0) > PROB_SUM_ATOL
+    if off.any():
+        raise ValueError(
+            f"probabilities must sum to 1 within {PROB_SUM_ATOL:.0e}, got {_first(total, off)!r}"
+        )
+    return _entropies(p)
+
+
 def shannon_entropy(probs) -> float:
     """H(p) = -sum_k p_k log2 p_k for a probability vector."""
-    p = np.asarray(probs, dtype=float).reshape(-1)
-    if np.any(p < -1e-12):
-        raise ValueError(f"negative probability in {p!r}")
-    total = float(p.sum())
-    if abs(total - 1.0) > PROB_SUM_ATOL:
-        raise ValueError(f"probabilities must sum to 1 within {PROB_SUM_ATOL:.0e}, got {total!r}")
-    return float(-np.sum(_xlog2x(np.clip(p, 0.0, 1.0))))
+    return float(_shannon(np.asarray(probs, dtype=float).reshape(-1)))
 
 
-def binary_entropy(x) -> float:
-    """h(x) = -x log2 x - (1-x) log2(1-x), with x clamped to [0, 1]."""
-    x = float(x)
-    if x < -1e-12 or x > 1.0 + 1e-12:
-        raise ValueError(f"binary entropy argument {x!r} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    return float(-(_xlog2x(x) + _xlog2x(1.0 - x)))
+def binary_entropy(x):
+    """h(x) = -x log2 x - (1-x) log2(1-x), with x clamped to [0, 1].
+
+    Elementwise for an array; a float for a number.
+    """
+    x = np.asarray(x, dtype=float)
+    outside = (x < -1e-12) | (x > 1.0 + 1e-12)
+    if outside.any():
+        raise ValueError(f"binary entropy argument {_first(x, outside)!r} outside [0, 1]")
+    x = np.clip(x, 0.0, 1.0)
+    h = -(_xlog2x(x) + _xlog2x(1.0 - x))
+    return float(h) if h.ndim == 0 else h
 
 
-def _require_nonnegative(min_eig: float):
-    if min_eig < -1e-8:
-        raise ValueError(f"state has a significantly negative eigenvalue: {min_eig!r}")
+def _require_nonnegative(min_eig):
+    low = np.asarray(min_eig) < -1e-8
+    if low.any():
+        raise ValueError(
+            f"state has a significantly negative eigenvalue: {_first(min_eig, low)!r}"
+        )
 
 
 def von_neumann_entropy(state) -> float:
     """S(rho) = -tr rho log2 rho of a density matrix (or PSD unit-trace array).
 
-    Eigenvalues are clipped to [0, 1] before the entropy sum so that
-    machine-precision negativity cannot poison the logarithms.
+    The spectrum must sum to 1 within ``PROB_SUM_ATOL`` and have no
+    eigenvalue below -1e-8.
     """
     mat = state.mat if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
-    w = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+    w = hermitian_eigvals(mat)
     total = float(w.sum())
     if abs(total - 1.0) > PROB_SUM_ATOL:
         raise ValueError(f"state trace must be 1 within {PROB_SUM_ATOL:.0e}, got {total!r}")
-    _require_nonnegative(float(w.min()))
-    return float(-np.sum(_xlog2x(np.clip(w, 0.0, 1.0))))
+    _require_nonnegative(w.min())
+    return float(_entropies(w))
 
 
 @dataclass(frozen=True)
 class StateEntropies:
-    """S(rho^AB), S(rho^A) and S(rho^B) of one bipartite state."""
+    """S(rho^AB), S(rho^A) and S(rho^B), one entry per row of a state stack."""
 
-    s_ab: float
-    s_a: float
-    s_b: float
+    s_ab: np.ndarray
+    s_a: np.ndarray
+    s_b: np.ndarray
 
     @property
-    def s_cond(self) -> float:
+    def s_cond(self) -> np.ndarray:
         return self.s_ab - self.s_b
 
     @property
-    def i_ab(self) -> float:
+    def i_ab(self) -> np.ndarray:
         return self.s_a + self.s_b - self.s_ab
 
 
-def _state_entropies(rho: DensityMatrix) -> StateEntropies:
-    reduced = (rho.mat, rho.reduced_a(), rho.reduced_b())
-    return StateEntropies(*(von_neumann_entropy(m) for m in reduced))
+def _state_entropies(states: StateStack) -> StateEntropies:
+    """The entropies of the stack's spectra, which it computes once.  Its
+    validation already holds each state to unit trace within 1e-10 and its
+    eigenvalues above -1e-10, inside ``von_neumann_entropy``'s checks."""
+    return StateEntropies(*(_entropies(w) for w in states.spectra))
 
 
 def conditional_entropy(rho: DensityMatrix) -> float:
     """S(A|B) = S(rho^AB) - S(rho^B); negative values certify entanglement."""
-    return _state_entropies(rho).s_cond
+    return float(_state_entropies(rho.stack).s_cond[0])
 
 
 def mutual_information(rho: DensityMatrix) -> float:
     """I(A;B) = S(rho^A) + S(rho^B) - S(rho^AB)."""
-    return _state_entropies(rho).i_ab
+    return float(_state_entropies(rho.stack).i_ab[0])
 
 
 def _conditional_sum(eigs) -> np.ndarray:
@@ -165,59 +206,103 @@ def _conditional_sum(eigs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OutcomeTerms:
-    """One observable: p_i, the stack omega_i = <x_i|rho|x_i>_A, H and I(.;B)."""
+    """One observable on each row: p_i, omega_i = <x_i|rho|x_i>_A, H and I(.;B).
+
+    Shapes (P, d), (P, d, dB, dB), (P,) and (P,).
+    """
 
     probs: np.ndarray
     omegas: np.ndarray
-    shannon: float
-    holevo: float
+    shannon: np.ndarray
+    holevo: np.ndarray
 
 
-def _outcome_terms(rho: DensityMatrix, observables, s_b: float) -> list[OutcomeTerms]:
-    """The terms of each observable, from one batched eigenvalue call."""
-    omegas = np.stack([conditional_stack(rho, obs) for obs in observables])
-    probs = np.maximum(np.einsum("mijj->mi", omegas).real, 0.0)
-    mu = np.linalg.eigvalsh(0.5 * (omegas + omegas.conj().swapaxes(-1, -2)))
+def _outcome_terms(states: StateStack, bases, s_b: np.ndarray) -> list[OutcomeTerms]:
+    """The terms of each observable, given by its (P or 1, d, d) stack of
+    bases, from one batched eigenvalue call over all rows."""
+    omegas = np.stack([conditional_stack(states, b) for b in bases], axis=1)
+    probs = np.maximum(np.einsum("...ijj->...i", omegas).real, 0.0)
+    mu = hermitian_eigvals(omegas)
     # Negativity is judged on the normalized conditional states omega_i / p_i.
     scale = np.where(probs >= ZERO_PROB, probs, np.inf)
-    _require_nonnegative(float((mu.min(axis=-1) / scale).min()))
-    holevos = s_b - _conditional_sum(np.maximum(mu, 0.0).T)
+    _require_nonnegative((mu.min(axis=-1) / scale).min(axis=(1, 2)))
+    holevos = s_b[:, None] - _conditional_sum(np.maximum(mu, 0.0).T).T
+    shannons = _shannon(probs)
     return [
-        OutcomeTerms(p, om, shannon_entropy(p), float(h))
-        for p, om, h in zip(probs, omegas, holevos)
+        OutcomeTerms(probs[:, k], omegas[:, k], shannons[:, k], holevos[:, k])
+        for k in range(len(bases))
     ]
+
+
+def _observables(obs) -> list[ProjectiveObservable]:
+    return [obs] if isinstance(obs, ProjectiveObservable) else list(obs)
+
+
+def _bases(observables: list[ProjectiveObservable], rows: int) -> np.ndarray:
+    """The (1, d, d) basis of one observable for all rows, or the (P, d, d)
+    bases of one observable per row."""
+    if len(observables) == 1:
+        return observables[0].basis[None]
+    if len(observables) != rows:
+        raise ValueError(f"got {len(observables)} observables for a stack of {rows} states")
+    return np.stack([obs.basis for obs in observables])
 
 
 @dataclass(frozen=True)
 class Evaluation(StateEntropies):
-    """The marginal entropies, the outcome terms of X and Z, and q_mu and q'."""
+    """The marginal entropies, the outcome terms of X and Z, and q_mu and q',
+    one entry per row of a state stack."""
 
     x: OutcomeTerms
     z: OutcomeTerms
-    q_mu: float
-    q_prime: float
+    q_mu: np.ndarray
+    q_prime: np.ndarray
 
     @property
-    def delta(self) -> float:
+    def delta(self) -> np.ndarray:
         return self.i_ab - self.x.holevo - self.z.holevo
 
     @property
-    def correction(self) -> float:
+    def correction(self) -> np.ndarray:
         """max{0, delta}, what the Holevo-corrected bound adds to Berta's."""
-        return max(0.0, self.delta)
+        delta = self.delta
+        # 0.0 unless delta > 0, never -0.0 (np.maximum can return -0.0)
+        return np.where(delta > 0.0, delta, 0.0)
 
     @property
-    def actual(self) -> float:
+    def actual(self) -> np.ndarray:
         """S(X|B) + S(Z|B), with S(X|B) = H(X) - I(X;B)."""
         return (self.x.shannon - self.x.holevo) + (self.z.shannon - self.z.holevo)
 
 
+def evaluate_stack(states: StateStack, x, z) -> Evaluation:
+    """One pass over the rows of a state stack, after rejecting mismatched dimensions.
+
+    ``x`` and ``z`` are each one observable for every row, or a sequence of
+    one observable per row.  The state spectra come from the stack (computed
+    once), the conditional states of X and Z of all rows share one
+    eigenvalue call, and q_mu and q' are computed per row.
+    """
+    xs, zs = _observables(x), _observables(z)
+    # Each distinct observable once, X first, so that a mismatch names X's dimension.
+    require_on_a(states, *dict.fromkeys(xs + zs))
+    bases = [_bases(xs, len(states)), _bases(zs, len(states))]
+    e = _state_entropies(states)
+    terms = _outcome_terms(states, bases, e.s_b)
+    q_mu, q_prime = (np.broadcast_to(q, e.s_ab.shape) for q in incompatibility(overlaps(*bases)))
+    return Evaluation(e.s_ab, e.s_a, e.s_b, *terms, q_mu, q_prime)
+
+
+def _row(table, k: int):
+    """A dataclass of per-row arrays, nested ones included, at row k."""
+    values = {f.name: getattr(table, f.name) for f in fields(table)}
+    return replace(table, **{n: _row(v, k) if is_dataclass(v) else v[k] for n, v in values.items()})
+
+
 def evaluate(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable) -> Evaluation:
-    """One pass over (rho, X, Z), after rejecting mismatched dimensions."""
-    require_on_a(rho, x, z)
-    e = _state_entropies(rho)
-    terms = _outcome_terms(rho, (x, z), e.s_b)
-    return Evaluation(e.s_ab, e.s_a, e.s_b, *terms, *incompatibility(overlap_matrix(x, z)))
+    """``evaluate_stack`` on the one-row stack of ``rho``, at that row: the
+    entropies and terms are numbers, and the outcome arrays lose the row axis."""
+    return _row(evaluate_stack(rho.stack, x, z), 0)
 
 
 def holevo(rho: DensityMatrix, obs: ProjectiveObservable) -> float:
@@ -228,12 +313,17 @@ def holevo(rho: DensityMatrix, obs: ProjectiveObservable) -> float:
     0 <= I(P;B) <= min(H(outcomes), S(rho^B)).
     """
     require_on_a(rho, obs)
-    return _outcome_terms(rho, (obs,), von_neumann_entropy(rho.reduced_b()))[0].holevo
+    s_b = _state_entropies(rho.stack).s_b
+    return float(_outcome_terms(rho.stack, [obs.basis[None]], s_b)[0].holevo[0])
 
 
 # ---------------------------------------------------------------------------
 # Classical correlation via Bloch-sphere optimization (qubit A only)
 # ---------------------------------------------------------------------------
+
+
+# Largest J_A grid accepted, in points; it admits a 256 x 256 grid.
+MAX_GRID_POINTS = 65_536
 
 
 @dataclass(frozen=True)
@@ -246,6 +336,11 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.grid_theta < 2 or self.grid_phi < 4:
             raise ValueError("optimizer grid must have grid_theta >= 2 and grid_phi >= 4")
+        if self.grid_theta * self.grid_phi > MAX_GRID_POINTS:
+            raise ValueError(
+                f"optimizer grid of {self.grid_theta} x {self.grid_phi} = "
+                f"{self.grid_theta * self.grid_phi} points is above the limit of {MAX_GRID_POINTS}"
+            )
         if self.grid_phi % 2:
             raise ValueError(
                 f"optimizer grid_phi must be even, got {self.grid_phi}: the grid pairs "
@@ -273,26 +368,30 @@ class CorrelationReport:
         return {**asdict(self), "optimal_direction": [float(v) for v in self.optimal_direction]}
 
 
-def _general_objective(rho: DensityMatrix):
+def _general_objective(states: StateStack, s_b: np.ndarray):
     """I(P_n;B) over Bloch directions for any dB, from LAPACK eigenvalues.
 
     For the projectors (I +- n.sigma)/2 the unnormalized conditional states
     are (rho^B +- sum_i n_i T_i)/2 with T_i = Tr_A[(sigma_i (x) I) rho], two
-    dB x dB eigenvalue problems per direction.
+    dB x dB eigenvalue problems per direction.  ``s_b`` holds S(rho^B) of
+    each row.
 
-    Returns the objective, which maps directions of shape (3, G) to values
-    of shape (G,).
+    Returns the objective, which maps state rows (a slice or an index array
+    of B rows, repeats allowed) and directions of shape (3, B or 1, K) to
+    values of shape (B, K): the K directions of each row, or the same K for
+    all.  The per-state tables are indexed by row, never copied per
+    direction.
     """
-    r4 = rho.mat.reshape(2, rho.dB, 2, rho.dB)
-    rho_b = np.trace(r4, axis1=0, axis2=2)
-    transfer = np.stack([np.einsum("pq,qjpk->jk", sigma, r4) for sigma in PAULIS])
-    s_b = von_neumann_entropy(rho_b)
+    r5 = states.mats.reshape(-1, 2, states.dB, 2, states.dB)
+    rho_b = states.reduced_b()
+    transfer = np.stack([np.einsum("pq,rqjpk->rjk", sigma, r5) for sigma in PAULIS], axis=1)
 
-    def objective(dirs):
-        w = np.einsum("ig,ijk->gjk", dirs, transfer)
-        omegas = np.stack([(rho_b[None] + w) * 0.5, (rho_b[None] - w) * 0.5])
+    def objective(rows, dirs):
+        w = np.einsum("ibg,bijk->bgjk", dirs, transfer[rows])
+        mean = rho_b[rows, None]
+        omegas = np.stack([(mean + w) * 0.5, (mean - w) * 0.5])
         eigs = np.maximum(np.linalg.eigvalsh(omegas), 0.0)
-        return s_b - _conditional_sum(np.ascontiguousarray(np.moveaxis(eigs, -1, 0)))
+        return s_b[rows, None] - _conditional_sum(np.ascontiguousarray(np.moveaxis(eigs, -1, 0)))
 
     return objective
 
@@ -302,31 +401,35 @@ _PAULI_PAIRS = np.array(
     [np.kron(s, t).T.ravel() for s in (I2,) + PAULIS for t in (I2,) + PAULIS]
 )
 # The two outcomes n+- of a direction, along the leading axis.
-_SIGNS = np.array([[1.0], [-1.0]])
+_SIGNS = np.array([[[1.0]], [[-1.0]]])
 
 
-def _two_qubit_objective(rho: DensityMatrix):
+def _two_qubit_objective(states: StateStack, s_b: np.ndarray):
     """I(P_n;B) over Bloch directions for dA = dB = 2, in the real Pauli form.
 
     With T_{mu nu} = tr(rho sigma_mu (x) sigma_nu), a = T_{i0}, b = T_{0j}
     and C = T_{ij}, the outcome n+- has probability (1 +- a.n)/2 and its
     unnormalized conditional state on B the eigenvalues
     ((1 +- a.n) +- |b +- C^T n|)/4, so each direction costs a few real
-    3-vector operations.
+    3-vector operations.  The objective's arguments are those of
+    ``_general_objective``'s.
     """
-    q = 0.25 * (_PAULI_PAIRS @ rho.mat.reshape(-1)).real.reshape(4, 4)
-    s_b = von_neumann_entropy(rho.mat.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2))
+    # One matrix-vector product per row, the same arithmetic whatever the stack.
+    products = (_PAULI_PAIRS @ states.mats.reshape(-1, 16, 1))[..., 0]
+    # q[mu, nu, row], components first.
+    q = (0.25 * products.real).reshape(-1, 4, 4).transpose(1, 2, 0)
 
-    def objective(dirs):
+    def objective(rows, dirs):
+        table = q[:, :, rows, None]
         # n.(a, C) as an elementwise sum rather than a matmul, so that a
         # direction's value does not depend on the batch it is in.
-        lin = (q[1:, :, None] * dirs[:, None, :]).sum(axis=0)
-        # [1 +- a.n, b +- C^T n] / 4 for both outcomes, shape (4, 2, G).
-        signed = q[0, :, None, None] + _SIGNS * lin[:, None, :]
+        lin = (table[1:] * dirs[:, None]).sum(axis=0)
+        # [1 +- a.n, b +- C^T n] / 4 for both outcomes, shape (4, 2, B, K).
+        signed = table[0, :, None] + _SIGNS * lin[:, None]
         weight, u = signed[0], signed[1:]
         radius = np.sqrt((u * u).sum(axis=0))
         eigs = np.maximum(np.stack([weight - radius, weight + radius]), 0.0)
-        return s_b - _conditional_sum(eigs)
+        return s_b[rows, None] - _conditional_sum(eigs)
 
     return objective
 
@@ -373,7 +476,8 @@ def _sphere_neighbours(rows: int, cols: int) -> np.ndarray:
 
 
 def _sphere_neighbourhood(grid: np.ndarray, reduce) -> np.ndarray:
-    """``reduce`` over the 3 x 3 neighbourhood of each cell of a hemisphere grid.
+    """``reduce`` over the 3 x 3 neighbourhood of each cell of a hemisphere
+    grid, or of each grid of a stack (..., rows, cols).
 
     The grid has rows theta = 0 ... pi/2 and columns phi = 0 ... 2 pi, with
     the sphere's topology: phi wraps around; the pole row is one cell, whose
@@ -382,52 +486,58 @@ def _sphere_neighbourhood(grid: np.ndarray, reduce) -> np.ndarray:
     measurement).  Each equator cell is also the same point as its antipode
     grid_phi / 2 columns away, with the same neighbourhood.
     """
-    rows, cols = grid.shape
-    out = reduce.reduce(grid.ravel()[_sphere_neighbours(rows, cols)], axis=0).reshape(rows, cols)
-    out[0] = reduce.reduce(out[0])
+    rows, cols = grid.shape[-2:]
+    cells = grid.reshape(grid.shape[:-2] + (rows * cols,))[..., _sphere_neighbours(rows, cols)]
+    out = reduce.reduce(cells, axis=-2).reshape(grid.shape)
+    out[..., 0, :] = reduce.reduce(out[..., 0, :], axis=-1, keepdims=True)
     return out
 
 
-def _grid_peaks(values: np.ndarray) -> np.ndarray:
-    """Flat indices of the local maxima of a hemisphere grid of values, best first.
+def _grid_peaks(values: np.ndarray) -> list[np.ndarray]:
+    """Flat indices of the local maxima of each hemisphere grid of a stack
+    (B, rows, cols) of values, best first, one array per grid.
 
     A cell is a maximum when no neighbour exceeds it by more than
     ``IMPROVE_ATOL``; a connected set of maxima (a plateau, the pole row or
     an antipodal equator pair) counts once, at its best cell.  Ties go to
     the lowest flat index.
     """
-    half = values.shape[1] // 2
+    count, rows, cols = values.shape
+    size, half = rows * cols, cols // 2
     peak = values >= _sphere_neighbourhood(values, np.maximum) - IMPROVE_ATOL
     # The pole row, and an equator cell with its antipode, are one point
     # each, whatever their rounding.
-    peak[0] = peak[0].any()
-    peak[-1, :half] = peak[-1, half:] = peak[-1, :half] | peak[-1, half:]
-    cells = np.flatnonzero(peak)
-    if len(cells) in (1, values.size):
-        # One maximum, or a plateau over the whole sphere: one peak.
-        return cells[[np.argmax(values.flat[cells])]]
-    # Label propagation among the maxima alone: each label is the position
-    # in ``cells`` of a maximum connected to it, the lowest once it settles.
+    peak[:, 0] = peak[:, 0].any(axis=1, keepdims=True)
+    peak[:, -1, :half] = peak[:, -1, half:] = peak[:, -1, :half] | peak[:, -1, half:]
+    # Label propagation among the maxima alone, over all grids at once (a
+    # neighbourhood stays inside its grid): each label is the position in
+    # ``cells`` of a maximum connected to it, the lowest once it settles.
     # The copies of the pole and of each equator point start with one label;
     # neighbours that are no maxima point at a sentinel that never wins.
-    count = len(cells)
-    position = np.full(values.size, count)
-    position[cells] = np.arange(count)
-    neighbours = position[_sphere_neighbours(*values.shape)[:, cells]]
-    index = np.arange(values.size).reshape(values.shape)
+    cells = np.flatnonzero(peak)
+    grid, local = np.divmod(cells, size)
+    total = len(cells)
+    if total == count:
+        # One maximum per grid (each grid's highest cell is one).
+        return np.split(local, count)
+    position = np.full(count * size, total)
+    position[cells] = np.arange(total)
+    neighbours = position[_sphere_neighbours(rows, cols)[:, local] + grid * size]
+    index = np.arange(size).reshape(rows, cols)
     index[0] = 0
     index[-1, half:] = index[-1, :half]
-    labels = np.append(position[index.flat[cells]], count)
+    labels = np.append(position[index.ravel()[local] + grid * size], total)
     while True:
         spread = labels.take(neighbours).min(axis=0)
         while not np.array_equal(jumped := spread[spread], spread):
             spread = jumped
-        if np.array_equal(spread, labels[:count]):
+        if np.array_equal(spread, labels[:total]):
             break
-        labels[:count] = spread
-    order = np.argsort(-values.flat[cells], kind="stable")
+        labels[:total] = spread
+    order = np.lexsort((-values.ravel()[cells], grid))
     _, first = np.unique(labels[order], return_index=True)
-    return cells[order[np.sort(first)]]
+    best = order[np.sort(first)]
+    return np.split(local[best], np.searchsorted(grid[best], np.arange(1, count)))
 
 
 def _tangent_frame(x: float, y: float, z: float):
@@ -539,67 +649,117 @@ def _ascent(value: float, direction: np.ndarray, radius: float):
     return best, rounds
 
 
-def _search(rho: DensityMatrix, cfg: OptimizerConfig, objective):
-    """Grid search, then trust-region Newton ascent from every grid peak, of ``objective``.
+# Directions per objective call: a block of rows shares one grid call, and
+# holds as many rows as leaves room for their grids and for the stencils of
+# their ascents (one row, its grid split into calls of this size, when a
+# grid is larger).
+_CALL_DIRECTIONS = 16 * 288
 
-    The grid's local maxima (``_grid_peaks``, at most ``_MAX_STARTS``, best
-    first) each start an ``_ascent`` with a radius of one grid row.  Every
-    round evaluates the 9-point stencils of all active ascents in one
-    objective call.  Each ascent's result is the best stencil value it saw,
-    the Holevo quantity of a real measurement, so J_A never exceeds the
-    truth.  The first ascent wins unless a later one ends more than
-    ``IMPROVE_ATOL`` higher; ``iterations`` counts the stencil rounds of
-    all of them.
+
+def _search(objective, count: int, cfg: OptimizerConfig) -> list[tuple]:
+    """Grid search, then trust-region Newton ascent from every grid peak, of
+    ``objective`` (see ``_general_objective``) on each of ``count`` state rows.
+
+    The rows go in blocks that share one grid call.  Each row's grid maxima
+    (``_grid_peaks``, at most ``_MAX_STARTS``, best first) each start an
+    ``_ascent`` with a radius of one grid row, and every round evaluates the
+    9-point stencils of all active ascents of the block in one objective
+    call (``_climb``).  Each ascent's result is the best stencil value it
+    saw, the Holevo quantity of a real measurement, so J_A never exceeds the
+    truth.  A row's first ascent wins unless a later one ends more than
+    ``IMPROVE_ATOL`` higher.  Returns (value, direction, grid maximum,
+    stencil rounds of all the row's ascents) per row.
     """
     _, dirs = _hemisphere_grid(cfg.grid_theta, cfg.grid_phi)
-    values = objective(dirs)
-    peaks = _grid_peaks(values.reshape(cfg.grid_theta, cfg.grid_phi))[:_MAX_STARTS]
+    size = dirs.shape[1]
     radius = (np.pi / 2.0) / (cfg.grid_theta - 1)
-    ascents = [_ascent(float(values[k]), dirs[:, k], radius) for k in peaks]
-    pending = {ascent: next(ascent) for ascent in ascents}
+    block = max(1, _CALL_DIRECTIONS // max(size, len(_STENCIL) * _MAX_STARTS))
+    chunk = min(size, _CALL_DIRECTIONS)
+    found = []
+    for start in range(0, count, block):
+        rows = slice(start, min(start + block, count))
+        values = np.hstack(
+            [objective(rows, dirs[:, None, k : k + chunk]) for k in range(0, size, chunk)]
+        )
+        peaks = _grid_peaks(values.reshape(-1, cfg.grid_theta, cfg.grid_phi))
+        ascents = [
+            [_ascent(float(v[k]), dirs[:, k], radius) for k in cells[:_MAX_STARTS]]
+            for v, cells in zip(values, peaks)
+        ]
+        results = _climb(objective, rows.start, ascents)
+        for v, row in zip(values, ascents):
+            (value, direction), _ = results[row[0]]
+            for (later, at), _ in (results[a] for a in row[1:]):
+                if later > value + IMPROVE_ATOL:
+                    value, direction = later, at
+            found.append((value, direction, float(v.max()), sum(results[a][1] for a in row)))
+    return found
+
+
+def _climb(objective, first_row: int, ascents: list[list]) -> dict:
+    """Run the ascents of rows ``first_row``, ``first_row + 1``, ... (a list
+    per row) to the end, the stencils of all active ones sharing one
+    objective call per round, each with its row's tables; returns each
+    ascent's result."""
+    row_of = {a: first_row + r for r, row in enumerate(ascents) for a in row}
+    pending = {a: next(a) for a in row_of}
     results = {}
     while pending:
         frames = np.array(list(pending.values()))
         points = frames[:, :1] + _STENCIL @ frames[:, 1:]
         points /= np.sqrt((points * points).sum(axis=-1, keepdims=True))
-        vals = objective(points.reshape(-1, 3).T).reshape(len(frames), 9).tolist()
+        rows = np.array([row_of[a] for a in pending])
+        vals = objective(rows, points.transpose(2, 0, 1)).tolist()
         for ascent, pts, v in zip(list(pending), points, vals):
             try:
                 pending[ascent] = ascent.send((pts, v))
             except StopIteration as stop:
                 del pending[ascent]
                 results[ascent] = stop.value
-
-    (value, direction), _ = results[ascents[0]]
-    for (v, d), _ in (results[a] for a in ascents[1:]):
-        if v > value + IMPROVE_ATOL:
-            value, direction = v, d
-    j_a = max(value, 0.0)
-    return CorrelationReport(
-        classical_correlation=j_a,
-        discord=mutual_information(rho) - j_a,
-        optimal_direction=_canonical_direction(direction),
-        grid_best=float(values.max()),
-        refined_best=value,
-        iterations=sum(rounds for _, rounds in results.values()),
-    )
+    return results
 
 
-def classical_correlation(
-    rho: DensityMatrix, config: OptimizerConfig | None = None
-) -> CorrelationReport:
-    """Maximize the Holevo quantity over projective qubit measurements on A.
+def classical_correlation_stack(
+    states: StateStack, config: OptimizerConfig | None = None
+) -> list[CorrelationReport]:
+    """Maximize the Holevo quantity over projective qubit measurements on A,
+    for every row of a state stack.
 
     A coarse grid over the upper hemisphere (directions n and -n induce the
     same two-outcome measurement) seeds a trust-region Newton ascent on the
     sphere from each of its local maxima (see ``_search``).  Grid ties
     resolve to the lowest (theta, phi) index, so the result is
-    deterministic.  Two-qubit states use the real Pauli-correlation
-    objective, wider B the LAPACK one.  Returns J_A, the discord
-    D_A = I(A;B) - J_A, and the optimizing direction.
+    deterministic, and a row's result does not depend on the other rows.
+    Two-qubit states use the real Pauli-correlation objective, wider B the
+    LAPACK one.  S(rho^B) and I(A;B) come from the stack's spectra.  Returns
+    J_A, the discord D_A = I(A;B) - J_A, and the optimizing direction of
+    each row.
     """
-    if rho.dA != 2:
-        raise ValueError(f"classical_correlation supports dA = 2 only, got dA = {rho.dA}")
+    if states.dA != 2:
+        raise ValueError(f"classical_correlation supports dA = 2 only, got dA = {states.dA}")
     cfg = config or OptimizerConfig()
-    objective = _two_qubit_objective(rho) if rho.dB == 2 else _general_objective(rho)
-    return _search(rho, cfg, objective)
+    e = _state_entropies(states)
+    build = _two_qubit_objective if states.dB == 2 else _general_objective
+    reports = []
+    for i_ab, (value, direction, grid_best, rounds) in zip(
+        e.i_ab.tolist(), _search(build(states, e.s_b), len(states), cfg)
+    ):
+        j_a = max(value, 0.0)
+        reports.append(
+            CorrelationReport(
+                classical_correlation=j_a,
+                discord=i_ab - j_a,
+                optimal_direction=_canonical_direction(direction),
+                grid_best=grid_best,
+                refined_best=value,
+                iterations=rounds,
+            )
+        )
+    return reports
+
+
+def classical_correlation(
+    rho: DensityMatrix, config: OptimizerConfig | None = None
+) -> CorrelationReport:
+    """``classical_correlation_stack`` on the one-row stack of ``rho``."""
+    return classical_correlation_stack(rho.stack, config)[0]

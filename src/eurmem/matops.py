@@ -5,9 +5,9 @@ function over the small dense matrices built here.  Conventions:
 
 * subsystem A is the left (slow) Kronecker factor, so the computational
   basis of a ``dA x dB`` system is ordered |00>, |01>, ..., |10>, |11>, ...
-* Hermiticity is enforced to an absolute tolerance of 1e-10 and inputs are
-  symmetrized before eigendecomposition to absorb round-off from repeated
-  products.
+* Hermiticity is enforced to an absolute tolerance of 1e-10 (``HERM_ATOL``,
+  checked when a state is validated) and inputs are symmetrized before
+  eigendecomposition to absorb round-off from repeated products.
 """
 
 from __future__ import annotations
@@ -21,13 +21,11 @@ __all__ = [
     "SIGMA_Y",
     "SIGMA_Z",
     "PAULIS",
-    "dagger",
-    "hermiticity_defect",
     "tensor",
     "basis_ket",
     "projector",
     "partial_trace",
-    "herm_eigensystem",
+    "hermitian_eigvals",
 ]
 
 HERM_ATOL = 1e-10
@@ -37,17 +35,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-
-def dagger(m):
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
-
-
-def hermiticity_defect(m):
-    """max_ij |M_ij - conj(M_ji)|, the distance from the Hermitian cone."""
-    m = np.asarray(m)
-    return float(np.max(np.abs(m - dagger(m))))
 
 
 def tensor(*factors):
@@ -80,50 +67,35 @@ def projector(vec):
 
 
 def partial_trace(m, dims, keep: str):
-    """Trace out one factor of a bipartite operator.
+    """Trace out one factor of a bipartite operator, or of each of a stack.
 
     Parameters
     ----------
-    m : array, shape (dA*dB, dA*dB)
+    m : array, shape (..., dA*dB, dA*dB)
     dims : (dA, dB)
     keep : "A" or "B", the subsystem that survives.
 
-    The returned matrix has dimension dA (keep="A") or dB (keep="B") and
-    the same trace as the input.
+    The returned matrices have dimension dA (keep="A") or dB (keep="B") and
+    the same traces as the input.
     """
     m = np.asarray(m, dtype=complex)
     dA, dB = int(dims[0]), int(dims[1])
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("partial_trace expects a square matrix")
-    if dA * dB != m.shape[0]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("partial_trace expects a square matrix or a stack of them")
+    if dA * dB != m.shape[-1]:
         raise ValueError(
-            f"dimension mismatch: dA*dB = {dA * dB} but matrix has dimension {m.shape[0]}"
+            f"dimension mismatch: dA*dB = {dA * dB} but matrix has dimension {m.shape[-1]}"
         )
-    r = m.reshape(dA, dB, dA, dB)
+    r = m.reshape(m.shape[:-2] + (dA, dB, dA, dB))
     if keep == "A":
-        return np.trace(r, axis1=1, axis2=3)
+        return np.trace(r, axis1=-3, axis2=-1)
     if keep == "B":
-        return np.trace(r, axis1=0, axis2=2)
+        return np.trace(r, axis1=-4, axis2=-2)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def herm_eigensystem(m, atol: float = HERM_ATOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` sorted descending (stable
-    tie-breaking on the underlying LAPACK ordering) and orthonormal
-    eigenvector columns ``v``; ``m ~= v @ diag(w) @ v^dagger``.
-
-    The input is symmetrized as (m + m^dagger)/2 before decomposition;
-    anything farther than ``atol`` from Hermitian is rejected.
-    """
-    m = np.asarray(m, dtype=complex)
-    defect = hermiticity_defect(m)
-    if defect > atol:
-        raise ValueError(
-            f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} > {atol:.0e}"
-        )
-    sym = 0.5 * (m + dagger(m))
-    w, v = np.linalg.eigh(sym)
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+def hermitian_eigvals(m):
+    """Ascending eigenvalues of the Hermitian part (m + m^dagger)/2 of a
+    matrix, or of each matrix of a stack (shape (..., n, n) -> (..., n))."""
+    m = np.asarray(m)
+    return np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))

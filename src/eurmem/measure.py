@@ -7,7 +7,8 @@ leaves Bob with conditional states
     rho^B_i = Tr_A[(|x_i><x_i| (x) I) rho (|x_i><x_i| (x) I)] / p_i.
 
 All of these come from one contraction, ``conditional_stack``, of the states
-omega_i = p_i rho^B_i; ``post_measurement_state`` is its independent reference.
+omega_i = p_i rho^B_i, batched over the rows of a state stack;
+``post_measurement_state`` is its independent reference.
 
 Incompatibility of two observables is measured through the overlap matrix
 c_ij = |<x_i|z_j>|^2: q_mu = log2(1/c) with c = max_ij c_ij, and the
@@ -17,6 +18,7 @@ refinement q' adds a term driven by the second-largest entry c_2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +35,7 @@ __all__ = [
     "pauli_observable",
     "observable_from_spec",
     "overlap_matrix",
+    "overlaps",
     "q_mu",
     "q_prime",
     "incompatibility",
@@ -67,6 +70,7 @@ class ProjectiveObservable:
             raise ValueError(
                 f"basis is not orthonormal: max |Gram - I| = {defect:.3e} > {ORTHO_ATOL:.0e}"
             )
+        basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
 
     @property
@@ -115,10 +119,18 @@ _PAULI_BASES = {
 
 
 def pauli_observable(axis: str) -> ProjectiveObservable:
-    """Eigenbasis of sigma_x, sigma_y or sigma_z (axis in {"x","y","z"})."""
+    """Eigenbasis of sigma_x, sigma_y or sigma_z (axis in {"x","y","z"}).
+
+    Each axis has one observable (its basis is read-only), shared by all callers.
+    """
     key = axis.lower().removeprefix("sigma_")
     if key not in _PAULI_BASES:
         raise ValueError(f"unknown Pauli axis {axis!r}")
+    return _pauli(key)
+
+
+@lru_cache(maxsize=None)
+def _pauli(key: str) -> ProjectiveObservable:
     return ProjectiveObservable(_PAULI_BASES[key], name=f"sigma_{key}")
 
 
@@ -157,8 +169,9 @@ def _require_same_dim(x: ProjectiveObservable, z: ProjectiveObservable):
         raise ValueError(f"observables have different dimensions: {x.d} vs {z.d}")
 
 
-def require_on_a(rho: DensityMatrix, *observables: ProjectiveObservable):
-    """Reject observables of unequal dimensions, or of a dimension other than dA."""
+def require_on_a(rho, *observables: ProjectiveObservable):
+    """Reject observables of unequal dimensions, or of a dimension other than
+    dA of ``rho`` (a ``DensityMatrix`` or a ``StateStack``)."""
     for obs in observables:
         _require_same_dim(observables[0], obs)
         if obs.d != rho.dA:
@@ -168,11 +181,17 @@ def require_on_a(rho: DensityMatrix, *observables: ProjectiveObservable):
 def overlap_matrix(x: ProjectiveObservable, z: ProjectiveObservable) -> np.ndarray:
     """c_ij = |<x_i|z_j>|^2, a doubly stochastic real matrix."""
     _require_same_dim(x, z)
-    return np.abs(x.basis.conj().T @ z.basis) ** 2
+    return overlaps(x.basis, z.basis)
 
 
-def incompatibility(c_matrix: np.ndarray) -> tuple[float, float]:
-    """(q_mu, q') of an overlap matrix; see ``q_prime`` for c2.
+def overlaps(x_bases: np.ndarray, z_bases: np.ndarray) -> np.ndarray:
+    """The overlap matrices of two bases, or of two stacks of them (..., d, d)."""
+    return np.abs(x_bases.conj().swapaxes(-1, -2) @ z_bases) ** 2
+
+
+def incompatibility(c_matrix: np.ndarray):
+    """(q_mu, q') of an overlap matrix, or of each of a stack (..., d, d); see
+    ``q_prime`` for c2.
 
     The largest entry c of a doubly stochastic d x d matrix lies in [1/d, 1],
     so c is clamped there (and c2 to at most c): the overlaps of an exact
@@ -180,16 +199,17 @@ def incompatibility(c_matrix: np.ndarray) -> tuple[float, float]:
     q_mu just above log2 d.
     """
     c_matrix = np.asarray(c_matrix, dtype=float)
-    ordered = np.sort(c_matrix.reshape(-1))[::-1]
-    c = min(max(float(ordered[0]), 1.0 / c_matrix.shape[0]), 1.0)
-    c2 = min(float(ordered[1]), c)
-    qmu = float(np.log2(1.0 / c))
-    return qmu, float(qmu + 0.5 * (1.0 - np.sqrt(c)) * np.log2(c / c2))
+    d = c_matrix.shape[-1]
+    ordered = np.sort(c_matrix.reshape(c_matrix.shape[:-2] + (d * d,)), axis=-1)
+    c = np.minimum(np.maximum(ordered[..., -1], 1.0 / d), 1.0)
+    c2 = np.minimum(ordered[..., -2], c)
+    qmu = np.log2(1.0 / c)
+    return qmu, qmu + 0.5 * (1.0 - np.sqrt(c)) * np.log2(c / c2)
 
 
 def q_mu(x: ProjectiveObservable, z: ProjectiveObservable) -> float:
     """Incompatibility log2(1/c) with c the largest squared basis overlap."""
-    return incompatibility(overlap_matrix(x, z))[0]
+    return float(incompatibility(overlap_matrix(x, z))[0])
 
 
 def q_prime(x: ProjectiveObservable, z: ProjectiveObservable) -> float:
@@ -199,7 +219,7 @@ def q_prime(x: ProjectiveObservable, z: ProjectiveObservable) -> float:
     multiplicity, so q' = q_mu whenever the maximum is attained twice.
     For qubit observables c = c2 and q' reduces to q_mu.
     """
-    return incompatibility(overlap_matrix(x, z))[1]
+    return float(incompatibility(overlap_matrix(x, z))[1])
 
 
 @dataclass(frozen=True)
@@ -216,10 +236,15 @@ class MeasurementEnsemble:
     effective: tuple[bool, ...]
 
 
-def conditional_stack(rho: DensityMatrix, obs: ProjectiveObservable) -> np.ndarray:
-    """omega_i = <x_i|rho|x_i>_A = p_i rho^B_i, shape (d, dB, dB); see ``require_on_a``."""
-    r4 = rho.mat.reshape(rho.dA, rho.dB, rho.dA, rho.dB)
-    return np.einsum("ai,ajbk,bi->ijk", obs.basis.conj(), r4, obs.basis)
+def conditional_stack(states, bases: np.ndarray) -> np.ndarray:
+    """omega_i = <x_i|rho|x_i>_A = p_i rho^B_i of each row of a ``StateStack``.
+
+    ``bases`` holds the measurement basis of every row, shape (P, d, d), or
+    one basis for all of them, shape (1, d, d); see ``require_on_a``.
+    Returns shape (P, d, dB, dB).
+    """
+    r5 = states.mats.reshape(-1, states.dA, states.dB, states.dA, states.dB)
+    return np.einsum("pai,pajbk,pbi->pijk", bases.conj(), r5, bases)
 
 
 def post_measurement_state(rho: DensityMatrix, obs: ProjectiveObservable) -> DensityMatrix:
@@ -240,7 +265,7 @@ def post_measurement_state(rho: DensityMatrix, obs: ProjectiveObservable) -> Den
 def outcome_ensemble(rho: DensityMatrix, obs: ProjectiveObservable) -> MeasurementEnsemble:
     """Measurement statistics of ``obs`` on subsystem A of ``rho``."""
     require_on_a(rho, obs)
-    omegas = conditional_stack(rho, obs)
+    omegas = conditional_stack(rho.stack, obs.basis[None])[0]
     probs = np.maximum(np.einsum("ijj->i", omegas).real, 0.0)
     effective = tuple(bool(p >= ZERO_PROB) for p in probs)
     placeholder = np.eye(rho.dB, dtype=complex) / rho.dB

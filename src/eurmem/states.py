@@ -2,8 +2,11 @@
 
 A :class:`DensityMatrix` is validated at construction: finite entries,
 Hermitian within 1e-10, unit trace within 1e-10, and positive
-semidefinite with eigenvalues no lower than -1e-10.  Bell-state
-conventions are fixed as
+semidefinite with eigenvalues no lower than -1e-10.  A :class:`StateStack`
+holds P states of one shape as a (P, d, d) array, validated row by row
+with the same checks; a DensityMatrix is a one-row stack, and the
+one-parameter families are built as stacks by ``family_stack``.
+Bell-state conventions are fixed as
 
     |Psi+-> = (|01> +- |10>) / sqrt(2),   |Phi+-> = (|00> +- |11>) / sqrt(2).
 
@@ -20,7 +23,8 @@ x_state_special(p)         p |Psi+><Psi+| + (1-p) |11><11|
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,8 +32,7 @@ from .matops import (
     HERM_ATOL,
     PAULIS,
     basis_ket,
-    herm_eigensystem,
-    hermiticity_defect,
+    hermitian_eigvals,
     partial_trace,
     projector,
     tensor,
@@ -46,6 +49,7 @@ __all__ = [
     "InvariantCheck",
     "ValidationReport",
     "validate",
+    "StateStack",
     "DensityMatrix",
     "pure_state",
     "pure_schmidt",
@@ -54,6 +58,7 @@ __all__ = [
     "bell_diagonal_special",
     "x_state_special",
     "ONE_PARAMETER_FAMILIES",
+    "family_stack",
     "from_spec",
     "to_spec",
     "maximally_mixed",
@@ -110,6 +115,51 @@ class ValidationReport:
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
+# The invariants after the shape, in the order they are reported.
+_INVARIANTS = (("finite", 0.0), ("hermitian", HERM_ATOL), ("trace", TRACE_ATOL), ("psd", PSD_ATOL))
+_LIMITS = np.array([tol for _, tol in _INVARIANTS])
+
+
+def _residuals(mats: np.ndarray) -> np.ndarray:
+    """Residuals of the ``_INVARIANTS`` of each matrix of a (P, n, n) stack, shape (P, 4).
+
+    The finite residual counts NaN and inf entries; a row that has any is
+    judged on that alone, and its other residuals are those of the row with
+    them zeroed.
+    """
+    finite = np.isfinite(mats)
+    nonfinite = np.count_nonzero(~finite, axis=(1, 2))
+    if nonfinite.any():
+        mats = np.where(finite, mats, 0.0)
+    adjoint = mats.conj().swapaxes(1, 2)
+    herm = np.abs(mats - adjoint).max(axis=(1, 2))
+    trace = np.abs(np.trace(mats, axis1=1, axis2=2) - 1.0)
+    sym = 0.5 * (mats + adjoint)
+    lowest = np.linalg.eigh(sym)[0][:, 0]
+    skew = herm > HERM_ATOL
+    if skew.any():
+        # Eigenvalues of the symmetrized part still diagnose gross PSD failure.
+        lowest[skew] = np.linalg.eigvalsh(sym[skew])[:, 0]
+    return np.column_stack([nonfinite, herm, trace, np.where(lowest < 0.0, -lowest, 0.0)])
+
+
+def _stack_report(mats: np.ndarray, dA: int, dB: int) -> ValidationReport:
+    """The invariant report of the first row of a (P, n, n) stack that fails
+    one, or of row 0 when all pass; a wrong shape fails the whole stack."""
+    square = mats.ndim == 3 and mats.shape[1] == mats.shape[2]
+    dim_ok = square and mats.shape[1] == dA * dB
+    shape_residual = 0.0 if dim_ok else float(abs((mats.shape[1] if square else -1) - dA * dB))
+    checks = [InvariantCheck("shape", dim_ok, shape_residual, 0.0)]
+    if dim_ok and len(mats):
+        residuals = _residuals(mats)
+        row = residuals[(residuals > _LIMITS).any(axis=1).argmax()].tolist()
+        for (name, tol), residual in zip(_INVARIANTS, row):
+            checks.append(InvariantCheck(name, residual <= tol, residual, tol))
+            if name == "finite" and residual > tol:
+                break
+    return ValidationReport(tuple(checks))
+
+
 def validate(mat, dA: int, dB: int) -> ValidationReport:
     """Check the density-matrix invariants of a raw matrix.
 
@@ -118,54 +168,26 @@ def validate(mat, dA: int, dB: int) -> ValidationReport:
     semidefiniteness).  The finite residual counts NaN and inf entries.
     Never raises on a bad state; construction raises, this reports.
     """
-    mat = np.asarray(mat, dtype=complex)
-    checks = []
-
-    square = mat.ndim == 2 and mat.shape[0] == mat.shape[1]
-    dim_ok = square and mat.shape[0] == dA * dB
-    shape_residual = 0.0 if dim_ok else float(abs((mat.shape[0] if square else -1) - dA * dB))
-    checks.append(InvariantCheck("shape", dim_ok, shape_residual, 0.0))
-    if not dim_ok:
-        return ValidationReport(tuple(checks))
-
-    finite = bool(np.isfinite(mat).all())
-    finite_residual = 0.0 if finite else float(np.count_nonzero(~np.isfinite(mat)))
-    checks.append(InvariantCheck("finite", finite, finite_residual, 0.0))
-    if not finite:
-        return ValidationReport(tuple(checks))
-
-    herm_res = hermiticity_defect(mat)
-    checks.append(InvariantCheck("hermitian", herm_res <= HERM_ATOL, herm_res, HERM_ATOL))
-
-    trace_res = abs(complex(np.trace(mat)) - 1.0)
-    checks.append(InvariantCheck("trace", trace_res <= TRACE_ATOL, trace_res, TRACE_ATOL))
-
-    if herm_res <= HERM_ATOL:
-        w, _ = herm_eigensystem(mat)
-        min_eig = float(w[-1])
-        psd_res = max(0.0, -min_eig)
-    else:
-        # Eigenvalues of the symmetrized part still diagnose gross PSD failure.
-        w = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-        psd_res = max(0.0, -float(w[0]))
-    checks.append(InvariantCheck("psd", psd_res <= PSD_ATOL, psd_res, PSD_ATOL))
-
-    return ValidationReport(tuple(checks))
+    return _stack_report(np.asarray(mat, dtype=complex)[None], dA, dB)
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """A validated bipartite state rho^AB with subsystem dimensions (dA, dB)."""
+class StateStack:
+    """P bipartite states rho^AB of one shape, a (P, dA dB, dA dB) array.
 
-    mat: np.ndarray
+    Each row is validated at construction as a :class:`DensityMatrix` is;
+    the first row that fails raises its ``StateValidationError``.  The
+    spectra of rho^AB, rho^A and rho^B are computed once, on first use.
+    """
+
+    mats: np.ndarray
     dA: int
     dB: int
 
     def __post_init__(self):
-        mat = np.array(self.mat, dtype=complex)
-        object.__setattr__(self, "mat", mat)
-        report = validate(mat, self.dA, self.dB)
-        failure = report.first_failure()
+        mats = np.array(self.mats, dtype=complex)
+        object.__setattr__(self, "mats", mats)
+        failure = _stack_report(mats, self.dA, self.dB).first_failure()
         if failure is not None:
             raise StateValidationError(
                 failure.name,
@@ -173,6 +195,45 @@ class DensityMatrix:
                 f"invalid density matrix: invariant '{failure.name}' violated "
                 f"(residual {failure.residual:.3e}, tolerance {failure.tolerance:.0e})",
             )
+
+    def __len__(self) -> int:
+        return len(self.mats)
+
+    def reduced_a(self) -> np.ndarray:
+        """Tr_B rho^AB of each row, shape (P, dA, dA)."""
+        return partial_trace(self.mats, (self.dA, self.dB), "A")
+
+    def reduced_b(self) -> np.ndarray:
+        """Tr_A rho^AB of each row, shape (P, dB, dB)."""
+        return partial_trace(self.mats, (self.dA, self.dB), "B")
+
+    @cached_property
+    def spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ascending eigenvalues of rho^AB, rho^A and rho^B, one row per state
+        (read-only: every caller shares them)."""
+        spectra = tuple(hermitian_eigvals(m) for m in (self.mats, self.reduced_a(), self.reduced_b()))
+        for w in spectra:
+            w.flags.writeable = False
+        return spectra
+
+
+@dataclass(frozen=True, eq=False)
+class DensityMatrix:
+    """A validated bipartite state rho^AB with subsystem dimensions (dA, dB).
+
+    ``stack`` is the same state as a one-row :class:`StateStack`, the form
+    the evaluation functions take.
+    """
+
+    mat: np.ndarray
+    dA: int
+    dB: int
+    stack: StateStack = field(init=False, repr=False)
+
+    def __post_init__(self):
+        stack = StateStack(np.asarray(self.mat, dtype=complex)[None], self.dA, self.dB)
+        object.__setattr__(self, "mat", stack.mats[0])
+        object.__setattr__(self, "stack", stack)
 
     @property
     def dim(self) -> int:
@@ -229,11 +290,30 @@ def _check_unit_interval(name: str, p: float) -> float:
     return p
 
 
+# The one-parameter families as (P, 4, 4) stacks, from a column p of shape (P, 1, 1).
+def _werner_mats(p):
+    return (1.0 - p) / 4.0 * np.eye(4, dtype=complex) + p * projector(KET_PSI_MINUS)
+
+
+def _bell_diagonal_special_mats(p):
+    return p * projector(KET_PSI_MINUS) + (1.0 - p) / 2.0 * (
+        projector(KET_PSI_PLUS) + projector(KET_PHI_PLUS)
+    )
+
+
+def _x_state_special_mats(p):
+    ket11 = np.kron(basis_ket(2, 1), basis_ket(2, 1))
+    return p * projector(KET_PSI_PLUS) + (1.0 - p) * projector(ket11)
+
+
+def _family_state(build, name: str, p) -> DensityMatrix:
+    p = _check_unit_interval(name, p)
+    return DensityMatrix(build(np.array([p])[:, None, None])[0], 2, 2)
+
+
 def werner(p) -> DensityMatrix:
     """Two-qubit Werner state (1-p)/4 * I4 + p |Psi-><Psi-|, p in [0, 1]."""
-    p = _check_unit_interval("werner", p)
-    mat = (1.0 - p) / 4.0 * np.eye(4, dtype=complex) + p * projector(KET_PSI_MINUS)
-    return DensityMatrix(mat, 2, 2)
+    return _family_state(_werner_mats, "werner", p)
 
 
 def bell_diagonal(r) -> DensityMatrix:
@@ -268,21 +348,12 @@ def bell_diagonal_special(p) -> DensityMatrix:
 
     Its correlation vector is r = (1-2p, -p, -p).
     """
-    p = _check_unit_interval("bell_diagonal_special", p)
-    mat = (
-        p * projector(KET_PSI_MINUS)
-        + (1.0 - p) / 2.0 * (projector(KET_PSI_PLUS) + projector(KET_PHI_PLUS))
-    )
-    return DensityMatrix(mat, 2, 2)
+    return _family_state(_bell_diagonal_special_mats, "bell_diagonal_special", p)
 
 
 def x_state_special(p) -> DensityMatrix:
     """Two-qubit X-state family p |Psi+><Psi+| + (1-p) |11><11|, p in [0, 1]."""
-    p = _check_unit_interval("x_state_special", p)
-    mat = p * projector(KET_PSI_PLUS) + (1.0 - p) * projector(
-        np.kron(basis_ket(2, 1), basis_ket(2, 1))
-    )
-    return DensityMatrix(mat, 2, 2)
+    return _family_state(_x_state_special_mats, "x_state_special", p)
 
 
 # Every family by document name, with the parameter field its document gives.
@@ -295,6 +366,24 @@ _FAMILY_BUILDERS = {
 }
 # The one-parameter families, which sweeps run along p.
 ONE_PARAMETER_FAMILIES = {name: fn for name, (fn, key) in _FAMILY_BUILDERS.items() if key == "p"}
+_STACK_BUILDERS = {
+    "werner": _werner_mats,
+    "bell_diagonal_special": _bell_diagonal_special_mats,
+    "xstate": _x_state_special_mats,
+}
+
+
+def family_stack(name: str, ps) -> StateStack:
+    """The one-parameter family ``name`` (a key of ``ONE_PARAMETER_FAMILIES``)
+    at every p of ``ps``, as one validated stack; row k is the state the
+    family's function builds at ps[k]."""
+    if name not in _STACK_BUILDERS:
+        raise ValueError(f"unknown one-parameter family {name!r}; expected one of {sorted(_STACK_BUILDERS)}")
+    p = np.asarray(ps, dtype=float).reshape(-1)
+    outside = ~((0.0 <= p) & (p <= 1.0))
+    if outside.any():
+        _check_unit_interval(ONE_PARAMETER_FAMILIES[name].__name__, p[outside][0])
+    return StateStack(_STACK_BUILDERS[name](p[:, None, None]), 2, 2)
 
 
 def parse_explicit(doc: dict) -> tuple[np.ndarray, int, int]:

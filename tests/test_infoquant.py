@@ -23,6 +23,7 @@ from eurmem.infoquant import (
     _grid_peaks,
     _hemisphere_grid,
     _search,
+    _state_entropies,
     _trust_step,
     _two_qubit_objective,
 )
@@ -37,6 +38,7 @@ from eurmem.states import (
     DensityMatrix,
     bell_diagonal,
     bell_diagonal_special,
+    family_stack,
     maximally_mixed,
     pure_schmidt,
     pure_state,
@@ -316,6 +318,16 @@ def _unit_directions(rng, count):
     return n / np.linalg.norm(n, axis=0)
 
 
+def _objective(build, rho):
+    """An objective builder applied to the one-row stack of ``rho``."""
+    return build(rho.stack, _state_entropies(rho.stack).s_b)
+
+
+def _row_search(objective, cfg=None):
+    """``_search`` of a one-row objective: (value, direction, grid max, rounds)."""
+    return _search(objective, 1, cfg or OptimizerConfig())[0]
+
+
 def test_direction_objectives_match_holevo():
     rng = np.random.default_rng(41)
     for dB in (2, 3, 4):
@@ -323,11 +335,10 @@ def test_direction_objectives_match_holevo():
             rho = random_density_matrix(rng, dB=dB)
             dirs = _unit_directions(rng, 4)
             slow = [holevo(rho, observable_from_bloch(n)) for n in dirs.T]
-            objectives = [_general_objective(rho)]
-            if dB == 2:
-                objectives.append(_two_qubit_objective(rho))
-            for objective in objectives:
-                np.testing.assert_allclose(objective(dirs), slow, rtol=0.0, atol=1e-12)
+            builds = [_general_objective] + ([_two_qubit_objective] if dB == 2 else [])
+            for build in builds:
+                values = _objective(build, rho)(slice(0, 1), dirs[:, None])[0]
+                np.testing.assert_allclose(values, slow, rtol=0.0, atol=1e-12)
 
 
 def _two_qubit_corpus():
@@ -340,13 +351,13 @@ def _two_qubit_corpus():
 
 
 def test_two_qubit_search_matches_general_path():
-    cfg = OptimizerConfig()
     for rho in _two_qubit_corpus():
-        fast = _search(rho, cfg, _two_qubit_objective(rho))
-        general = _search(rho, cfg, _general_objective(rho))
-        assert fast.iterations == general.iterations
-        for field in ("classical_correlation", "grid_best", "refined_best"):
-            assert getattr(fast, field) == pytest.approx(getattr(general, field), abs=1e-12)
+        fast = _row_search(_objective(_two_qubit_objective, rho))
+        general = _row_search(_objective(_general_objective, rho))
+        # the same rounds, grid maximum and refined value (J_A before its floor at 0)
+        assert fast[3] == general[3]
+        for k in (2, 0):
+            assert fast[k] == pytest.approx(general[k], abs=1e-12)
 
 
 def test_classical_correlation_wide_memory_never_below_pauli_axes():
@@ -420,6 +431,10 @@ def test_optimizer_config_validation():
         OptimizerConfig(grid_theta=1)
     with pytest.raises(ValueError, match="grid_phi must be even, got 25"):
         OptimizerConfig(grid_phi=25)
+    OptimizerConfig(60, 120)
+    OptimizerConfig(256, 256)
+    with pytest.raises(ValueError, match="258 = 66048 points is above the limit of 65536"):
+        OptimizerConfig(256, 258)
 
 
 def test_classical_correlation_coarse_grid_still_converges():
@@ -457,31 +472,36 @@ def _synthetic_grids(shape):
     return {name: v.reshape(shape) for name, v in grids.items()}, equator_row
 
 
+def _peaks(values):
+    """``_grid_peaks`` of one grid, as a one-grid stack."""
+    return _grid_peaks(values[None])[0]
+
+
 def test_grid_peaks_follow_the_sphere():
     cfg = OptimizerConfig()
     shape = (cfg.grid_theta, cfg.grid_phi)
     grids, equator_row = _synthetic_grids(shape)
     # a plateau at the noise level: one peak, at the first cell
-    assert len(_grid_peaks(grids["plateau"])) == 1
+    assert len(_peaks(grids["plateau"])) == 1
     # the pole row is one cell
-    np.testing.assert_array_equal(_grid_peaks(grids["pole"]), [0])
+    np.testing.assert_array_equal(_peaks(grids["pole"]), [0])
     # an equator maximum and its antipode are one peak
-    np.testing.assert_array_equal(_grid_peaks(grids["equator"]), [equator_row + 3])
+    np.testing.assert_array_equal(_peaks(grids["equator"]), [equator_row + 3])
     # a saddle at the pole is no peak
-    np.testing.assert_array_equal(_grid_peaks(grids["pole saddle"]), [equator_row])
+    np.testing.assert_array_equal(_peaks(grids["pole saddle"]), [equator_row])
     # a bump three rows above the equator is one peak: the equator cells
     # across the wrap from it see its slope
     inner = equator_row - 3 * shape[1] + 3
-    np.testing.assert_array_equal(_grid_peaks(grids["inner bump"]), [inner])
+    np.testing.assert_array_equal(_peaks(grids["inner bump"]), [inner])
     # ridges along the equator and along a meridian through the pole
     for ridge in ("equator ridge", "meridian ridge"):
-        assert len(_grid_peaks(grids[ridge])) == 1
+        assert len(_peaks(grids[ridge])) == 1
     # two separated bumps: two peaks, the higher first
-    np.testing.assert_array_equal(_grid_peaks(grids["two bumps"]), [0, equator_row])
+    np.testing.assert_array_equal(_peaks(grids["two bumps"]), [0, equator_row])
     # the pole is one peak, at its best copy
     pole = int(np.argmax(grids["two bumps, pole rounded"][0]))
     np.testing.assert_array_equal(
-        _grid_peaks(grids["two bumps, pole rounded"]), [pole, equator_row]
+        _peaks(grids["two bumps, pole rounded"]), [pole, equator_row]
     )
 
 
@@ -489,11 +509,18 @@ def test_grid_peaks_follow_the_sphere():
 def test_grid_peaks_match_full_grid_label_spreading(shape):
     grids = list(_synthetic_grids(shape)[0].values())
     dirs = _hemisphere_grid(*shape)[1]
-    for family in (werner, bell_diagonal_special, x_state_special):
-        for p in np.linspace(0.0, 1.0, 101):
-            grids.append(_two_qubit_objective(family(float(p)))(dirs).reshape(shape))
-    for values in grids:
-        np.testing.assert_array_equal(_grid_peaks(values), spreading_grid_peaks(values))
+    for family in ("werner", "bell_diagonal_special", "xstate"):
+        states = family_stack(family, np.linspace(0.0, 1.0, 101))
+        objective = _two_qubit_objective(states, _state_entropies(states).s_b)
+        for k in range(len(states)):
+            grids.append(objective(slice(k, k + 1), dirs[:, None]).reshape(shape))
+    # one grid at a time, and stacks of 16 grids, as the search's row blocks
+    want = [spreading_grid_peaks(values) for values in grids]
+    for values, peaks in zip(grids, want):
+        np.testing.assert_array_equal(_peaks(values), peaks)
+    for start in range(0, len(grids), 16):
+        for got, peaks in zip(_grid_peaks(np.array(grids[start : start + 16])), want[start:]):
+            np.testing.assert_array_equal(got, peaks)
 
 
 @pytest.mark.parametrize("lift", [-1e-3, 0.5 * IMPROVE_ATOL, 10.0 * IMPROVE_ATOL])
@@ -506,18 +533,19 @@ def test_search_keeps_first_start_unless_a_later_one_gains_beyond_noise(lift):
     theta, phi = angles[9 * cfg.grid_phi + 6]
     centre = _directions(np.array([[theta + 0.5 * st, phi + 0.5 * sp]]))[:, 0]
 
-    def objective(dirs):
+    def objective(rows, dirs):
         pole = np.exp(-8.0 * (1.0 - dirs[2] ** 2))
-        return np.maximum(pole, (1.0 + lift) * np.exp(-8.0 * (1.0 - (centre @ dirs) ** 2)))
+        along = np.einsum("i,i...->...", centre, dirs)
+        return np.maximum(pole, (1.0 + lift) * np.exp(-8.0 * (1.0 - along**2)))
 
-    report = _search(werner(0.5), cfg, objective)
-    assert report.grid_best == 1.0
+    value, direction, grid_best, _ = _row_search(objective, cfg)
+    assert grid_best == 1.0
     if lift > IMPROVE_ATOL:
-        assert report.refined_best == pytest.approx(1.0 + lift, abs=1e-15)
-        np.testing.assert_allclose(report.optimal_direction, centre, atol=1e-12)
+        assert value == pytest.approx(1.0 + lift, abs=1e-15)
+        np.testing.assert_allclose(direction, centre, atol=1e-12)
     else:
-        assert report.refined_best == 1.0
-        np.testing.assert_array_equal(report.optimal_direction, [0.0, 0.0, 1.0])
+        assert value == 1.0
+        np.testing.assert_array_equal(direction, [0.0, 0.0, 1.0])
 
 
 def test_ascent_converges_quadratically_on_a_quadratic_form():
@@ -527,12 +555,12 @@ def test_ascent_converges_quadratically_on_a_quadratic_form():
     for _ in range(10):
         q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
         m = q @ np.diag([1.0, 0.6, 0.2]) @ q.T
-        report = _search(
-            werner(0.5), OptimizerConfig(), lambda dirs: np.einsum("ig,ij,jg->g", dirs, m, dirs)
+        value, direction, _, rounds = _row_search(
+            lambda rows, dirs: np.einsum("i...,ij,j...->...", dirs, m, dirs)
         )
-        assert report.iterations <= 4
-        assert report.refined_best == pytest.approx(1.0, abs=1e-15)
-        assert abs(report.optimal_direction @ q[:, 0]) == pytest.approx(1.0, abs=1e-12)
+        assert rounds <= 4
+        assert value == pytest.approx(1.0, abs=1e-15)
+        assert abs(direction @ q[:, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def _two_peak_state():

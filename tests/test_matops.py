@@ -1,4 +1,4 @@
-"""Kernel tests: tensor products, partial traces, Hermitian eigensystems."""
+"""Kernel tests: tensor products, partial traces, Hermitian spectra."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from eurmem.matops import (
     SIGMA_X,
     SIGMA_Z,
     basis_ket,
-    herm_eigensystem,
+    hermitian_eigvals,
     partial_trace,
     projector,
     tensor,
@@ -100,35 +100,39 @@ def test_partial_trace_bad_keep_tag():
 
 
 def test_eigensystem_sigma_z():
-    w, _ = herm_eigensystem(SIGMA_Z)
-    np.testing.assert_allclose(w, [1.0, -1.0])
+    np.testing.assert_allclose(hermitian_eigvals(SIGMA_Z), [-1.0, 1.0])
 
 
 def test_eigensystem_maximally_mixed():
-    w, _ = herm_eigensystem(np.eye(4) / 4)
-    np.testing.assert_allclose(w, [0.25] * 4)
+    np.testing.assert_allclose(hermitian_eigvals(np.eye(4) / 4), [0.25] * 4)
 
 
 def test_eigensystem_pure_singlet_projector():
-    w, _ = herm_eigensystem(werner(1.0).mat)
-    np.testing.assert_allclose(w, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(hermitian_eigvals(werner(1.0).mat), [0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
 
-def test_eigensystem_reconstruction_and_orthonormality():
+def test_hermitian_eigvals_of_a_stack():
+    # Ascending eigenvalues of the Hermitian part, matrix by matrix for a stack.
     rng = np.random.default_rng(23)
-    for _ in range(20):
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        m = g + g.conj().T
-        w, v = herm_eigensystem(m)
-        assert np.all(np.diff(w) <= 1e-12)  # descending
-        np.testing.assert_allclose(v @ np.diag(w) @ v.conj().T, m, atol=1e-9)
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(4), atol=1e-10)
-        assert abs(w.sum() - np.trace(m).real) <= 1e-10
+    g = rng.normal(size=(20, 4, 4)) + 1j * rng.normal(size=(20, 4, 4))
+    m = g + g.conj().swapaxes(1, 2)
+    w = hermitian_eigvals(m)
+    assert np.all(np.diff(w, axis=1) >= -1e-12)
+    np.testing.assert_allclose(w.sum(axis=1), np.trace(m, axis1=1, axis2=2).real, atol=1e-10)
+    for wk, mk in zip(w, m):
+        np.testing.assert_array_equal(wk, hermitian_eigvals(mk))
+        np.testing.assert_allclose(wk, np.linalg.eigvalsh(mk), atol=1e-12)
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    np.testing.assert_allclose(hermitian_eigvals(skew), [-0.5, 0.5])
 
 
-def test_eigensystem_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="not Hermitian"):
-        herm_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def test_partial_trace_of_a_stack_is_per_matrix():
+    rng = np.random.default_rng(29)
+    mats = np.array([random_density_matrix(rng, 2, 3).mat for _ in range(5)])
+    for keep in ("A", "B"):
+        stacked = partial_trace(mats, (2, 3), keep)
+        for row, m in zip(stacked, mats):
+            np.testing.assert_array_equal(row, partial_trace(m, (2, 3), keep))
 
 
 def test_basis_ket_bounds():

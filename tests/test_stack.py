@@ -1,0 +1,148 @@
+"""The stacked evaluation: row k of a stack equals the one-row call on state k.
+
+Every field is compared bit for bit: the one-row calls are views of the
+stacked functions, and a row's per-element arithmetic does not depend on
+the rows around it (no reduction or BLAS call mixes rows, and each row's
+matrix products go through the same kernel).
+"""
+
+import numpy as np
+import pytest
+
+from eurmem.apps import applications_report, applications_table
+from eurmem.bounds import bounds_report, bounds_table
+from eurmem.infoquant import classical_correlation, classical_correlation_stack, evaluate
+from eurmem.measure import pauli_observable
+from eurmem.states import (
+    ONE_PARAMETER_FAMILIES,
+    DensityMatrix,
+    StateStack,
+    StateValidationError,
+    family_stack,
+)
+
+from helpers import random_density_matrix, random_observable
+
+FAMILY_PS = [0.0, 1e-13] + [0.01 * k for k in range(1, 100)] + [1.0 - 1e-13, 1.0]
+
+
+def _random_corpus(dB, count, seed):
+    rng = np.random.default_rng(seed)
+    ranks = [None, 1, 2, 3]
+    return [random_density_matrix(rng, 2, dB, ranks[k % 4]) for k in range(count)]
+
+
+def _corpora():
+    yield "random dB=2", _random_corpus(2, 40, 3)
+    yield "random dB=4", _random_corpus(4, 12, 5)
+    for name, build in ONE_PARAMETER_FAMILIES.items():
+        yield name, [build(p) for p in FAMILY_PS]
+
+
+def _stack(states):
+    return StateStack(np.array([rho.mat for rho in states]), states[0].dA, states[0].dB)
+
+
+def _assert_rows_match(stacked, single, where):
+    for key, want in single.items():
+        got = stacked[key]
+        if want is None:
+            assert got is None, (where, key)
+        elif isinstance(want, np.ndarray):
+            np.testing.assert_array_equal(got, want, err_msg=f"{where} {key}")
+        else:
+            assert got == want, (where, key, got, want)
+
+
+def _correlation_fields(report):
+    return {
+        "classical_correlation": report.classical_correlation,
+        "discord": report.discord,
+        "grid_best": report.grid_best,
+        "refined_best": report.refined_best,
+        "iterations": report.iterations,
+        "optimal_direction": report.optimal_direction,
+    }
+
+
+@pytest.mark.parametrize("name, states", list(_corpora()), ids=lambda v: v if isinstance(v, str) else "")
+def test_stack_rows_equal_one_row_calls(name, states):
+    rng = np.random.default_rng(len(states))
+    x, z = random_observable(rng), random_observable(rng)
+    # one observable pair for all rows, and one pair per row
+    per_row = [(random_observable(rng), random_observable(rng)) for _ in states]
+    xs, zs = [list(t) for t in zip(*per_row)]
+    stack = _stack(states)
+    corr = classical_correlation_stack(stack)
+    shared = bounds_table(stack, x, z, corr)
+    varying = bounds_table(stack, xs, zs, corr)
+    apps = applications_table(stack, x, z)
+    for k, rho in enumerate(states):
+        one = classical_correlation(rho)
+        _assert_rows_match(_correlation_fields(corr[k]), _correlation_fields(one), f"{name} row {k}")
+        for table, (xk, zk) in ((shared, (x, z)), (varying, (xs[k], zs[k]))):
+            row = {key: None if col is None else float(col[k]) for key, col in table.items()}
+            _assert_rows_match(row, bounds_report(rho, xk, zk, one).to_dict(), f"{name} row {k}")
+        row = {key: col[k].item() for key, col in apps.items()}
+        _assert_rows_match(row, applications_report(rho, x, z), f"{name} row {k}")
+
+
+@pytest.mark.parametrize("name, states", list(_corpora()), ids=lambda v: v if isinstance(v, str) else "")
+def test_stack_rows_do_not_depend_on_row_order(name, states):
+    x, z = pauli_observable("x"), pauli_observable("z")
+    forward, backward = (
+        {
+            **bounds_table(s, x, z, classical_correlation_stack(s)),
+            **applications_table(s, x, z),
+        }
+        for s in (_stack(states), _stack(states[::-1]))
+    )
+    for key, column in forward.items():
+        np.testing.assert_array_equal(column, backward[key][::-1], err_msg=key)
+
+
+def test_evaluate_is_the_row_of_a_one_row_stack():
+    rho = _random_corpus(2, 1, 11)[0]
+    ev = evaluate(rho, pauli_observable("x"), pauli_observable("y"))
+    assert ev.x.probs.shape == (2,) and ev.x.omegas.shape == (2, 2, 2)
+    assert all(isinstance(v, float) for v in (ev.s_ab, ev.delta, ev.actual, ev.q_mu))
+
+
+@pytest.mark.parametrize("family", sorted(ONE_PARAMETER_FAMILIES))
+def test_family_stack_rows_are_the_family_states(family):
+    stack = family_stack(family, FAMILY_PS)
+    assert len(stack) == len(FAMILY_PS)
+    for row, p in zip(stack.mats, FAMILY_PS):
+        np.testing.assert_array_equal(row, ONE_PARAMETER_FAMILIES[family](p).mat)
+
+
+def test_family_stack_rejects_a_parameter_outside_the_unit_interval():
+    with pytest.raises(ValueError, match=r"x_state_special parameter p must lie in \[0, 1\], got 1.5"):
+        family_stack("xstate", [0.0, 0.5, 1.5, -1.0])
+    with pytest.raises(ValueError, match="unknown one-parameter family 'bell_diagonal'"):
+        family_stack("bell_diagonal", [0.5])
+
+
+def test_stack_validation_names_the_first_failing_row_invariant():
+    good = np.eye(4) / 4
+    skewed = good.copy()
+    skewed[0, 1] = 0.1
+    negative = np.diag([0.5, 0.5, 0.25, -0.25]).astype(complex)
+    nonfinite = good.copy()
+    nonfinite[2, 2] = np.nan
+    for bad, invariant in ((skewed, "hermitian"), (negative, "psd"), (nonfinite, "finite")):
+        with pytest.raises(StateValidationError) as one:
+            DensityMatrix(bad, 2, 2)
+        with pytest.raises(StateValidationError) as stacked:
+            StateStack(np.array([good, bad, 0.5 * good]), 2, 2)
+        assert stacked.value.invariant == one.value.invariant == invariant
+        assert str(stacked.value) == str(one.value)
+    with pytest.raises(StateValidationError, match="invariant 'shape'"):
+        StateStack(np.array([good]), 2, 3)
+
+
+def test_stack_rejects_an_observable_list_of_the_wrong_length():
+    stack = family_stack("werner", [0.2, 0.4])
+    x = pauli_observable("x")
+    with pytest.raises(ValueError, match="got 3 observables for a stack of 2 states"):
+        bounds_table(stack, [x, x, x], [x, x, x])

@@ -101,6 +101,14 @@ def test_validate_reports_trace_failure_with_residual():
     assert by_name["trace"].residual == pytest.approx(0.5, abs=1e-12)
 
 
+def test_validate_residuals_of_exact_states_are_positive_zero():
+    # A zero lowest eigenvalue gives a psd residual of 0.0, never -0.0, which
+    # JSON output would print as "-0.0".
+    for rho in (werner(1.0), x_state_special(0.0), x_state_special(0.7)):
+        for check in validate(rho.mat, 2, 2).checks:
+            assert check.residual >= 0.0 and np.copysign(1.0, check.residual) == 1.0
+
+
 def test_validate_reports_psd_failure():
     mat = np.diag([1.5, -0.5, 0.0, 0.0])
     report = validate(mat, 2, 2)
