@@ -251,12 +251,10 @@ def family_pair_observables(
     key = _check_pair(pair)
     p = float(p)
     if family == "bell_diagonal_special":
-        r = np.array([1.0 - 2.0 * p, -p, -p])
-        order = np.argsort(-np.abs(r), kind="stable")
-        axes = "xyz"
-        first = pauli_observable(axes[order[0]])
-        second = pauli_observable(axes[order[1]] if key == "xy" else axes[order[2]])
-        return first, second
+        r = {"x": 1.0 - 2.0 * p, "y": -p, "z": -p}
+        # Python's sort is stable, so ties keep x, y, z order.
+        order = sorted(r, key=lambda axis: -abs(r[axis]))
+        return pauli_observable(order[0]), pauli_observable(order[1 if key == "xy" else 2])
     if family == "xstate":
         return pauli_observable("x"), pauli_observable("y" if key == "xy" else "z")
     raise ValueError(f"no preset observables for family {family!r}")

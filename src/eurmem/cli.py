@@ -18,6 +18,7 @@ deterministic: identical inputs give byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -40,9 +41,9 @@ from .states import (
 SWEEP_HEADER = "p,q_mu,s_cond,i_ab,i_xb,i_zb,delta,bound_berta,bound_pati,bound_ours,actual"
 _SWEEP_FIELDS = SWEEP_HEADER.split(",")
 # Largest sweep accepted, in rows: p_step 1e-5 over [0, 1].  Each row runs
-# the J_A optimizer and the bounds, about 0.15-0.2 ms on a family state with
-# one pair (10 001-row sweeps take 1.7-2.0 s, start-up included, on a 2-vCPU
-# x86-64 host), so this is already 15-20 s of work.
+# the J_A optimizer and the bounds, about 0.1-0.13 ms on a family state with
+# one pair (10 001-row sweeps take 1.3-1.6 s, start-up included, on a 2-vCPU
+# x86-64 host), so this is already 10-13 s of work.
 MAX_SWEEP_ROWS = 100_001
 # A sweep is evaluated as stacks of this many states (one spectra pass each),
 # so that its memory does not grow with its length.
@@ -209,6 +210,9 @@ def _sweep_pairs(family: str, pairs) -> list:
     resolved = []
     for i, entry in enumerate(pairs):
         if entry in ("xy", "xz"):
+            # Resolved once here, so that a family without preset
+            # observables fails before any state is built.
+            family_pair_observables(family, 0.0, entry)
             resolved.append(
                 lambda ps, label=entry: tuple(
                     zip(*(family_pair_observables(family, p, label) for p in ps))
@@ -229,10 +233,10 @@ def cmd_sweep(args) -> int:
     spec, out = _sweep_spec(args)
     ps = _sweep_grid(spec["p_start"], spec["p_end"], spec["p_step"])
     family = spec["family"]
-    pairs = _sweep_pairs(family, spec.get("pairs"))
     if not isinstance(family, str) or family not in ONE_PARAMETER_FAMILIES:
         names = sorted(ONE_PARAMETER_FAMILIES)
         raise ValueError(f"sweep family must be one of {names}, got {family!r}")
+    pairs = _sweep_pairs(family, spec.get("pairs"))
     cfg = _optimizer_config(args)
     tables = [[SWEEP_HEADER] for _ in pairs]
     for start in range(0, len(ps), SWEEP_BLOCK_ROWS):
@@ -304,7 +308,10 @@ def _render_flat_report(report, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and each call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="eurmem",
         description="Entropic uncertainty lower bounds in the presence of quantum memory.",

@@ -22,7 +22,8 @@ all rows; the bounds and application numbers are arithmetic on it.
 ``evaluate_stack`` and ``classical_correlation_stack``, and a row's numbers
 do not depend on the rows around it.  A caller bounds memory by the stacks
 it builds (the CLI sweeps in blocks of 128 rows); the J_A search bounds its
-own, with at most ``_CALL_DIRECTIONS`` directions per objective call.
+own, with at most ``_CALL_DIRECTIONS`` directions per objective call and at
+most ``_CLIMB_ROWS`` rows per climb block.
 
 The classical-correlation optimizer searches rank-1 projective qubit
 measurements parameterized by a Bloch direction: a coarse 12 x 24
@@ -30,7 +31,9 @@ hemisphere grid, then a trust-region Newton ascent on the unit sphere from
 each of the grid's local maxima (at most three).  Each ascent step takes
 the gradient and Hessian from a 9-point finite-difference stencil in a
 tangent chart, and the stencils of all ascents share one objective call.
-On a stack, a block of rows shares the grid call and each ascent round.
+On a stack, the grids of up to 16 rows share one objective call, and a
+climb block of up to 170 rows has one peak pass and one ascent loop, whose
+rounds each make one objective call for all its rows.
 For two qubits the objective is evaluated in the real Pauli-correlation
 form of the state (a few 3-vector operations per direction); for dB >= 3
 it diagonalizes the conditional states of B with LAPACK.  It reports a
@@ -452,43 +455,66 @@ def _hemisphere_grid(grid_theta: int, grid_phi: int):
 _AXIS_EPS = 1e-12
 
 
-def _canonical_direction(n: np.ndarray) -> np.ndarray:
-    """Pick the representative of {n, -n} in the upper closed hemisphere."""
-    n = n / np.linalg.norm(n)
-    if n[2] < -_AXIS_EPS:
-        return -n
-    if abs(n[2]) <= _AXIS_EPS:
-        if n[0] < -_AXIS_EPS:
-            return -n
-        if abs(n[0]) <= _AXIS_EPS and n[1] < 0.0:
-            return -n
+def _canonical_directions(directions: np.ndarray) -> np.ndarray:
+    """Normalize each row of (B, 3) directions and pick the representative
+    of {n, -n} in the upper closed hemisphere.  Each row's squared norm is
+    the dot product that ``np.linalg.norm`` of that row alone takes, bit for
+    bit, not a sum of squares."""
+    n = directions / np.sqrt(directions[:, None, :] @ directions[:, :, None])[:, 0]
+    for row, (x, y, z) in zip(n, n.tolist()):
+        if z < -_AXIS_EPS or abs(z) <= _AXIS_EPS and (
+            x < -_AXIS_EPS or abs(x) <= _AXIS_EPS and y < 0.0
+        ):
+            row *= -1.0
     return n
+
+
+def _sphere_padded(grid: np.ndarray) -> np.ndarray:
+    """A hemisphere grid, or each grid of a stack (..., rows, cols), padded by
+    one cell on each side with the sphere's topology.
+
+    The grid has rows theta = 0 ... pi/2 and columns phi = 0 ... 2 pi: phi
+    wraps around; the row above the pole row is itself (the pole is one
+    point); the row beyond the equator is the row before it turned by pi
+    (theta -> pi - theta with n -> -n, the same measurement).
+    """
+    rows, cols = grid.shape[-2:]
+    half = cols // 2
+    ext = np.empty(grid.shape[:-2] + (rows + 2, cols + 2), grid.dtype)
+    ext[..., 1:-1, 1:-1] = grid
+    ext[..., 0, 1:-1] = grid[..., 0, :]
+    ext[..., -1, 1 : half + 1] = grid[..., -2, half:]
+    ext[..., -1, half + 1 : -1] = grid[..., -2, :half]
+    ext[..., 0] = ext[..., -2]
+    ext[..., -1] = ext[..., 1]
+    return ext
 
 
 @lru_cache(maxsize=8)
 def _sphere_neighbours(rows: int, cols: int) -> np.ndarray:
     """Flat indices of the 3 x 3 neighbourhood of each cell of a hemisphere
     grid, shape (9, rows * cols); see ``_sphere_neighbourhood``."""
-    index = np.arange(rows * cols).reshape(rows, cols)
-    ext = np.vstack([index[:1], index, np.roll(index[-2], cols // 2)])
-    ext = np.hstack([ext[:, -1:], ext, ext[:, :1]])
+    ext = _sphere_padded(np.arange(rows * cols).reshape(rows, cols))
     return np.stack([ext[i : i + rows, j : j + cols].ravel() for i in range(3) for j in range(3)])
 
 
 def _sphere_neighbourhood(grid: np.ndarray, reduce) -> np.ndarray:
     """``reduce`` over the 3 x 3 neighbourhood of each cell of a hemisphere
-    grid, or of each grid of a stack (..., rows, cols).
+    grid, or of each grid of a stack (..., rows, cols), on the sphere (see
+    ``_sphere_padded``).
 
-    The grid has rows theta = 0 ... pi/2 and columns phi = 0 ... 2 pi, with
-    the sphere's topology: phi wraps around; the pole row is one cell, whose
-    neighbourhood is all of row 1; the row beyond the equator is the row
-    before it turned by pi (theta -> pi - theta with n -> -n, the same
-    measurement).  Each equator cell is also the same point as its antipode
-    grid_phi / 2 columns away, with the same neighbourhood.
+    The pole row is one cell, whose neighbourhood is all of row 1, and each
+    equator cell is the same point as its antipode grid_phi / 2 columns
+    away, with the same neighbourhood.  ``reduce`` is a binary ufunc,
+    applied along phi and then along theta to shifted slices of the padded
+    grid: the neighbourhoods are never gathered, so the working memory is three
+    copies of the input.
     """
-    rows, cols = grid.shape[-2:]
-    cells = grid.reshape(grid.shape[:-2] + (rows * cols,))[..., _sphere_neighbours(rows, cols)]
-    out = reduce.reduce(cells, axis=-2).reshape(grid.shape)
+    ext = _sphere_padded(grid)
+    across = reduce(ext[..., :-2], ext[..., 1:-1])
+    reduce(across, ext[..., 2:], out=across)
+    out = reduce(across[..., :-2, :], across[..., 1:-1, :])
+    reduce(out, across[..., 2:, :], out=out)
     out[..., 0, :] = reduce.reduce(out[..., 0, :], axis=-1, keepdims=True)
     return out
 
@@ -509,35 +535,37 @@ def _grid_peaks(values: np.ndarray) -> list[np.ndarray]:
     # each, whatever their rounding.
     peak[:, 0] = peak[:, 0].any(axis=1, keepdims=True)
     peak[:, -1, :half] = peak[:, -1, half:] = peak[:, -1, :half] | peak[:, -1, half:]
-    # Label propagation among the maxima alone, over all grids at once (a
-    # neighbourhood stays inside its grid): each label is the position in
-    # ``cells`` of a maximum connected to it, the lowest once it settles.
-    # The copies of the pole and of each equator point start with one label;
-    # neighbours that are no maxima point at a sentinel that never wins.
     cells = np.flatnonzero(peak)
     grid, local = np.divmod(cells, size)
     total = len(cells)
-    if total == count:
-        # One maximum per grid (each grid's highest cell is one).
-        return np.split(local, count)
-    position = np.full(count * size, total)
-    position[cells] = np.arange(total)
-    neighbours = position[_sphere_neighbours(rows, cols)[:, local] + grid * size]
-    index = np.arange(size).reshape(rows, cols)
-    index[0] = 0
-    index[-1, half:] = index[-1, :half]
-    labels = np.append(position[index.ravel()[local] + grid * size], total)
-    while True:
-        spread = labels.take(neighbours).min(axis=0)
-        while not np.array_equal(jumped := spread[spread], spread):
-            spread = jumped
-        if np.array_equal(spread, labels[:total]):
-            break
-        labels[:total] = spread
-    order = np.lexsort((-values.ravel()[cells], grid))
-    _, first = np.unique(labels[order], return_index=True)
-    best = order[np.sort(first)]
-    return np.split(local[best], np.searchsorted(grid[best], np.arange(1, count)))
+    if total > count:
+        # Some grid has several maxima (each has at least its highest cell).
+        # Label propagation among the maxima alone, over all grids at once
+        # (a neighbourhood stays inside its grid): each label is the position
+        # in ``cells`` of a maximum connected to it, the lowest once it
+        # settles.  The copies of the pole and of each equator point start
+        # with one label; neighbours that are no maxima point at a sentinel
+        # that never wins.
+        position = np.full(count * size, total)
+        position[cells] = np.arange(total)
+        neighbours = position[_sphere_neighbours(rows, cols)[:, local] + grid * size]
+        index = np.arange(size).reshape(rows, cols)
+        index[0] = 0
+        index[-1, half:] = index[-1, :half]
+        labels = np.append(position[index.ravel()[local] + grid * size], total)
+        while True:
+            spread = labels.take(neighbours).min(axis=0)
+            while not np.array_equal(jumped := spread[spread], spread):
+                spread = jumped
+            if np.array_equal(spread, labels[:total]):
+                break
+            labels[:total] = spread
+        order = np.lexsort((-values.ravel()[cells], grid))
+        _, first = np.unique(labels[order], return_index=True)
+        best = order[np.sort(first)]
+        grid, local = grid[best], local[best]
+    bounds = np.searchsorted(grid, np.arange(count + 1)).tolist()
+    return [local[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _tangent_frame(x: float, y: float, z: float):
@@ -649,23 +677,31 @@ def _ascent(value: float, direction: np.ndarray, radius: float):
     return best, rounds
 
 
-# Directions per objective call: a block of rows shares one grid call, and
-# holds as many rows as leaves room for their grids and for the stencils of
-# their ascents (one row, its grid split into calls of this size, when a
-# grid is larger).
+# Directions per objective call, at most: a grid call holds the grids of as
+# many rows as fit (16 rows of the default grid; one row, its grid split
+# into calls of this size, when a grid is larger).
 _CALL_DIRECTIONS = 16 * 288
+# Rows per climb block: the rows whose grid peaks are found in one pass and
+# whose ascents share each round's objective call, as many as leave room
+# for the stencils of all their starts in one call (170 rows).  A block of
+# a larger grid holds fewer rows, so that its grid values take no more
+# memory than those of the default grid.
+_CLIMB_ROWS = _CALL_DIRECTIONS // (len(_STENCIL) * _MAX_STARTS)
+_CLIMB_VALUES = _CLIMB_ROWS * OptimizerConfig.grid_theta * OptimizerConfig.grid_phi
 
 
 def _search(objective, count: int, cfg: OptimizerConfig) -> list[tuple]:
     """Grid search, then trust-region Newton ascent from every grid peak, of
     ``objective`` (see ``_general_objective``) on each of ``count`` state rows.
 
-    The rows go in blocks that share one grid call.  Each row's grid maxima
-    (``_grid_peaks``, at most ``_MAX_STARTS``, best first) each start an
-    ``_ascent`` with a radius of one grid row, and every round evaluates the
-    9-point stencils of all active ascents of the block in one objective
-    call (``_climb``).  Each ascent's result is the best stencil value it
-    saw, the Holevo quantity of a real measurement, so J_A never exceeds the
+    The rows go in climb blocks of up to ``_CLIMB_ROWS``.  A block's grid
+    values come from calls of at most ``_CALL_DIRECTIONS`` directions, and
+    one ``_grid_peaks`` pass finds the maxima of all its rows (at most
+    ``_MAX_STARTS`` a row, best first).  Each maximum starts an ``_ascent``
+    with a radius of one grid row, and every round evaluates the 9-point
+    stencils of all active ascents of the block in one objective call
+    (``_climb``).  Each ascent's result is the best stencil value it saw,
+    the Holevo quantity of a real measurement, so J_A never exceeds the
     truth.  A row's first ascent wins unless a later one ends more than
     ``IMPROVE_ATOL`` higher.  Returns (value, direction, grid maximum,
     stencil rounds of all the row's ascents) per row.
@@ -673,26 +709,31 @@ def _search(objective, count: int, cfg: OptimizerConfig) -> list[tuple]:
     _, dirs = _hemisphere_grid(cfg.grid_theta, cfg.grid_phi)
     size = dirs.shape[1]
     radius = (np.pi / 2.0) / (cfg.grid_theta - 1)
-    block = max(1, _CALL_DIRECTIONS // max(size, len(_STENCIL) * _MAX_STARTS))
+    block = max(1, min(_CLIMB_ROWS, _CLIMB_VALUES // size))
+    grid_rows = max(1, _CALL_DIRECTIONS // size)
     chunk = min(size, _CALL_DIRECTIONS)
     found = []
     for start in range(0, count, block):
-        rows = slice(start, min(start + block, count))
-        values = np.hstack(
-            [objective(rows, dirs[:, None, k : k + chunk]) for k in range(0, size, chunk)]
-        )
+        stop = min(start + block, count)
+        values = np.empty((stop - start, size))
+        for first in range(start, stop, grid_rows):
+            last = min(first + grid_rows, stop)
+            for k in range(0, size, chunk):
+                values[first - start : last - start, k : k + chunk] = objective(
+                    slice(first, last), dirs[:, None, k : k + chunk]
+                )
         peaks = _grid_peaks(values.reshape(-1, cfg.grid_theta, cfg.grid_phi))
         ascents = [
             [_ascent(float(v[k]), dirs[:, k], radius) for k in cells[:_MAX_STARTS]]
             for v, cells in zip(values, peaks)
         ]
-        results = _climb(objective, rows.start, ascents)
-        for v, row in zip(values, ascents):
+        results = _climb(objective, start, ascents)
+        for grid_best, row in zip(values.max(axis=1).tolist(), ascents):
             (value, direction), _ = results[row[0]]
             for (later, at), _ in (results[a] for a in row[1:]):
                 if later > value + IMPROVE_ATOL:
                     value, direction = later, at
-            found.append((value, direction, float(v.max()), sum(results[a][1] for a in row)))
+            found.append((value, direction, grid_best, sum(results[a][1] for a in row)))
     return found
 
 
@@ -740,16 +781,16 @@ def classical_correlation_stack(
     cfg = config or OptimizerConfig()
     e = _state_entropies(states)
     build = _two_qubit_objective if states.dB == 2 else _general_objective
+    found = _search(build(states, e.s_b), len(states), cfg)
+    directions = _canonical_directions(np.array([row[1] for row in found]).reshape(-1, 3))
     reports = []
-    for i_ab, (value, direction, grid_best, rounds) in zip(
-        e.i_ab.tolist(), _search(build(states, e.s_b), len(states), cfg)
-    ):
+    for i_ab, (value, _, grid_best, rounds), direction in zip(e.i_ab.tolist(), found, directions):
         j_a = max(value, 0.0)
         reports.append(
             CorrelationReport(
                 classical_correlation=j_a,
                 discord=i_ab - j_a,
-                optimal_direction=_canonical_direction(direction),
+                optimal_direction=direction,
                 grid_best=grid_best,
                 refined_best=value,
                 iterations=rounds,

@@ -280,3 +280,14 @@ def test_family_pair_observables_sorted_axes():
     assert (x.label(), z.label()) == ("sigma_y", "sigma_x")
     x, z = family_pair_observables("xstate", 0.8, "xz")
     assert (x.label(), z.label()) == ("sigma_x", "sigma_z")
+
+
+def test_family_pair_observables_matches_the_stable_argsort_rule():
+    ps = list(np.linspace(0.0, 1.0, 1001)) + [1.0 / 3.0]
+    ps += [np.nextafter(1.0 / 3.0, 0.0), np.nextafter(1.0 / 3.0, 1.0)]
+    for p in ps:
+        order = np.argsort(-np.abs(np.array([1.0 - 2.0 * p, -p, -p])), kind="stable")
+        want = {"xy": order[[0, 1]], "xz": order[[0, 2]]}
+        for pair, axes in want.items():
+            got = family_pair_observables("bell_diagonal_special", p, pair)
+            assert [obs.label() for obs in got] == [f"sigma_{'xyz'[k]}" for k in axes], (p, pair)

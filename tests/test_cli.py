@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from eurmem import cli
 from eurmem.bounds import bounds_report
 from eurmem.cli import (
     MAX_SWEEP_ROWS,
@@ -18,11 +19,14 @@ from eurmem.cli import (
     VALIDATE_CSV_HEADER,
     _fmt,
     _sweep_grid,
+    build_parser,
     main,
 )
 from eurmem.infoquant import MAX_GRID_POINTS, binary_entropy, classical_correlation
 from eurmem.measure import pauli_observable
-from eurmem.states import from_spec, werner
+from eurmem.states import from_spec, to_spec, werner
+
+from helpers import random_density_matrix
 
 
 def run_cli(capsys, *argv):
@@ -489,3 +493,37 @@ def test_sweep_spanning_row_blocks_matches_per_row_reports(tmp_path, capsys):
     # 1001-row sweep peaks at most 1.5 times as high as a 101-row one.
     sweep(0.01, "warm")
     assert traced_peak(0.001, "long") <= 1.5 * traced_peak(0.01, "short")
+
+
+def test_parser_is_built_once_and_keeps_no_parsed_state(capsys):
+    # a generic state, whose grid maximum depends on the grid
+    state = json.dumps(to_spec(random_density_matrix(np.random.default_rng(3))))
+    assert build_parser() is build_parser()
+    code, wide, _ = run_cli(capsys, "discord", "--state", state, "--grid-theta", "20", "--grid-phi", "40")
+    assert code == 0
+    code, default, _ = run_cli(capsys, "discord", "--state", state)
+    assert code == 0
+    build_parser.cache_clear()
+    code, fresh, _ = run_cli(capsys, "discord", "--state", state)
+    assert code == 0
+    assert default == fresh != wide
+    assert json.loads(wide)["grid_best"] != json.loads(fresh)["grid_best"]
+
+
+def test_sweep_pair_label_for_a_family_without_presets_fails_at_entry(
+    capsys, tmp_path, monkeypatch
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sweep ran before its pairs were checked")
+
+    monkeypatch.setattr(cli, "classical_correlation_stack", unreachable)
+    monkeypatch.setattr(cli, "family_stack", unreachable)
+    spec = {"family": "werner", "p_start": 0.0, "p_end": 1.0, "p_step": 0.01, "pairs": ["xy"]}
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    code, _, err = run_cli(
+        capsys, "sweep", "--spec", str(spec_path), "--out", str(tmp_path / "x.csv")
+    )
+    assert code == 2
+    assert err == "error: no preset observables for family 'werner'\n"
+    assert not list(tmp_path.glob("x*.csv"))

@@ -23,6 +23,7 @@ from eurmem.infoquant import (
     _grid_peaks,
     _hemisphere_grid,
     _search,
+    _sphere_neighbourhood,
     _state_entropies,
     _trust_step,
     _two_qubit_objective,
@@ -475,6 +476,38 @@ def _synthetic_grids(shape):
 def _peaks(values):
     """``_grid_peaks`` of one grid, as a one-grid stack."""
     return _grid_peaks(values[None])[0]
+
+
+def _neighbourhood_cells(i, j, rows, cols):
+    """The grid cells around (i, j), written out: phi wraps, the row above
+    the pole row is itself, and the row beyond the equator is the row before
+    it turned by pi."""
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            ii, jj = max(i + di, 0), (j + dj) % cols
+            if ii == rows:
+                ii, jj = rows - 2, (jj + cols // 2) % cols
+            yield ii, jj
+
+
+@pytest.mark.parametrize("reduce", [np.maximum, np.minimum])
+def test_sphere_neighbourhood_reduces_every_neighbour(reduce):
+    rng = np.random.default_rng(29)
+    for rows, cols in ((12, 24), (5, 8)):
+        grids = rng.normal(size=(3, rows, cols))
+        got = _sphere_neighbourhood(grids, reduce)
+        for grid, out in zip(grids, got):
+            want = np.array(
+                [
+                    [reduce.reduce([grid[c] for c in _neighbourhood_cells(i, j, rows, cols)])
+                     for j in range(cols)]
+                    for i in range(rows)
+                ]
+            )
+            # the pole row is one cell, whose neighbourhood is rows 0 and 1
+            want[0] = reduce.reduce(want[0])
+            np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(_sphere_neighbourhood(grids[0], reduce), got[0])
 
 
 def test_grid_peaks_follow_the_sphere():

@@ -9,9 +9,19 @@ matrix products go through the same kernel).
 import numpy as np
 import pytest
 
+from eurmem import infoquant
 from eurmem.apps import applications_report, applications_table
 from eurmem.bounds import bounds_report, bounds_table
-from eurmem.infoquant import classical_correlation, classical_correlation_stack, evaluate
+from eurmem.infoquant import (
+    _CALL_DIRECTIONS,
+    _CLIMB_ROWS,
+    OptimizerConfig,
+    _canonical_directions,
+    _hemisphere_grid,
+    classical_correlation,
+    classical_correlation_stack,
+    evaluate,
+)
 from eurmem.measure import pauli_observable
 from eurmem.states import (
     ONE_PARAMETER_FAMILIES,
@@ -99,6 +109,95 @@ def test_stack_rows_do_not_depend_on_row_order(name, states):
     )
     for key, column in forward.items():
         np.testing.assert_array_equal(column, backward[key][::-1], err_msg=key)
+
+
+def _counted_search(monkeypatch):
+    """Count the J_A search's work: the directions of each objective call,
+    and the ``_grid_peaks`` and ``_climb`` passes."""
+    seen = {"directions": [], "_grid_peaks": 0, "_climb": 0}
+    for name in ("_two_qubit_objective", "_general_objective"):
+
+        def build(states, s_b, build=getattr(infoquant, name)):
+            objective = build(states, s_b)
+
+            def counted(rows, dirs):
+                values = objective(rows, dirs)
+                seen["directions"].append(values.size)
+                return values
+
+            return counted
+
+        monkeypatch.setattr(infoquant, name, build)
+    for name in ("_grid_peaks", "_climb"):
+
+        def counted(*args, name=name, run=getattr(infoquant, name)):
+            seen[name] += 1
+            return run(*args)
+
+        monkeypatch.setattr(infoquant, name, counted)
+    return seen
+
+
+@pytest.mark.parametrize("family", ["bell_diagonal_special", "xstate", "werner"])
+def test_a_preset_stack_takes_one_peak_pass_and_one_ascent_loop(monkeypatch, family):
+    seen = _counted_search(monkeypatch)
+    classical_correlation_stack(family_stack(family, np.linspace(0.0, 1.0, 101)))
+    assert seen["_grid_peaks"] == seen["_climb"] == 1
+    # seven grid calls of at most 16 rows, then the ascent rounds
+    assert seen["directions"][:7] == [16 * 288] * 6 + [5 * 288]
+    assert max(seen["directions"]) <= _CALL_DIRECTIONS
+
+
+def test_climb_blocks_keep_every_row_of_a_long_stack(monkeypatch):
+    states = _random_corpus(2, 400, 17)
+    singles = [_correlation_fields(classical_correlation(rho)) for rho in states]
+    seen = _counted_search(monkeypatch)
+    corr = classical_correlation_stack(_stack(states))
+    assert _CLIMB_ROWS == 170
+    assert seen["_grid_peaks"] == seen["_climb"] == 3
+    assert max(seen["directions"]) <= _CALL_DIRECTIONS
+    for k, one in enumerate(singles):
+        _assert_rows_match(_correlation_fields(corr[k]), one, f"row {k}")
+
+
+@pytest.mark.parametrize("dB", [2, 4])
+def test_a_grid_above_the_call_cap_is_split(monkeypatch, dB):
+    cfg = OptimizerConfig(60, 120)
+    states = _random_corpus(dB, 8, 19)
+    singles = [_correlation_fields(classical_correlation(rho, cfg)) for rho in states]
+    seen = _counted_search(monkeypatch)
+    classical_correlation(states[0], cfg)
+    assert seen["directions"][:2] == [_CALL_DIRECTIONS, 7200 - _CALL_DIRECTIONS]
+    assert max(seen["directions"]) <= _CALL_DIRECTIONS
+    corr = classical_correlation_stack(_stack(states), cfg)
+    assert max(seen["directions"]) <= _CALL_DIRECTIONS
+    for k, one in enumerate(singles):
+        _assert_rows_match(_correlation_fields(corr[k]), one, f"row {k}")
+
+
+def _canonical_row(n):
+    """The per-row rule: normalize, then the representative of {n, -n} in
+    the upper closed hemisphere."""
+    n = n / np.linalg.norm(n)
+    eps = 1e-12
+    if n[2] < -eps or abs(n[2]) <= eps and (n[0] < -eps or abs(n[0]) <= eps and n[1] < 0.0):
+        return -n
+    return n
+
+
+def test_canonical_directions_equal_the_per_row_rule():
+    rng = np.random.default_rng(23)
+    random = rng.normal(size=(20000, 3))
+    unit = random / np.sqrt((random * random).sum(axis=1, keepdims=True))
+    near_zero = (-1e-11, -1e-12, -1e-13, -0.0, 0.0, 1e-13, 1e-12, 1e-11)
+    edges = [[x, y, z] for x in near_zero + (-1.0, 1.0) for y in (-1.0, 0.0, 1.0)
+             for z in near_zero if abs(x) + abs(y) > 0.0]
+    grid = _hemisphere_grid(12, 24)[1].T
+    for directions in (random, unit, np.array(edges), grid, -grid):
+        got = _canonical_directions(directions)
+        want = np.array([_canonical_row(n) for n in directions])
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_evaluate_is_the_row_of_a_one_row_stack():
