@@ -490,14 +490,6 @@ def _sphere_padded(grid: np.ndarray) -> np.ndarray:
     return ext
 
 
-@lru_cache(maxsize=8)
-def _sphere_neighbours(rows: int, cols: int) -> np.ndarray:
-    """Flat indices of the 3 x 3 neighbourhood of each cell of a hemisphere
-    grid, shape (9, rows * cols); see ``_sphere_neighbourhood``."""
-    ext = _sphere_padded(np.arange(rows * cols).reshape(rows, cols))
-    return np.stack([ext[i : i + rows, j : j + cols].ravel() for i in range(3) for j in range(3)])
-
-
 def _sphere_neighbourhood(grid: np.ndarray, reduce) -> np.ndarray:
     """``reduce`` over the 3 x 3 neighbourhood of each cell of a hemisphere
     grid, or of each grid of a stack (..., rows, cols), on the sphere (see
@@ -526,42 +518,40 @@ def _grid_peaks(values: np.ndarray) -> list[np.ndarray]:
     A cell is a maximum when no neighbour exceeds it by more than
     ``IMPROVE_ATOL``; a connected set of maxima (a plateau, the pole row or
     an antipodal equator pair) counts once, at its best cell.  Ties go to
-    the lowest flat index.
+    the lowest flat index.  Both the peak test and the merging of connected
+    maxima take their neighbourhoods from ``_sphere_neighbourhood``.
     """
     count, rows, cols = values.shape
-    size, half = rows * cols, cols // 2
+    half = cols // 2
     peak = values >= _sphere_neighbourhood(values, np.maximum) - IMPROVE_ATOL
     # The pole row, and an equator cell with its antipode, are one point
     # each, whatever their rounding.
     peak[:, 0] = peak[:, 0].any(axis=1, keepdims=True)
     peak[:, -1, :half] = peak[:, -1, half:] = peak[:, -1, :half] | peak[:, -1, half:]
     cells = np.flatnonzero(peak)
-    grid, local = np.divmod(cells, size)
+    grid, local = np.divmod(cells, rows * cols)
     total = len(cells)
     if total > count:
         # Some grid has several maxima (each has at least its highest cell).
-        # Label propagation among the maxima alone, over all grids at once
-        # (a neighbourhood stays inside its grid): each label is the position
-        # in ``cells`` of a maximum connected to it, the lowest once it
-        # settles.  The copies of the pole and of each equator point start
-        # with one label; neighbours that are no maxima point at a sentinel
-        # that never wins.
-        position = np.full(count * size, total)
-        position[cells] = np.arange(total)
-        neighbours = position[_sphere_neighbours(rows, cols)[:, local] + grid * size]
-        index = np.arange(size).reshape(rows, cols)
-        index[0] = 0
-        index[-1, half:] = index[-1, :half]
-        labels = np.append(position[index.ravel()[local] + grid * size], total)
+        # A maximum is labelled by its position in ``cells`` (an equator cell
+        # by its antipode's), other cells by ``total``, which never wins, in
+        # the smallest type that holds it.  Each round takes the neighbourhood
+        # minimum of all label grids and jumps labels among the maxima, until
+        # a round changes nothing: each connected set then holds its lowest.
+        flat = np.full(count * rows * cols, total, dtype=np.min_scalar_type(total))
+        flat[cells] = np.arange(total)
+        labels = flat.reshape(values.shape)
+        labels[:, -1, half:] = labels[:, -1, :half]
+        settled = flat[cells]
         while True:
-            spread = labels.take(neighbours).min(axis=0)
+            spread = _sphere_neighbourhood(labels, np.minimum).ravel()[cells]
             while not np.array_equal(jumped := spread[spread], spread):
                 spread = jumped
-            if np.array_equal(spread, labels[:total]):
+            if np.array_equal(spread, settled):
                 break
-            labels[:total] = spread
+            flat[cells] = settled = spread
         order = np.lexsort((-values.ravel()[cells], grid))
-        _, first = np.unique(labels[order], return_index=True)
+        _, first = np.unique(settled[order], return_index=True)
         best = order[np.sort(first)]
         grid, local = grid[best], local[best]
     bounds = np.searchsorted(grid, np.arange(count + 1)).tolist()

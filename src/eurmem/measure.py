@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .matops import projector, tensor
-from .states import DensityMatrix
+from .states import DensityMatrix, complex_matrix
 
 __all__ = [
     "ORTHO_ATOL",
@@ -151,16 +151,13 @@ def observable_from_spec(doc) -> ProjectiveObservable:
     if not isinstance(doc, dict):
         raise ValueError("observable specification must be a JSON object or a name")
     if "named" in doc:
+        if not isinstance(doc["named"], str):
+            raise ValueError(f"observable 'named' entry must be a Pauli name, got {doc['named']!r}")
         return pauli_observable(doc["named"])
     if "bloch" in doc:
         return observable_from_bloch(doc["bloch"])
     if "basis" in doc:
-        entry = doc["basis"]
-        re = np.asarray(entry["re"], dtype=float)
-        im = np.asarray(entry.get("im", np.zeros_like(re)), dtype=float)
-        if re.shape != im.shape:
-            raise ValueError("observable basis 're' and 'im' parts have different shapes")
-        return observable_from_basis(re + 1j * im)
+        return observable_from_basis(complex_matrix(doc["basis"], "observable basis"))
     raise ValueError("observable specification needs a 'named', 'bloch' or 'basis' entry")
 
 

@@ -120,8 +120,9 @@ _INVARIANTS = (("finite", 0.0), ("hermitian", HERM_ATOL), ("trace", TRACE_ATOL),
 _LIMITS = np.array([tol for _, tol in _INVARIANTS])
 
 
-def _residuals(mats: np.ndarray) -> np.ndarray:
-    """Residuals of the ``_INVARIANTS`` of each matrix of a (P, n, n) stack, shape (P, 4).
+def _residuals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the ``_INVARIANTS`` of each matrix of a (P, n, n) stack, shape
+    (P, 4), and the ascending eigenvalues of their Hermitian parts, shape (P, n).
 
     The finite residual counts NaN and inf entries; a row that has any is
     judged on that alone, and its other residuals are those of the row with
@@ -134,30 +135,28 @@ def _residuals(mats: np.ndarray) -> np.ndarray:
     adjoint = mats.conj().swapaxes(1, 2)
     herm = np.abs(mats - adjoint).max(axis=(1, 2))
     trace = np.abs(np.trace(mats, axis1=1, axis2=2) - 1.0)
-    sym = 0.5 * (mats + adjoint)
-    lowest = np.linalg.eigh(sym)[0][:, 0]
-    skew = herm > HERM_ATOL
-    if skew.any():
-        # Eigenvalues of the symmetrized part still diagnose gross PSD failure.
-        lowest[skew] = np.linalg.eigvalsh(sym[skew])[:, 0]
-    return np.column_stack([nonfinite, herm, trace, np.where(lowest < 0.0, -lowest, 0.0)])
+    # The eigenvalues ``hermitian_eigvals`` gives, bit for bit.
+    spectra = np.linalg.eigvalsh(0.5 * (mats + adjoint))
+    psd = np.where(spectra[:, 0] < 0.0, -spectra[:, 0], 0.0)
+    return np.column_stack([nonfinite, herm, trace, psd]), spectra
 
 
-def _stack_report(mats: np.ndarray, dA: int, dB: int) -> ValidationReport:
+def _stack_report(mats: np.ndarray, dA: int, dB: int) -> tuple[ValidationReport, np.ndarray | None]:
     """The invariant report of the first row of a (P, n, n) stack that fails
-    one, or of row 0 when all pass; a wrong shape fails the whole stack."""
+    one, or of row 0 when all pass; a wrong shape fails the whole stack.
+    Also returns the eigenvalues of ``_residuals`` (None for a wrong shape)."""
     square = mats.ndim == 3 and mats.shape[1] == mats.shape[2]
     dim_ok = square and mats.shape[1] == dA * dB
     shape_residual = 0.0 if dim_ok else float(abs((mats.shape[1] if square else -1) - dA * dB))
     checks = [InvariantCheck("shape", dim_ok, shape_residual, 0.0)]
+    residuals, spectra = _residuals(mats) if dim_ok else (None, None)
     if dim_ok and len(mats):
-        residuals = _residuals(mats)
         row = residuals[(residuals > _LIMITS).any(axis=1).argmax()].tolist()
         for (name, tol), residual in zip(_INVARIANTS, row):
             checks.append(InvariantCheck(name, residual <= tol, residual, tol))
             if name == "finite" and residual > tol:
                 break
-    return ValidationReport(tuple(checks))
+    return ValidationReport(tuple(checks)), spectra
 
 
 def validate(mat, dA: int, dB: int) -> ValidationReport:
@@ -168,7 +167,7 @@ def validate(mat, dA: int, dB: int) -> ValidationReport:
     semidefiniteness).  The finite residual counts NaN and inf entries.
     Never raises on a bad state; construction raises, this reports.
     """
-    return _stack_report(np.asarray(mat, dtype=complex)[None], dA, dB)
+    return _stack_report(np.asarray(mat, dtype=complex)[None], dA, dB)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,19 +175,21 @@ class StateStack:
     """P bipartite states rho^AB of one shape, a (P, dA dB, dA dB) array.
 
     Each row is validated at construction as a :class:`DensityMatrix` is;
-    the first row that fails raises its ``StateValidationError``.  The
-    spectra of rho^AB, rho^A and rho^B are computed once, on first use.
+    the first row that fails raises its ``StateValidationError``.  Each
+    spectrum is computed once: rho^AB's by the validation, the others on first use.
     """
 
     mats: np.ndarray
     dA: int
     dB: int
+    _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mats = np.array(self.mats, dtype=complex)
         object.__setattr__(self, "mats", mats)
-        failure = _stack_report(mats, self.dA, self.dB).first_failure()
-        if failure is not None:
+        report, spectrum = _stack_report(mats, self.dA, self.dB)
+        object.__setattr__(self, "_spectrum", spectrum)
+        if (failure := report.first_failure()) is not None:
             raise StateValidationError(
                 failure.name,
                 failure.residual,
@@ -211,7 +212,7 @@ class StateStack:
     def spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ascending eigenvalues of rho^AB, rho^A and rho^B, one row per state
         (read-only: every caller shares them)."""
-        spectra = tuple(hermitian_eigvals(m) for m in (self.mats, self.reduced_a(), self.reduced_b()))
+        spectra = (self._spectrum, *map(hermitian_eigvals, (self.reduced_a(), self.reduced_b())))
         for w in spectra:
             w.flags.writeable = False
         return spectra
@@ -386,18 +387,28 @@ def family_stack(name: str, ps) -> StateStack:
     return StateStack(_STACK_BUILDERS[name](p[:, None, None]), 2, 2)
 
 
+def complex_matrix(doc, what: str) -> np.ndarray:
+    """re + i im from a {"re": [[...], ...], "im": [[...], ...]} document
+    ("im" defaults to zeros), unvalidated; ``what`` names it in errors."""
+    if not isinstance(doc, dict) or "re" not in doc:
+        raise ValueError(f"{what} needs an object with field 're' (and optionally 'im'), got {doc!r}")
+    try:
+        re = np.asarray(doc["re"], dtype=float)
+        im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} 're' and 'im' fields must be arrays of numbers") from None
+    if re.shape != im.shape:
+        raise ValueError(f"{what} 're' and 'im' parts have different shapes")
+    return re + 1j * im
+
+
 def parse_explicit(doc: dict) -> tuple[np.ndarray, int, int]:
     """Raw (matrix, dA, dB) from an {"explicit": ...} document, unvalidated."""
+    mat = complex_matrix(doc, "explicit state")
     try:
-        dA = int(doc["dA"])
-        dB = int(doc["dB"])
-        re = np.asarray(doc["re"], dtype=float)
+        return mat, int(doc["dA"]), int(doc["dB"])
     except KeyError as exc:
-        raise ValueError(f"explicit state document is missing field {exc}") from None
-    im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
-    if re.shape != im.shape:
-        raise ValueError("explicit state 're' and 'im' parts have different shapes")
-    return re + 1j * im, dA, dB
+        raise ValueError(f"explicit state is missing field {exc}") from None
 
 
 def from_spec(doc: dict) -> DensityMatrix:

@@ -160,10 +160,13 @@ def dense_reference_j_a(rho: DensityMatrix) -> float:
 
 
 def spreading_grid_peaks(values: np.ndarray) -> np.ndarray:
-    """The library's earlier ``_grid_peaks``, kept as the reference for the
-    current one: the same peak test, with the labels of the maxima spread
-    over the whole grid in full passes (with pointer jumping) until they
-    settle."""
+    """The reference for ``_grid_peaks`` on one grid, apart from its
+    bookkeeping: the same peak test, with labels that are flat cell indices
+    (the pole row and each equator pair start with one), spread by the same
+    neighbourhood minimum with one pointer jump per pass, over all cells,
+    until they settle; then the best cell of each label, best first, ties to
+    the lowest index.  ``_grid_peaks`` labels by position among the maxima,
+    works on stacks of grids, and jumps among the maxima until that settles."""
     half = values.shape[1] // 2
     peak = values >= _sphere_neighbourhood(values, np.maximum) - IMPROVE_ATOL
     peak[-1, :half] = peak[-1, half:] = peak[-1, :half] | peak[-1, half:]

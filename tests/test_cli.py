@@ -429,6 +429,61 @@ def test_sweep_spec_malformed_entry_named(capsys, tmp_path, change, message):
     assert not list(tmp_path.glob("x*.csv"))
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"named": 5}, "observable 'named' entry must be a Pauli name, got 5"),
+        ({"basis": {"im": [[1, 0], [0, 1]]}}, "observable basis needs an object with field 're'"),
+        ({"basis": [[1, 0], [0, 1]]}, "observable basis needs an object with field 're'"),
+        (
+            {"basis": {"re": [[1, 0], ["a", 1]]}},
+            "observable basis 're' and 'im' fields must be arrays of numbers",
+        ),
+        (
+            {"basis": {"re": [[1, 0], [0, 1]], "im": [[0]]}},
+            "observable basis 're' and 'im' parts have different shapes",
+        ),
+    ],
+)
+def test_malformed_observable_spec_exits_2_naming_the_field(capsys, tmp_path, spec, message):
+    state = write_state(tmp_path, {"family": {"name": "werner", "p": 0.5}})
+    code, out, err = run_cli(
+        capsys, "bounds", "--state", state, "--x", json.dumps(spec), "--z", "sigma_z"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    # the same observable as an entry of a sweep spec's pairs
+    sweep = {"family": "xstate", "p_start": 0.0, "p_end": 0.2, "p_step": 0.1,
+             "pairs": [["sigma_x", "sigma_z"], ["sigma_x", spec]]}
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(sweep), encoding="utf-8")
+    code, _, err = run_cli(
+        capsys, "sweep", "--spec", str(spec_path), "--out", str(tmp_path / "x.csv")
+    )
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert not list(tmp_path.glob("x*.csv"))
+
+
+@pytest.mark.parametrize(
+    "explicit, message",
+    [
+        (
+            {"dA": 2, "dB": 2, "im": np.zeros((4, 4)).tolist()},
+            "explicit state needs an object with field 're'",
+        ),
+        ([[1.0]], "explicit state needs an object with field 're'"),
+        ({"dA": 2, "re": (np.eye(4) / 4).tolist()}, "explicit state is missing field 'dB'"),
+    ],
+)
+def test_malformed_explicit_state_exits_2_naming_the_field(capsys, tmp_path, explicit, message):
+    state = write_state(tmp_path, {"explicit": explicit})
+    for command in ("validate", "discord"):
+        code, out, err = run_cli(capsys, command, "--state", state)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+
+
 def test_sweep_spec_pair_label_matches_preset(capsys, tmp_path):
     spec = {"family": "xstate", "p_start": 0.0, "p_end": 1.0, "p_step": 0.01,
             "pairs": ["xz", ["sigma_x", "sigma_y"]]}

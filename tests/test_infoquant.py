@@ -556,6 +556,27 @@ def test_grid_peaks_match_full_grid_label_spreading(shape):
             np.testing.assert_array_equal(got, peaks)
 
 
+@pytest.mark.parametrize("shape", [(12, 24), (60, 120)])
+def test_grid_peaks_merge_a_plateau_whose_labels_settle_over_many_rounds(shape):
+    # A U-shaped plateau: the top of its right arm comes before the bottom
+    # that joins it to the left arm in flat order, so the left arm's label
+    # climbs the right arm one row per round; stopping before the labels
+    # settle splits the U in two.  Off the U the grid falls with the
+    # (phi-wrapped) Chebyshev distance to it, so the U holds every maximum.
+    rows, cols = shape
+    top, bottom, left, right = 2, rows - 3, 3, cols // 2 - 3
+    u = np.zeros(shape, dtype=bool)
+    u[top : bottom + 1, [left, right]] = True
+    u[bottom, left : right + 1] = True
+    i, j = np.indices(shape)
+    ui, uj = np.nonzero(u)
+    dj = np.abs(j.ravel()[:, None] - uj)
+    distance = np.maximum(np.abs(i.ravel()[:, None] - ui), np.minimum(dj, cols - dj)).min(axis=1)
+    values = -distance.reshape(shape).astype(float)
+    np.testing.assert_array_equal(_peaks(values), [top * cols + left])
+    np.testing.assert_array_equal(spreading_grid_peaks(values), [top * cols + left])
+
+
 @pytest.mark.parametrize("lift", [-1e-3, 0.5 * IMPROVE_ATOL, 10.0 * IMPROVE_ATOL])
 def test_search_keeps_first_start_unless_a_later_one_gains_beyond_noise(lift):
     # A grid maximum at the pole, and a bump of height 1 + lift half a grid

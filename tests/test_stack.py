@@ -6,6 +6,8 @@ the rows around it (no reduction or BLAS call mixes rows, and each row's
 matrix products go through the same kernel).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from eurmem.infoquant import (
     classical_correlation_stack,
     evaluate,
 )
+from eurmem.matops import hermitian_eigvals
 from eurmem.measure import pauli_observable
 from eurmem.states import (
     ONE_PARAMETER_FAMILIES,
@@ -173,6 +176,44 @@ def test_a_grid_above_the_call_cap_is_split(monkeypatch, dB):
     assert max(seen["directions"]) <= _CALL_DIRECTIONS
     for k, one in enumerate(singles):
         _assert_rows_match(_correlation_fields(corr[k]), one, f"row {k}")
+
+
+@pytest.mark.parametrize("shape", [(12, 24), (60, 120)])
+def test_werner_j_a_memory_stays_near_that_of_a_family_with_few_maxima(shape):
+    # Every cell of a Werner grid is a maximum, so a Werner climb block
+    # merges the most maxima of any; its J_A peak memory stays within 2.5
+    # times that of a bell_diagonal_special stack of the same length.
+    cfg = OptimizerConfig(*shape)
+
+    def traced_peak(family):
+        states = family_stack(family, np.linspace(0.0, 1.0, 128))
+        classical_correlation_stack(states, cfg)  # the spectra and grid caches
+        tracemalloc.start()
+        try:
+            classical_correlation_stack(states, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak("werner") <= 2.5 * traced_peak("bell_diagonal_special")
+
+
+@pytest.mark.parametrize("dB", [2, 3, 4])
+def test_validation_computes_the_state_spectrum_once(monkeypatch, dB):
+    mats = np.array([rho.mat for rho in _random_corpus(dB, 12, 31)])
+    # a row inside the Hermiticity tolerance, but not Hermitian
+    mats[3, 0, 1] += 1e-12
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    states = StateStack(mats, 2, dB)
+    assert calls == [mats.shape]
+    spectra = states.spectra
+    assert len(calls) == 3
+    monkeypatch.undo()
+    for w, m in zip(spectra, (mats, states.reduced_a(), states.reduced_b())):
+        np.testing.assert_array_equal(w, hermitian_eigvals(m))
+        assert not w.flags.writeable
 
 
 def _canonical_row(n):
