@@ -33,6 +33,7 @@ from .states import (
     StateValidationError,
     family_stack,
     from_spec,
+    is_number,
     parse_explicit,
     to_spec,
     validate,
@@ -192,7 +193,7 @@ def _sweep_spec(args) -> tuple[dict, Path]:
                 raise ValueError(f"sweep spec is missing field {field!r}")
         for field in ("p_start", "p_end", "p_step"):
             value = spec[field]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not is_number(value):
                 raise ValueError(f"sweep spec field {field!r} must be a number, got {value!r}")
         return spec, Path(args.out or spec.get("out") or f"{spec['family']}_sweep.csv")
     if not (args.family and args.x and args.z):

@@ -33,10 +33,16 @@ the gradient and Hessian from a 9-point finite-difference stencil in a
 tangent chart, and the stencils of all ascents share one objective call.
 On a stack, the grids of up to 16 rows share one objective call, and a
 climb block of up to 170 rows has one peak pass and one ascent loop, whose
-rounds each make one objective call for all its rows.
+rounds each make one objective call for all its rows.  The first round,
+which every ascent runs and after which every ascent on the named families
+stops, takes its stencil models and stop tests as arrays over the block;
+the few ascents that go on step one by one between the calls.
 For two qubits the objective is evaluated in the real Pauli-correlation
-form of the state (a few 3-vector operations per direction); for dB >= 3
-it diagonalizes the conditional states of B with LAPACK.  It reports a
+form of the state (a few 3-vector operations per direction), in pieces
+(whole rows, or part of one row's directions on a large grid) whose
+buffers each stay under glibc's 128 KB mmap threshold, so that a call's
+working set is bounded and comes from the heap; for dB >= 3 it
+diagonalizes the conditional states of B with LAPACK.  It reports a
 projective optimum; it does not claim optimality over general POVMs,
 although for the named state families the two coincide.
 """
@@ -403,8 +409,61 @@ def _general_objective(states: StateStack, s_b: np.ndarray):
 _PAULI_PAIRS = np.array(
     [np.kron(s, t).T.ravel() for s in (I2,) + PAULIS for t in (I2,) + PAULIS]
 )
-# The two outcomes n+- of a direction, along the leading axis.
-_SIGNS = np.array([[[1.0]], [[-1.0]]])
+# Values per piece of a two-qubit objective call, at most: the piece's
+# largest buffers, (3, 2, piece) float64 (120 KB), then stay under glibc's
+# default 128 KB mmap threshold, so every buffer comes from the heap and is
+# reused by the next piece.
+_PIECE = 2560
+
+
+def _signed_terms(table, dirs):
+    """(1 +- a.n) / 4 (2, b, k) and (b +- C^T n) / 4 (3, 2, b, k) of the
+    outcomes n+ and n-, for ``table`` = q[:, :, rows, None] (4, 4, b, 1) and
+    directions (3, b or 1, k); n.(a, C) is summed over components left to
+    right, and freed on return, before the piece makes its other buffers."""
+    lin = table[1] * dirs[0]
+    lin += table[2] * dirs[1]
+    lin += table[3] * dirs[2]
+    weight = np.empty((2,) + lin.shape[1:])
+    np.add(table[0, 0], lin[0], out=weight[0])
+    np.subtract(table[0, 0], lin[0], out=weight[1])
+    u = np.empty((3,) + weight.shape)
+    np.add(table[0, 1:], lin[1:], out=u[:, 0])
+    np.subtract(table[0, 1:], lin[1:], out=u[:, 1])
+    return weight, u
+
+
+def _two_qubit_piece(table, dirs, s_b, out):
+    """The two-qubit objective at the directions of one piece (see
+    ``_signed_terms``), written to ``out`` (b, k); ``s_b`` is (b, 1).
+
+    Every piece runs the same operations in the same order, so a value does
+    not depend on the call or the piece it is in.  x log2 x is x times one
+    log2 call over the stacked [e-, e+, p] of both outcomes, taken of 1
+    (giving 0) where x <= 0.
+    """
+    weight, u = _signed_terms(table, dirs)
+    np.multiply(u, u, out=u)
+    radius = u[0]
+    radius += u[1]
+    radius += u[2]
+    np.sqrt(radius, out=radius)
+    # the eigenvalues e-+ = max(weight -+ radius, 0) and p = e- + e+
+    eigs = np.empty_like(u)
+    np.subtract(weight, radius, out=eigs[0])
+    np.add(weight, radius, out=eigs[1])
+    np.maximum(eigs[:2], 0.0, out=eigs[:2])
+    np.add(eigs[0], eigs[1], out=eigs[2])
+    # x log2 x, with log2 taken of 1 where x <= 0 (x + 0 is x itself)
+    xlog = np.add(eigs, eigs <= 0.0, out=u)
+    np.log2(xlog, out=xlog)
+    xlog *= eigs
+    # p log2 p - sum mu log2 mu per outcome, 0 below the zero-probability cut
+    xlog[0] += xlog[1]
+    cond = np.subtract(xlog[2], xlog[0], out=xlog[2])
+    np.copyto(cond, 0.0, where=eigs[2] < ZERO_PROB)
+    cond[0] += cond[1]
+    np.subtract(s_b, cond[0], out=out)
 
 
 def _two_qubit_objective(states: StateStack, s_b: np.ndarray):
@@ -415,7 +474,9 @@ def _two_qubit_objective(states: StateStack, s_b: np.ndarray):
     unnormalized conditional state on B the eigenvalues
     ((1 +- a.n) +- |b +- C^T n|)/4, so each direction costs a few real
     3-vector operations.  The objective's arguments are those of
-    ``_general_objective``'s.
+    ``_general_objective``'s.  A call runs in pieces of at most ``_PIECE``
+    values (``_two_qubit_piece``), so its working set is bounded whatever
+    the call's size.
     """
     # One matrix-vector product per row, the same arithmetic whatever the stack.
     products = (_PAULI_PAIRS @ states.mats.reshape(-1, 16, 1))[..., 0]
@@ -424,15 +485,18 @@ def _two_qubit_objective(states: StateStack, s_b: np.ndarray):
 
     def objective(rows, dirs):
         table = q[:, :, rows, None]
-        # n.(a, C) as an elementwise sum rather than a matmul, so that a
-        # direction's value does not depend on the batch it is in.
-        lin = (table[1:] * dirs[:, None]).sum(axis=0)
-        # [1 +- a.n, b +- C^T n] / 4 for both outcomes, shape (4, 2, B, K).
-        signed = table[0, :, None] + _SIGNS * lin[:, None]
-        weight, u = signed[0], signed[1:]
-        radius = np.sqrt((u * u).sum(axis=0))
-        eigs = np.maximum(np.stack([weight - radius, weight + radius]), 0.0)
-        return s_b[rows, None] - _conditional_sum(eigs)
+        sb = s_b[rows, None]
+        count, size = table.shape[2], dirs.shape[-1]
+        out = np.empty((count, size))
+        # Pieces of whole rows, or of one row's directions when a row is larger.
+        step_rows, step_cols = max(1, _PIECE // size), min(size, _PIECE)
+        for r in range(0, count, step_rows):
+            rs = slice(r, r + step_rows)
+            for c in range(0, size, step_cols):
+                cs = slice(c, c + step_cols)
+                d = dirs[:, :, cs] if dirs.shape[1] == 1 else dirs[:, rs, cs]
+                _two_qubit_piece(table[:, :, rs], d, sb[rs], out[rs, cs])
+        return out
 
     return objective
 
@@ -567,6 +631,16 @@ def _tangent_frame(x: float, y: float, z: float):
     return (x, y, z), (1.0 + sign * x * x * a, sign * b, -sign * x), (b, sign + y * y * a, -y)
 
 
+@lru_cache(maxsize=8)
+def _grid_frames(grid_theta: int, grid_phi: int) -> np.ndarray:
+    """The tangent frames (G, 3, 3) of the hemisphere grid's directions,
+    read-only, as every search shares them."""
+    _, dirs = _hemisphere_grid(grid_theta, grid_phi)
+    frames = np.array([_tangent_frame(*n) for n in dirs.T.tolist()])
+    frames.flags.writeable = False
+    return frames
+
+
 def _trust_step(g1: float, g2: float, a: float, b: float, c: float, radius: float):
     """The maximiser s of g.s + s.H.s / 2 over |s| <= radius, H = [[a, b], [b, c]].
 
@@ -618,55 +692,6 @@ _GRAD_NOISE, _CURV_NOISE = 1e-9, 1e-6
 _MAX_ROUNDS = 60
 
 
-def _ascent(value: float, direction: np.ndarray, radius: float):
-    """Trust-region Newton ascent of the objective from one grid peak.
-
-    A coroutine: it yields the tangent frame of each stencil centre and is
-    sent back the stencil's points and values.  Each stencil gives the
-    gradient and Hessian of the objective pulled back to the chart
-    n + s1 u + s2 v (normalized) by central differences at step ``_H``, and
-    its centre value decides on the step that led there: accepted if it
-    gains at least a tenth of the predicted gain, with the radius doubled
-    when it gains over three quarters on the boundary; rejected otherwise,
-    with the radius cut to a quarter of the step.  It stops where the
-    gradient and top curvature are within their rounding noise, when the
-    predicted gain falls to 1e-15 or the radius below 1e-12, on a
-    non-finite stencil, or after ``_MAX_ROUNDS``.  Returns the best value
-    and point of all stencils, and the number of stencils.
-    """
-    best = (value, direction)
-    frame = _tangent_frame(*direction)
-    for rounds in range(1, _MAX_ROUNDS + 1):
-        points, vals = yield frame
-        highest = max(vals)
-        if highest > best[0]:
-            best = (highest, points[vals.index(highest)])
-        if rounds == 1 or (ratio := (vals[0] - here_value) / gain) >= 0.1:
-            if rounds > 1 and ratio > 0.75 and boundary:
-                radius *= 2.0
-            here, here_value = frame, vals[0]
-            f0, pu, mu, pv, mv, pp, pm, mp, mm = vals
-            g1, g2 = (pu - mu) / (2.0 * _H), (pv - mv) / (2.0 * _H)
-            a, c = (pu - 2.0 * f0 + mu) / _H**2, (pv - 2.0 * f0 + mv) / _H**2
-            b = (pp - pm - mp + mm) / (4.0 * _H**2)
-            curvature = 0.5 * (a + c + math.hypot(a - c, 2.0 * b))
-            if not math.isfinite(g1 + g2 + curvature) or (
-                math.hypot(g1, g2) <= _GRAD_NOISE and curvature <= _CURV_NOISE
-            ):
-                break
-        else:
-            radius = 0.25 * math.hypot(s1, s2)
-            if radius < 1e-12:
-                break
-        s1, s2, gain, boundary = _trust_step(g1, g2, a, b, c, radius)
-        if gain <= 1e-15:
-            break
-        point = [n + s1 * u + s2 * v for n, u, v in zip(*here)]
-        norm = math.hypot(*point)
-        frame = _tangent_frame(*(x / norm for x in point))
-    return best, rounds
-
-
 # Directions per objective call, at most: a grid call holds the grids of as
 # many rows as fit (16 rows of the default grid; one row, its grid split
 # into calls of this size, when a grid is larger).
@@ -687,16 +712,16 @@ def _search(objective, count: int, cfg: OptimizerConfig) -> list[tuple]:
     The rows go in climb blocks of up to ``_CLIMB_ROWS``.  A block's grid
     values come from calls of at most ``_CALL_DIRECTIONS`` directions, and
     one ``_grid_peaks`` pass finds the maxima of all its rows (at most
-    ``_MAX_STARTS`` a row, best first).  Each maximum starts an ``_ascent``
-    with a radius of one grid row, and every round evaluates the 9-point
-    stencils of all active ascents of the block in one objective call
-    (``_climb``).  Each ascent's result is the best stencil value it saw,
-    the Holevo quantity of a real measurement, so J_A never exceeds the
-    truth.  A row's first ascent wins unless a later one ends more than
-    ``IMPROVE_ATOL`` higher.  Returns (value, direction, grid maximum,
+    ``_MAX_STARTS`` a row, best first).  Each maximum starts an ascent with
+    a radius of one grid row, and ``_climb`` runs the ascents of the block,
+    one objective call a round for all of them.  Each ascent's result is the
+    best stencil value it saw, the Holevo quantity of a real measurement, so
+    J_A never exceeds the truth.  A row's first ascent wins unless a later
+    one ends more than ``IMPROVE_ATOL`` higher.  Returns (value, direction, grid maximum,
     stencil rounds of all the row's ascents) per row.
     """
     _, dirs = _hemisphere_grid(cfg.grid_theta, cfg.grid_phi)
+    frames = _grid_frames(cfg.grid_theta, cfg.grid_phi)
     size = dirs.shape[1]
     radius = (np.pi / 2.0) / (cfg.grid_theta - 1)
     block = max(1, min(_CLIMB_ROWS, _CLIMB_VALUES // size))
@@ -713,41 +738,134 @@ def _search(objective, count: int, cfg: OptimizerConfig) -> list[tuple]:
                     slice(first, last), dirs[:, None, k : k + chunk]
                 )
         peaks = _grid_peaks(values.reshape(-1, cfg.grid_theta, cfg.grid_phi))
-        ascents = [
-            [_ascent(float(v[k]), dirs[:, k], radius) for k in cells[:_MAX_STARTS]]
-            for v, cells in zip(values, peaks)
-        ]
-        results = _climb(objective, start, ascents)
-        for grid_best, row in zip(values.max(axis=1).tolist(), ascents):
-            (value, direction), _ = results[row[0]]
-            for (later, at), _ in (results[a] for a in row[1:]):
-                if later > value + IMPROVE_ATOL:
-                    value, direction = later, at
-            found.append((value, direction, grid_best, sum(results[a][1] for a in row)))
+        starts = [cells[:_MAX_STARTS] for cells in peaks]
+        counts = [len(cells) for cells in starts]
+        cells = np.concatenate(starts)
+        row = np.repeat(np.arange(start, stop), counts)
+        best, at, rounds = _climb(objective, row, values[row - start, cells], frames[cells], radius)
+        ends, rounds = best.tolist(), rounds.tolist()
+        first = 0
+        for n, grid_best in zip(counts, values.max(axis=1).tolist()):
+            pick = first
+            for k in range(first + 1, first + n):
+                if ends[k] > ends[pick] + IMPROVE_ATOL:
+                    pick = k
+            found.append((ends[pick], at[pick], grid_best, sum(rounds[first : first + n])))
+            first += n
     return found
 
 
-def _climb(objective, first_row: int, ascents: list[list]) -> dict:
-    """Run the ascents of rows ``first_row``, ``first_row + 1``, ... (a list
-    per row) to the end, the stencils of all active ones sharing one
-    objective call per round, each with its row's tables; returns each
-    ascent's result."""
-    row_of = {a: first_row + r for r, row in enumerate(ascents) for a in row}
-    pending = {a: next(a) for a in row_of}
-    results = {}
-    while pending:
-        frames = np.array(list(pending.values()))
-        points = frames[:, :1] + _STENCIL @ frames[:, 1:]
-        points /= np.sqrt((points * points).sum(axis=-1, keepdims=True))
-        rows = np.array([row_of[a] for a in pending])
-        vals = objective(rows, points.transpose(2, 0, 1)).tolist()
-        for ascent, pts, v in zip(list(pending), points, vals):
-            try:
-                pending[ascent] = ascent.send((pts, v))
-            except StopIteration as stop:
-                del pending[ascent]
-                results[ascent] = stop.value
-    return results
+def _model(f0, pu, mu, pv, mv, pp, pm, mp, mm):
+    """The model of a stencil's values (centre, +-u, +-v, the diagonals),
+    elementwise for numbers or arrays: the gradient (g1, g2) and Hessian
+    (a, b, c) by central differences at step ``_H``, and whether the ascent
+    goes on, that is, the model is finite and its gradient or top curvature
+    (a + c + |(a - c, 2 b)|) / 2 is above its rounding noise.  The noise
+    tests compare squares, so a number and an array entry get one answer.
+    """
+    g1, g2 = (pu - mu) / (2.0 * _H), (pv - mv) / (2.0 * _H)
+    a, c = (pu - 2.0 * f0 + mu) / _H**2, (pv - 2.0 * f0 + mv) / _H**2
+    b = (pp - pm - mp + mm) / (4.0 * _H**2)
+    # (a + c + |(a - c, 2 b)|) / 2 > C  exactly when  |(a - c, 2 b)| > 2 C - (a + c)
+    slack, gap = 2.0 * _CURV_NOISE - (a + c), a - c
+    curved = (slack < 0.0) | (gap * gap + 4.0 * b * b > slack * slack)
+    goes = (abs(g1 + g2 + a + b + c) < math.inf) & (
+        (g1 * g1 + g2 * g2 > _GRAD_NOISE**2) | curved
+    )
+    return (g1, g2, a, b, c), goes
+
+
+def _stencil_values(objective, rows, frames: np.ndarray):
+    """The 9 stencil points (A, 9, 3) around the centres of ``frames``
+    (A, 3, 3) and the objective's values there (A, 9), on state ``rows``,
+    in one call."""
+    points = frames[:, :1] + _STENCIL @ frames[:, 1:]
+    points /= np.sqrt((points * points).sum(axis=-1, keepdims=True))
+    return points, objective(rows, points.transpose(2, 0, 1))
+
+
+# Round 1 of a climb block runs as arrays when it has at least this many
+# ascents; with fewer, numpy's cost per call is more than the loop's per ascent.
+_ARRAY_ASCENTS = 16
+
+
+def _climb(objective, rows: np.ndarray, values: np.ndarray, frames: np.ndarray, radius: float):
+    """Trust-region Newton ascents of the objective from the grid peaks with
+    tangent ``frames`` (A, 3, 3) and grid ``values`` (A,), on state ``rows``
+    (A,); each round evaluates the stencils of all active ascents in one
+    objective call.
+
+    Each stencil gives the model of ``_model``, and its centre value decides
+    on the step that led there: accepted if it gains at least a tenth of the
+    predicted gain, with the radius doubled when it gains over three
+    quarters on the boundary; rejected otherwise, with the radius cut to a
+    quarter of the step.  An ascent stops where ``_model`` says so, when the
+    predicted gain of its ``_trust_step`` falls to 1e-15 or the radius below
+    1e-12, or after ``_MAX_ROUNDS``, and drops out of the next call.  Round 1
+    of a block of ``_ARRAY_ASCENTS`` or more (every ascent on the named
+    families stops there) runs as arrays; the same numbers come from the
+    loop.  Returns each ascent's best stencil value and point and its number
+    of rounds.
+    """
+    count = len(rows)
+    best, best_at = values.astype(float), frames[:, 0].copy()
+    rounds = np.zeros(count, dtype=int)
+    # Each active ascent is [ascent, radius, accepted centre, its value, its
+    # model], and each stencil to evaluate (ascent, centre, predicted gain,
+    # length and boundary flag of the step to it); the loop starts from these.
+    array_round = count >= _ARRAY_ASCENTS
+    moves = [] if array_round else [
+        ([i, radius, None, None, None], frame, None, None, False) for i, frame in enumerate(frames.tolist())
+    ]
+    for k in range(1, _MAX_ROUNDS + 1):
+        if k == 1 and array_round:
+            points, vals = _stencil_values(objective, rows, frames)
+            rounds[:] = 1
+            top = vals.argmax(axis=1)
+            highest = vals[np.arange(count), top]
+            better = np.flatnonzero(highest > best)
+            best[better], best_at[better] = highest[better], points[better, top[better]]
+            model, goes = _model(*vals.T)
+            goes = np.flatnonzero(goes)
+            going = [
+                [i, radius, here, value, m]
+                for i, here, value, m in zip(
+                    goes.tolist(), frames[goes].tolist(), vals[goes, 0].tolist(), np.array(model).T[goes].tolist()
+                )
+            ]
+        else:
+            points, vals = _stencil_values(
+                objective, rows[[move[0][0] for move in moves]], np.array([move[1] for move in moves])
+            )
+            going = []
+            for (ascent, frame, gain, length, boundary), pts, v in zip(moves, points, vals.tolist()):
+                i = ascent[0]
+                rounds[i] = k
+                highest = max(v)
+                if highest > best[i]:
+                    best[i], best_at[i] = highest, pts[v.index(highest)]
+                if k == 1 or (ratio := (v[0] - ascent[3]) / gain) >= 0.1:
+                    if k > 1 and ratio > 0.75 and boundary:
+                        ascent[1] *= 2.0
+                    model, goes = _model(*v)
+                    ascent[2:] = frame, v[0], model
+                else:
+                    ascent[1] = 0.25 * length
+                    goes = ascent[1] >= 1e-12
+                if goes:
+                    going.append(ascent)
+        # The step of each ascent that goes on, from its accepted centre.
+        moves = []
+        for ascent in going:
+            s1, s2, gain, boundary = _trust_step(*ascent[4], ascent[1])
+            if gain > 1e-15:
+                point = [n + s1 * u + s2 * v for n, u, v in zip(*ascent[2])]
+                norm = math.hypot(*point)
+                frame = _tangent_frame(*(x / norm for x in point))
+                moves.append((ascent, frame, gain, math.hypot(s1, s2), boundary))
+        if not moves:
+            break
+    return best, best_at, rounds
 
 
 def classical_correlation_stack(

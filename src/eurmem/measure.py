@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .matops import projector, tensor
-from .states import DensityMatrix, complex_matrix
+from .states import DensityMatrix, complex_matrix, is_number
 
 __all__ = [
     "ORTHO_ATOL",
@@ -155,7 +155,10 @@ def observable_from_spec(doc) -> ProjectiveObservable:
             raise ValueError(f"observable 'named' entry must be a Pauli name, got {doc['named']!r}")
         return pauli_observable(doc["named"])
     if "bloch" in doc:
-        return observable_from_bloch(doc["bloch"])
+        entry = doc["bloch"]
+        if not isinstance(entry, list) or not all(map(is_number, entry)):
+            raise ValueError(f"observable 'bloch' entry must be a list of numbers, got {entry!r}")
+        return observable_from_bloch(entry)
     if "basis" in doc:
         return observable_from_basis(complex_matrix(doc["basis"], "observable basis"))
     raise ValueError("observable specification needs a 'named', 'bloch' or 'basis' entry")

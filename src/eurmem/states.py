@@ -23,6 +23,7 @@ x_state_special(p)         p |Psi+><Psi+| + (1-p) |11><11|
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
@@ -284,7 +285,14 @@ def pure_schmidt(lam) -> DensityMatrix:
     return DensityMatrix(projector(vec), d, d)
 
 
-def _check_unit_interval(name: str, p: float) -> float:
+def is_number(value) -> bool:
+    """Whether a document value is a real number (a JSON true or false is not)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def _check_unit_interval(name: str, p) -> float:
+    if not is_number(p):
+        raise ValueError(f"{name} parameter 'p' must be a number, got {p!r}")
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"{name} parameter p must lie in [0, 1], got {p!r}")
@@ -405,10 +413,14 @@ def complex_matrix(doc, what: str) -> np.ndarray:
 def parse_explicit(doc: dict) -> tuple[np.ndarray, int, int]:
     """Raw (matrix, dA, dB) from an {"explicit": ...} document, unvalidated."""
     mat = complex_matrix(doc, "explicit state")
-    try:
-        return mat, int(doc["dA"]), int(doc["dB"])
-    except KeyError as exc:
-        raise ValueError(f"explicit state is missing field {exc}") from None
+    dims = []
+    for key in ("dA", "dB"):
+        if key not in doc:
+            raise ValueError(f"explicit state is missing field {key!r}")
+        if not is_number(doc[key]) or not isinstance(doc[key], numbers.Integral):
+            raise ValueError(f"explicit state field {key!r} must be an integer, got {doc[key]!r}")
+        dims.append(int(doc[key]))
+    return mat, *dims
 
 
 def from_spec(doc: dict) -> DensityMatrix:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from eurmem import (
@@ -12,6 +14,7 @@ from eurmem import (
     partial_trace,
     tensor,
 )
+from eurmem import infoquant
 from eurmem.infoquant import IMPROVE_ATOL, _sphere_neighbourhood
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -185,3 +188,128 @@ def spreading_grid_peaks(values: np.ndarray) -> np.ndarray:
     order = cells[np.argsort(-values.flat[cells], kind="stable")]
     _, first = np.unique(labels.flat[order], return_index=True)
     return order[np.sort(first)]
+
+
+# ---------------------------------------------------------------------------
+# References for the J_A search: the earlier two-qubit objective formula and
+# the generator form of the trust-region ascent, kept as written before the
+# bounded kernel and the array ascent replaced them.
+# ---------------------------------------------------------------------------
+
+
+def reference_two_qubit_objective(states, s_b):
+    """The two-qubit objective as one batch of stacked temporaries, with
+    the operation order that ``infoquant._two_qubit_objective`` keeps."""
+    products = (infoquant._PAULI_PAIRS @ states.mats.reshape(-1, 16, 1))[..., 0]
+    q = (0.25 * products.real).reshape(-1, 4, 4).transpose(1, 2, 0)
+    signs = np.array([[[1.0]], [[-1.0]]])
+
+    def objective(rows, dirs):
+        table = q[:, :, rows, None]
+        lin = (table[1:] * dirs[:, None]).sum(axis=0)
+        signed = table[0, :, None] + signs * lin[:, None]
+        weight, u = signed[0], signed[1:]
+        radius = np.sqrt((u * u).sum(axis=0))
+        eigs = np.maximum(np.stack([weight - radius, weight + radius]), 0.0)
+        return s_b[rows, None] - infoquant._conditional_sum(eigs)
+
+    return objective
+
+
+def _reference_frame(x, y, z):
+    sign = math.copysign(1.0, z)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    return (x, y, z), (1.0 + sign * x * x * a, sign * b, -sign * x), (b, sign + y * y * a, -y)
+
+
+def _reference_ascent(value, direction, radius):
+    """One ascent as a coroutine: yields each stencil centre's frame and is
+    sent the stencil's points and values; returns (best value, best point)
+    and its number of rounds."""
+    h = infoquant._H
+    best = (value, direction)
+    frame = _reference_frame(*direction)
+    for rounds in range(1, infoquant._MAX_ROUNDS + 1):
+        points, vals = yield frame
+        highest = max(vals)
+        if highest > best[0]:
+            best = (highest, points[vals.index(highest)])
+        if rounds == 1 or (ratio := (vals[0] - here_value) / gain) >= 0.1:
+            if rounds > 1 and ratio > 0.75 and boundary:
+                radius *= 2.0
+            here, here_value = frame, vals[0]
+            f0, pu, mu, pv, mv, pp, pm, mp, mm = vals
+            g1, g2 = (pu - mu) / (2.0 * h), (pv - mv) / (2.0 * h)
+            a, c = (pu - 2.0 * f0 + mu) / h**2, (pv - 2.0 * f0 + mv) / h**2
+            b = (pp - pm - mp + mm) / (4.0 * h**2)
+            curvature = 0.5 * (a + c + math.hypot(a - c, 2.0 * b))
+            if not math.isfinite(g1 + g2 + curvature) or (
+                math.hypot(g1, g2) <= infoquant._GRAD_NOISE and curvature <= infoquant._CURV_NOISE
+            ):
+                break
+        else:
+            radius = 0.25 * math.hypot(s1, s2)
+            if radius < 1e-12:
+                break
+        s1, s2, gain, boundary = infoquant._trust_step(g1, g2, a, b, c, radius)
+        if gain <= 1e-15:
+            break
+        point = [n + s1 * u + s2 * v for n, u, v in zip(*here)]
+        norm = math.hypot(*point)
+        frame = _reference_frame(*(x / norm for x in point))
+    return best, rounds
+
+
+def _reference_climb(objective, first_row, ascents):
+    row_of = {a: first_row + r for r, row in enumerate(ascents) for a in row}
+    pending = {a: next(a) for a in row_of}
+    results = {}
+    while pending:
+        frames = np.array(list(pending.values()))
+        points = frames[:, :1] + infoquant._STENCIL @ frames[:, 1:]
+        points /= np.sqrt((points * points).sum(axis=-1, keepdims=True))
+        rows = np.array([row_of[a] for a in pending])
+        vals = objective(rows, points.transpose(2, 0, 1)).tolist()
+        for ascent, pts, v in zip(list(pending), points, vals):
+            try:
+                pending[ascent] = ascent.send((pts, v))
+            except StopIteration as stop:
+                del pending[ascent]
+                results[ascent] = stop.value
+    return results
+
+
+def reference_search(objective, count, cfg):
+    """``infoquant._search`` with one generator per ascent, each sent its
+    stencil values through a dict; the same (value, direction, grid maximum,
+    rounds) per row."""
+    _, dirs = infoquant._hemisphere_grid(cfg.grid_theta, cfg.grid_phi)
+    size = dirs.shape[1]
+    radius = (np.pi / 2.0) / (cfg.grid_theta - 1)
+    block = max(1, min(infoquant._CLIMB_ROWS, infoquant._CLIMB_VALUES // size))
+    grid_rows = max(1, infoquant._CALL_DIRECTIONS // size)
+    chunk = min(size, infoquant._CALL_DIRECTIONS)
+    found = []
+    for start in range(0, count, block):
+        stop = min(start + block, count)
+        values = np.empty((stop - start, size))
+        for first in range(start, stop, grid_rows):
+            last = min(first + grid_rows, stop)
+            for k in range(0, size, chunk):
+                values[first - start : last - start, k : k + chunk] = objective(
+                    slice(first, last), dirs[:, None, k : k + chunk]
+                )
+        peaks = infoquant._grid_peaks(values.reshape(-1, cfg.grid_theta, cfg.grid_phi))
+        ascents = [
+            [_reference_ascent(float(v[k]), dirs[:, k], radius) for k in cells[: infoquant._MAX_STARTS]]
+            for v, cells in zip(values, peaks)
+        ]
+        results = _reference_climb(objective, start, ascents)
+        for grid_best, row in zip(values.max(axis=1).tolist(), ascents):
+            (value, direction), _ = results[row[0]]
+            for (later, at), _ in (results[a] for a in row[1:]):
+                if later > value + IMPROVE_ATOL:
+                    value, direction = later, at
+            found.append((value, direction, grid_best, sum(results[a][1] for a in row)))
+    return found

@@ -443,6 +443,9 @@ def test_sweep_spec_malformed_entry_named(capsys, tmp_path, change, message):
             {"basis": {"re": [[1, 0], [0, 1]], "im": [[0]]}},
             "observable basis 're' and 'im' parts have different shapes",
         ),
+        ({"bloch": "abc"}, "observable 'bloch' entry must be a list of numbers, got 'abc'"),
+        ({"bloch": [0, "0", 1]}, "observable 'bloch' entry must be a list of numbers, got [0, '0', 1]"),
+        ({"bloch": [0, 0, True]}, "observable 'bloch' entry must be a list of numbers, got [0, 0, True]"),
     ],
 )
 def test_malformed_observable_spec_exits_2_naming_the_field(capsys, tmp_path, spec, message):
@@ -474,6 +477,18 @@ def test_malformed_observable_spec_exits_2_naming_the_field(capsys, tmp_path, sp
         ),
         ([[1.0]], "explicit state needs an object with field 're'"),
         ({"dA": 2, "re": (np.eye(4) / 4).tolist()}, "explicit state is missing field 'dB'"),
+        (
+            {"dA": 2.7, "dB": 2, "re": (np.eye(4) / 4).tolist()},
+            "explicit state field 'dA' must be an integer, got 2.7",
+        ),
+        (
+            {"dA": 2, "dB": "2", "re": (np.eye(4) / 4).tolist()},
+            "explicit state field 'dB' must be an integer, got '2'",
+        ),
+        (
+            {"dA": True, "dB": 4, "re": (np.eye(4) / 4).tolist()},
+            "explicit state field 'dA' must be an integer, got True",
+        ),
     ],
 )
 def test_malformed_explicit_state_exits_2_naming_the_field(capsys, tmp_path, explicit, message):
@@ -482,6 +497,14 @@ def test_malformed_explicit_state_exits_2_naming_the_field(capsys, tmp_path, exp
         code, out, err = run_cli(capsys, command, "--state", state)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("p", [[0.5], "0.5", True, None])
+def test_non_numeric_family_parameter_exits_2_naming_the_field(capsys, tmp_path, p):
+    state = write_state(tmp_path, {"family": {"name": "werner", "p": p}})
+    code, out, err = run_cli(capsys, "bounds", "--state", state, "--x", "sigma_x", "--z", "sigma_z")
+    assert (code, out) == (2, "")
+    assert err == f"error: werner parameter 'p' must be a number, got {p!r}\n"
 
 
 def test_sweep_spec_pair_label_matches_preset(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Entropy, Holevo, delta, and classical-correlation optimizer tests."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from eurmem.infoquant import (
     shannon_entropy,
     von_neumann_entropy,
 )
+from eurmem import infoquant
 from eurmem.infoquant import (
     IMPROVE_ATOL,
     _directions,
@@ -37,6 +39,7 @@ from eurmem.measure import (
 )
 from eurmem.states import (
     DensityMatrix,
+    StateStack,
     bell_diagonal,
     bell_diagonal_special,
     family_stack,
@@ -57,6 +60,8 @@ from helpers import (
     random_product_state,
     random_schmidt_coeffs,
     random_single_qubit_density,
+    reference_search,
+    reference_two_qubit_objective,
     spreading_grid_peaks,
 )
 
@@ -359,6 +364,101 @@ def test_two_qubit_search_matches_general_path():
         assert fast[3] == general[3]
         for k in (2, 0):
             assert fast[k] == pytest.approx(general[k], abs=1e-12)
+
+
+def _stack_of(states):
+    return StateStack(np.array([rho.mat for rho in states]), 2, states[0].dB)
+
+
+def _kernel_stacks():
+    """Random two-qubit states of ranks 1 to 4, and each family at 101
+    parameters and at p = 1e-15, 1e-13 and 1 - 1e-13 (at 1e-15 an outcome's
+    probability falls below the zero-probability cut without being 0)."""
+    rng = np.random.default_rng(131)
+    # an outcome of probability 1e-15 whose conditional state is mixed
+    faint = DensityMatrix(np.kron(np.diag([1.0 - 1e-15, 1e-15]), np.eye(2) / 2.0), 2, 2)
+    yield "random", _stack_of(
+        [random_density_matrix(rng, rank=rank) for rank in (1, 2, 3, 4) for _ in range(8)] + [faint]
+    )
+    for family in ("werner", "bell_diagonal_special", "xstate"):
+        yield family, family_stack(family, np.r_[np.linspace(0.0, 1.0, 101), 1e-15, 1e-13, 1.0 - 1e-13])
+
+
+@pytest.mark.parametrize("name, states", list(_kernel_stacks()), ids=lambda v: v if isinstance(v, str) else "")
+def test_two_qubit_kernel_matches_reference_bit_for_bit(name, states):
+    s_b = _state_entropies(states).s_b
+    kernel = _two_qubit_objective(states, s_b)
+    reference = reference_two_qubit_objective(states, s_b)
+    grid = _hemisphere_grid(12, 24)[1][:, None]
+    for rows in (1, 5, 16):
+        for start in range(0, len(states), rows):
+            block = slice(start, start + rows)
+            np.testing.assert_array_equal(kernel(block, grid), reference(block, grid))
+    # one row's 60 x 120 grid in one call, which the kernel splits along its directions
+    dense = _hemisphere_grid(60, 120)[1][:, None]
+    for row in (0, len(states) - 1):
+        np.testing.assert_array_equal(kernel(slice(row, row + 1), dense), reference(slice(row, row + 1), dense))
+    # stencil calls: one set of directions per row, rows repeated
+    rng = np.random.default_rng(137)
+    for count in (3, 300):
+        rows = np.repeat(rng.integers(0, len(states), size=count), 3)
+        dirs = _unit_directions(rng, 9 * len(rows)).reshape(3, len(rows), 9)
+        np.testing.assert_array_equal(kernel(rows, dirs), reference(rows, dirs))
+
+
+def test_two_qubit_grid_call_stays_under_the_mmap_threshold():
+    # glibc serves a request of 128 KB or more (its default mmap threshold)
+    # with a fresh mapping, whose pages fault in anew; the kernel's pieces
+    # keep each buffer below it (the whole-call form peaked at ~1 080 KB).
+    states = family_stack("bell_diagonal_special", np.linspace(0.0, 1.0, 101))
+    objective = _two_qubit_objective(states, _state_entropies(states).s_b)
+    grid = _hemisphere_grid(12, 24)[1][:, None]
+    objective(slice(0, 16), grid)
+    tracemalloc.start()
+    try:
+        objective(slice(16, 32), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 1024
+
+
+def _ascent_corpora():
+    """Seeded stacks with dB = 2, 3, 4 and ranks 1 to full, two pure dB = 4
+    states whose ascents have steps rejected and radii cut (five each), and
+    the 303 family states."""
+    rng = np.random.default_rng(139)
+    for dB in (2, 3, 4):
+        states = [random_density_matrix(rng, dB=dB, rank=rank) for rank in range(1, 2 * dB + 1) for _ in range(4)]
+        yield f"dB={dB}", _stack_of(states)
+    rejecting = [random_density_matrix(np.random.default_rng(seed), dB=4, rank=1) for seed in (28, 81)]
+    yield "rejected steps", _stack_of(rejecting)
+    for family in ("werner", "bell_diagonal_special", "xstate"):
+        yield family, family_stack(family, np.linspace(0.0, 1.0, 101))
+
+
+def _row_objective(objective, k):
+    """``objective`` seen as a one-row objective of its row k."""
+    row = np.array([k])
+    return lambda rows, dirs: objective(row[rows], dirs)
+
+
+@pytest.mark.parametrize("array_ascents", [1, 10**9], ids=["round-1-arrays", "loop"])
+@pytest.mark.parametrize("name, states", list(_ascent_corpora()), ids=lambda v: v if isinstance(v, str) else "")
+def test_climb_matches_generator_reference(monkeypatch, name, states, array_ascents):
+    monkeypatch.setattr(infoquant, "_ARRAY_ASCENTS", array_ascents)
+    build = _two_qubit_objective if states.dB == 2 else _general_objective
+    objective = build(states, _state_entropies(states).s_b)
+    cfg = OptimizerConfig()
+    want = reference_search(objective, len(states), cfg)
+    stacked = _search(objective, len(states), cfg)
+    rows = [_row_search(_row_objective(objective, k), cfg) for k in range(len(states))]
+    for got in (stacked, rows):
+        for k, ((value, _, grid_best, rounds), (ref_value, _, ref_grid_best, ref_rounds)) in enumerate(
+            zip(got, want)
+        ):
+            assert abs(value - ref_value) <= 1e-15, (name, k)
+            assert (grid_best, rounds) == (ref_grid_best, ref_rounds), (name, k)
 
 
 def test_classical_correlation_wide_memory_never_below_pauli_axes():
