@@ -784,11 +784,6 @@ def _stencil_values(objective, rows, frames: np.ndarray):
     return points, objective(rows, points.transpose(2, 0, 1))
 
 
-# Round 1 of a climb block runs as arrays when it has at least this many
-# ascents; with fewer, numpy's cost per call is more than the loop's per ascent.
-_ARRAY_ASCENTS = 16
-
-
 def _climb(objective, rows: np.ndarray, values: np.ndarray, frames: np.ndarray, radius: float):
     """Trust-region Newton ascents of the objective from the grid peaks with
     tangent ``frames`` (A, 3, 3) and grid ``values`` (A,), on state ``rows``
@@ -801,60 +796,34 @@ def _climb(objective, rows: np.ndarray, values: np.ndarray, frames: np.ndarray, 
     quarters on the boundary; rejected otherwise, with the radius cut to a
     quarter of the step.  An ascent stops where ``_model`` says so, when the
     predicted gain of its ``_trust_step`` falls to 1e-15 or the radius below
-    1e-12, or after ``_MAX_ROUNDS``, and drops out of the next call.  Round 1
-    of a block of ``_ARRAY_ASCENTS`` or more (every ascent on the named
-    families stops there) runs as arrays; the same numbers come from the
+    1e-12, or after ``_MAX_ROUNDS``, and drops out of the next call.  Round 1,
+    the grid peaks' stencils (every ascent on the named families stops
+    there), runs as arrays; later rounds step the ascents that go on in a
     loop.  Returns each ascent's best stencil value and point and its number
     of rounds.
     """
     count = len(rows)
-    best, best_at = values.astype(float), frames[:, 0].copy()
-    rounds = np.zeros(count, dtype=int)
-    # Each active ascent is [ascent, radius, accepted centre, its value, its
-    # model], and each stencil to evaluate (ascent, centre, predicted gain,
-    # length and boundary flag of the step to it); the loop starts from these.
-    array_round = count >= _ARRAY_ASCENTS
-    moves = [] if array_round else [
-        ([i, radius, None, None, None], frame, None, None, False) for i, frame in enumerate(frames.tolist())
+    points, vals = _stencil_values(objective, rows, frames)
+    rounds = np.ones(count, dtype=int)
+    top = vals.argmax(axis=1)
+    highest = vals[np.arange(count), top]
+    better = highest > values
+    best = np.where(better, highest, values)
+    best_at = np.where(better[:, None], points[np.arange(count), top], frames[:, 0])
+    model, goes = _model(*vals.T)
+    goes = np.flatnonzero(goes)
+    # Each ascent that goes on is [ascent, radius, accepted centre, its value,
+    # its model].
+    going = [
+        [i, radius, here, value, m]
+        for i, here, value, m in zip(
+            goes.tolist(), frames[goes].tolist(), vals[goes, 0].tolist(), np.array(model).T[goes].tolist()
+        )
     ]
-    for k in range(1, _MAX_ROUNDS + 1):
-        if k == 1 and array_round:
-            points, vals = _stencil_values(objective, rows, frames)
-            rounds[:] = 1
-            top = vals.argmax(axis=1)
-            highest = vals[np.arange(count), top]
-            better = np.flatnonzero(highest > best)
-            best[better], best_at[better] = highest[better], points[better, top[better]]
-            model, goes = _model(*vals.T)
-            goes = np.flatnonzero(goes)
-            going = [
-                [i, radius, here, value, m]
-                for i, here, value, m in zip(
-                    goes.tolist(), frames[goes].tolist(), vals[goes, 0].tolist(), np.array(model).T[goes].tolist()
-                )
-            ]
-        else:
-            points, vals = _stencil_values(
-                objective, rows[[move[0][0] for move in moves]], np.array([move[1] for move in moves])
-            )
-            going = []
-            for (ascent, frame, gain, length, boundary), pts, v in zip(moves, points, vals.tolist()):
-                i = ascent[0]
-                rounds[i] = k
-                highest = max(v)
-                if highest > best[i]:
-                    best[i], best_at[i] = highest, pts[v.index(highest)]
-                if k == 1 or (ratio := (v[0] - ascent[3]) / gain) >= 0.1:
-                    if k > 1 and ratio > 0.75 and boundary:
-                        ascent[1] *= 2.0
-                    model, goes = _model(*v)
-                    ascent[2:] = frame, v[0], model
-                else:
-                    ascent[1] = 0.25 * length
-                    goes = ascent[1] >= 1e-12
-                if goes:
-                    going.append(ascent)
-        # The step of each ascent that goes on, from its accepted centre.
+    for k in range(2, _MAX_ROUNDS + 1):
+        # The step of each ascent that goes on, from its accepted centre: the
+        # stencil to evaluate, with the predicted gain, length and boundary
+        # flag of the step to it.
         moves = []
         for ascent in going:
             s1, s2, gain, boundary = _trust_step(*ascent[4], ascent[1])
@@ -865,6 +834,26 @@ def _climb(objective, rows: np.ndarray, values: np.ndarray, frames: np.ndarray, 
                 moves.append((ascent, frame, gain, math.hypot(s1, s2), boundary))
         if not moves:
             break
+        points, vals = _stencil_values(
+            objective, rows[[move[0][0] for move in moves]], np.array([move[1] for move in moves])
+        )
+        going = []
+        for (ascent, frame, gain, length, boundary), pts, v in zip(moves, points, vals.tolist()):
+            i = ascent[0]
+            rounds[i] = k
+            highest = max(v)
+            if highest > best[i]:
+                best[i], best_at[i] = highest, pts[v.index(highest)]
+            if (ratio := (v[0] - ascent[3]) / gain) >= 0.1:
+                if ratio > 0.75 and boundary:
+                    ascent[1] *= 2.0
+                model, goes = _model(*v)
+                ascent[2:] = frame, v[0], model
+            else:
+                ascent[1] = 0.25 * length
+                goes = ascent[1] >= 1e-12
+            if goes:
+                going.append(ascent)
     return best, best_at, rounds
 
 

@@ -417,9 +417,12 @@ def parse_explicit(doc: dict) -> tuple[np.ndarray, int, int]:
     for key in ("dA", "dB"):
         if key not in doc:
             raise ValueError(f"explicit state is missing field {key!r}")
-        if not is_number(doc[key]) or not isinstance(doc[key], numbers.Integral):
-            raise ValueError(f"explicit state field {key!r} must be an integer, got {doc[key]!r}")
-        dims.append(int(doc[key]))
+        # JSON does not tell 2.0 from 2: a real number of integral value is
+        # an integer (an int is tested as such, as float() overflows past 1e308).
+        value = doc[key]
+        if not (is_number(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())):
+            raise ValueError(f"explicit state field {key!r} must be an integer, got {value!r}")
+        dims.append(int(value))
     return mat, *dims
 
 

@@ -499,6 +499,15 @@ def test_malformed_explicit_state_exits_2_naming_the_field(capsys, tmp_path, exp
         assert err.startswith(f"error: {message}")
 
 
+def test_integral_float_dimensions_are_accepted(capsys, tmp_path):
+    outputs = []
+    for dims in ({"dA": 2, "dB": 2}, {"dA": 2.0, "dB": 2.0}):
+        state = write_state(tmp_path, {"explicit": {**dims, "re": (np.eye(4) / 4).tolist()}})
+        outputs.append(run_cli(capsys, "validate", "--state", state))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
 @pytest.mark.parametrize("p", [[0.5], "0.5", True, None])
 def test_non_numeric_family_parameter_exits_2_naming_the_field(capsys, tmp_path, p):
     state = write_state(tmp_path, {"family": {"name": "werner", "p": p}})

@@ -17,7 +17,6 @@ from eurmem.infoquant import (
     shannon_entropy,
     von_neumann_entropy,
 )
-from eurmem import infoquant
 from eurmem.infoquant import (
     IMPROVE_ATOL,
     _directions,
@@ -425,14 +424,16 @@ def test_two_qubit_grid_call_stays_under_the_mmap_threshold():
 
 def _ascent_corpora():
     """Seeded stacks with dB = 2, 3, 4 and ranks 1 to full, two pure dB = 4
-    states whose ascents have steps rejected and radii cut (five each), and
-    the 303 family states."""
+    states whose ascents have steps rejected and radii cut (five each),
+    product states (J_A = 0 on the whole sphere, so a stencil point may
+    beat the peak by rounding alone), and the 303 family states."""
     rng = np.random.default_rng(139)
     for dB in (2, 3, 4):
         states = [random_density_matrix(rng, dB=dB, rank=rank) for rank in range(1, 2 * dB + 1) for _ in range(4)]
         yield f"dB={dB}", _stack_of(states)
     rejecting = [random_density_matrix(np.random.default_rng(seed), dB=4, rank=1) for seed in (28, 81)]
     yield "rejected steps", _stack_of(rejecting)
+    yield "product", _stack_of([random_product_state(rng) for _ in range(16)])
     for family in ("werner", "bell_diagonal_special", "xstate"):
         yield family, family_stack(family, np.linspace(0.0, 1.0, 101))
 
@@ -443,21 +444,23 @@ def _row_objective(objective, k):
     return lambda rows, dirs: objective(row[rows], dirs)
 
 
-@pytest.mark.parametrize("array_ascents", [1, 10**9], ids=["round-1-arrays", "loop"])
 @pytest.mark.parametrize("name, states", list(_ascent_corpora()), ids=lambda v: v if isinstance(v, str) else "")
-def test_climb_matches_generator_reference(monkeypatch, name, states, array_ascents):
-    monkeypatch.setattr(infoquant, "_ARRAY_ASCENTS", array_ascents)
+def test_climb_matches_generator_reference(name, states):
     build = _two_qubit_objective if states.dB == 2 else _general_objective
     objective = build(states, _state_entropies(states).s_b)
     cfg = OptimizerConfig()
     want = reference_search(objective, len(states), cfg)
     stacked = _search(objective, len(states), cfg)
     rows = [_row_search(_row_objective(objective, k), cfg) for k in range(len(states))]
+    # Each result is the objective's value at the direction it reports.
+    at = np.array([found[1] for found in stacked])
+    np.testing.assert_array_equal(objective(np.arange(len(states)), at.T[:, :, None])[:, 0], [found[0] for found in stacked])
     for got in (stacked, rows):
-        for k, ((value, _, grid_best, rounds), (ref_value, _, ref_grid_best, ref_rounds)) in enumerate(
+        for k, ((value, at, grid_best, rounds), (ref_value, ref_at, ref_grid_best, ref_rounds)) in enumerate(
             zip(got, want)
         ):
             assert abs(value - ref_value) <= 1e-15, (name, k)
+            assert np.allclose(at, ref_at, rtol=0.0, atol=1e-12), (name, k)
             assert (grid_best, rounds) == (ref_grid_best, ref_rounds), (name, k)
 
 
