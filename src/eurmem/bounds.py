@@ -55,6 +55,7 @@ __all__ = [
     "ClosedFormCurves",
     "closed_form_curves",
     "family_pair_observables",
+    "family_pairs",
 ]
 
 
@@ -236,6 +237,27 @@ def closed_form_curves(family: str, p: float, pair: str) -> ClosedFormCurves:
     return fn(p, _check_pair(pair))
 
 
+def family_pairs(family: str, ps, pair: str) -> tuple[list, list]:
+    """``family_pair_observables`` at each p of a sequence: the lists of X
+    and of Z, one entry per p.
+
+    For bell_diagonal_special one stable sort of -|r_i| orders the axes of
+    every p at once (ties keep x, y, z order); x comes first unless
+    p > |1 - 2p|, so the lists hold at most two distinct pairs.
+    """
+    key = _check_pair(pair)
+    ps = np.asarray(ps, dtype=float)
+    if family == "bell_diagonal_special":
+        r = np.abs(np.stack([1.0 - 2.0 * ps, -ps, -ps], axis=-1))
+        order = np.argsort(-r, axis=-1, kind="stable")
+        axes = [pauli_observable(axis) for axis in "xyz"]
+        xs = [axes[k] for k in order[:, 0].tolist()]
+        return xs, [axes[k] for k in order[:, 1 if key == "xy" else 2].tolist()]
+    if family == "xstate":
+        return [pauli_observable("x")] * len(ps), [pauli_observable("y" if key == "xy" else "z")] * len(ps)
+    raise ValueError(f"no preset observables for family {family!r}")
+
+
 def family_pair_observables(
     family: str, p: float, pair: str
 ) -> tuple[ProjectiveObservable, ProjectiveObservable]:
@@ -248,13 +270,5 @@ def family_pair_observables(
 
     xstate: literally (sigma_x, sigma_y) or (sigma_x, sigma_z).
     """
-    key = _check_pair(pair)
-    p = float(p)
-    if family == "bell_diagonal_special":
-        r = {"x": 1.0 - 2.0 * p, "y": -p, "z": -p}
-        # Python's sort is stable, so ties keep x, y, z order.
-        order = sorted(r, key=lambda axis: -abs(r[axis]))
-        return pauli_observable(order[0]), pauli_observable(order[1 if key == "xy" else 2])
-    if family == "xstate":
-        return pauli_observable("x"), pauli_observable("y" if key == "xy" else "z")
-    raise ValueError(f"no preset observables for family {family!r}")
+    xs, zs = family_pairs(family, [p], pair)
+    return xs[0], zs[0]

@@ -18,14 +18,17 @@ deterministic: identical inputs give byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .apps import applications_report
-from .bounds import bounds_report, bounds_table, family_pair_observables
+from .bounds import bounds_report, bounds_table, family_pairs
 from .infoquant import OptimizerConfig, classical_correlation, classical_correlation_stack
 from .measure import observable_from_spec
 from .states import (
@@ -41,6 +44,7 @@ from .states import (
 
 SWEEP_HEADER = "p,q_mu,s_cond,i_ab,i_xb,i_zb,delta,bound_berta,bound_pati,bound_ours,actual"
 _SWEEP_FIELDS = SWEEP_HEADER.split(",")
+_SWEEP_LINE = ",".join(["%.12g"] * len(_SWEEP_FIELDS)) + "\n"
 # Largest sweep accepted, in rows: p_step 1e-5 over [0, 1].  Each row runs
 # the J_A optimizer and the bounds, about 0.1-0.13 ms on a family state with
 # one pair (10 001-row sweeps take 1.3-1.6 s, start-up included, on a 2-vCPU
@@ -52,7 +56,7 @@ SWEEP_BLOCK_ROWS = 128
 VALIDATE_CSV_HEADER = "name,passed,residual,tolerance"
 
 # Canned sweep specs over p in [0, 1] in steps of 0.01.  A string pair is
-# a bounds.family_pair_observables label, resolved at each p.
+# a bounds.family_pairs label, resolved at each p of a block.
 PRESETS = {
     "fig1a": {"family": "bell_diagonal_special", "pairs": ["xy"]},
     "fig1b": {"family": "bell_diagonal_special", "pairs": ["xz"]},
@@ -213,12 +217,8 @@ def _sweep_pairs(family: str, pairs) -> list:
         if entry in ("xy", "xz"):
             # Resolved once here, so that a family without preset
             # observables fails before any state is built.
-            family_pair_observables(family, 0.0, entry)
-            resolved.append(
-                lambda ps, label=entry: tuple(
-                    zip(*(family_pair_observables(family, p, label) for p in ps))
-                )
-            )
+            family_pairs(family, [0.0], entry)
+            resolved.append(lambda ps, label=entry: family_pairs(family, ps, label))
         elif isinstance(entry, list) and len(entry) == 2:
             xz = [_load_observable_arg(r if isinstance(r, str) else json.dumps(r)) for r in entry]
             resolved.append(lambda ps, xz=xz: xz)
@@ -239,18 +239,23 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"sweep family must be one of {names}, got {family!r}")
     pairs = _sweep_pairs(family, spec.get("pairs"))
     cfg = _optimizer_config(args)
-    tables = [[SWEEP_HEADER] for _ in pairs]
-    for start in range(0, len(ps), SWEEP_BLOCK_ROWS):
-        block = ps[start : start + SWEEP_BLOCK_ROWS]
-        states = family_stack(family, block)
-        corr = classical_correlation_stack(states, cfg)
-        for lines, observables_for in zip(tables, pairs):
-            columns = {"p": block, **bounds_table(states, *observables_for(block), corr)}
-            rows = zip(*(list(columns[key]) for key in _SWEEP_FIELDS))
-            lines.extend(",".join(map(_fmt, row)) for row in rows)
-    for i, lines in enumerate(tables):
-        text = "\n".join(lines) + "\n"
-        _indexed_path(out, i, len(tables)).write_text(text, encoding="utf-8", newline="")
+    with contextlib.ExitStack() as stack:
+        # Each block's rows go out as they come, so a sweep's memory is that of one block.
+        files = [
+            stack.enter_context(_indexed_path(out, i, len(pairs)).open("w", encoding="utf-8", newline=""))
+            for i in range(len(pairs))
+        ]
+        for file in files:
+            file.write(SWEEP_HEADER + "\n")
+        for start in range(0, len(ps), SWEEP_BLOCK_ROWS):
+            block = ps[start : start + SWEEP_BLOCK_ROWS]
+            states = family_stack(family, block)
+            corr = classical_correlation_stack(states, cfg)
+            for file, observables_for in zip(files, pairs):
+                columns = {"p": block, **bounds_table(states, *observables_for(block), corr)}
+                # _fmt of every entry: "%" formats a float as format() does
+                rows = zip(*((np.asarray(columns[key], dtype=float) + 0.0).tolist() for key in _SWEEP_FIELDS))
+                file.writelines(_SWEEP_LINE % row for row in rows)
     return 0
 
 

@@ -38,11 +38,16 @@ which every ascent runs and after which every ascent on the named families
 stops, takes its stencil models and stop tests as arrays over the block;
 the few ascents that go on step one by one between the calls.
 For two qubits the objective is evaluated in the real Pauli-correlation
-form of the state (a few 3-vector operations per direction), in pieces
-(whole rows, or part of one row's directions on a large grid) whose
-buffers each stay under glibc's 128 KB mmap threshold, so that a call's
-working set is bounded and comes from the heap; for dB >= 3 it
-diagonalizes the conditional states of B with LAPACK.  It reports a
+form of the state: one small matrix product per row gives the weights and
+Bloch vectors of both outcomes of each direction, and their lengths come
+from the components.  The product runs per row, never over a block of
+rows, and never with a single row or column, so that BLAS sums each entry
+in one order whatever the call.  A call runs in pieces (whole rows, or
+part of one row's directions on a large grid) whose buffers each stay
+under glibc's 128 KB mmap threshold, so that its working set is bounded
+and comes from the heap, and the peak pass takes the grids 16 at a time
+for the same reason; for dB >= 3 it diagonalizes the conditional states
+of B with LAPACK.  It reports a
 projective optimum; it does not claim optimality over general POVMs,
 although for the named state families the two coincide.
 """
@@ -247,14 +252,16 @@ def _observables(obs) -> list[ProjectiveObservable]:
     return [obs] if isinstance(obs, ProjectiveObservable) else list(obs)
 
 
-def _bases(observables: list[ProjectiveObservable], rows: int) -> np.ndarray:
+def _bases(observables: list[ProjectiveObservable], distinct, rows: int) -> np.ndarray:
     """The (1, d, d) basis of one observable for all rows, or the (P, d, d)
-    bases of one observable per row."""
+    bases of one observable per row, gathered by one index from those of the
+    ``distinct`` observables, which include them all."""
     if len(observables) == 1:
         return observables[0].basis[None]
     if len(observables) != rows:
         raise ValueError(f"got {len(observables)} observables for a stack of {rows} states")
-    return np.stack([obs.basis for obs in observables])
+    position = {obs: k for k, obs in enumerate(distinct)}
+    return np.stack([obs.basis for obs in distinct])[[position[obs] for obs in observables]]
 
 
 @dataclass(frozen=True)
@@ -294,8 +301,9 @@ def evaluate_stack(states: StateStack, x, z) -> Evaluation:
     """
     xs, zs = _observables(x), _observables(z)
     # Each distinct observable once, X first, so that a mismatch names X's dimension.
-    require_on_a(states, *dict.fromkeys(xs + zs))
-    bases = [_bases(xs, len(states)), _bases(zs, len(states))]
+    distinct = dict.fromkeys(xs + zs)
+    require_on_a(states, *distinct)
+    bases = [_bases(xs, distinct, len(states)), _bases(zs, distinct, len(states))]
     e = _state_entropies(states)
     terms = _outcome_terms(states, bases, e.s_b)
     q_mu, q_prime = (np.broadcast_to(q, e.s_ab.shape) for q in incompatibility(overlaps(*bases)))
@@ -410,60 +418,63 @@ _PAULI_PAIRS = np.array(
     [np.kron(s, t).T.ravel() for s in (I2,) + PAULIS for t in (I2,) + PAULIS]
 )
 # Values per piece of a two-qubit objective call, at most: the piece's
-# largest buffers, (3, 2, piece) float64 (120 KB), then stay under glibc's
-# default 128 KB mmap threshold, so every buffer comes from the heap and is
-# reused by the next piece.
-_PIECE = 2560
+# buffers, its 8 matrix-product terms and its 6 log terms per value, and the
+# table of its directions, 8 entries per direction (each at most 120 KB),
+# then stay under glibc's default 128 KB mmap threshold, so every buffer
+# comes from the heap and is reused by the next piece.
+_PIECE = 1920
+# x log2 x is x times log2 of max(x, this): x itself for x > 0, and
+# 0 * -1074 = -0.0 for x = 0.  No -0.0 outlives an outcome's
+# p log2 p - sum mu log2 mu: all its terms are zeros only when p = 0 or
+# p = 1, and then it is +0.0.
+_TINY = np.finfo(float).smallest_subnormal
 
 
-def _signed_terms(table, dirs):
-    """(1 +- a.n) / 4 (2, b, k) and (b +- C^T n) / 4 (3, 2, b, k) of the
-    outcomes n+ and n-, for ``table`` = q[:, :, rows, None] (4, 4, b, 1) and
-    directions (3, b or 1, k); n.(a, C) is summed over components left to
-    right, and freed on return, before the piece makes its other buffers."""
-    lin = table[1] * dirs[0]
-    lin += table[2] * dirs[1]
-    lin += table[3] * dirs[2]
-    weight = np.empty((2,) + lin.shape[1:])
-    np.add(table[0, 0], lin[0], out=weight[0])
-    np.subtract(table[0, 0], lin[0], out=weight[1])
-    u = np.empty((3,) + weight.shape)
-    np.add(table[0, 1:], lin[1:], out=u[:, 0])
-    np.subtract(table[0, 1:], lin[1:], out=u[:, 1])
-    return weight, u
+def _direction_table(dirs):
+    """The table (B, 4, 2K) of directions (3, B, K): column 2k is (1, n) of
+    direction k, and column 2k + 1 is (1, -n), its other outcome."""
+    n = dirs.transpose(1, 0, 2)
+    table = np.empty(n.shape[:1] + (4,) + n.shape[2:] + (2,))
+    table[:, 0] = 1.0
+    table[:, 1:, :, 0] = n
+    np.negative(n, out=table[:, 1:, :, 1])
+    return table.reshape(len(table), 4, -1)
 
 
-def _two_qubit_piece(table, dirs, s_b, out):
-    """The two-qubit objective at the directions of one piece (see
-    ``_signed_terms``), written to ``out`` (b, k); ``s_b`` is (b, 1).
+def _two_qubit_piece(q, table, s_b, out):
+    """The two-qubit objective at the directions of one piece, written to
+    ``out`` (b, k): ``q`` (b, 4, 4) and ``s_b`` (b, 1) of its rows and
+    ``table`` (b or 1, 4, 2k) of its directions (``_direction_table``).
 
-    Every piece runs the same operations in the same order, so a value does
-    not depend on the call or the piece it is in.  x log2 x is x times one
-    log2 call over the stacked [e-, e+, p] of both outcomes, taken of 1
-    (giving 0) where x <= 0.
+    One matrix product per row, q^T times the table, gives each outcome's
+    weight (1 + a.n) / 4 and vector (b + C^T n) / 4; the outcome's
+    eigenvalues are max(weight -+ |vector|, 0) and its probability p their
+    sum.  Every piece runs the same operations in the same order, so a
+    value does not depend on the call or the piece it is in.
     """
-    weight, u = _signed_terms(table, dirs)
-    np.multiply(u, u, out=u)
-    radius = u[0]
-    radius += u[1]
-    radius += u[2]
+    terms = np.empty((4,) + s_b.shape[:1] + table.shape[-1:])
+    np.matmul(q.transpose(0, 2, 1), table, out=terms.transpose(1, 0, 2))
+    np.multiply(terms[1:], terms[1:], out=terms[1:])
+    radius = terms[1]
+    radius += terms[2]
+    radius += terms[3]
     np.sqrt(radius, out=radius)
-    # the eigenvalues e-+ = max(weight -+ radius, 0) and p = e- + e+
-    eigs = np.empty_like(u)
-    np.subtract(weight, radius, out=eigs[0])
-    np.add(weight, radius, out=eigs[1])
-    np.maximum(eigs[:2], 0.0, out=eigs[:2])
-    np.add(eigs[0], eigs[1], out=eigs[2])
-    # x log2 x, with log2 taken of 1 where x <= 0 (x + 0 is x itself)
-    xlog = np.add(eigs, eigs <= 0.0, out=u)
+    # [p, e-, e+] of each outcome, in place of the terms
+    eigs = terms[1:]
+    np.subtract(terms[0], radius, out=eigs[1])
+    np.add(terms[0], radius, out=eigs[2])
+    np.maximum(eigs[1:], 0.0, out=eigs[1:])
+    np.add(eigs[1], eigs[2], out=eigs[0])
+    xlog = np.maximum(eigs, _TINY)
     np.log2(xlog, out=xlog)
     xlog *= eigs
     # p log2 p - sum mu log2 mu per outcome, 0 below the zero-probability cut
-    xlog[0] += xlog[1]
-    cond = np.subtract(xlog[2], xlog[0], out=xlog[2])
-    np.copyto(cond, 0.0, where=eigs[2] < ZERO_PROB)
-    cond[0] += cond[1]
-    np.subtract(s_b, cond[0], out=out)
+    xlog[1] += xlog[2]
+    cond = np.subtract(xlog[0], xlog[1], out=xlog[0])
+    np.copyto(cond, 0.0, where=eigs[0] < ZERO_PROB)
+    outcomes = cond.reshape(len(cond), -1, 2)
+    np.add(outcomes[..., 0], outcomes[..., 1], out=out)
+    np.subtract(s_b, out, out=out)
 
 
 def _two_qubit_objective(states: StateStack, s_b: np.ndarray):
@@ -472,30 +483,35 @@ def _two_qubit_objective(states: StateStack, s_b: np.ndarray):
     With T_{mu nu} = tr(rho sigma_mu (x) sigma_nu), a = T_{i0}, b = T_{0j}
     and C = T_{ij}, the outcome n+- has probability (1 +- a.n)/2 and its
     unnormalized conditional state on B the eigenvalues
-    ((1 +- a.n) +- |b +- C^T n|)/4, so each direction costs a few real
-    3-vector operations.  The objective's arguments are those of
-    ``_general_objective``'s.  A call runs in pieces of at most ``_PIECE``
-    values (``_two_qubit_piece``), so its working set is bounded whatever
-    the call's size.
+    ((1 +- a.n) +- |b +- C^T n|)/4: both outcomes of a direction come from
+    q = T / 4 applied to (1, n) and (1, -n), one small matrix product per
+    row (``_two_qubit_piece``).  Each product has at least two rows and two
+    columns, so BLAS takes it as a matrix product, whose entries each sum
+    their four terms in one order whatever the product's size; the rows go
+    one product each, so no entry depends on the rows around it.  The
+    objective's arguments are those of ``_general_objective``'s.  A call
+    runs in pieces of at most ``_PIECE`` values, so its working set is
+    bounded whatever the call's size.
     """
     # One matrix-vector product per row, the same arithmetic whatever the stack.
     products = (_PAULI_PAIRS @ states.mats.reshape(-1, 16, 1))[..., 0]
-    # q[mu, nu, row], components first.
-    q = (0.25 * products.real).reshape(-1, 4, 4).transpose(1, 2, 0)
+    q = (0.25 * products.real).reshape(-1, 4, 4)
 
     def objective(rows, dirs):
-        table = q[:, :, rows, None]
+        qs = q[rows]
         sb = s_b[rows, None]
-        count, size = table.shape[2], dirs.shape[-1]
+        count, size = len(qs), dirs.shape[-1]
+        shared = dirs.shape[1] == 1
         out = np.empty((count, size))
         # Pieces of whole rows, or of one row's directions when a row is larger.
         step_rows, step_cols = max(1, _PIECE // size), min(size, _PIECE)
-        for r in range(0, count, step_rows):
-            rs = slice(r, r + step_rows)
-            for c in range(0, size, step_cols):
-                cs = slice(c, c + step_cols)
-                d = dirs[:, :, cs] if dirs.shape[1] == 1 else dirs[:, rs, cs]
-                _two_qubit_piece(table[:, :, rs], d, sb[rs], out[rs, cs])
+        for c in range(0, size, step_cols):
+            cs = slice(c, c + step_cols)
+            table = _direction_table(dirs[:, :, cs]) if shared else None
+            for r in range(0, count, step_rows):
+                rs = slice(r, r + step_rows)
+                t = table if shared else _direction_table(dirs[:, rs, cs])
+                _two_qubit_piece(qs[rs], t, sb[rs], out[rs, cs])
         return out
 
     return objective
@@ -586,14 +602,22 @@ def _grid_peaks(values: np.ndarray) -> list[np.ndarray]:
     maxima take their neighbourhoods from ``_sphere_neighbourhood``.
     """
     count, rows, cols = values.shape
-    half = cols // 2
-    peak = values >= _sphere_neighbourhood(values, np.maximum) - IMPROVE_ATOL
+    size, half = rows * cols, cols // 2
+    peak = np.empty(values.shape, dtype=bool)
+    # The peak test takes as many grids at a time as one grid call holds,
+    # so that their padded copies stay in cache and under glibc's 128 KB
+    # mmap threshold.
+    step = max(1, _CALL_DIRECTIONS // size)
+    for first in range(0, count, step):
+        grids = values[first : first + step]
+        highest = _sphere_neighbourhood(grids, np.maximum) - IMPROVE_ATOL
+        np.greater_equal(grids, highest, out=peak[first : first + step])
+    del highest  # before the merging, whose buffers are the pass's largest
     # The pole row, and an equator cell with its antipode, are one point
     # each, whatever their rounding.
     peak[:, 0] = peak[:, 0].any(axis=1, keepdims=True)
     peak[:, -1, :half] = peak[:, -1, half:] = peak[:, -1, :half] | peak[:, -1, half:]
     cells = np.flatnonzero(peak)
-    grid, local = np.divmod(cells, rows * cols)
     total = len(cells)
     if total > count:
         # Some grid has several maxima (each has at least its highest cell).
@@ -602,8 +626,8 @@ def _grid_peaks(values: np.ndarray) -> list[np.ndarray]:
         # the smallest type that holds it.  Each round takes the neighbourhood
         # minimum of all label grids and jumps labels among the maxima, until
         # a round changes nothing: each connected set then holds its lowest.
-        flat = np.full(count * rows * cols, total, dtype=np.min_scalar_type(total))
-        flat[cells] = np.arange(total)
+        flat = np.full(count * size, total, dtype=np.min_scalar_type(total))
+        flat[cells] = np.arange(total, dtype=flat.dtype)
         labels = flat.reshape(values.shape)
         labels[:, -1, half:] = labels[:, -1, :half]
         settled = flat[cells]
@@ -614,10 +638,15 @@ def _grid_peaks(values: np.ndarray) -> list[np.ndarray]:
             if np.array_equal(spread, settled):
                 break
             flat[cells] = settled = spread
-        order = np.lexsort((-values.ravel()[cells], grid))
-        _, first = np.unique(settled[order], return_index=True)
-        best = order[np.sort(first)]
-        grid, local = grid[best], local[best]
+        # Each set's best cell comes first among its cells in the order of
+        # label, then value from the highest (the sort is stable, so ties go
+        # by index); the sets of a grid then go best first, ties by index.
+        order = np.lexsort((-values.ravel()[cells], settled))
+        ordered = settled[order]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        best = cells[order[starts]]
+        cells = best[np.lexsort((best, -values.ravel()[best], best // size))]
+    grid, local = np.divmod(cells, size)
     bounds = np.searchsorted(grid, np.arange(count + 1)).tolist()
     return [local[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 

@@ -68,6 +68,10 @@ __all__ = [
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
 SCHMIDT_SUM_ATOL = 1e-12
+# Largest dA or dB an explicit state document may give: a state matrix of
+# side 2**20 would take 16 TiB, and below it the product dA dB, and so the
+# shape residual, is an exact float.
+MAX_DIMENSION = 1 << 20
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -422,6 +426,8 @@ def parse_explicit(doc: dict) -> tuple[np.ndarray, int, int]:
         value = doc[key]
         if not (is_number(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())):
             raise ValueError(f"explicit state field {key!r} must be an integer, got {value!r}")
+        if not 1 <= value <= MAX_DIMENSION:
+            raise ValueError(f"explicit state field {key!r} must lie in [1, {MAX_DIMENSION}], got {value!r}")
         dims.append(int(value))
     return mat, *dims
 

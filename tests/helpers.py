@@ -191,17 +191,45 @@ def spreading_grid_peaks(values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# References for the J_A search: the earlier two-qubit objective formula and
+# References for the J_A search: two forms of the two-qubit objective, and
 # the generator form of the trust-region ascent, kept as written before the
-# bounded kernel and the array ascent replaced them.
+# array ascent replaced it.
 # ---------------------------------------------------------------------------
 
 
-def reference_two_qubit_objective(states, s_b):
-    """The two-qubit objective as one batch of stacked temporaries, with
-    the operation order that ``infoquant._two_qubit_objective`` keeps."""
+def _pauli_quarters(states):
+    """q = T / 4 of each row, T_{mu nu} = tr(rho sigma_mu (x) sigma_nu), as
+    the kernel computes it: one matrix-vector product per row."""
     products = (infoquant._PAULI_PAIRS @ states.mats.reshape(-1, 16, 1))[..., 0]
-    q = (0.25 * products.real).reshape(-1, 4, 4).transpose(1, 2, 0)
+    return (0.25 * products.real).reshape(-1, 4, 4)
+
+
+def kernel_reference_two_qubit_objective(states, s_b):
+    """The two-qubit objective in the operation order of
+    ``infoquant._two_qubit_objective``, as one batch without pieces: per
+    row, q^T times the columns (1, n) and (1, -n) of every direction in one
+    matrix product; then the radius as ((x^2 + y^2) + z^2), the eigenvalues
+    and ``infoquant._conditional_sum`` over both outcomes, n first."""
+    q = _pauli_quarters(states)
+
+    def objective(rows, dirs):
+        ones = np.ones_like(dirs[:1])
+        signed = np.stack([np.concatenate([ones, dirs]), np.concatenate([ones, -dirs])], axis=-1)
+        table = signed.transpose(1, 0, 2, 3).reshape(dirs.shape[1], 4, -1)
+        terms = (q[rows].transpose(0, 2, 1) @ table).transpose(1, 0, 2)
+        radius = np.sqrt((terms[1:] * terms[1:]).sum(axis=0))
+        eigs = np.maximum(np.stack([terms[0] - radius, terms[0] + radius]), 0.0)
+        outcomes = eigs.reshape(eigs.shape[:-1] + (-1, 2)).transpose(0, 3, 1, 2)
+        return s_b[rows, None] - infoquant._conditional_sum(outcomes)
+
+    return objective
+
+
+def reference_two_qubit_objective(states, s_b):
+    """The two-qubit objective in its earlier form, independent of the
+    kernel's matrix product: n.(a, C) as elementwise sums over components,
+    the signed terms of both outcomes, and one batch of stacked temporaries."""
+    q = _pauli_quarters(states).transpose(1, 2, 0)
     signs = np.array([[[1.0]], [[-1.0]]])
 
     def objective(rows, dirs):

@@ -8,7 +8,9 @@ from eurmem.bounds import (
     bounds_report,
     closed_form_curves,
     family_pair_observables,
+    family_pairs,
 )
+from eurmem.cli import _sweep_grid
 from eurmem.infoquant import (
     binary_entropy,
     classical_correlation,
@@ -291,3 +293,27 @@ def test_family_pair_observables_matches_the_stable_argsort_rule():
         for pair, axes in want.items():
             got = family_pair_observables("bell_diagonal_special", p, pair)
             assert [obs.label() for obs in got] == [f"sigma_{'xyz'[k]}" for k in axes], (p, pair)
+
+
+def _sorted_axes_rule(family, p, pair):
+    """The rule of one p as first written: Python's stable sort of the axes
+    by -|r_i|."""
+    if family == "xstate":
+        return "x", "y" if pair == "xy" else "z"
+    r = {"x": 1.0 - 2.0 * p, "y": -p, "z": -p}
+    order = sorted(r, key=lambda axis: -abs(r[axis]))
+    return order[0], order[1 if pair == "xy" else 2]
+
+
+@pytest.mark.parametrize("family", ["bell_diagonal_special", "xstate"])
+def test_family_pairs_of_a_block_follow_the_one_p_rule(family):
+    third = 1.0 / 3.0
+    ps = _sweep_grid(0.0, 1.0, 0.01) + [0.0, 1.0, np.nextafter(third, 0.0), third, np.nextafter(third, 1.0)]
+    for pair in ("xy", "xz"):
+        xs, zs = family_pairs(family, ps, pair)
+        assert len(xs) == len(zs) == len(ps)
+        assert len(set(zip(xs, zs))) <= 2
+        for p, x, z in zip(ps, xs, zs):
+            assert (x, z) == family_pair_observables(family, p, pair), (p, pair)
+            want = [pauli_observable(axis) for axis in _sorted_axes_rule(family, p, pair)]
+            assert [x, z] == want, (p, pair)

@@ -319,6 +319,18 @@ def test_validate_command_pass_and_fail(capsys, tmp_path):
     assert names["trace"]["residual"] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("dims", [{"dA": int("9" * 400), "dB": 2}, {"dA": 2, "dB": 1e300}, {"dA": -2, "dB": -2}, {"dA": 0, "dB": 4}])
+def test_explicit_dimension_out_of_range_exits_2_naming_the_field(capsys, dims):
+    # A 400-digit dA once reached float() in the shape check (OverflowError,
+    # exit 1), and dA = dB = -2 passed the shape check of a 4 x 4 matrix.
+    state = json.dumps({"explicit": {**dims, "re": (np.eye(4) / 4).tolist()}})
+    field = "dA" if dims["dA"] != 2 else "dB"
+    for args in (["validate"], ["bounds", "--x", "x", "--z", "z"]):
+        code, out, err = run_cli(capsys, args[0], "--state", state, *args[1:])
+        assert code == 2 and out == ""
+        assert f"explicit state field '{field}' must lie in [1, 1048576]" in err
+
+
 def test_validate_unparseable_exits_2(capsys, tmp_path):
     path = tmp_path / "nope.json"
     path.write_text("[[", encoding="utf-8")

@@ -59,6 +59,7 @@ from helpers import (
     random_product_state,
     random_schmidt_coeffs,
     random_single_qubit_density,
+    kernel_reference_two_qubit_objective,
     reference_search,
     reference_two_qubit_objective,
     spreading_grid_peaks,
@@ -383,26 +384,79 @@ def _kernel_stacks():
         yield family, family_stack(family, np.r_[np.linspace(0.0, 1.0, 101), 1e-15, 1e-13, 1.0 - 1e-13])
 
 
+def _kernel_calls(states):
+    """(rows, directions) of the kernel's calls on a stack: the default grid
+    in calls of 1, 5 and 16 rows; one row's 60 x 120 grid in one call, which
+    the kernel splits along its directions; and stencil calls, one set of
+    directions per row, with rows repeated."""
+    grid = _hemisphere_grid(12, 24)[1][:, None]
+    for rows in (1, 5, 16):
+        for start in range(0, len(states), rows):
+            yield slice(start, start + rows), grid
+    dense = _hemisphere_grid(60, 120)[1][:, None]
+    for row in (0, len(states) - 1):
+        yield slice(row, row + 1), dense
+    rng = np.random.default_rng(137)
+    for count in (3, 300):
+        rows = np.repeat(rng.integers(0, len(states), size=count), 3)
+        yield rows, _unit_directions(rng, 9 * len(rows)).reshape(3, len(rows), 9)
+
+
 @pytest.mark.parametrize("name, states", list(_kernel_stacks()), ids=lambda v: v if isinstance(v, str) else "")
 def test_two_qubit_kernel_matches_reference_bit_for_bit(name, states):
     s_b = _state_entropies(states).s_b
     kernel = _two_qubit_objective(states, s_b)
-    reference = reference_two_qubit_objective(states, s_b)
-    grid = _hemisphere_grid(12, 24)[1][:, None]
-    for rows in (1, 5, 16):
-        for start in range(0, len(states), rows):
-            block = slice(start, start + rows)
-            np.testing.assert_array_equal(kernel(block, grid), reference(block, grid))
-    # one row's 60 x 120 grid in one call, which the kernel splits along its directions
-    dense = _hemisphere_grid(60, 120)[1][:, None]
-    for row in (0, len(states) - 1):
-        np.testing.assert_array_equal(kernel(slice(row, row + 1), dense), reference(slice(row, row + 1), dense))
-    # stencil calls: one set of directions per row, rows repeated
-    rng = np.random.default_rng(137)
-    for count in (3, 300):
-        rows = np.repeat(rng.integers(0, len(states), size=count), 3)
-        dirs = _unit_directions(rng, 9 * len(rows)).reshape(3, len(rows), 9)
+    reference = kernel_reference_two_qubit_objective(states, s_b)
+    for rows, dirs in _kernel_calls(states):
         np.testing.assert_array_equal(kernel(rows, dirs), reference(rows, dirs))
+
+
+# The kernel against the earlier elementwise form of the objective: on this
+# corpus they differ by at most 8.9e-15 (measured), in the last bits of the
+# sums that the matrix product fuses.
+EARLIER_FORM_ATOL = 3e-14
+
+
+@pytest.mark.parametrize("name, states", list(_kernel_stacks()), ids=lambda v: v if isinstance(v, str) else "")
+def test_two_qubit_kernel_matches_the_earlier_form(name, states):
+    s_b = _state_entropies(states).s_b
+    kernel = _two_qubit_objective(states, s_b)
+    earlier = reference_two_qubit_objective(states, s_b)
+    for rows, dirs in _kernel_calls(states):
+        np.testing.assert_allclose(kernel(rows, dirs), earlier(rows, dirs), rtol=0.0, atol=EARLIER_FORM_ATOL)
+
+
+@pytest.mark.parametrize("name, states", list(_kernel_stacks()), ids=lambda v: v if isinstance(v, str) else "")
+def test_two_qubit_kernel_rows_do_not_depend_on_their_call(name, states):
+    # Each row's values alone equal its values inside 5-row and 16-row
+    # calls, for the grid (directions shared by all rows), for directions of
+    # its own, and for one direction per row, bit for bit.
+    objective = _two_qubit_objective(states, _state_entropies(states).s_b)
+    grid = _hemisphere_grid(12, 24)[1][:, None]
+    own = _unit_directions(np.random.default_rng(139), 9 * len(states)).reshape(3, len(states), 9)
+    for dirs in (grid, own, own[:, :, :1]):
+        alone = np.concatenate([objective(slice(k, k + 1), dirs[:, k : k + 1] if dirs.shape[1] > 1 else dirs)
+                                for k in range(len(states))])
+        for size in (5, 16):
+            for start in range(0, len(states), size):
+                rows = slice(start, start + size)
+                got = objective(rows, dirs[:, rows] if dirs.shape[1] > 1 else dirs)
+                np.testing.assert_array_equal(got, alone[rows])
+    # and a direction's value does not depend on the directions beside it:
+    # each grid direction of each row alone, one per call row
+    rows = np.repeat(np.arange(len(states)), grid.shape[-1])
+    alone = objective(rows, np.tile(grid[:, 0], len(states))[:, :, None])
+    np.testing.assert_array_equal(alone.reshape(len(states), -1), objective(slice(0, len(states)), grid))
+
+
+def _traced_peak(run):
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_two_qubit_grid_call_stays_under_the_mmap_threshold():
@@ -412,14 +466,20 @@ def test_two_qubit_grid_call_stays_under_the_mmap_threshold():
     states = family_stack("bell_diagonal_special", np.linspace(0.0, 1.0, 101))
     objective = _two_qubit_objective(states, _state_entropies(states).s_b)
     grid = _hemisphere_grid(12, 24)[1][:, None]
-    objective(slice(0, 16), grid)
-    tracemalloc.start()
-    try:
-        objective(slice(16, 32), grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 512 * 1024
+    assert _traced_peak(lambda: objective(slice(16, 32), grid)) <= 512 * 1024
+
+
+@pytest.mark.parametrize("family", ["bell_diagonal_special", "xstate"])
+def test_grid_peaks_of_a_preset_block_stay_under_the_mmap_threshold(family):
+    # The peak test takes 16 grids at a time, so its padded copies of a
+    # 101-row block's grid values stay below the threshold; taken all at
+    # once (294 KB each) they put the pass's traced peak at ~930 KB, now
+    # ~360 KB.
+    states = family_stack(family, np.linspace(0.0, 1.0, 101))
+    objective = _two_qubit_objective(states, _state_entropies(states).s_b)
+    grid = _hemisphere_grid(12, 24)[1][:, None]
+    values = np.concatenate([objective(slice(k, k + 16), grid) for k in range(0, 101, 16)])
+    assert _traced_peak(lambda: _grid_peaks(values.reshape(-1, 12, 24))) <= 512 * 1024
 
 
 def _ascent_corpora():
