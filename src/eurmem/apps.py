@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .infoquant import Evaluation, binary_entropy, evaluate_stack
+from .infoquant import _one_row, binary_entropy, evaluate_stack
 from .matops import hermitian_eigvals
 from .measure import MeasurementEnsemble, ProjectiveObservable
 from .states import DensityMatrix, StateStack
@@ -68,10 +68,11 @@ class WitnessVerdict:
         return asdict(self)
 
 
-def _verdict(ev: Evaluation) -> dict[str, np.ndarray]:
-    """The ``WitnessVerdict`` fields as columns over the rows of ``ev``."""
-    margin_berta = ev.q_mu - ev.actual
-    margin_ours = ev.q_mu + ev.correction - ev.actual
+def _verdict(ev: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The ``WitnessVerdict`` fields as columns over the rows of an
+    ``evaluate_stack`` table."""
+    margin_berta = ev["q_mu"] - ev["actual"]
+    margin_ours = ev["q_mu"] + ev["correction"] - ev["actual"]
     return {
         "entangled_by_berta": margin_berta > WITNESS_MARGIN,
         "entangled_by_ours": margin_ours > WITNESS_MARGIN,
@@ -80,15 +81,11 @@ def _verdict(ev: Evaluation) -> dict[str, np.ndarray]:
     }
 
 
-def _first_row(table: dict) -> dict:
-    return {key: column[0].item() for key, column in table.items()}
-
-
 def witness(
     rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
 ) -> WitnessVerdict:
     """Flag entanglement when the measured uncertainty undercuts a threshold."""
-    return WitnessVerdict(**_first_row(_verdict(evaluate_stack(rho.stack, x, z))))
+    return WitnessVerdict(**_one_row(_verdict(evaluate_stack(rho.stack, x, z))))
 
 
 def _trace_norm_error(gap: np.ndarray) -> np.ndarray:
@@ -126,16 +123,18 @@ def applications_table(states: StateStack, x, z) -> dict[str, np.ndarray]:
             f"discriminate two outcomes), got dA = {states.dA}"
         )
     ev = evaluate_stack(states, x, z)
-    pe_x, pe_z = (_trace_norm_error(t.omegas[:, 0] - t.omegas[:, 1]) for t in (ev.x, ev.z))
+    pe_x, pe_z = (
+        _trace_norm_error(ev[key][:, 0] - ev[key][:, 1]) for key in ("x_omegas", "z_omegas")
+    )
     # b_F = h(Pe_X) + h(Pe_Z); the errors are already clamped to [0, 1/2].
-    eof = ev.q_mu + ev.correction - (binary_entropy(pe_x) + binary_entropy(pe_z))
+    eof = ev["q_mu"] + ev["correction"] - (binary_entropy(pe_x) + binary_entropy(pe_z))
     return {
         **_verdict(ev),
         "eof_lower_bound": eof,
         "eof_vacuous": eof < 0.0,
         # S(rho^B) + b_F - q_mu - max{0, delta}, the Koashi-Winter complement.
-        "crand_upper_bound": ev.s_b - eof,
-        "s_b": ev.s_b,
+        "crand_upper_bound": ev["s_b"] - eof,
+        "s_b": ev["s_b"],
     }
 
 
@@ -143,4 +142,4 @@ def applications_report(
     rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
 ) -> dict:
     """Witness verdict plus both application bounds as one flat record (dA = 2)."""
-    return _first_row(applications_table(rho.stack, x, z))
+    return _one_row(applications_table(rho.stack, x, z))

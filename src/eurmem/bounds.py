@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .infoquant import CorrelationReport, binary_entropy, evaluate_stack
+from .infoquant import CorrelationReport, _one_row, binary_entropy, evaluate_stack
 from .measure import ProjectiveObservable, pauli_observable
 from .states import DensityMatrix, StateStack
 
@@ -87,42 +87,37 @@ class BoundsReport:
         return asdict(self)
 
 
-def bounds_table(
-    states: StateStack,
-    x,
-    z,
-    corr: list[CorrelationReport] | None = None,
-) -> dict[str, np.ndarray | None]:
+def bounds_table(states: StateStack, x, z, corr: dict | None = None) -> dict[str, np.ndarray | None]:
     """Every ``BoundsReport`` field as a column over the rows of a state stack.
 
     ``x`` and ``z`` are as in ``infoquant.evaluate_stack`` (one observable,
-    or one per row); ``corr`` holds one correlation report per row.
+    or one per row); ``corr`` is the ``classical_correlation_stack`` table
+    of the same rows, whose ``discord`` and ``classical_correlation`` it reads.
     """
     ev = evaluate_stack(states, x, z)
-    berta = ev.q_mu + ev.s_cond
+    berta = ev["q_mu"] + ev["s_cond"]
+    correction = pati = None
     if corr is not None:
-        if len(corr) != len(states):
-            raise ValueError(f"got {len(corr)} correlation reports for {len(states)} states")
-        correction = np.array([max(0.0, c.discord - c.classical_correlation) for c in corr])
+        gap = corr["discord"] - corr["classical_correlation"]
+        if gap.shape != berta.shape:
+            raise ValueError(f"got {gap.size} correlation rows for {len(states)} states")
+        correction = np.where(gap > 0.0, gap, 0.0)
         pati = berta + correction
-    else:
-        correction = None
-        pati = None
     return {
-        "q_mu": ev.q_mu,
-        "q_prime": ev.q_prime,
-        "s_cond": ev.s_cond,
-        "i_ab": ev.i_ab,
-        "i_xb": ev.x.holevo,
-        "i_zb": ev.z.holevo,
-        "delta": ev.delta,
-        "bound_mu": ev.q_mu,
-        "bound_mu_mixed": ev.q_mu + ev.s_a,
+        "q_mu": ev["q_mu"],
+        "q_prime": ev["q_prime"],
+        "s_cond": ev["s_cond"],
+        "i_ab": ev["i_ab"],
+        "i_xb": ev["i_xb"],
+        "i_zb": ev["i_zb"],
+        "delta": ev["delta"],
+        "bound_mu": ev["q_mu"],
+        "bound_mu_mixed": ev["q_mu"] + ev["s_a"],
         "bound_berta": berta,
-        "bound_coles_piani": ev.q_prime + ev.s_cond,
+        "bound_coles_piani": ev["q_prime"] + ev["s_cond"],
         "bound_pati": pati,
-        "bound_ours": berta + ev.correction,
-        "actual": ev.actual,
+        "bound_ours": berta + ev["correction"],
+        "actual": ev["actual"],
         "pati_correction": correction,
     }
 
@@ -134,15 +129,16 @@ def bounds_report(
     corr: CorrelationReport | None = None,
 ) -> BoundsReport:
     """Evaluate every bound and its ingredients for one (state, X, Z) triple."""
-    table = bounds_table(rho.stack, x, z, None if corr is None else [corr])
-    return BoundsReport(**{k: None if v is None else float(v[0]) for k, v in table.items()})
+    keys = ("discord", "classical_correlation")
+    rows = None if corr is None else {key: np.array([getattr(corr, key)]) for key in keys}
+    return BoundsReport(**_one_row(bounds_table(rho.stack, x, z, rows)))
 
 
 def actual_uncertainty(
     rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
 ) -> float:
     """S(X|B) + S(Z|B), computed as H(X) - I(X;B) + H(Z) - I(Z;B)."""
-    return float(evaluate_stack(rho.stack, x, z).actual[0])
+    return float(evaluate_stack(rho.stack, x, z)["actual"][0])
 
 
 # ---------------------------------------------------------------------------

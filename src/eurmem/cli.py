@@ -63,27 +63,20 @@ PRESETS = {
     "fig2": {"family": "xstate", "pairs": ["xz"]},
 }
 
-_PAULI_SHORTHAND = {
-    "x": "sigma_x",
-    "y": "sigma_y",
-    "z": "sigma_z",
-    "sigma_x": "sigma_x",
-    "sigma_y": "sigma_y",
-    "sigma_z": "sigma_z",
-}
-
 
 def _fmt(value: float) -> str:
     """Shortest decimal capped at 12 significant digits (-0.0 normalized)."""
     return format(float(value) + 0.0, ".12g")
 
 
+def _load_doc(arg: str):
+    """A JSON document given inline (starting with "{") or by file path."""
+    return json.loads(arg if arg.strip().startswith("{") else Path(arg).read_text(encoding="utf-8"))
+
+
 def _load_state_arg(arg: str):
     """State from a file path or inline JSON; returns (state, echo-fields)."""
-    if arg.strip().startswith("{"):
-        doc = json.loads(arg)
-    else:
-        doc = json.loads(Path(arg).read_text(encoding="utf-8"))
+    doc = _load_doc(arg)
     rho = from_spec(doc)
     echo: dict = {}
     if isinstance(doc, dict) and "family" in doc:
@@ -96,16 +89,17 @@ def _load_state_arg(arg: str):
 
 def _load_observable_arg(arg: str):
     text = arg.strip()
-    if text in _PAULI_SHORTHAND:
-        return observable_from_spec({"named": _PAULI_SHORTHAND[text]})
     if text.startswith("{"):
         return observable_from_spec(json.loads(text))
     if text.startswith("@"):
         return observable_from_spec(json.loads(Path(text[1:]).read_text(encoding="utf-8")))
-    raise ValueError(
-        f"cannot parse observable {arg!r}: expected sigma_x|sigma_y|sigma_z, "
-        "inline JSON, or @file"
-    )
+    try:
+        return observable_from_spec(text)
+    except ValueError:
+        raise ValueError(
+            f"cannot parse observable {arg!r}: expected sigma_x|sigma_y|sigma_z, "
+            "inline JSON, or @file"
+        ) from None
 
 
 def _optimizer_config(args) -> OptimizerConfig:
@@ -280,12 +274,7 @@ def cmd_apps(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    text = (
-        args.state
-        if args.state.strip().startswith("{")
-        else Path(args.state).read_text(encoding="utf-8")
-    )
-    doc = json.loads(text)
+    doc = _load_doc(args.state)
     if isinstance(doc, dict) and "explicit" in doc:
         mat, dA, dB = parse_explicit(doc["explicit"])
         report = validate(mat, dA, dB)

@@ -17,13 +17,15 @@ Core quantities on a bipartite state rho^AB:
 ``states.StateStack``) with X and Z in one pass: the spectra of rho^AB, rho^A
 and rho^B of all rows, which the stack computes once and J_A shares, and one
 batched eigenvalue call over the conditional states of both observables of
-all rows; the bounds and application numbers are arithmetic on it.
+all rows; the bounds and application numbers are arithmetic on it.  Each
+stacked call returns a table, a dict of columns with one entry per row.
 ``evaluate`` and ``classical_correlation`` are the one-row views of
-``evaluate_stack`` and ``classical_correlation_stack``, and a row's numbers
-do not depend on the rows around it.  A caller bounds memory by the stacks
-it builds (the CLI sweeps in blocks of 128 rows); the J_A search bounds its
-own, with at most ``_CALL_DIRECTIONS`` directions per objective call and at
-most ``_CLIMB_ROWS`` rows per climb block.
+``evaluate_stack`` and ``classical_correlation_stack``, read through
+``_one_row``, and a row's numbers do not depend on the rows around it.  A
+caller bounds memory by the stacks it builds (the CLI sweeps in blocks of
+128 rows); the J_A search bounds its own, with at most ``_CALL_DIRECTIONS``
+directions per objective call and at most ``_CLIMB_ROWS`` rows per climb
+block.
 
 The classical-correlation optimizer searches rank-1 projective qubit
 measurements parameterized by a Bloch direction: a coarse 12 x 24
@@ -55,7 +57,7 @@ although for the named state families the two coincide.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -77,7 +79,6 @@ __all__ = [
     "von_neumann_entropy",
     "conditional_entropy",
     "mutual_information",
-    "Evaluation",
     "evaluate_stack",
     "evaluate",
     "holevo",
@@ -170,38 +171,23 @@ def von_neumann_entropy(state) -> float:
     return float(_entropies(w))
 
 
-@dataclass(frozen=True)
-class StateEntropies:
-    """S(rho^AB), S(rho^A) and S(rho^B), one entry per row of a state stack."""
-
-    s_ab: np.ndarray
-    s_a: np.ndarray
-    s_b: np.ndarray
-
-    @property
-    def s_cond(self) -> np.ndarray:
-        return self.s_ab - self.s_b
-
-    @property
-    def i_ab(self) -> np.ndarray:
-        return self.s_a + self.s_b - self.s_ab
-
-
-def _state_entropies(states: StateStack) -> StateEntropies:
-    """The entropies of the stack's spectra, which it computes once.  Its
-    validation already holds each state to unit trace within 1e-10 and its
-    eigenvalues above -1e-10, inside ``von_neumann_entropy``'s checks."""
-    return StateEntropies(*(_entropies(w) for w in states.spectra))
+def _state_entropies(states: StateStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S(rho^AB), S(rho^A) and S(rho^B) of each row, from the stack's spectra.
+    Its validation already holds each state to unit trace within 1e-10 and
+    its eigenvalues above -1e-10, inside ``von_neumann_entropy``'s checks."""
+    return tuple(_entropies(w) for w in states.spectra)
 
 
 def conditional_entropy(rho: DensityMatrix) -> float:
     """S(A|B) = S(rho^AB) - S(rho^B); negative values certify entanglement."""
-    return float(_state_entropies(rho.stack).s_cond[0])
+    s_ab, _, s_b = _state_entropies(rho.stack)
+    return float(s_ab[0] - s_b[0])
 
 
 def mutual_information(rho: DensityMatrix) -> float:
     """I(A;B) = S(rho^A) + S(rho^B) - S(rho^AB)."""
-    return float(_state_entropies(rho.stack).i_ab[0])
+    s_ab, s_a, s_b = _state_entropies(rho.stack)
+    return float(s_a[0] + s_b[0] - s_ab[0])
 
 
 def _conditional_sum(eigs) -> np.ndarray:
@@ -218,22 +204,11 @@ def _conditional_sum(eigs) -> np.ndarray:
     return np.where(probs < ZERO_PROB, 0.0, cond).sum(axis=0)
 
 
-@dataclass(frozen=True)
-class OutcomeTerms:
-    """One observable on each row: p_i, omega_i = <x_i|rho|x_i>_A, H and I(.;B).
-
-    Shapes (P, d), (P, d, dB, dB), (P,) and (P,).
-    """
-
-    probs: np.ndarray
-    omegas: np.ndarray
-    shannon: np.ndarray
-    holevo: np.ndarray
-
-
-def _outcome_terms(states: StateStack, bases, s_b: np.ndarray) -> list[OutcomeTerms]:
-    """The terms of each observable, given by its (P or 1, d, d) stack of
-    bases, from one batched eigenvalue call over all rows."""
+def _outcome_terms(states: StateStack, bases, s_b: np.ndarray):
+    """p_i, omega_i = <x_i|rho|x_i>_A, H and I(.;B) of each of k observables,
+    each given by its (P or 1, d, d) stack of bases, from one batched
+    eigenvalue call over all rows: shapes (P, k, d), (P, k, d, dB, dB),
+    (P, k) and (P, k)."""
     omegas = np.stack([conditional_stack(states, b) for b in bases], axis=1)
     probs = np.maximum(np.einsum("...ijj->...i", omegas).real, 0.0)
     mu = hermitian_eigvals(omegas)
@@ -241,11 +216,7 @@ def _outcome_terms(states: StateStack, bases, s_b: np.ndarray) -> list[OutcomeTe
     scale = np.where(probs >= ZERO_PROB, probs, np.inf)
     _require_nonnegative((mu.min(axis=-1) / scale).min(axis=(1, 2)))
     holevos = s_b[:, None] - _conditional_sum(np.maximum(mu, 0.0).T).T
-    shannons = _shannon(probs)
-    return [
-        OutcomeTerms(probs[:, k], omegas[:, k], shannons[:, k], holevos[:, k])
-        for k in range(len(bases))
-    ]
+    return probs, omegas, _shannon(probs), holevos
 
 
 def _observables(obs) -> list[ProjectiveObservable]:
@@ -264,62 +235,64 @@ def _bases(observables: list[ProjectiveObservable], distinct, rows: int) -> np.n
     return np.stack([obs.basis for obs in distinct])[[position[obs] for obs in observables]]
 
 
-@dataclass(frozen=True)
-class Evaluation(StateEntropies):
-    """The marginal entropies, the outcome terms of X and Z, and q_mu and q',
-    one entry per row of a state stack."""
-
-    x: OutcomeTerms
-    z: OutcomeTerms
-    q_mu: np.ndarray
-    q_prime: np.ndarray
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.i_ab - self.x.holevo - self.z.holevo
-
-    @property
-    def correction(self) -> np.ndarray:
-        """max{0, delta}, what the Holevo-corrected bound adds to Berta's."""
-        delta = self.delta
-        # 0.0 unless delta > 0, never -0.0 (np.maximum can return -0.0)
-        return np.where(delta > 0.0, delta, 0.0)
-
-    @property
-    def actual(self) -> np.ndarray:
-        """S(X|B) + S(Z|B), with S(X|B) = H(X) - I(X;B)."""
-        return (self.x.shannon - self.x.holevo) + (self.z.shannon - self.z.holevo)
-
-
-def evaluate_stack(states: StateStack, x, z) -> Evaluation:
+def evaluate_stack(states: StateStack, x, z) -> dict[str, np.ndarray]:
     """One pass over the rows of a state stack, after rejecting mismatched dimensions.
 
     ``x`` and ``z`` are each one observable for every row, or a sequence of
     one observable per row.  The state spectra come from the stack (computed
     once), the conditional states of X and Z of all rows share one
-    eigenvalue call, and q_mu and q' are computed per row.
+    eigenvalue call, and q_mu and q' are computed per row.  Returns a column
+    over the rows of each ingredient: the entropies; p_i, omega_i, H and
+    I(.;B) of X and of Z; q_mu, q', delta, ``correction`` = max{0, delta}
+    (what the Holevo-corrected bound adds to Berta's) and ``actual`` =
+    S(X|B) + S(Z|B), with S(X|B) = H(X) - I(X;B).
     """
     xs, zs = _observables(x), _observables(z)
     # Each distinct observable once, X first, so that a mismatch names X's dimension.
     distinct = dict.fromkeys(xs + zs)
     require_on_a(states, *distinct)
     bases = [_bases(xs, distinct, len(states)), _bases(zs, distinct, len(states))]
-    e = _state_entropies(states)
-    terms = _outcome_terms(states, bases, e.s_b)
-    q_mu, q_prime = (np.broadcast_to(q, e.s_ab.shape) for q in incompatibility(overlaps(*bases)))
-    return Evaluation(e.s_ab, e.s_a, e.s_b, *terms, q_mu, q_prime)
+    s_ab, s_a, s_b = _state_entropies(states)
+    probs, omegas, shannons, holevos = _outcome_terms(states, bases, s_b)
+    q_mu, q_prime = (np.broadcast_to(q, s_ab.shape) for q in incompatibility(overlaps(*bases)))
+    i_ab = s_a + s_b - s_ab
+    delta = i_ab - holevos[:, 0] - holevos[:, 1]
+    return {
+        "s_ab": s_ab,
+        "s_a": s_a,
+        "s_b": s_b,
+        "s_cond": s_ab - s_b,
+        "i_ab": i_ab,
+        "x_probs": probs[:, 0],
+        "x_omegas": omegas[:, 0],
+        "h_x": shannons[:, 0],
+        "i_xb": holevos[:, 0],
+        "z_probs": probs[:, 1],
+        "z_omegas": omegas[:, 1],
+        "h_z": shannons[:, 1],
+        "i_zb": holevos[:, 1],
+        "q_mu": q_mu,
+        "q_prime": q_prime,
+        "delta": delta,
+        # 0.0 unless delta > 0, never -0.0 (np.maximum can return -0.0)
+        "correction": np.where(delta > 0.0, delta, 0.0),
+        "actual": (shannons[:, 0] - holevos[:, 0]) + (shannons[:, 1] - holevos[:, 1]),
+    }
 
 
-def _row(table, k: int):
-    """A dataclass of per-row arrays, nested ones included, at row k."""
-    values = {f.name: getattr(table, f.name) for f in fields(table)}
-    return replace(table, **{n: _row(v, k) if is_dataclass(v) else v[k] for n, v in values.items()})
+def _one_row(table: dict) -> dict:
+    """Row 0 of a table of per-row columns: a number for a column of numbers,
+    an array for a column of arrays, and None for a None column."""
+    return {
+        key: col if col is None else col[0].item() if col.ndim == 1 else col[0]
+        for key, col in table.items()
+    }
 
 
-def evaluate(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable) -> Evaluation:
+def evaluate(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable) -> dict:
     """``evaluate_stack`` on the one-row stack of ``rho``, at that row: the
     entropies and terms are numbers, and the outcome arrays lose the row axis."""
-    return _row(evaluate_stack(rho.stack, x, z), 0)
+    return _one_row(evaluate_stack(rho.stack, x, z))
 
 
 def holevo(rho: DensityMatrix, obs: ProjectiveObservable) -> float:
@@ -330,8 +303,9 @@ def holevo(rho: DensityMatrix, obs: ProjectiveObservable) -> float:
     0 <= I(P;B) <= min(H(outcomes), S(rho^B)).
     """
     require_on_a(rho, obs)
-    s_b = _state_entropies(rho.stack).s_b
-    return float(_outcome_terms(rho.stack, [obs.basis[None]], s_b)[0].holevo[0])
+    _, _, s_b = _state_entropies(rho.stack)
+    _, _, _, holevos = _outcome_terms(rho.stack, [obs.basis[None]], s_b)
+    return float(holevos[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +862,7 @@ def _climb(objective, rows: np.ndarray, values: np.ndarray, frames: np.ndarray, 
 
 def classical_correlation_stack(
     states: StateStack, config: OptimizerConfig | None = None
-) -> list[CorrelationReport]:
+) -> dict[str, np.ndarray]:
     """Maximize the Holevo quantity over projective qubit measurements on A,
     for every row of a state stack.
 
@@ -899,34 +873,29 @@ def classical_correlation_stack(
     deterministic, and a row's result does not depend on the other rows.
     Two-qubit states use the real Pauli-correlation objective, wider B the
     LAPACK one.  S(rho^B) and I(A;B) come from the stack's spectra.  Returns
-    J_A, the discord D_A = I(A;B) - J_A, and the optimizing direction of
-    each row.
+    the ``CorrelationReport`` fields but ``search_space`` as columns: J_A, the
+    discord D_A = I(A;B) - J_A, the direction (shape (P, 3)) and the trace.
     """
     if states.dA != 2:
         raise ValueError(f"classical_correlation supports dA = 2 only, got dA = {states.dA}")
     cfg = config or OptimizerConfig()
-    e = _state_entropies(states)
+    s_ab, s_a, s_b = _state_entropies(states)
     build = _two_qubit_objective if states.dB == 2 else _general_objective
-    found = _search(build(states, e.s_b), len(states), cfg)
-    directions = _canonical_directions(np.array([row[1] for row in found]).reshape(-1, 3))
-    reports = []
-    for i_ab, (value, _, grid_best, rounds), direction in zip(e.i_ab.tolist(), found, directions):
-        j_a = max(value, 0.0)
-        reports.append(
-            CorrelationReport(
-                classical_correlation=j_a,
-                discord=i_ab - j_a,
-                optimal_direction=direction,
-                grid_best=grid_best,
-                refined_best=value,
-                iterations=rounds,
-            )
-        )
-    return reports
+    found = _search(build(states, s_b), len(states), cfg)
+    value, at, grid_best, rounds = (np.array([row[k] for row in found]) for k in range(4))
+    j_a = np.where(0.0 > value, 0.0, value)
+    return {
+        "classical_correlation": j_a,
+        "discord": (s_a + s_b - s_ab) - j_a,
+        "optimal_direction": _canonical_directions(at.reshape(-1, 3)),
+        "grid_best": grid_best,
+        "refined_best": value,
+        "iterations": rounds,
+    }
 
 
 def classical_correlation(
     rho: DensityMatrix, config: OptimizerConfig | None = None
 ) -> CorrelationReport:
     """``classical_correlation_stack`` on the one-row stack of ``rho``."""
-    return classical_correlation_stack(rho.stack, config)[0]
+    return CorrelationReport(**_one_row(classical_correlation_stack(rho.stack, config)))

@@ -17,6 +17,7 @@ refinement q' adds a term driven by the second-largest entry c_2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,6 +47,7 @@ __all__ = [
     "outcome_ensemble",
 ]
 
+# The tests against these two are written so that a NaN fails them.
 ORTHO_ATOL = 1e-10
 UNIT_ATOL = 1e-12
 # Outcomes below this probability carry a maximally mixed placeholder state
@@ -66,7 +68,7 @@ class ProjectiveObservable:
             raise ValueError("observable basis must be a square matrix of column vectors")
         gram = basis.conj().T @ basis
         defect = float(np.max(np.abs(gram - np.eye(basis.shape[0]))))
-        if defect > ORTHO_ATOL:
+        if not defect <= ORTHO_ATOL:
             raise ValueError(
                 f"basis is not orthonormal: max |Gram - I| = {defect:.3e} > {ORTHO_ATOL:.0e}"
             )
@@ -98,7 +100,7 @@ def observable_from_bloch(n) -> ProjectiveObservable:
     if n.size != 3:
         raise ValueError("Bloch direction must be a 3-vector")
     norm = float(np.linalg.norm(n))
-    if abs(norm - 1.0) > UNIT_ATOL:
+    if not abs(norm - 1.0) <= UNIT_ATOL:
         raise ValueError(f"Bloch direction must be a unit vector, |n| = {norm!r}")
     theta = np.arccos(np.clip(n[2], -1.0, 1.0))
     phi = np.arctan2(n[1], n[0])
@@ -158,9 +160,14 @@ def observable_from_spec(doc) -> ProjectiveObservable:
         entry = doc["bloch"]
         if not isinstance(entry, list) or not all(map(is_number, entry)):
             raise ValueError(f"observable 'bloch' entry must be a list of numbers, got {entry!r}")
+        if not all(map(math.isfinite, entry)):
+            raise ValueError(f"observable 'bloch' entry must be finite, got {entry!r}")
         return observable_from_bloch(entry)
     if "basis" in doc:
-        return observable_from_basis(complex_matrix(doc["basis"], "observable basis"))
+        basis = complex_matrix(doc["basis"], "observable basis")
+        if not np.isfinite(basis).all():
+            raise ValueError("observable basis 're' and 'im' fields must be finite")
+        return observable_from_basis(basis)
     raise ValueError("observable specification needs a 'named', 'bloch' or 'basis' entry")
 
 

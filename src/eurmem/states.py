@@ -350,7 +350,7 @@ def bell_diagonal(r) -> DensityMatrix:
             raise StateValidationError(
                 "psd",
                 exc.residual,
-                f"correlation vector {tuple(r)} lies outside the Bell-diagonal "
+                f"correlation vector {tuple(r.tolist())} lies outside the Bell-diagonal "
                 f"tetrahedron (negative eigenvalue, residual {exc.residual:.3e})",
             ) from None
         raise
@@ -456,10 +456,12 @@ def from_spec(doc: dict) -> DensityMatrix:
                 f"unknown state family {name!r}; expected one of {sorted(_FAMILY_BUILDERS)}"
             )
         build, key = _FAMILY_BUILDERS[name]
-        try:
-            return build(family[key])
-        except KeyError as exc:
-            raise ValueError(f"state family {name!r} is missing parameter {exc}") from None
+        if key not in family:
+            raise ValueError(f"state family {name!r} is missing parameter {key!r}")
+        value = family[key]
+        if key != "p" and not (isinstance(value, list) and all(map(is_number, value))):
+            raise ValueError(f"{name} parameter {key!r} must be a list of numbers, got {value!r}")
+        return build(value)
     if "explicit" in doc:
         mat, dA, dB = parse_explicit(doc["explicit"])
         return DensityMatrix(mat, dA, dB)

@@ -458,6 +458,11 @@ def test_sweep_spec_malformed_entry_named(capsys, tmp_path, change, message):
         ({"bloch": "abc"}, "observable 'bloch' entry must be a list of numbers, got 'abc'"),
         ({"bloch": [0, "0", 1]}, "observable 'bloch' entry must be a list of numbers, got [0, '0', 1]"),
         ({"bloch": [0, 0, True]}, "observable 'bloch' entry must be a list of numbers, got [0, 0, True]"),
+        ({"bloch": [float("nan"), 0, 1]}, "observable 'bloch' entry must be finite, got [nan, 0, 1]"),
+        (
+            {"basis": {"re": [[1, 0], [0, float("nan")]]}},
+            "observable basis 're' and 'im' fields must be finite",
+        ),
     ],
 )
 def test_malformed_observable_spec_exits_2_naming_the_field(capsys, tmp_path, spec, message):
@@ -522,10 +527,38 @@ def test_integral_float_dimensions_are_accepted(capsys, tmp_path):
 
 @pytest.mark.parametrize("p", [[0.5], "0.5", True, None])
 def test_non_numeric_family_parameter_exits_2_naming_the_field(capsys, tmp_path, p):
-    state = write_state(tmp_path, {"family": {"name": "werner", "p": p}})
-    code, out, err = run_cli(capsys, "bounds", "--state", state, "--x", "sigma_x", "--z", "sigma_z")
+    # p as the number p, as an entry of a vector parameter, and as the whole vector
+    cases = [
+        ("werner", "p", p, "a number"),
+        ("bell_diagonal", "r", [0.0, p, 0.0], "a list of numbers"),
+        ("pure_schmidt", "lambdas", [p, 0.5], "a list of numbers"),
+    ]
+    if not isinstance(p, list):
+        cases += [
+            ("bell_diagonal", "r", p, "a list of numbers"),
+            ("pure_schmidt", "lambdas", p, "a list of numbers"),
+        ]
+    for name, key, value, kind in cases:
+        state = write_state(tmp_path, {"family": {"name": name, key: value}})
+        code, out, err = run_cli(capsys, "bounds", "--state", state, "--x", "sigma_x", "--z", "sigma_z")
+        assert (code, out) == (2, "")
+        assert err == f"error: {name} parameter {key!r} must be {kind}, got {value!r}\n"
+
+
+@pytest.mark.parametrize("name", ["X", "sigma_Z"])
+def test_bare_pauli_names_parse_as_the_named_form(capsys, tmp_path, name):
+    state = write_state(tmp_path, {"family": {"name": "werner", "p": 0.5}})
+    named = json.dumps({"named": name})
+    bare = run_cli(capsys, "bounds", "--state", state, "--x", name, "--z", "sigma_x")
+    assert bare[0] == 0
+    assert bare == run_cli(capsys, "bounds", "--state", state, "--x", named, "--z", "sigma_x")
+
+
+def test_unparseable_observable_exits_2(capsys, tmp_path):
+    state = write_state(tmp_path, {"family": {"name": "werner", "p": 0.5}})
+    code, out, err = run_cli(capsys, "bounds", "--state", state, "--x", "sigma_w", "--z", "z")
     assert (code, out) == (2, "")
-    assert err == f"error: werner parameter 'p' must be a number, got {p!r}\n"
+    assert err.startswith("error: cannot parse observable 'sigma_w': expected sigma_x|sigma_y|sigma_z")
 
 
 def test_sweep_spec_pair_label_matches_preset(capsys, tmp_path):
@@ -588,10 +621,10 @@ def test_sweep_spanning_row_blocks_matches_per_row_reports(tmp_path, capsys):
             assert lines[k] == ",".join(_fmt(want[key]) for key in SWEEP_HEADER.split(",")), k
     again = sweep(0.001, "again")
     assert [p.read_bytes() for p in fine] == [p.read_bytes() for p in again]
-    # Memory stays that of one row block, whatever the sweep's length: the
-    # 1001-row sweep peaks at most 1.5 times as high as a 101-row one.
-    sweep(0.01, "warm")
-    assert traced_peak(0.001, "long") <= 1.5 * traced_peak(0.01, "short")
+    # Memory stays that of one row block, whatever the sweep's length: a
+    # 2001-row sweep peaks at most 1.5 times as high as the 1001-row one
+    # (both span several blocks, so a smaller block peak lowers both).
+    assert traced_peak(0.0005, "longer") <= 1.5 * traced_peak(0.001, "long")
 
 
 def test_parser_is_built_once_and_keeps_no_parsed_state(capsys):

@@ -175,8 +175,8 @@ def test_delta_vanishes_for_pure_and_product_states():
     rng = np.random.default_rng(19)
     x, z = pauli_observable("x"), pauli_observable("z")
     rho = pure_schmidt(random_schmidt_coeffs(rng))
-    assert evaluate(rho, x, z).delta == pytest.approx(0.0, abs=1e-9)
-    assert evaluate(random_product_state(rng), x, z).delta == pytest.approx(0.0, abs=1e-9)
+    assert evaluate(rho, x, z)["delta"] == pytest.approx(0.0, abs=1e-9)
+    assert evaluate(random_product_state(rng), x, z)["delta"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_delta_werner_equals_discord_minus_classical():
@@ -184,7 +184,7 @@ def test_delta_werner_equals_discord_minus_classical():
     for p in (0.2, 0.5, 0.9):
         rho = werner(p)
         corr = classical_correlation(rho)
-        assert evaluate(rho, x, z).delta == pytest.approx(
+        assert evaluate(rho, x, z)["delta"] == pytest.approx(
             corr.discord - corr.classical_correlation, abs=1e-6
         )
 
@@ -198,7 +198,7 @@ def _complementarity_floor(rho, x, z):
     unbiased on it.
     """
     ev = evaluate(rho, x, z)
-    return float(np.log2(rho.dA)) + ev.s_a - ev.x.shannon - ev.z.shannon
+    return float(np.log2(rho.dA)) + ev["s_a"] - ev["h_x"] - ev["h_z"]
 
 
 def test_delta_floor_zero_cases():
@@ -214,7 +214,7 @@ def test_delta_floor_zero_cases():
     mc[0, 0], mc[0, 3], mc[3, 0], mc[3, 3] = tau[0, 0], tau[0, 1], tau[1, 0], tau[1, 1]
     rho_mc = DensityMatrix(mc, 2, 2)
     assert _complementarity_floor(rho_mc, x, z) == pytest.approx(0.0, abs=1e-9)
-    assert evaluate(rho_mc, x, z).delta >= -1e-9
+    assert evaluate(rho_mc, x, z)["delta"] >= -1e-9
 
 
 def test_delta_dominates_floor_for_complementary_observables():
@@ -222,7 +222,7 @@ def test_delta_dominates_floor_for_complementary_observables():
     x, z = pauli_observable("x"), pauli_observable("z")
     for _ in range(50):
         rho = random_density_matrix(rng)
-        assert evaluate(rho, x, z).delta >= _complementarity_floor(rho, x, z) - 1e-9
+        assert evaluate(rho, x, z)["delta"] >= _complementarity_floor(rho, x, z) - 1e-9
 
 
 def test_identity_conditional_plus_holevo_is_outcome_entropy():
@@ -283,23 +283,23 @@ def test_evaluation_pass_matches_cq_route(dA, dB, rank):
         rho = random_density_matrix(rng, dA, dB, rank)
         x, z = random_observable(rng, dA), random_observable(rng, dA)
         ev = evaluate(rho, x, z)
-        assert ev.s_ab == pytest.approx(von_neumann_entropy(rho), abs=1e-12)
-        assert ev.s_a == pytest.approx(von_neumann_entropy(rho.reduced_a()), abs=1e-12)
-        assert ev.s_b == pytest.approx(von_neumann_entropy(rho.reduced_b()), abs=1e-12)
+        assert ev["s_ab"] == pytest.approx(von_neumann_entropy(rho), abs=1e-12)
+        assert ev["s_a"] == pytest.approx(von_neumann_entropy(rho.reduced_a()), abs=1e-12)
+        assert ev["s_b"] == pytest.approx(von_neumann_entropy(rho.reduced_b()), abs=1e-12)
         actual = 0.0
         holevos = []
-        for obs, terms in ((x, ev.x), (z, ev.z)):
+        for obs, name in ((x, "x"), (z, "z")):
             probs, blocks, h, i_b, s_xb = _per_state_terms(rho, obs)
-            np.testing.assert_allclose(terms.probs, probs, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(terms.omegas, blocks, rtol=0, atol=1e-12)
-            assert terms.shannon == pytest.approx(h, abs=1e-12)
-            assert terms.holevo == pytest.approx(i_b, abs=1e-12)
+            np.testing.assert_allclose(ev[f"{name}_probs"], probs, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ev[f"{name}_omegas"], blocks, rtol=0, atol=1e-12)
+            assert ev[f"h_{name}"] == pytest.approx(h, abs=1e-12)
+            assert ev[f"i_{name}b"] == pytest.approx(i_b, abs=1e-12)
             assert holevo(rho, obs) == pytest.approx(i_b, abs=1e-12)
             actual += s_xb
             holevos.append(i_b)
-        assert ev.actual == pytest.approx(actual, abs=1e-12)
-        assert ev.delta == pytest.approx(mutual_information(rho) - sum(holevos), abs=1e-12)
-        assert (ev.q_mu, ev.q_prime) == pytest.approx(_incompatibility_by_loops(x, z), abs=1e-12)
+        assert ev["actual"] == pytest.approx(actual, abs=1e-12)
+        assert ev["delta"] == pytest.approx(mutual_information(rho) - sum(holevos), abs=1e-12)
+        assert (ev["q_mu"], ev["q_prime"]) == pytest.approx(_incompatibility_by_loops(x, z), abs=1e-12)
 
 
 def test_evaluate_rejects_mismatched_dimensions_at_entry():
@@ -326,7 +326,7 @@ def _unit_directions(rng, count):
 
 def _objective(build, rho):
     """An objective builder applied to the one-row stack of ``rho``."""
-    return build(rho.stack, _state_entropies(rho.stack).s_b)
+    return build(rho.stack, _state_entropies(rho.stack)[2])
 
 
 def _row_search(objective, cfg=None):
@@ -404,7 +404,7 @@ def _kernel_calls(states):
 
 @pytest.mark.parametrize("name, states", list(_kernel_stacks()), ids=lambda v: v if isinstance(v, str) else "")
 def test_two_qubit_kernel_matches_reference_bit_for_bit(name, states):
-    s_b = _state_entropies(states).s_b
+    s_b = _state_entropies(states)[2]
     kernel = _two_qubit_objective(states, s_b)
     reference = kernel_reference_two_qubit_objective(states, s_b)
     for rows, dirs in _kernel_calls(states):
@@ -419,7 +419,7 @@ EARLIER_FORM_ATOL = 3e-14
 
 @pytest.mark.parametrize("name, states", list(_kernel_stacks()), ids=lambda v: v if isinstance(v, str) else "")
 def test_two_qubit_kernel_matches_the_earlier_form(name, states):
-    s_b = _state_entropies(states).s_b
+    s_b = _state_entropies(states)[2]
     kernel = _two_qubit_objective(states, s_b)
     earlier = reference_two_qubit_objective(states, s_b)
     for rows, dirs in _kernel_calls(states):
@@ -431,7 +431,7 @@ def test_two_qubit_kernel_rows_do_not_depend_on_their_call(name, states):
     # Each row's values alone equal its values inside 5-row and 16-row
     # calls, for the grid (directions shared by all rows), for directions of
     # its own, and for one direction per row, bit for bit.
-    objective = _two_qubit_objective(states, _state_entropies(states).s_b)
+    objective = _two_qubit_objective(states, _state_entropies(states)[2])
     grid = _hemisphere_grid(12, 24)[1][:, None]
     own = _unit_directions(np.random.default_rng(139), 9 * len(states)).reshape(3, len(states), 9)
     for dirs in (grid, own, own[:, :, :1]):
@@ -464,7 +464,7 @@ def test_two_qubit_grid_call_stays_under_the_mmap_threshold():
     # with a fresh mapping, whose pages fault in anew; the kernel's pieces
     # keep each buffer below it (the whole-call form peaked at ~1 080 KB).
     states = family_stack("bell_diagonal_special", np.linspace(0.0, 1.0, 101))
-    objective = _two_qubit_objective(states, _state_entropies(states).s_b)
+    objective = _two_qubit_objective(states, _state_entropies(states)[2])
     grid = _hemisphere_grid(12, 24)[1][:, None]
     assert _traced_peak(lambda: objective(slice(16, 32), grid)) <= 512 * 1024
 
@@ -476,7 +476,7 @@ def test_grid_peaks_of_a_preset_block_stay_under_the_mmap_threshold(family):
     # once (294 KB each) they put the pass's traced peak at ~930 KB, now
     # ~360 KB.
     states = family_stack(family, np.linspace(0.0, 1.0, 101))
-    objective = _two_qubit_objective(states, _state_entropies(states).s_b)
+    objective = _two_qubit_objective(states, _state_entropies(states)[2])
     grid = _hemisphere_grid(12, 24)[1][:, None]
     values = np.concatenate([objective(slice(k, k + 16), grid) for k in range(0, 101, 16)])
     assert _traced_peak(lambda: _grid_peaks(values.reshape(-1, 12, 24))) <= 512 * 1024
@@ -507,7 +507,7 @@ def _row_objective(objective, k):
 @pytest.mark.parametrize("name, states", list(_ascent_corpora()), ids=lambda v: v if isinstance(v, str) else "")
 def test_climb_matches_generator_reference(name, states):
     build = _two_qubit_objective if states.dB == 2 else _general_objective
-    objective = build(states, _state_entropies(states).s_b)
+    objective = build(states, _state_entropies(states)[2])
     cfg = OptimizerConfig()
     want = reference_search(objective, len(states), cfg)
     stacked = _search(objective, len(states), cfg)
@@ -707,7 +707,7 @@ def test_grid_peaks_match_full_grid_label_spreading(shape):
     dirs = _hemisphere_grid(*shape)[1]
     for family in ("werner", "bell_diagonal_special", "xstate"):
         states = family_stack(family, np.linspace(0.0, 1.0, 101))
-        objective = _two_qubit_objective(states, _state_entropies(states).s_b)
+        objective = _two_qubit_objective(states, _state_entropies(states)[2])
         for k in range(len(states)):
             grids.append(objective(slice(k, k + 1), dirs[:, None]).reshape(shape))
     # one grid at a time, and stacks of 16 grids, as the search's row blocks

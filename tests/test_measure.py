@@ -1,5 +1,7 @@
 """Observable construction, overlaps, incompatibility, and ensembles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,13 @@ def test_bloch_y_matches_sigma_y_eigenprojectors():
 def test_bloch_rejects_non_unit_vector():
     with pytest.raises(ValueError, match="unit vector"):
         observable_from_bloch((0.0, 0.0, 0.9))
+
+
+def test_tolerance_checks_reject_nan():
+    with pytest.raises(ValueError, match=re.escape("unit vector, |n| = nan")):
+        observable_from_bloch((np.nan, 0.0, 1.0))
+    with pytest.raises(ValueError, match=re.escape("not orthonormal: max |Gram - I| = nan")):
+        observable_from_basis(np.array([[1.0, 0.0], [0.0, np.nan]]))
 
 
 def test_projectors_match_bloch_formula():

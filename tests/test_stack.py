@@ -67,6 +67,10 @@ def _assert_rows_match(stacked, single, where):
             assert got == want, (where, key, got, want)
 
 
+def _table_row(table, k):
+    return {key: col[k] for key, col in table.items()}
+
+
 def _correlation_fields(report):
     return {
         "classical_correlation": report.classical_correlation,
@@ -92,7 +96,7 @@ def test_stack_rows_equal_one_row_calls(name, states):
     apps = applications_table(stack, x, z)
     for k, rho in enumerate(states):
         one = classical_correlation(rho)
-        _assert_rows_match(_correlation_fields(corr[k]), _correlation_fields(one), f"{name} row {k}")
+        _assert_rows_match(_table_row(corr, k), _correlation_fields(one), f"{name} row {k}")
         for table, (xk, zk) in ((shared, (x, z)), (varying, (xs[k], zs[k]))):
             row = {key: None if col is None else float(col[k]) for key, col in table.items()}
             _assert_rows_match(row, bounds_report(rho, xk, zk, one).to_dict(), f"{name} row {k}")
@@ -160,7 +164,7 @@ def test_climb_blocks_keep_every_row_of_a_long_stack(monkeypatch):
     assert seen["_grid_peaks"] == seen["_climb"] == 3
     assert max(seen["directions"]) <= _CALL_DIRECTIONS
     for k, one in enumerate(singles):
-        _assert_rows_match(_correlation_fields(corr[k]), one, f"row {k}")
+        _assert_rows_match(_table_row(corr, k), one, f"row {k}")
 
 
 @pytest.mark.parametrize("dB", [2, 4])
@@ -175,27 +179,30 @@ def test_a_grid_above_the_call_cap_is_split(monkeypatch, dB):
     corr = classical_correlation_stack(_stack(states), cfg)
     assert max(seen["directions"]) <= _CALL_DIRECTIONS
     for k, one in enumerate(singles):
-        _assert_rows_match(_correlation_fields(corr[k]), one, f"row {k}")
+        _assert_rows_match(_table_row(corr, k), one, f"row {k}")
+
+
+# 2.5 times the traced J_A peak of a 128-row bell_diagonal_special stack
+# when this bound was set (765.6 kB at 12 x 24, 808.6 kB at 60 x 120), in
+# bytes.  Werner then peaked at 1 542 and 1 827 kB.
+_WERNER_J_A_PEAK = {(12, 24): 1_914_000, (60, 120): 2_021_000}
 
 
 @pytest.mark.parametrize("shape", [(12, 24), (60, 120)])
 def test_werner_j_a_memory_stays_near_that_of_a_family_with_few_maxima(shape):
     # Every cell of a Werner grid is a maximum, so a Werner climb block
-    # merges the most maxima of any; its J_A peak memory stays within 2.5
-    # times that of a bell_diagonal_special stack of the same length.
+    # merges the most maxima of any; its J_A peak memory stays within a
+    # fixed bound, so that a smaller peak elsewhere cannot fail it.
     cfg = OptimizerConfig(*shape)
-
-    def traced_peak(family):
-        states = family_stack(family, np.linspace(0.0, 1.0, 128))
-        classical_correlation_stack(states, cfg)  # the spectra and grid caches
-        tracemalloc.start()
-        try:
-            classical_correlation_stack(states, cfg)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert traced_peak("werner") <= 2.5 * traced_peak("bell_diagonal_special")
+    states = family_stack("werner", np.linspace(0.0, 1.0, 128))
+    classical_correlation_stack(states, cfg)  # the spectra and grid caches
+    tracemalloc.start()
+    try:
+        classical_correlation_stack(states, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _WERNER_J_A_PEAK[shape]
 
 
 @pytest.mark.parametrize("dB", [2, 3, 4])
@@ -244,8 +251,8 @@ def test_canonical_directions_equal_the_per_row_rule():
 def test_evaluate_is_the_row_of_a_one_row_stack():
     rho = _random_corpus(2, 1, 11)[0]
     ev = evaluate(rho, pauli_observable("x"), pauli_observable("y"))
-    assert ev.x.probs.shape == (2,) and ev.x.omegas.shape == (2, 2, 2)
-    assert all(isinstance(v, float) for v in (ev.s_ab, ev.delta, ev.actual, ev.q_mu))
+    assert ev["x_probs"].shape == (2,) and ev["x_omegas"].shape == (2, 2, 2)
+    assert all(isinstance(ev[key], float) for key in ("s_ab", "delta", "actual", "q_mu"))
 
 
 @pytest.mark.parametrize("family", sorted(ONE_PARAMETER_FAMILIES))

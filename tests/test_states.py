@@ -59,7 +59,8 @@ def test_bell_diagonal_correlation_readout_roundtrip():
 
 def test_bell_diagonal_outside_tetrahedron_fails_psd():
     # r = (1,1,1) has the eigenvalue (1-1-1-1)/4 = -1/2
-    with pytest.raises(StateValidationError, match="tetrahedron") as err:
+    message = r"vector \(1.0, 1.0, 1.0\) lies outside the Bell-diagonal tetrahedron"
+    with pytest.raises(StateValidationError, match=message) as err:
         bell_diagonal((1.0, 1.0, 1.0))
     assert err.value.invariant == "psd"
     assert abs(err.value.residual - 0.5) <= 1e-12
