@@ -7,19 +7,18 @@ lower bounds with closed-form oracles for the one-parameter families, and
 application bounds (entanglement witness, entanglement of formation,
 distillable common randomness).  Each report has a stacked form that
 evaluates many states of one shape at once (``family_stack``,
-``bounds_table``, ``applications_table``, ``classical_correlation_stack``).
+``bounds_table``, ``applications_table``, ``classical_correlation_stack``),
+and every one-row result is a ``Row``, a dict whose keys read as attributes.
 The ``eurmem`` CLI exposes all of it.
 """
 
 from .apps import (
-    WitnessVerdict,
     applications_report,
     applications_table,
     helstrom_error,
     witness,
 )
 from .bounds import (
-    BoundsReport,
     actual_uncertainty,
     bounds_report,
     bounds_table,
@@ -27,7 +26,6 @@ from .bounds import (
     family_pair_observables,
 )
 from .infoquant import (
-    CorrelationReport,
     OptimizerConfig,
     binary_entropy,
     classical_correlation,
@@ -65,9 +63,9 @@ from .measure import (
 )
 from .states import (
     DensityMatrix,
+    Row,
     StateStack,
     StateValidationError,
-    ValidationReport,
     bell_diagonal,
     bell_diagonal_special,
     family_stack,

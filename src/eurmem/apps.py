@@ -29,18 +29,15 @@ rows of a state stack, and ``applications_report`` is its one-row view.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
 from .infoquant import _one_row, binary_entropy, evaluate_stack
 from .matops import hermitian_eigvals
 from .measure import MeasurementEnsemble, ProjectiveObservable
-from .states import DensityMatrix, StateStack
+from .states import DensityMatrix, Row, StateStack
 
 __all__ = [
     "WITNESS_MARGIN",
-    "WitnessVerdict",
     "witness",
     "helstrom_error",
     "applications_table",
@@ -50,27 +47,12 @@ __all__ = [
 WITNESS_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
-class WitnessVerdict:
-    """Entanglement flags and margins for the two witness thresholds.
-
-    margin_* is threshold minus measured uncertainty; a flag is set when
-    its margin exceeds WITNESS_MARGIN.  entangled_by_berta implies
-    entangled_by_ours because the corrected threshold is never smaller.
-    """
-
-    entangled_by_berta: bool
-    entangled_by_ours: bool
-    margin_berta: float
-    margin_ours: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def _verdict(ev: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The ``WitnessVerdict`` fields as columns over the rows of an
-    ``evaluate_stack`` table."""
+    """Entanglement flags and margins of the two witness thresholds, as
+    columns over the rows of an ``evaluate_stack`` table.  margin_* is
+    threshold minus measured uncertainty, and a flag is set when its margin
+    exceeds WITNESS_MARGIN; entangled_by_berta implies entangled_by_ours, as
+    the corrected threshold is never smaller."""
     margin_berta = ev["q_mu"] - ev["actual"]
     margin_ours = ev["q_mu"] + ev["correction"] - ev["actual"]
     return {
@@ -83,9 +65,9 @@ def _verdict(ev: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 def witness(
     rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
-) -> WitnessVerdict:
+) -> Row:
     """Flag entanglement when the measured uncertainty undercuts a threshold."""
-    return WitnessVerdict(**_one_row(_verdict(evaluate_stack(rho.stack, x, z))))
+    return _one_row(_verdict(evaluate_stack(rho.stack, x, z)))
 
 
 def _trace_norm_error(gap: np.ndarray) -> np.ndarray:
@@ -140,6 +122,6 @@ def applications_table(states: StateStack, x, z) -> dict[str, np.ndarray]:
 
 def applications_report(
     rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
-) -> dict:
-    """Witness verdict plus both application bounds as one flat record (dA = 2)."""
+) -> Row:
+    """Witness verdict plus both application bounds as one flat row (dA = 2)."""
     return _one_row(applications_table(rho.stack, x, z))

@@ -39,60 +39,29 @@ top two |r_i| tie.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
-from .infoquant import CorrelationReport, _one_row, binary_entropy, evaluate_stack
+from .infoquant import _one_row, binary_entropy, evaluate_stack
 from .measure import ProjectiveObservable, pauli_observable
-from .states import DensityMatrix, StateStack
+from .states import DensityMatrix, Row, StateStack
 
 __all__ = [
-    "BoundsReport",
     "actual_uncertainty",
     "bounds_table",
     "bounds_report",
-    "ClosedFormCurves",
     "closed_form_curves",
     "family_pair_observables",
     "family_pairs",
 ]
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    """All bounds and their ingredients for one (state, X, Z) triple.
-
-    ``bound_pati`` and ``pati_correction`` are None unless a correlation
-    report (the one expensive, optimizer-backed quantity) was supplied.
-    """
-
-    q_mu: float
-    q_prime: float
-    s_cond: float
-    i_ab: float
-    i_xb: float
-    i_zb: float
-    delta: float
-    bound_mu: float
-    bound_mu_mixed: float
-    bound_berta: float
-    bound_coles_piani: float
-    bound_pati: float | None
-    bound_ours: float
-    actual: float
-    pati_correction: float | None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def bounds_table(states: StateStack, x, z, corr: dict | None = None) -> dict[str, np.ndarray | None]:
-    """Every ``BoundsReport`` field as a column over the rows of a state stack.
+    """Every bound and its ingredients as a column over the rows of a state stack.
 
     ``x`` and ``z`` are as in ``infoquant.evaluate_stack`` (one observable,
     or one per row); ``corr`` is the ``classical_correlation_stack`` table
-    of the same rows, whose ``discord`` and ``classical_correlation`` it reads.
+    of the same rows, whose ``discord`` and ``classical_correlation`` it
+    reads.  ``bound_pati`` and ``pati_correction`` are None without it.
     """
     ev = evaluate_stack(states, x, z)
     berta = ev["q_mu"] + ev["s_cond"]
@@ -126,12 +95,13 @@ def bounds_report(
     rho: DensityMatrix,
     x: ProjectiveObservable,
     z: ProjectiveObservable,
-    corr: CorrelationReport | None = None,
-) -> BoundsReport:
-    """Evaluate every bound and its ingredients for one (state, X, Z) triple."""
+    corr: dict | None = None,
+) -> Row:
+    """The ``bounds_table`` row of one (state, X, Z) triple; ``corr`` is the
+    state's ``classical_correlation`` row (the one optimizer-backed input)."""
     keys = ("discord", "classical_correlation")
-    rows = None if corr is None else {key: np.array([getattr(corr, key)]) for key in keys}
-    return BoundsReport(**_one_row(bounds_table(rho.stack, x, z, rows)))
+    rows = None if corr is None else {key: np.array([corr[key]]) for key in keys}
+    return _one_row(bounds_table(rho.stack, x, z, rows))
 
 
 def actual_uncertainty(
@@ -146,13 +116,6 @@ def actual_uncertainty(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosedFormCurves:
-    berta: float
-    pati: float
-    ours: float
-
-
 def _check_pair(pair: str) -> str:
     key = pair.lower()
     if key not in ("xy", "xz"):
@@ -160,7 +123,7 @@ def _check_pair(pair: str) -> str:
     return key
 
 
-def _curves_bell_diagonal_special(p: float, pair: str) -> ClosedFormCurves:
+def _curves_bell_diagonal_special(p: float, pair: str) -> Row:
     # Holevo quantities along the Bloch axes: 1 - h(p) on the x axis
     # (|r| = |1-2p|) and 1 - h((1+p)/2) on each of y, z (|r| = p).
     h = binary_entropy
@@ -177,7 +140,7 @@ def _curves_bell_diagonal_special(p: float, pair: str) -> ClosedFormCurves:
     pati = berta + max(0.0, i_ab - 2.0 * hi)
     second = mid if pair == "xy" else lo
     ours = berta + max(0.0, i_ab - hi - second)
-    return ClosedFormCurves(berta=berta, pati=pati, ours=ours)
+    return Row(berta=berta, pati=pati, ours=ours)
 
 
 def _safe_plog2(coef: float, ratio: float) -> float:
@@ -187,7 +150,7 @@ def _safe_plog2(coef: float, ratio: float) -> float:
     return coef * float(np.log2(ratio))
 
 
-def _curves_x_state_special(p: float, pair: str) -> ClosedFormCurves:
+def _curves_x_state_special(p: float, pair: str) -> Row:
     h = binary_entropy
     s_b = h(p / 2.0)
     s_ab = h(p)
@@ -206,7 +169,7 @@ def _curves_x_state_special(p: float, pair: str) -> ClosedFormCurves:
     # duplicates I(X;B).
     second = i_x if pair == "xy" else i_z
     ours = berta + max(0.0, i_ab - i_x - second)
-    return ClosedFormCurves(berta=berta, pati=pati, ours=ours)
+    return Row(berta=berta, pati=pati, ours=ours)
 
 
 _CLOSED_FORMS = {
@@ -215,8 +178,8 @@ _CLOSED_FORMS = {
 }
 
 
-def closed_form_curves(family: str, p: float, pair: str) -> ClosedFormCurves:
-    """Closed-form (berta, pati, ours) for the named one-parameter families.
+def closed_form_curves(family: str, p: float, pair: str) -> Row:
+    """Closed-form ``Row(berta=..., pati=..., ours=...)`` for the named one-parameter families.
 
     ``family`` is "bell_diagonal_special" or "xstate"; ``pair`` selects the
     observable pair "xy" or "xz" (labels in the |r|-ordered sense described

@@ -20,8 +20,8 @@ batched eigenvalue call over the conditional states of both observables of
 all rows; the bounds and application numbers are arithmetic on it.  Each
 stacked call returns a table, a dict of columns with one entry per row.
 ``evaluate`` and ``classical_correlation`` are the one-row views of
-``evaluate_stack`` and ``classical_correlation_stack``, read through
-``_one_row``, and a row's numbers do not depend on the rows around it.  A
+``evaluate_stack`` and ``classical_correlation_stack``, a ``states.Row`` read
+through ``_one_row``; a row's numbers do not depend on the rows around it.  A
 caller bounds memory by the stacks it builds (the CLI sweeps in blocks of
 128 rows); the J_A search bounds its own, with at most ``_CALL_DIRECTIONS``
 directions per objective call and at most ``_CLIMB_ROWS`` rows per climb
@@ -57,7 +57,7 @@ although for the named state families the two coincide.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -71,7 +71,7 @@ from .measure import (
     overlaps,
     require_on_a,
 )
-from .states import DensityMatrix, StateStack
+from .states import DensityMatrix, Row, StateStack
 
 __all__ = [
     "shannon_entropy",
@@ -84,7 +84,6 @@ __all__ = [
     "holevo",
     "OptimizerConfig",
     "MAX_GRID_POINTS",
-    "CorrelationReport",
     "classical_correlation_stack",
     "classical_correlation",
 ]
@@ -280,16 +279,17 @@ def evaluate_stack(states: StateStack, x, z) -> dict[str, np.ndarray]:
     }
 
 
-def _one_row(table: dict) -> dict:
-    """Row 0 of a table of per-row columns: a number for a column of numbers,
-    an array for a column of arrays, and None for a None column."""
-    return {
-        key: col if col is None else col[0].item() if col.ndim == 1 else col[0]
+def _one_row(table: dict) -> Row:
+    """Row 0 of a table of per-row columns, with the table's keys in order: a
+    number for a column of numbers, an array for a column of arrays, and None
+    for a None column."""
+    return Row(
+        (key, col if col is None else col[0].item() if col.ndim == 1 else col[0])
         for key, col in table.items()
-    }
+    )
 
 
-def evaluate(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable) -> dict:
+def evaluate(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable) -> Row:
     """``evaluate_stack`` on the one-row stack of ``rho``, at that row: the
     entropies and terms are numbers, and the outcome arrays lose the row axis."""
     return _one_row(evaluate_stack(rho.stack, x, z))
@@ -337,26 +337,6 @@ class OptimizerConfig:
                 f"optimizer grid_phi must be even, got {self.grid_phi}: the grid pairs "
                 "each equator point with its antipode grid_phi / 2 columns away"
             )
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    """Classical correlation J_A, discord D_A and the optimizer trace.
-
-    The optimum is over rank-1 projective measurements only (Bloch
-    directions); ``search_space`` records that caveat.
-    """
-
-    classical_correlation: float
-    discord: float
-    optimal_direction: np.ndarray
-    grid_best: float
-    refined_best: float
-    iterations: int
-    search_space: str = "rank-1 projective (Bloch sphere)"
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "optimal_direction": [float(v) for v in self.optimal_direction]}
 
 
 def _general_objective(states: StateStack, s_b: np.ndarray):
@@ -515,11 +495,9 @@ def _canonical_directions(directions: np.ndarray) -> np.ndarray:
     the dot product that ``np.linalg.norm`` of that row alone takes, bit for
     bit, not a sum of squares."""
     n = directions / np.sqrt(directions[:, None, :] @ directions[:, :, None])[:, 0]
-    for row, (x, y, z) in zip(n, n.tolist()):
-        if z < -_AXIS_EPS or abs(z) <= _AXIS_EPS and (
-            x < -_AXIS_EPS or abs(x) <= _AXIS_EPS and y < 0.0
-        ):
-            row *= -1.0
+    below, small = n < -_AXIS_EPS, abs(n) <= _AXIS_EPS
+    flip = below[:, 2] | small[:, 2] & (below[:, 0] | small[:, 0] & (n[:, 1] < 0.0))
+    np.negative(n, out=n, where=flip[:, None])
     return n
 
 
@@ -708,7 +686,7 @@ _CLIMB_ROWS = _CALL_DIRECTIONS // (len(_STENCIL) * _MAX_STARTS)
 _CLIMB_VALUES = _CLIMB_ROWS * OptimizerConfig.grid_theta * OptimizerConfig.grid_phi
 
 
-def _search(objective, count: int, cfg: OptimizerConfig) -> list[tuple]:
+def _search(objective, count: int, cfg: OptimizerConfig) -> tuple[np.ndarray, ...]:
     """Grid search, then trust-region Newton ascent from every grid peak, of
     ``objective`` (see ``_general_objective``) on each of ``count`` state rows.
 
@@ -720,8 +698,9 @@ def _search(objective, count: int, cfg: OptimizerConfig) -> list[tuple]:
     one objective call a round for all of them.  Each ascent's result is the
     best stencil value it saw, the Holevo quantity of a real measurement, so
     J_A never exceeds the truth.  A row's first ascent wins unless a later
-    one ends more than ``IMPROVE_ATOL`` higher.  Returns (value, direction, grid maximum,
-    stencil rounds of all the row's ascents) per row.
+    one ends more than ``IMPROVE_ATOL`` higher.  Returns the columns value,
+    direction (count, 3), grid maximum and stencil rounds of all the row's
+    ascents.
     """
     _, dirs = _hemisphere_grid(cfg.grid_theta, cfg.grid_phi)
     frames = _grid_frames(cfg.grid_theta, cfg.grid_phi)
@@ -730,7 +709,8 @@ def _search(objective, count: int, cfg: OptimizerConfig) -> list[tuple]:
     block = max(1, min(_CLIMB_ROWS, _CLIMB_VALUES // size))
     grid_rows = max(1, _CALL_DIRECTIONS // size)
     chunk = min(size, _CALL_DIRECTIONS)
-    found = []
+    found, grid_best = np.empty(count), np.empty(count)
+    direction, rounds = np.empty((count, 3)), np.empty(count, dtype=int)
     for start in range(0, count, block):
         stop = min(start + block, count)
         values = np.empty((stop - start, size))
@@ -745,17 +725,18 @@ def _search(objective, count: int, cfg: OptimizerConfig) -> list[tuple]:
         counts = [len(cells) for cells in starts]
         cells = np.concatenate(starts)
         row = np.repeat(np.arange(start, stop), counts)
-        best, at, rounds = _climb(objective, row, values[row - start, cells], frames[cells], radius)
-        ends, rounds = best.tolist(), rounds.tolist()
+        best, at, steps = _climb(objective, row, values[row - start, cells], frames[cells], radius)
+        ends, steps = best.tolist(), steps.tolist()
+        grid_best[start:stop] = values.max(axis=1)
         first = 0
-        for n, grid_best in zip(counts, values.max(axis=1).tolist()):
+        for i, n in enumerate(counts, start):
             pick = first
             for k in range(first + 1, first + n):
                 if ends[k] > ends[pick] + IMPROVE_ATOL:
                     pick = k
-            found.append((ends[pick], at[pick], grid_best, sum(rounds[first : first + n])))
+            found[i], direction[i], rounds[i] = ends[pick], at[pick], sum(steps[first : first + n])
             first += n
-    return found
+    return found, direction, grid_best, rounds
 
 
 def _model(f0, pu, mu, pv, mv, pp, pm, mp, mm):
@@ -873,29 +854,30 @@ def classical_correlation_stack(
     deterministic, and a row's result does not depend on the other rows.
     Two-qubit states use the real Pauli-correlation objective, wider B the
     LAPACK one.  S(rho^B) and I(A;B) come from the stack's spectra.  Returns
-    the ``CorrelationReport`` fields but ``search_space`` as columns: J_A, the
-    discord D_A = I(A;B) - J_A, the direction (shape (P, 3)) and the trace.
+    the columns J_A, the discord D_A = I(A;B) - J_A, the canonical optimal
+    direction (shape (P, 3)) and the optimizer trace: the best grid value,
+    the refined value and the stencil rounds of all starts.
     """
     if states.dA != 2:
         raise ValueError(f"classical_correlation supports dA = 2 only, got dA = {states.dA}")
     cfg = config or OptimizerConfig()
     s_ab, s_a, s_b = _state_entropies(states)
     build = _two_qubit_objective if states.dB == 2 else _general_objective
-    found = _search(build(states, s_b), len(states), cfg)
-    value, at, grid_best, rounds = (np.array([row[k] for row in found]) for k in range(4))
+    value, at, grid_best, rounds = _search(build(states, s_b), len(states), cfg)
     j_a = np.where(0.0 > value, 0.0, value)
     return {
         "classical_correlation": j_a,
         "discord": (s_a + s_b - s_ab) - j_a,
-        "optimal_direction": _canonical_directions(at.reshape(-1, 3)),
+        "optimal_direction": _canonical_directions(at),
         "grid_best": grid_best,
         "refined_best": value,
         "iterations": rounds,
     }
 
 
-def classical_correlation(
-    rho: DensityMatrix, config: OptimizerConfig | None = None
-) -> CorrelationReport:
-    """``classical_correlation_stack`` on the one-row stack of ``rho``."""
-    return CorrelationReport(**_one_row(classical_correlation_stack(rho.stack, config)))
+def classical_correlation(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Row:
+    """``classical_correlation_stack`` on the one-row stack of ``rho``, with the
+    caveat ``search_space`` last: the optimum is over Bloch directions only."""
+    row = _one_row(classical_correlation_stack(rho.stack, config))
+    row["search_space"] = "rank-1 projective (Bloch sphere)"
+    return row

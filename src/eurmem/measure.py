@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .matops import projector, tensor
-from .states import DensityMatrix, complex_matrix, is_number
+from .states import DensityMatrix, complex_matrix, is_number, to_float
 
 __all__ = [
     "ORTHO_ATOL",
@@ -160,7 +160,7 @@ def observable_from_spec(doc) -> ProjectiveObservable:
         entry = doc["bloch"]
         if not isinstance(entry, list) or not all(map(is_number, entry)):
             raise ValueError(f"observable 'bloch' entry must be a list of numbers, got {entry!r}")
-        if not all(map(math.isfinite, entry)):
+        if not all(math.isfinite(to_float(v, "observable 'bloch' entry")) for v in entry):
             raise ValueError(f"observable 'bloch' entry must be finite, got {entry!r}")
         return observable_from_bloch(entry)
     if "basis" in doc:

@@ -24,7 +24,7 @@ x_state_special(p)         p |Psi+><Psi+| + (1-p) |11><11|
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -47,8 +47,7 @@ __all__ = [
     "KET_PHI_PLUS",
     "KET_PHI_MINUS",
     "StateValidationError",
-    "InvariantCheck",
-    "ValidationReport",
+    "Row",
     "validate",
     "StateStack",
     "DensityMatrix",
@@ -91,33 +90,28 @@ class StateValidationError(ValueError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class InvariantCheck:
-    name: str
-    passed: bool
-    residual: float
-    tolerance: float
+class Row(dict):
+    """A one-row result: a dict whose keys also read as attributes, as in
+    scipy's ``OptimizeResult``.  A missing name raises AttributeError, so
+    that ``hasattr``, copying and pickling work as on any object."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        try:
+            return self[name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The row as plain data: arrays as lists, and rows, also in a list, as dicts."""
+        return {key: _plain(value) for key, value in self.items()}
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[InvariantCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def first_failure(self) -> InvariantCheck | None:
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+def _plain(value):
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value.to_dict() if isinstance(value, Row) else value.tolist() if isinstance(value, np.ndarray) else value
 
 
 # The invariants after the shape, in the order they are reported.
@@ -146,31 +140,31 @@ def _residuals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([nonfinite, herm, trace, psd]), spectra
 
 
-def _stack_report(mats: np.ndarray, dA: int, dB: int) -> tuple[ValidationReport, np.ndarray | None]:
+def _stack_report(mats: np.ndarray, dA: int, dB: int) -> tuple[Row, np.ndarray | None]:
     """The invariant report of the first row of a (P, n, n) stack that fails
     one, or of row 0 when all pass; a wrong shape fails the whole stack.
     Also returns the eigenvalues of ``_residuals`` (None for a wrong shape)."""
     square = mats.ndim == 3 and mats.shape[1] == mats.shape[2]
     dim_ok = square and mats.shape[1] == dA * dB
     shape_residual = 0.0 if dim_ok else float(abs((mats.shape[1] if square else -1) - dA * dB))
-    checks = [InvariantCheck("shape", dim_ok, shape_residual, 0.0)]
+    checks = [Row(name="shape", passed=dim_ok, residual=shape_residual, tolerance=0.0)]
     residuals, spectra = _residuals(mats) if dim_ok else (None, None)
     if dim_ok and len(mats):
         row = residuals[(residuals > _LIMITS).any(axis=1).argmax()].tolist()
         for (name, tol), residual in zip(_INVARIANTS, row):
-            checks.append(InvariantCheck(name, residual <= tol, residual, tol))
+            checks.append(Row(name=name, passed=residual <= tol, residual=residual, tolerance=tol))
             if name == "finite" and residual > tol:
                 break
-    return ValidationReport(tuple(checks)), spectra
+    return Row(passed=all(c.passed for c in checks), checks=checks), spectra
 
 
-def validate(mat, dA: int, dB: int) -> ValidationReport:
+def validate(mat, dA: int, dB: int) -> Row:
     """Check the density-matrix invariants of a raw matrix.
 
-    Reports pass/fail and the measured residual for each invariant
-    (shape, finite entries, Hermiticity, unit trace, positive
-    semidefiniteness).  The finite residual counts NaN and inf entries.
-    Never raises on a bad state; construction raises, this reports.
+    Returns ``Row(passed=..., checks=[...])``, a row of name, passed,
+    residual and tolerance per invariant: shape, finite entries, Hermiticity,
+    unit trace, positive semidefiniteness.  The finite residual counts NaN and
+    inf entries.  Never raises on a bad state; construction raises, this reports.
     """
     return _stack_report(np.asarray(mat, dtype=complex)[None], dA, dB)[0]
 
@@ -194,7 +188,8 @@ class StateStack:
         object.__setattr__(self, "mats", mats)
         report, spectrum = _stack_report(mats, self.dA, self.dB)
         object.__setattr__(self, "_spectrum", spectrum)
-        if (failure := report.first_failure()) is not None:
+        if not report.passed:
+            failure = next(c for c in report.checks if not c.passed)
             raise StateValidationError(
                 failure.name,
                 failure.residual,
@@ -276,7 +271,7 @@ def pure_schmidt(lam) -> DensityMatrix:
             "schmidt_nonneg", float(-lam.min()), "Schmidt coefficients must be nonnegative"
         )
     s = float(lam.sum())
-    if abs(s - 1.0) > SCHMIDT_SUM_ATOL:
+    if not abs(s - 1.0) <= SCHMIDT_SUM_ATOL:
         raise StateValidationError(
             "schmidt_sum",
             abs(s - 1.0),
@@ -284,8 +279,7 @@ def pure_schmidt(lam) -> DensityMatrix:
         )
     d = lam.size
     vec = np.zeros(d * d, dtype=complex)
-    for i, li in enumerate(np.clip(lam, 0.0, None)):
-        vec += np.sqrt(li) * np.kron(basis_ket(d, i), basis_ket(d, i))
+    vec[:: d + 1] = np.sqrt(np.clip(lam, 0.0, None))
     return DensityMatrix(projector(vec), d, d)
 
 
@@ -294,10 +288,19 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
+def to_float(value, what: str) -> float:
+    """``float(value)`` of a document number; JSON sets no size limit, and an
+    integer past float range raises a ValueError naming ``what``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must lie in float range, got a {len(str(abs(value)))}-digit integer") from None
+
+
 def _check_unit_interval(name: str, p) -> float:
     if not is_number(p):
         raise ValueError(f"{name} parameter 'p' must be a number, got {p!r}")
-    p = float(p)
+    p = to_float(p, f"{name} parameter 'p'")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"{name} parameter p must lie in [0, 1], got {p!r}")
     return p
@@ -407,7 +410,7 @@ def complex_matrix(doc, what: str) -> np.ndarray:
     try:
         re = np.asarray(doc["re"], dtype=float)
         im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{what} 're' and 'im' fields must be arrays of numbers") from None
     if re.shape != im.shape:
         raise ValueError(f"{what} 're' and 'im' parts have different shapes")
@@ -461,7 +464,7 @@ def from_spec(doc: dict) -> DensityMatrix:
         value = family[key]
         if key != "p" and not (isinstance(value, list) and all(map(is_number, value))):
             raise ValueError(f"{name} parameter {key!r} must be a list of numbers, got {value!r}")
-        return build(value)
+        return build(value if key == "p" else [to_float(v, f"{name} parameter {key!r}") for v in value])
     if "explicit" in doc:
         mat, dA, dB = parse_explicit(doc["explicit"])
         return DensityMatrix(mat, dA, dB)

@@ -331,6 +331,44 @@ def test_explicit_dimension_out_of_range_exits_2_naming_the_field(capsys, dims):
         assert f"explicit state field '{field}' must lie in [1, 1048576]" in err
 
 
+_PAST_FLOAT = 10**400  # a 401-digit JSON integer, beyond float range
+_PAST_FLOAT_MESSAGE = "must lie in float range, got a 401-digit integer"
+
+
+@pytest.mark.parametrize(
+    "state, x, message",
+    [
+        ({"family": {"name": "werner", "p": _PAST_FLOAT}}, "x", f"werner parameter 'p' {_PAST_FLOAT_MESSAGE}"),
+        (
+            {"family": {"name": "bell_diagonal", "r": [_PAST_FLOAT, 0, 0]}},
+            "x",
+            f"bell_diagonal parameter 'r' {_PAST_FLOAT_MESSAGE}",
+        ),
+        (
+            {"family": {"name": "pure_schmidt", "lambdas": [_PAST_FLOAT, 0]}},
+            "x",
+            f"pure_schmidt parameter 'lambdas' {_PAST_FLOAT_MESSAGE}",
+        ),
+        (
+            {"family": {"name": "werner", "p": 0.5}},
+            json.dumps({"bloch": [_PAST_FLOAT, 0, 0]}),
+            f"observable 'bloch' entry {_PAST_FLOAT_MESSAGE}",
+        ),
+        (
+            {"explicit": {"dA": 2, "dB": 2, "re": [[_PAST_FLOAT, 0, 0, 0]] + [[0] * 4] * 3}},
+            "x",
+            "explicit state 're' and 'im' fields must be arrays of numbers",
+        ),
+    ],
+    ids=["p", "r", "lambdas", "bloch", "re"],
+)
+def test_integer_past_float_range_exits_2_naming_the_field(capsys, state, x, message):
+    # Such an integer once reached float() (OverflowError, a traceback and exit 1).
+    code, out, err = run_cli(capsys, "bounds", "--state", json.dumps(state), "--x", x, "--z", "z")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_validate_unparseable_exits_2(capsys, tmp_path):
     path = tmp_path / "nope.json"
     path.write_text("[[", encoding="utf-8")

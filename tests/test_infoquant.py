@@ -331,7 +331,7 @@ def _objective(build, rho):
 
 def _row_search(objective, cfg=None):
     """``_search`` of a one-row objective: (value, direction, grid max, rounds)."""
-    return _search(objective, 1, cfg or OptimizerConfig())[0]
+    return tuple(column[0] for column in _search(objective, 1, cfg or OptimizerConfig()))
 
 
 def test_direction_objectives_match_holevo():
@@ -510,7 +510,7 @@ def test_climb_matches_generator_reference(name, states):
     objective = build(states, _state_entropies(states)[2])
     cfg = OptimizerConfig()
     want = reference_search(objective, len(states), cfg)
-    stacked = _search(objective, len(states), cfg)
+    stacked = list(zip(*_search(objective, len(states), cfg)))
     rows = [_row_search(_row_objective(objective, k), cfg) for k in range(len(states))]
     # Each result is the objective's value at the direction it reports.
     at = np.array([found[1] for found in stacked])

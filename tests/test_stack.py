@@ -6,14 +6,17 @@ the rows around it (no reduction or BLAS call mixes rows, and each row's
 matrix products go through the same kernel).
 """
 
+import copy
+import json
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from eurmem import infoquant
-from eurmem.apps import applications_report, applications_table
-from eurmem.bounds import bounds_report, bounds_table
+from eurmem.apps import _verdict, applications_report, applications_table, witness
+from eurmem.bounds import bounds_report, bounds_table, closed_form_curves
 from eurmem.infoquant import (
     _CALL_DIRECTIONS,
     _CLIMB_ROWS,
@@ -23,15 +26,18 @@ from eurmem.infoquant import (
     classical_correlation,
     classical_correlation_stack,
     evaluate,
+    evaluate_stack,
 )
 from eurmem.matops import hermitian_eigvals
 from eurmem.measure import pauli_observable
 from eurmem.states import (
     ONE_PARAMETER_FAMILIES,
     DensityMatrix,
+    Row,
     StateStack,
     StateValidationError,
     family_stack,
+    validate,
 )
 
 from helpers import random_density_matrix, random_observable
@@ -293,3 +299,43 @@ def test_stack_rejects_an_observable_list_of_the_wrong_length():
     x = pauli_observable("x")
     with pytest.raises(ValueError, match="got 3 observables for a stack of 2 states"):
         bounds_table(stack, [x, x, x], [x, x, x])
+
+
+def _one_row_results():
+    """Each one-row result of a random two-qubit state and a non-Pauli pair,
+    with the keys of the table it is a row of."""
+    rng = np.random.default_rng(107)
+    rho = random_density_matrix(rng)
+    x, z = random_observable(rng), random_observable(rng)
+    corr = classical_correlation(rho)
+    yield "evaluate", evaluate(rho, x, z), list(evaluate_stack(rho.stack, x, z))
+    yield "classical_correlation", corr, [*classical_correlation_stack(rho.stack), "search_space"]
+    yield "bounds_report", bounds_report(rho, x, z), list(bounds_table(rho.stack, x, z))
+    yield "bounds_report with J_A", bounds_report(rho, x, z, corr), list(bounds_table(rho.stack, x, z))
+    yield "applications_report", applications_report(rho, x, z), list(applications_table(rho.stack, x, z))
+    yield "witness", witness(rho, x, z), list(_verdict(evaluate_stack(rho.stack, x, z)))
+    yield "closed_form_curves", closed_form_curves("xstate", 0.3, "xz"), ["berta", "pati", "ours"]
+    report = validate(rho.mat + 0.01, 2, 2)
+    yield "validate", report, ["passed", "checks"]
+    for check in report.checks:
+        yield "validate check", check, ["name", "passed", "residual", "tolerance"]
+
+
+@pytest.mark.parametrize("name, row, keys", list(_one_row_results()), ids=lambda v: v if isinstance(v, str) else "")
+def test_one_row_results_are_rows_of_their_tables_keys(name, row, keys):
+    assert type(row) is Row
+    assert list(row) == keys
+    for key in keys:
+        assert getattr(row, key) is row[key]
+    assert not hasattr(row, "nope")
+    for twin in (copy.deepcopy(row), pickle.loads(pickle.dumps(row))):
+        assert type(twin) is Row
+        np.testing.assert_equal(twin, row)
+    plain = row.to_dict()
+    assert type(plain) is dict and list(plain) == keys
+    if name != "evaluate":  # its conditional states are complex matrices, which JSON has no form for
+        assert json.loads(json.dumps(plain)) == plain
+    if name == "classical_correlation":
+        assert plain["optimal_direction"] == row.optimal_direction.tolist()
+    if name == "validate":
+        assert not row.passed and all(type(check) is dict for check in plain["checks"])

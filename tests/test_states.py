@@ -86,6 +86,9 @@ def test_pure_schmidt_is_pure():
 def test_pure_schmidt_sum_enforced():
     with pytest.raises(StateValidationError, match="sum to 1"):
         pure_schmidt([0.6, 0.3])
+    # A NaN coefficient fails the sum check, not the matrix's finite check.
+    with pytest.raises(StateValidationError, match=r"sum to 1 within 1e-12 \(got nan\)"):
+        pure_schmidt([float("nan"), 1.0])
 
 
 def test_validate_passes_maximally_mixed():
