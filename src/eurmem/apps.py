@@ -105,11 +105,10 @@ def applications_table(states: StateStack, x, z) -> dict[str, np.ndarray]:
             f"discriminate two outcomes), got dA = {states.dA}"
         )
     ev = evaluate_stack(states, x, z)
-    pe_x, pe_z = (
-        _trace_norm_error(ev[key][:, 0] - ev[key][:, 1]) for key in ("x_omegas", "z_omegas")
-    )
+    omegas = np.stack((ev["x_omegas"], ev["z_omegas"]), axis=1)
     # b_F = h(Pe_X) + h(Pe_Z); the errors are already clamped to [0, 1/2].
-    eof = ev["q_mu"] + ev["correction"] - (binary_entropy(pe_x) + binary_entropy(pe_z))
+    h = binary_entropy(_trace_norm_error(omegas[:, :, 0] - omegas[:, :, 1]))
+    eof = ev["q_mu"] + ev["correction"] - (h[:, 0] + h[:, 1])
     return {
         **_verdict(ev),
         "eof_lower_bound": eof,

@@ -34,10 +34,12 @@ from .measure import observable_from_spec
 from .states import (
     ONE_PARAMETER_FAMILIES,
     StateValidationError,
+    _LongInt,
     family_stack,
     from_spec,
     is_number,
     parse_explicit,
+    to_float,
     to_spec,
     validate,
 )
@@ -71,7 +73,8 @@ def _fmt(value: float) -> str:
 
 def _load_doc(arg: str):
     """A JSON document given inline (starting with "{") or by file path."""
-    return json.loads(arg if arg.strip().startswith("{") else Path(arg).read_text(encoding="utf-8"))
+    text = arg if arg.strip().startswith("{") else Path(arg).read_text(encoding="utf-8")
+    return json.loads(text, parse_int=_LongInt)
 
 
 def _load_state_arg(arg: str):
@@ -89,10 +92,8 @@ def _load_state_arg(arg: str):
 
 def _load_observable_arg(arg: str):
     text = arg.strip()
-    if text.startswith("{"):
-        return observable_from_spec(json.loads(text))
-    if text.startswith("@"):
-        return observable_from_spec(json.loads(Path(text[1:]).read_text(encoding="utf-8")))
+    if text.startswith(("{", "@")):
+        return observable_from_spec(_load_doc(text.removeprefix("@")))
     try:
         return observable_from_spec(text)
     except ValueError:
@@ -183,7 +184,7 @@ def _sweep_spec(args) -> tuple[dict, Path]:
         spec = {**PRESETS[args.preset], "p_start": 0.0, "p_end": 1.0, "p_step": 0.01}
         return spec, Path(args.out or f"{args.preset}.csv")
     if args.spec:
-        spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        spec = json.loads(Path(args.spec).read_text(encoding="utf-8"), parse_int=_LongInt)
         if not isinstance(spec, dict):
             raise ValueError("sweep spec must be a JSON object")
         for field in ("family", "p_start", "p_end", "p_step"):
@@ -193,6 +194,7 @@ def _sweep_spec(args) -> tuple[dict, Path]:
             value = spec[field]
             if not is_number(value):
                 raise ValueError(f"sweep spec field {field!r} must be a number, got {value!r}")
+            spec[field] = to_float(value, f"sweep spec field {field!r}")
         return spec, Path(args.out or spec.get("out") or f"{spec['family']}_sweep.csv")
     if not (args.family and args.x and args.z):
         raise ValueError("sweep needs --preset, --spec, or --family with --x and --z")
@@ -214,7 +216,7 @@ def _sweep_pairs(family: str, pairs) -> list:
             family_pairs(family, [0.0], entry)
             resolved.append(lambda ps, label=entry: family_pairs(family, ps, label))
         elif isinstance(entry, list) and len(entry) == 2:
-            xz = [_load_observable_arg(r if isinstance(r, str) else json.dumps(r)) for r in entry]
+            xz = [_load_observable_arg(r) if isinstance(r, str) else observable_from_spec(r) for r in entry]
             resolved.append(lambda ps, xz=xz: xz)
         else:
             raise ValueError(

@@ -13,45 +13,35 @@ Core quantities on a bipartite state rho^AB:
                       on A
     D_A               quantum discord I(A;B) - J_A
 
-``evaluate_stack`` evaluates a stack of P states of one shape (a
-``states.StateStack``) with X and Z in one pass: the spectra of rho^AB, rho^A
-and rho^B of all rows, which the stack computes once and J_A shares, and one
-batched eigenvalue call over the conditional states of both observables of
-all rows; the bounds and application numbers are arithmetic on it.  Each
-stacked call returns a table, a dict of columns with one entry per row.
-``evaluate`` and ``classical_correlation`` are the one-row views of
-``evaluate_stack`` and ``classical_correlation_stack``, a ``states.Row`` read
-through ``_one_row``; a row's numbers do not depend on the rows around it.  A
-caller bounds memory by the stacks it builds (the CLI sweeps in blocks of
-128 rows); the J_A search bounds its own, with at most ``_CALL_DIRECTIONS``
-directions per objective call and at most ``_CLIMB_ROWS`` rows per climb
-block.
+``evaluate_stack`` evaluates P states of one shape (a ``states.StateStack``)
+with X and Z in one pass: the entropies of rho^AB, rho^A and rho^B in one
+x log2 x pass over the stack's spectra (computed once, shared with J_A),
+and the conditional states of both observables from one batched product
+and one eigenvalue call; the bounds and application numbers are arithmetic
+on it.  A stacked call returns a table, a dict of per-row columns, and its
+one-row view (``evaluate``, ``classical_correlation``) is a ``states.Row``
+read through ``_one_row``; a row's numbers do not depend on the rows around
+it.  Memory is bounded by the caller's stacks (the CLI sweeps 128-row
+blocks) and, in the J_A search, by ``_CALL_DIRECTIONS`` and ``_CLIMB_ROWS``.
 
 The classical-correlation optimizer searches rank-1 projective qubit
-measurements parameterized by a Bloch direction: a coarse 12 x 24
-hemisphere grid, then a trust-region Newton ascent on the unit sphere from
-each of the grid's local maxima (at most three).  Each ascent step takes
-the gradient and Hessian from a 9-point finite-difference stencil in a
-tangent chart, and the stencils of all ascents share one objective call.
-On a stack, the grids of up to 16 rows share one objective call, and a
-climb block of up to 170 rows has one peak pass and one ascent loop, whose
-rounds each make one objective call for all its rows.  The first round,
-which every ascent runs and after which every ascent on the named families
-stops, takes its stencil models and stop tests as arrays over the block;
-the few ascents that go on step one by one between the calls.
-For two qubits the objective is evaluated in the real Pauli-correlation
-form of the state: one small matrix product per row gives the weights and
-Bloch vectors of both outcomes of each direction, and their lengths come
-from the components.  The product runs per row, never over a block of
-rows, and never with a single row or column, so that BLAS sums each entry
-in one order whatever the call.  A call runs in pieces (whole rows, or
-part of one row's directions on a large grid) whose buffers each stay
-under glibc's 128 KB mmap threshold, so that its working set is bounded
-and comes from the heap, and the peak pass takes the grids 16 at a time
-for the same reason; for dB >= 3 it diagonalizes the conditional states
-of B with LAPACK.  It reports a
-projective optimum; it does not claim optimality over general POVMs,
-although for the named state families the two coincide.
+measurements by their Bloch direction: a coarse 12 x 24 hemisphere grid,
+then a trust-region Newton ascent on the unit sphere from each of the
+grid's local maxima (at most three), each step taking the gradient and
+Hessian from a 9-point stencil in a tangent chart.  On a stack, the grids
+of up to 16 rows share one objective call, and a climb block of up to 170
+rows has one peak pass and one ascent loop, whose rounds each make one
+objective call; the first round runs as arrays over the block (every
+ascent on the named families stops after it), later ones ascent by ascent.
+For two qubits the objective takes the real Pauli-correlation form: one
+small matrix product per row gives the weights and Bloch vectors of both
+outcomes of each direction.  It runs per row and never with a single row
+or column, so that BLAS sums each entry in one order whatever the call, in
+pieces whose buffers stay under glibc's 128 KB mmap threshold (the peak
+pass takes the grids 16 at a time for the same reason).  For dB >= 3 it
+diagonalizes the conditional states of B with LAPACK.  The optimum is
+projective, not one over general POVMs, although for the named state
+families the two coincide.
 """
 
 from __future__ import annotations
@@ -111,7 +101,7 @@ def _entropies(w: np.ndarray) -> np.ndarray:
     """-sum w log2 w over the last axis of ``w`` (a spectrum or a probability
     vector), with entries clipped to [0, 1] so that machine-precision
     negativity cannot poison the logarithms."""
-    return -_xlog2x(np.clip(w, 0.0, 1.0)).sum(axis=-1)
+    return -_xlog2x(np.minimum(np.maximum(w, 0.0), 1.0)).sum(axis=-1)
 
 
 def _shannon(p: np.ndarray) -> np.ndarray:
@@ -142,7 +132,7 @@ def binary_entropy(x):
     outside = (x < -1e-12) | (x > 1.0 + 1e-12)
     if outside.any():
         raise ValueError(f"binary entropy argument {_first(x, outside)!r} outside [0, 1]")
-    x = np.clip(x, 0.0, 1.0)
+    x = np.minimum(np.maximum(x, 0.0), 1.0)
     h = -(_xlog2x(x) + _xlog2x(1.0 - x))
     return float(h) if h.ndim == 0 else h
 
@@ -171,10 +161,12 @@ def von_neumann_entropy(state) -> float:
 
 
 def _state_entropies(states: StateStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S(rho^AB), S(rho^A) and S(rho^B) of each row, from the stack's spectra.
-    Its validation already holds each state to unit trace within 1e-10 and
-    its eigenvalues above -1e-10, inside ``von_neumann_entropy``'s checks."""
-    return tuple(_entropies(w) for w in states.spectra)
+    """S(rho^AB), S(rho^A) and S(rho^B) of each row, by ``_entropies``' rule in one
+    pass over the stack's spectra; its validation holds each state to unit trace
+    within 1e-10 and eigenvalues above -1e-10, inside ``von_neumann_entropy``'s checks."""
+    w = np.minimum(np.maximum(np.concatenate(states.spectra, axis=-1), 0.0), 1.0)
+    n = states.dA * states.dB
+    return tuple(-np.add.reduceat(_xlog2x(w), (0, n, n + states.dA), axis=-1).T)
 
 
 def conditional_entropy(rho: DensityMatrix) -> float:
@@ -204,11 +196,10 @@ def _conditional_sum(eigs) -> np.ndarray:
 
 
 def _outcome_terms(states: StateStack, bases, s_b: np.ndarray):
-    """p_i, omega_i = <x_i|rho|x_i>_A, H and I(.;B) of each of k observables,
-    each given by its (P or 1, d, d) stack of bases, from one batched
-    eigenvalue call over all rows: shapes (P, k, d), (P, k, d, dB, dB),
-    (P, k) and (P, k)."""
-    omegas = np.stack([conditional_stack(states, b) for b in bases], axis=1)
+    """p_i, omega_i = <x_i|rho|x_i>_A, H and I(.;B) of k observables, each a
+    (P or 1, d, d) stack of bases, for all rows at once: shapes (P, k, d),
+    (P, k, d, dB, dB), (P, k) and (P, k)."""
+    omegas = conditional_stack(states, bases)
     probs = np.maximum(np.einsum("...ijj->...i", omegas).real, 0.0)
     mu = hermitian_eigvals(omegas)
     # Negativity is judged on the normalized conditional states omega_i / p_i.
@@ -238,13 +229,11 @@ def evaluate_stack(states: StateStack, x, z) -> dict[str, np.ndarray]:
     """One pass over the rows of a state stack, after rejecting mismatched dimensions.
 
     ``x`` and ``z`` are each one observable for every row, or a sequence of
-    one observable per row.  The state spectra come from the stack (computed
-    once), the conditional states of X and Z of all rows share one
-    eigenvalue call, and q_mu and q' are computed per row.  Returns a column
-    over the rows of each ingredient: the entropies; p_i, omega_i, H and
-    I(.;B) of X and of Z; q_mu, q', delta, ``correction`` = max{0, delta}
-    (what the Holevo-corrected bound adds to Berta's) and ``actual`` =
-    S(X|B) + S(Z|B), with S(X|B) = H(X) - I(X;B).
+    one observable per row.  Returns a column over the rows of each
+    ingredient: the entropies; p_i, omega_i, H and I(.;B) of X and of Z;
+    q_mu, q', delta, ``correction`` = max{0, delta} (what the
+    Holevo-corrected bound adds to Berta's) and ``actual`` = S(X|B) + S(Z|B),
+    with S(X|B) = H(X) - I(X;B).
     """
     xs, zs = _observables(x), _observables(z)
     # Each distinct observable once, X first, so that a mismatch names X's dimension.
@@ -253,7 +242,7 @@ def evaluate_stack(states: StateStack, x, z) -> dict[str, np.ndarray]:
     bases = [_bases(xs, distinct, len(states)), _bases(zs, distinct, len(states))]
     s_ab, s_a, s_b = _state_entropies(states)
     probs, omegas, shannons, holevos = _outcome_terms(states, bases, s_b)
-    q_mu, q_prime = (np.broadcast_to(q, s_ab.shape) for q in incompatibility(overlaps(*bases)))
+    q_mu, q_prime = np.broadcast_to(incompatibility(overlaps(*bases)), (2, len(states)))
     i_ab = s_a + s_b - s_ab
     delta = i_ab - holevos[:, 0] - holevos[:, 1]
     return {

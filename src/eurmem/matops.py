@@ -6,8 +6,8 @@ function over the small dense matrices built here.  Conventions:
 * subsystem A is the left (slow) Kronecker factor, so the computational
   basis of a ``dA x dB`` system is ordered |00>, |01>, ..., |10>, |11>, ...
 * Hermiticity is enforced to an absolute tolerance of 1e-10 (``HERM_ATOL``,
-  checked when a state is validated) and inputs are symmetrized before
-  eigendecomposition to absorb round-off from repeated products.
+  checked when a state is validated), and ``hermitian_eigvals`` diagonalizes
+  the Hermitian part (closed form for 2 x 2, else LAPACK) to absorb round-off.
 """
 
 from __future__ import annotations
@@ -94,8 +94,22 @@ def partial_trace(m, dims, keep: str):
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
+_SPREAD = np.array([-1.0, 1.0])
+_TINY = np.finfo(float).tiny  # keeps e of a scalar matrix from 0 / 0
+
+
 def hermitian_eigvals(m):
     """Ascending eigenvalues of the Hermitian part (m + m^dagger)/2 of a
-    matrix, or of each matrix of a stack (shape (..., n, n) -> (..., n))."""
+    matrix, or of each matrix of a stack (shape (..., n, n) -> (..., n)).
+
+    A 2 x 2 part [[a, b'], [b'*, d]] has (a + d)/2 -+ hypot(h, |b'|), h = (a - d)/2,
+    taken as min(a, d) - e and max(a, d) + e, e = |b'|^2 / (hypot(h, |b'|) + |h|),
+    exact on a diagonal matrix; larger sides go to LAPACK.
+    """
     m = np.asarray(m)
-    return np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))
+    if m.shape[-1] != 2:
+        return np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))
+    h = np.abs(0.5 * (m[..., 0, 0].real - m[..., 1, 1].real))
+    off = np.abs(0.5 * (m[..., 0, 1] + m[..., 1, 0].conj()))
+    e = off * off / (np.hypot(h, off) + h + _TINY)
+    return np.sort(m.diagonal(axis1=-2, axis2=-1).real) + e[..., None] * _SPREAD

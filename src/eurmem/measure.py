@@ -6,9 +6,9 @@ leaves Bob with conditional states
 
     rho^B_i = Tr_A[(|x_i><x_i| (x) I) rho (|x_i><x_i| (x) I)] / p_i.
 
-All of these come from one contraction, ``conditional_stack``, of the states
-omega_i = p_i rho^B_i, batched over the rows of a state stack;
-``post_measurement_state`` is its independent reference.
+All of these come from one batched product, ``conditional_stack``, of the
+states omega_i = p_i rho^B_i of several observables on the rows of a state
+stack; ``post_measurement_state`` is its independent reference.
 
 Incompatibility of two observables is measured through the overlap matrix
 c_ij = |<x_i|z_j>|^2: q_mu = log2(1/c) with c = max_ij c_ij, and the
@@ -243,15 +243,20 @@ class MeasurementEnsemble:
     effective: tuple[bool, ...]
 
 
-def conditional_stack(states, bases: np.ndarray) -> np.ndarray:
-    """omega_i = <x_i|rho|x_i>_A = p_i rho^B_i of each row of a ``StateStack``.
-
-    ``bases`` holds the measurement basis of every row, shape (P, d, d), or
-    one basis for all of them, shape (1, d, d); see ``require_on_a``.
-    Returns shape (P, d, dB, dB).
+def conditional_stack(states, bases) -> np.ndarray:
+    """omega_i = <x_i|rho|x_i>_A = p_i rho^B_i of k observables on each row of a
+    ``StateStack``, shape (P, k, d, dB, dB): one batched product gives
+    sum_a conj(x_ai) rho_(aj)(bl) of every outcome, then x_bi times it is
+    summed over b.  ``bases`` holds k stacks of measurement bases, of shape
+    (P, d, d) or, one basis for all rows, (1, d, d); see ``require_on_a``.
     """
-    r5 = states.mats.reshape(-1, states.dA, states.dB, states.dA, states.dB)
-    return np.einsum("pai,pajbk,pbi->pijk", bases.conj(), r5, bases)
+    dA, dB = states.dA, states.dB
+    if len({b.shape for b in bases}) > 1:
+        bases = np.broadcast_arrays(*bases)
+    x = np.concatenate(bases, axis=-1).swapaxes(-1, -2)  # x[p, (k, i), a] = <a|x_i>
+    half = x.conj() @ states.mats.reshape(-1, dA, dB * dA * dB)
+    terms = half.reshape(len(half), -1, dB, dA, dB) * x[:, :, None, :, None]
+    return terms.sum(axis=-2).reshape(len(half), len(bases), dA, dB, dB)
 
 
 def post_measurement_state(rho: DensityMatrix, obs: ProjectiveObservable) -> DensityMatrix:
@@ -272,7 +277,7 @@ def post_measurement_state(rho: DensityMatrix, obs: ProjectiveObservable) -> Den
 def outcome_ensemble(rho: DensityMatrix, obs: ProjectiveObservable) -> MeasurementEnsemble:
     """Measurement statistics of ``obs`` on subsystem A of ``rho``."""
     require_on_a(rho, obs)
-    omegas = conditional_stack(rho.stack, obs.basis[None])[0]
+    omegas = conditional_stack(rho.stack, [obs.basis[None]])[0, 0]
     probs = np.maximum(np.einsum("ijj->i", omegas).real, 0.0)
     effective = tuple(bool(p >= ZERO_PROB) for p in probs)
     placeholder = np.eye(rho.dB, dtype=complex) / rho.dB

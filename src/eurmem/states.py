@@ -134,8 +134,7 @@ def _residuals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     adjoint = mats.conj().swapaxes(1, 2)
     herm = np.abs(mats - adjoint).max(axis=(1, 2))
     trace = np.abs(np.trace(mats, axis1=1, axis2=2) - 1.0)
-    # The eigenvalues ``hermitian_eigvals`` gives, bit for bit.
-    spectra = np.linalg.eigvalsh(0.5 * (mats + adjoint))
+    spectra = hermitian_eigvals(mats)
     psd = np.where(spectra[:, 0] < 0.0, -spectra[:, 0], 0.0)
     return np.column_stack([nonfinite, herm, trace, psd]), spectra
 
@@ -294,7 +293,24 @@ def to_float(value, what: str) -> float:
     try:
         return float(value)
     except OverflowError:
-        raise ValueError(f"{what} must lie in float range, got a {len(str(abs(value)))}-digit integer") from None
+        digits = value.digits if isinstance(value, _LongInt) else len(str(abs(value)))
+        raise ValueError(f"{what} must lie in float range, got a {digits}-digit integer") from None
+
+
+class _LongInt(int):
+    """The CLI's ``parse_int`` for JSON: the integer of a literal, or past Python's
+    4 300-digit limit for text conversion, +-10**4300 shown by its length."""
+
+    def __new__(cls, text: str):
+        try:
+            return int(text)
+        except ValueError:
+            value = super().__new__(cls, -(10**4300) if text[0] == "-" else 10**4300)
+            value.digits = len(text.lstrip("-"))
+            return value
+
+    def __repr__(self):
+        return f"a {self.digits}-digit integer"
 
 
 def _check_unit_interval(name: str, p) -> float:

@@ -369,6 +369,68 @@ def test_integer_past_float_range_exits_2_naming_the_field(capsys, state, x, mes
     assert err == f"error: {message}\n"
 
 
+# A JSON integer literal above Python's 4 300-digit limit for text conversion;
+# json.dumps cannot write one, so it replaces the string "LONG" in a document.
+_LONG = "-1" + "0" * 5000
+_LONG_MESSAGE = "must lie in float range, got a 5001-digit integer"
+
+
+_QUARTER = (np.eye(4) / 4).tolist()
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("state", {"family": {"name": "werner", "p": "LONG"}}, f"werner parameter 'p' {_LONG_MESSAGE}"),
+        (
+            "state",
+            {"family": {"name": "bell_diagonal", "r": [0, "LONG", 0]}},
+            f"bell_diagonal parameter 'r' {_LONG_MESSAGE}",
+        ),
+        (
+            "state",
+            {"family": {"name": "pure_schmidt", "lambdas": [1, "LONG"]}},
+            f"pure_schmidt parameter 'lambdas' {_LONG_MESSAGE}",
+        ),
+        ("x", {"bloch": [0, 0, "LONG"]}, f"observable 'bloch' entry {_LONG_MESSAGE}"),
+        (
+            "state",
+            {"explicit": {"dA": 2, "dB": 2, "re": _QUARTER, "im": [[0, 0, 0, "LONG"]] + [[0] * 4] * 3}},
+            "explicit state 're' and 'im' fields must be arrays of numbers",
+        ),
+        (
+            "state",
+            {"explicit": {"dA": 2, "dB": "LONG", "re": _QUARTER}},
+            "explicit state field 'dB' must lie in [1, 1048576], got a 5001-digit integer",
+        ),
+        (
+            "spec",
+            {"family": "werner", "p_start": 0, "p_end": 1.0, "p_step": "LONG", "pairs": ["xz"]},
+            f"sweep spec field 'p_step' {_LONG_MESSAGE}",
+        ),
+        (
+            "spec",
+            {"family": "werner", "p_start": 0, "p_end": 1, "p_step": 0.5, "pairs": [[{"bloch": ["LONG", 0, 0]}, "z"]]},
+            f"observable 'bloch' entry {_LONG_MESSAGE}",
+        ),
+    ],
+    ids=["p", "r", "lambdas", "bloch", "im", "dB", "p_step", "sweep bloch"],
+)
+def test_integer_literal_above_the_digit_limit_exits_2_naming_the_field(
+    capsys, tmp_path, command, doc, message
+):
+    # Such a literal once failed in json.loads, whose message names no field.
+    text = json.dumps(doc).replace('"LONG"', _LONG)
+    args = {"state": ["bounds", "--state", text, "--x", "x", "--z", "z"]}
+    args["x"] = ["bounds", "--state", '{"family": {"name": "werner", "p": 0.5}}', "--x", text, "--z", "z"]
+    spec = tmp_path / "spec.json"
+    spec.write_text(text, encoding="utf-8")
+    args["spec"] = ["sweep", "--spec", str(spec), "--out", str(tmp_path / "out.csv")]
+    code, out, err = run_cli(capsys, *args[command])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_validate_unparseable_exits_2(capsys, tmp_path):
     path = tmp_path / "nope.json"
     path.write_text("[[", encoding="utf-8")

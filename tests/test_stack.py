@@ -45,10 +45,10 @@ from helpers import random_density_matrix, random_observable
 FAMILY_PS = [0.0, 1e-13] + [0.01 * k for k in range(1, 100)] + [1.0 - 1e-13, 1.0]
 
 
-def _random_corpus(dB, count, seed):
+def _random_corpus(dB, count, seed, dA=2):
     rng = np.random.default_rng(seed)
     ranks = [None, 1, 2, 3]
-    return [random_density_matrix(rng, 2, dB, ranks[k % 4]) for k in range(count)]
+    return [random_density_matrix(rng, dA, dB, ranks[k % 4]) for k in range(count)]
 
 
 def _corpora():
@@ -122,6 +122,26 @@ def test_stack_rows_do_not_depend_on_row_order(name, states):
     )
     for key, column in forward.items():
         np.testing.assert_array_equal(column, backward[key][::-1], err_msg=key)
+
+
+@pytest.mark.parametrize("dB", [2, 3])
+def test_qutrit_stack_rows_equal_one_row_calls(dB):
+    # J_A and the application bounds take dA = 2 only.  Qutrit X and Z, one
+    # pair for all rows, one pair per row, or a mix, give conditional_stack's
+    # product complex weights on k d = 6 outcomes.
+    states = _random_corpus(dB, 16, 40 + dB, dA=3)
+    rng = np.random.default_rng(dB)
+    x, z = random_observable(rng, 3), random_observable(rng, 3)
+    xs, zs = ([random_observable(rng, 3) for _ in states] for _ in range(2))
+    stack = _stack(states)
+    for xa, za in ((x, z), (xs, zs), (x, zs)):
+        ev, bounds = evaluate_stack(stack, xa, za), bounds_table(stack, xa, za)
+        for k, rho in enumerate(states):
+            xk, zk = (o[k] if isinstance(o, list) else o for o in (xa, za))
+            where = f"dA=3 dB={dB} row {k}"
+            _assert_rows_match(_table_row(ev, k), evaluate(rho, xk, zk), where)
+            row = {key: None if col is None else float(col[k]) for key, col in bounds.items()}
+            _assert_rows_match(row, bounds_report(rho, xk, zk).to_dict(), where)
 
 
 def _counted_search(monkeypatch):
@@ -222,7 +242,10 @@ def test_validation_computes_the_state_spectrum_once(monkeypatch, dB):
     states = StateStack(mats, 2, dB)
     assert calls == [mats.shape]
     spectra = states.spectra
-    assert len(calls) == 3
+    # LAPACK once more for rho^B of side >= 3, and never for a 2 x 2 state
+    # (closed form); the validation spectrum is reused as rho^AB's.
+    assert calls == [mats.shape] + [(12, dB, dB)] * (dB >= 3)
+    assert spectra[0] is states._spectrum
     monkeypatch.undo()
     for w, m in zip(spectra, (mats, states.reduced_a(), states.reduced_b())):
         np.testing.assert_array_equal(w, hermitian_eigvals(m))
