@@ -26,20 +26,22 @@ blocks) and, in the J_A search, by ``_CALL_DIRECTIONS`` and ``_CLIMB_ROWS``.
 
 The classical-correlation optimizer searches rank-1 projective qubit
 measurements by their Bloch direction: a coarse 12 x 24 hemisphere grid,
-then a trust-region Newton ascent on the unit sphere from each of the
-grid's local maxima (at most three), each step taking the gradient and
-Hessian from a 9-point stencil in a tangent chart.  On a stack, the grids
-of up to 16 rows share one objective call, and a climb block of up to 170
-rows has one peak pass and one ascent loop, whose rounds each make one
-objective call; the first round runs as arrays over the block (every
-ascent on the named families stops after it), later ones ascent by ascent.
+whose pole row is one point and evaluated once, then a trust-region
+Newton ascent on the unit sphere from each of the grid's local maxima (at
+most three), each step taking the gradient and Hessian from a 9-point
+stencil in a tangent chart.  On a stack, the grids of up to 16 rows share
+one objective call, and a climb block of up to 170 rows has one peak pass
+and one ascent loop, whose rounds each make one objective call; the first
+round runs as arrays over the block (every ascent on the named families
+stops after it), later ones ascent by ascent.
 For two qubits the objective takes the real Pauli-correlation form: one
 small matrix product per row gives the weights and Bloch vectors of both
 outcomes of each direction.  It runs per row and never with a single row
 or column, so that BLAS sums each entry in one order whatever the call, in
 pieces whose buffers stay under glibc's 128 KB mmap threshold (the peak
-pass takes the grids 16 at a time for the same reason).  For dB >= 3 it
-diagonalizes the conditional states of B with LAPACK.  The optimum is
+pass takes the grids 16 at a time for the same reason).  For dB >= 3 the
+same product per row, by a (4, dB^2) matrix, gives both outcomes'
+conditional states of B, which LAPACK diagonalizes.  The optimum is
 projective, not one over general POVMs, although for the named state
 families the two coincide.
 """
@@ -333,8 +335,12 @@ def _general_objective(states: StateStack, s_b: np.ndarray):
 
     For the projectors (I +- n.sigma)/2 the unnormalized conditional states
     are (rho^B +- sum_i n_i T_i)/2 with T_i = Tr_A[(sigma_i (x) I) rho], two
-    dB x dB eigenvalue problems per direction.  ``s_b`` holds S(rho^B) of
-    each row.
+    dB x dB eigenvalue problems per direction.  One matrix product per row,
+    the columns (1, n) and (1, -n) of ``_direction_table`` times the row's
+    (4, dB^2) matrix (rho^B, T_x, T_y, T_z) / 2 read as reals, builds both;
+    as in ``_two_qubit_objective`` no value depends on the rows or
+    directions around it, and n and -n give one value.  ``s_b`` holds
+    S(rho^B) of each row.
 
     Returns the objective, which maps state rows (a slice or an index array
     of B rows, repeats allowed) and directions of shape (3, B or 1, K) to
@@ -342,16 +348,17 @@ def _general_objective(states: StateStack, s_b: np.ndarray):
     all.  The per-state tables are indexed by row, never copied per
     direction.
     """
-    r5 = states.mats.reshape(-1, 2, states.dB, 2, states.dB)
-    rho_b = states.reduced_b()
-    transfer = np.stack([np.einsum("pq,rqjpk->rjk", sigma, r5) for sigma in PAULIS], axis=1)
+    dB = states.dB
+    r5 = states.mats.reshape(-1, 2, dB, 2, dB)
+    blocks = [states.reduced_b()] + [np.einsum("pq,rqjpk->rjk", sigma, r5) for sigma in PAULIS]
+    halves = (0.5 * np.stack(blocks, axis=1)).reshape(-1, 4, dB * dB).view(float)
 
     def objective(rows, dirs):
-        w = np.einsum("ibg,bijk->bgjk", dirs, transfer[rows])
-        mean = rho_b[rows, None]
-        omegas = np.stack([(mean + w) * 0.5, (mean - w) * 0.5])
-        eigs = np.maximum(np.linalg.eigvalsh(omegas), 0.0)
-        return s_b[rows, None] - _conditional_sum(np.ascontiguousarray(np.moveaxis(eigs, -1, 0)))
+        omegas = (_direction_table(dirs).transpose(0, 2, 1) @ halves[rows]).view(complex)
+        eigs = np.maximum(np.linalg.eigvalsh(omegas.reshape(omegas.shape[:2] + (dB, dB))), 0.0)
+        # (dB, outcome, B, K): the eigenvalue axis leads, as _conditional_sum takes it
+        eigs = eigs.reshape(len(eigs), -1, 2, dB).transpose(3, 2, 0, 1)
+        return s_b[rows, None] - _conditional_sum(np.ascontiguousarray(eigs))
 
     return objective
 
@@ -680,8 +687,9 @@ def _search(objective, count: int, cfg: OptimizerConfig) -> tuple[np.ndarray, ..
     ``objective`` (see ``_general_objective``) on each of ``count`` state rows.
 
     The rows go in climb blocks of up to ``_CLIMB_ROWS``.  A block's grid
-    values come from calls of at most ``_CALL_DIRECTIONS`` directions, and
-    one ``_grid_peaks`` pass finds the maxima of all its rows (at most
+    values come from calls of at most ``_CALL_DIRECTIONS`` directions, the
+    pole row (one point, one value for its signed zeros) at its last cell
+    only, whose value fills the row.  One ``_grid_peaks`` pass finds the maxima of all its rows (at most
     ``_MAX_STARTS`` a row, best first).  Each maximum starts an ascent with
     a radius of one grid row, and ``_climb`` runs the ascents of the block,
     one objective call a round for all of them.  Each ascent's result is the
@@ -698,6 +706,7 @@ def _search(objective, count: int, cfg: OptimizerConfig) -> tuple[np.ndarray, ..
     block = max(1, min(_CLIMB_ROWS, _CLIMB_VALUES // size))
     grid_rows = max(1, _CALL_DIRECTIONS // size)
     chunk = min(size, _CALL_DIRECTIONS)
+    pole = cfg.grid_phi - 1
     found, grid_best = np.empty(count), np.empty(count)
     direction, rounds = np.empty((count, 3)), np.empty(count, dtype=int)
     for start in range(0, count, block):
@@ -705,10 +714,12 @@ def _search(objective, count: int, cfg: OptimizerConfig) -> tuple[np.ndarray, ..
         values = np.empty((stop - start, size))
         for first in range(start, stop, grid_rows):
             last = min(first + grid_rows, stop)
-            for k in range(0, size, chunk):
+            for k in range(pole, size, chunk):
                 values[first - start : last - start, k : k + chunk] = objective(
                     slice(first, last), dirs[:, None, k : k + chunk]
                 )
+        # The pole row is one point: its last cell's value fills the others.
+        values[:, :pole] = values[:, pole, None]
         peaks = _grid_peaks(values.reshape(-1, cfg.grid_theta, cfg.grid_phi))
         starts = [cells[:_MAX_STARTS] for cells in peaks]
         counts = [len(cells) for cells in starts]

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from eurmem import infoquant
 from eurmem.infoquant import (
     OptimizerConfig,
     binary_entropy,
@@ -336,9 +337,12 @@ def _row_search(objective, cfg=None):
 
 def test_direction_objectives_match_holevo():
     rng = np.random.default_rng(41)
+    # full rank, then for dB >= 3 rank 1 and rank 2, whose conditional states
+    # are rank-deficient
+    ranks = {2: [None] * 5, 3: [None] * 5 + [1, 2], 4: [None] * 5 + [1, 2]}
     for dB in (2, 3, 4):
-        for _ in range(5):
-            rho = random_density_matrix(rng, dB=dB)
+        for rank in ranks[dB]:
+            rho = random_density_matrix(rng, dB=dB, rank=rank)
             dirs = _unit_directions(rng, 4)
             slow = [holevo(rho, observable_from_bloch(n)) for n in dirs.T]
             builds = [_general_objective] + ([_two_qubit_objective] if dB == 2 else [])
@@ -428,25 +432,77 @@ def test_two_qubit_kernel_matches_the_earlier_form(name, states):
 
 @pytest.mark.parametrize("name, states", list(_kernel_stacks()), ids=lambda v: v if isinstance(v, str) else "")
 def test_two_qubit_kernel_rows_do_not_depend_on_their_call(name, states):
-    # Each row's values alone equal its values inside 5-row and 16-row
-    # calls, for the grid (directions shared by all rows), for directions of
-    # its own, and for one direction per row, bit for bit.
-    objective = _two_qubit_objective(states, _state_entropies(states)[2])
+    _assert_rows_do_not_depend_on_their_call(_two_qubit_objective(states, _state_entropies(states)[2]), len(states))
+
+
+def _assert_rows_do_not_depend_on_their_call(objective, count):
+    """Each row's values alone equal its values inside 5-row and 16-row
+    calls, for the grid (directions shared by all rows), for directions of
+    its own, and for one direction per row, bit for bit."""
     grid = _hemisphere_grid(12, 24)[1][:, None]
-    own = _unit_directions(np.random.default_rng(139), 9 * len(states)).reshape(3, len(states), 9)
+    own = _unit_directions(np.random.default_rng(139), 9 * count).reshape(3, count, 9)
     for dirs in (grid, own, own[:, :, :1]):
         alone = np.concatenate([objective(slice(k, k + 1), dirs[:, k : k + 1] if dirs.shape[1] > 1 else dirs)
-                                for k in range(len(states))])
+                                for k in range(count)])
         for size in (5, 16):
-            for start in range(0, len(states), size):
+            for start in range(0, count, size):
                 rows = slice(start, start + size)
                 got = objective(rows, dirs[:, rows] if dirs.shape[1] > 1 else dirs)
                 np.testing.assert_array_equal(got, alone[rows])
     # and a direction's value does not depend on the directions beside it:
     # each grid direction of each row alone, one per call row
-    rows = np.repeat(np.arange(len(states)), grid.shape[-1])
-    alone = objective(rows, np.tile(grid[:, 0], len(states))[:, :, None])
-    np.testing.assert_array_equal(alone.reshape(len(states), -1), objective(slice(0, len(states)), grid))
+    rows = np.repeat(np.arange(count), grid.shape[-1])
+    alone = objective(rows, np.tile(grid[:, 0], count)[:, :, None])
+    np.testing.assert_array_equal(alone.reshape(count, -1), objective(slice(0, count), grid))
+
+
+@pytest.mark.parametrize("dB", [3, 4])
+def test_general_objective_is_even_and_has_one_pole_value(dB):
+    # Bit for bit: n and -n are one measurement, the pole directions with
+    # +-0 components are one point, and a row's values do not depend on its
+    # call.  The corpus has ranks 1, 2 and full, and states whose tables hold
+    # exact zeros: a classical-quantum state and diagonal product states.
+    rng = np.random.default_rng(160 + dB)
+    states = [random_density_matrix(rng, dB=dB, rank=rank) for rank in (1, 2, None, None)]
+    states.append(_cq_state(rng, dB, 0.3)[0])
+    for b in (np.full(dB, 1.0 / dB), rng.dirichlet(np.ones(dB))):
+        states.append(DensityMatrix(np.kron(np.diag([0.4, 0.6]), np.diag(b)), 2, dB))
+    stack = _stack_of(states)
+    objective = _general_objective(stack, _state_entropies(stack)[2])
+    rows = slice(0, len(states))
+    own = _unit_directions(rng, 9 * len(states)).reshape(3, len(states), 9)
+    for dirs in (own, _hemisphere_grid(12, 24)[1][:, None]):
+        np.testing.assert_array_equal(objective(rows, -dirs).view(np.int64), objective(rows, dirs).view(np.int64))
+    poles = np.array([[x, y, z] for x in (0.0, -0.0) for y in (0.0, -0.0) for z in (1.0, -1.0)]).T[:, None]
+    values = objective(rows, poles).view(np.int64)
+    np.testing.assert_array_equal(values, np.broadcast_to(values[:, :1], values.shape))
+    _assert_rows_do_not_depend_on_their_call(objective, len(states))
+
+
+@pytest.mark.parametrize("dB", [2, 3, 4])
+@pytest.mark.parametrize("shape", [(2, 4), (12, 24), (60, 120)])
+def test_search_with_one_pole_value_matches_the_full_grid_reference(monkeypatch, dB, shape):
+    # _search evaluates the pole row at one cell; the reference evaluates
+    # every cell.  Row 0's optimum is the pole.
+    rng = np.random.default_rng(150 + dB)
+    states = [_cq_state(rng, dB, 0.3)[0]] + [random_density_matrix(rng, dB=dB) for _ in range(3)]
+    stack = _stack_of(states)
+    build = _two_qubit_objective if dB == 2 else _general_objective
+    objective = build(stack, _state_entropies(stack)[2])
+    cfg = OptimizerConfig(*shape)
+    grids = []
+    monkeypatch.setattr(infoquant, "_grid_peaks", lambda values: grids.append(values.copy()) or _grid_peaks(values))
+    got = list(zip(*_search(objective, len(states), cfg)))
+    # the peak pass sees every cell's own value, bit for bit
+    full = objective(slice(0, len(states)), _hemisphere_grid(*shape)[1][:, None])
+    np.testing.assert_array_equal(grids[0].reshape(full.shape).view(np.int64), full.view(np.int64))
+    for (value, at, grid_best, rounds), (ref_value, ref_at, ref_grid_best, ref_rounds) in zip(
+        got, reference_search(objective, len(states), cfg)
+    ):
+        assert (value, grid_best, rounds) == (ref_value, ref_grid_best, ref_rounds)
+        np.testing.assert_array_equal(at, ref_at)
+    np.testing.assert_array_equal(got[0][1], [0.0, 0.0, 1.0])
+    assert got[0][0] == got[0][2] == objective(slice(0, 1), np.array([[[0.0]], [[0.0]], [[1.0]]]))[0, 0]
 
 
 def _traced_peak(run):

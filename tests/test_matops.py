@@ -126,6 +126,35 @@ def test_hermitian_eigvals_of_a_stack():
     np.testing.assert_allclose(hermitian_eigvals(skew), [-0.5, 0.5])
 
 
+def test_x_matrices_take_the_spectra_of_their_two_blocks():
+    # A 4 x 4 matrix whose eight entries off the X pattern are 0 (+0 or -0)
+    # has the spectra of its blocks on {|00>, |11>} and {|01>, |10>}, each
+    # in the 2 x 2 closed form; any other matrix, even one whose only
+    # off-X entry is tiny, goes to LAPACK.  Each matrix's eigenvalues are the
+    # same bits alone and in a stack with the other kind.
+    rng = np.random.default_rng(31)
+    x_mats = [werner(0.3).mat, x_state_special(0.7).mat, np.diag([0.4, 0.0, 0.6, 0.0])]
+    for _ in range(4):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        x_mats.append(np.where(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1], g, 0.0))
+    x_mats[-1][0, 1] = x_mats[-1][3, 2] = complex(-0.0, -0.0)
+    tiny = np.zeros((4, 4))
+    tiny[[0, 2, 1, 3], [2, 0, 3, 1]] = 1e-300
+    other = [random_density_matrix(rng).mat for _ in range(6)] + [x_mats[0] + tiny]
+    # X and other matrices in turn
+    mats = np.array([m for pair in zip(x_mats, other) for m in pair])
+    stacked = hermitian_eigvals(mats)
+    for m, w in zip(mats, stacked):
+        np.testing.assert_array_equal(hermitian_eigvals(m), w)
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(0.5 * (m + m.conj().T)), rtol=0.0, atol=1e-12)
+    for m in x_mats:
+        blocks = [m[np.ix_(b, b)] for b in ([0, 3], [1, 2])]
+        np.testing.assert_array_equal(hermitian_eigvals(m), np.sort(np.concatenate([hermitian_eigvals(b) for b in blocks])))
+    for m in other:
+        np.testing.assert_array_equal(hermitian_eigvals(m), np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
+    assert hermitian_eigvals(mats.reshape(2, 7, 4, 4)).shape == (2, 7, 4)
+
+
 def test_partial_trace_of_a_stack_is_per_matrix():
     rng = np.random.default_rng(29)
     mats = np.array([random_density_matrix(rng, 2, 3).mat for _ in range(5)])

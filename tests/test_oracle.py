@@ -94,19 +94,7 @@ def test_boundary_state_reduced_entropies_match_the_oracle(family, p):
     assert abs(mp.mpf(s_b) - want_b) <= TOL, (family, p, s_b, want_b)
 
 
-# S(AB) comes from LAPACK's 4 x 4 spectrum, whose eigenvalue p (or 1 - p)
-# of bell_diagonal_special errs by ~7e-17 absolute; -x log2 x has slope ~42
-# there, so S(AB) is off by 2.2e-15 to 3.3e-15.
-_LAPACK_S_AB = pytest.mark.xfail(strict=True, reason="LAPACK S(AB) of a 1e-13 eigenvalue")
-
-
-@pytest.mark.parametrize(
-    "family, p",
-    [
-        pytest.param(family, p, marks=_LAPACK_S_AB if family == "bell_diagonal_special" and 0 < p < 1 else ())
-        for family, p in _BOUNDARY_STATES
-    ],
-)
+@pytest.mark.parametrize("family, p", _BOUNDARY_STATES)
 def test_boundary_state_entropy_matches_the_oracle(family, p):
     rho = ONE_PARAMETER_FAMILIES[family](p)
     s_ab = float(_state_entropies(rho.stack)[0][0])

@@ -176,8 +176,9 @@ def test_a_preset_stack_takes_one_peak_pass_and_one_ascent_loop(monkeypatch, fam
     seen = _counted_search(monkeypatch)
     classical_correlation_stack(family_stack(family, np.linspace(0.0, 1.0, 101)))
     assert seen["_grid_peaks"] == seen["_climb"] == 1
-    # seven grid calls of at most 16 rows, then the ascent rounds
-    assert seen["directions"][:7] == [16 * 288] * 6 + [5 * 288]
+    # seven grid calls of at most 16 rows, each row's pole evaluated once
+    # (288 - 23 directions), then the ascent rounds
+    assert seen["directions"][:7] == [16 * 265] * 6 + [5 * 265]
     assert max(seen["directions"]) <= _CALL_DIRECTIONS
 
 
@@ -200,7 +201,8 @@ def test_a_grid_above_the_call_cap_is_split(monkeypatch, dB):
     singles = [_correlation_fields(classical_correlation(rho, cfg)) for rho in states]
     seen = _counted_search(monkeypatch)
     classical_correlation(states[0], cfg)
-    assert seen["directions"][:2] == [_CALL_DIRECTIONS, 7200 - _CALL_DIRECTIONS]
+    # the pole row's 120 cells take one direction
+    assert seen["directions"][:2] == [_CALL_DIRECTIONS, 7200 - 119 - _CALL_DIRECTIONS]
     assert max(seen["directions"]) <= _CALL_DIRECTIONS
     corr = classical_correlation_stack(_stack(states), cfg)
     assert max(seen["directions"]) <= _CALL_DIRECTIONS
