@@ -98,9 +98,10 @@ def partial_trace(m, dims, keep: str):
 _SPREAD = np.array([-1.0, 1.0])
 _TINY = np.finfo(float).tiny  # keeps e of a scalar matrix from 0 / 0
 # The eight flat indices of a 4 x 4 matrix off the diagonal and the
-# anti-diagonal, and the blocks {|00>, |11>} and {|01>, |10>} of an X matrix.
+# anti-diagonal, and the flat indices of its blocks on {|00>, |11>} and
+# {|01>, |10>}, which are all of an X matrix.
 _OFF_X = np.flatnonzero(~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]))
-_X_BLOCKS = np.array([[0, 3], [1, 2]])
+_X_BLOCKS = np.array([[[0, 3], [12, 15]], [[5, 6], [9, 10]]])
 
 
 def hermitian_eigvals(m):
@@ -114,20 +115,20 @@ def hermitian_eigvals(m):
     closed form, decided per matrix; other matrices go to LAPACK.
     """
     m = np.asarray(m)
-    # A nonzero (0, 1) entry rules a matrix out: a stack of such skips the test.
-    if m.shape[-1] == 4 and np.count_nonzero(m[..., 0, 1]) < m.size // 16:
-        flat = m.reshape(-1, 4, 4)
-        x = ~flat.reshape(-1, 16).take(_OFF_X, axis=1).any(axis=1)
-        if x.all():
-            blocks = flat[:, _X_BLOCKS[:, :, None], _X_BLOCKS[:, None, :]]
-            return np.sort(hermitian_eigvals(blocks).reshape(m.shape[:-1]), axis=-1)
-        if x.any():
-            w = np.empty((len(flat), 4))
-            w[x], w[~x] = hermitian_eigvals(flat[x]), hermitian_eigvals(flat[~x])
-            return w.reshape(m.shape[:-1])
+    if m.shape[-1] == 4:
+        flat = m.reshape(-1, 16)
+        x = ~flat[:, _OFF_X].any(axis=1)
+        w = np.empty((len(flat), 4))
+        w[x] = np.sort(hermitian_eigvals(flat[x][:, _X_BLOCKS]).reshape(-1, 4), axis=-1)
+        w[~x] = _lapack_eigvals(flat[~x].reshape(-1, 4, 4))
+        return w.reshape(m.shape[:-1])
     if m.shape[-1] != 2:
-        return np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))
+        return _lapack_eigvals(m)
     h = np.abs(0.5 * (m[..., 0, 0].real - m[..., 1, 1].real))
     off = np.abs(0.5 * (m[..., 0, 1] + m[..., 1, 0].conj()))
     e = off * off / (np.hypot(h, off) + h + _TINY)
     return np.sort(m.diagonal(axis1=-2, axis2=-1).real) + e[..., None] * _SPREAD
+
+
+def _lapack_eigvals(m):
+    return np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))

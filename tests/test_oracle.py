@@ -94,7 +94,20 @@ def test_boundary_state_reduced_entropies_match_the_oracle(family, p):
     assert abs(mp.mpf(s_b) - want_b) <= TOL, (family, p, s_b, want_b)
 
 
-@pytest.mark.parametrize("family, p", _BOUNDARY_STATES)
+# S(AB) of an X-state comes from the closed form of its two 2 x 2 blocks,
+# whose e = |b'|^2 / (hypot(h, |b'|) + |h|) at h = 0 can land an ulp off |b'|:
+# a rank-1 block then gets an eigenvalue of ~1e-17, not 0, where -x log2 x
+# has slope ~56, and S(AB) of these xstate rows is 8e-16 to 3.2e-15 off
+# (p = 0.09 is off by 3.0e-16, inside TOL).
+_CLOSED_FORM_S_AB = pytest.mark.xfail(strict=True, reason="closed-form 2 x 2 spectrum at equal diagonals")
+
+
+@pytest.mark.parametrize(
+    "family, p",
+    _BOUNDARY_STATES
+    + [("xstate", 0.09)]
+    + [pytest.param("xstate", p, marks=_CLOSED_FORM_S_AB) for p in (0.18, 0.36, 0.72, 0.79)],
+)
 def test_boundary_state_entropy_matches_the_oracle(family, p):
     rho = ONE_PARAMETER_FAMILIES[family](p)
     s_ab = float(_state_entropies(rho.stack)[0][0])
