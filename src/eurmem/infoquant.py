@@ -28,22 +28,25 @@ The classical-correlation optimizer searches rank-1 projective qubit
 measurements by their Bloch direction: a coarse 12 x 24 hemisphere grid,
 whose pole row is one point and evaluated once, then a trust-region
 Newton ascent on the unit sphere from each of the grid's local maxima (at
-most three), each step taking the gradient and Hessian from a 9-point
-stencil in a tangent chart.  On a stack, the grids of up to 16 rows share
-one objective call, and a climb block of up to 170 rows has one peak pass
-and one ascent loop, whose rounds each make one objective call; the first
-round runs as arrays over the block (every ascent on the named families
-stops after it), later ones ascent by ascent.
-For two qubits the objective takes the real Pauli-correlation form: one
-small matrix product per row gives the weights and Bloch vectors of both
-outcomes of each direction.  It runs per row and never with a single row
-or column, so that BLAS sums each entry in one order whatever the call, in
-pieces whose buffers stay under glibc's 128 KB mmap threshold (the peak
-pass takes the grids 16 at a time for the same reason).  For dB >= 3 the
-same product per row, by a (4, dB^2) matrix, gives both outcomes'
-conditional states of B, which LAPACK diagonalizes.  The optimum is
-projective, not one over general POVMs, although for the named state
-families the two coincide.
+most three), each step taking the value, gradient and Hessian in a
+tangent chart from the objective's exact model (``_Objective``).  On a
+stack, the grids of up to 16 rows share one objective call, and a climb
+block of up to 170 rows has one peak pass and one ascent loop, one model
+call a round: the first round models the grid peaks as arrays over the
+block (every ascent on the named families stops after it), later ones
+the centres the ascents reach, one at a time for two qubits.  For two
+qubits the objective takes the real Pauli-correlation form: one small
+matrix product per row gives the weights and Bloch vectors of both
+outcomes of each direction, and the model's derivatives are closed forms
+in them.  It runs per row and never with a single row or column, so that
+BLAS sums each entry in one order whatever the call, in pieces whose
+buffers stay under glibc's 128 KB mmap threshold (the peak pass takes
+the grids 16 at a time for the same reason).  For dB >= 3 the same
+product per row, by a (4, dB^2) matrix, gives both outcomes' conditional
+states of B, which LAPACK diagonalizes; the model takes their
+eigenvectors too, and the Hessian the divided differences of log at
+their eigenvalues.  The optimum is projective, not one over general
+POVMs, although for the named state families the two coincide.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -330,7 +334,57 @@ class OptimizerConfig:
             )
 
 
-def _general_objective(states: StateStack, s_b: np.ndarray):
+class _Objective(NamedTuple):
+    """I(P_n;B) of the rows of a state stack over Bloch directions n, with its
+    exact model in a tangent chart.
+
+    ``values(rows, dirs)`` maps state rows (a slice or an index array of B
+    rows, repeats allowed) and directions of shape (3, B or 1, K) to values
+    of shape (B, K): the K directions of each row, or the same K for all.
+    The per-state tables are indexed by row, never copied per direction.
+
+    The model of a centre n with tangent frame (u, v) is the value at n and
+    the gradient (g1, g2) and Hessian (a, b, c) at s = 0 of s ->
+    I(P_m;B), m = (n + s1 u + s2 v) / |n + s1 u + s2 v|, so that m'' = -n.
+    ``model(rows, frames)`` takes A rows (an index array) and the frames
+    (A, 3, 3), rows n, u and v, and returns these six numbers as (A, 6), as
+    arrays over the whole block; ``models(rows, frames)`` takes lists of
+    rows and of frames (three tuples each) and returns a list of the six
+    numbers of each centre.  The derivatives are not finite where an
+    outcome falls below the zero-probability cut, whose edge is a cusp of
+    the objective (the probability reaches 0 only on a product state with a
+    pure rho^A, where the objective is 0 everywhere), and, for two qubits,
+    where an outcome's smaller eigenvalue is 0 or its Bloch vector x is 0.
+    """
+
+    values: Callable
+    model: Callable
+    models: Callable
+
+
+_SIGNS = np.array([1.0, -1.0])
+_INV_LN2 = 1.0 / math.log(2.0)
+# Constants of _two_qubit_model: w + r times _SPREAD is [w, e-, e+]; the
+# x log2 x terms and the logs of [p, e-, e+] combine by _XLOG_SIGNS into f
+# and by _ALPHA_BETA into alpha and beta; the rows G, p, e-, e+ and r of the
+# derivatives take _RATE_W (alpha in place of G's 0) on w and _RATE_X
+# (beta in place of G's 0) times x / r on x; the outer products of the
+# derivatives of p, e-, e+, r and x weigh _CURVE over [p, e-, e+] and
+# beta / r times _BEND.
+_SPREAD = np.array([0.0, -1.0, 1.0])
+_XLOG_SIGNS = np.array([1.0, -1.0, -1.0])
+_ALPHA_BETA = np.array([[2.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
+_RATE_W = np.array([0.0, 2.0, 1.0, 1.0, 0.0])
+_RATE_X = np.array([0.0, 0.0, -1.0, 1.0, 1.0])
+_CURVE = np.array([_INV_LN2, -_INV_LN2, -_INV_LN2])
+_BEND = np.array([-1.0, 1.0, 1.0, 1.0])
+_EYE2 = np.eye(2)
+# The model terms of an outcome below the zero-probability cut: its value
+# is dropped, as the objective drops it, and its derivatives are not finite.
+_CUT = np.array([0.0] + [math.nan] * 5)
+
+
+def _general_objective(states: StateStack, s_b: np.ndarray) -> _Objective:
     """I(P_n;B) over Bloch directions for any dB, from LAPACK eigenvalues.
 
     For the projectors (I +- n.sigma)/2 the unnormalized conditional states
@@ -342,25 +396,99 @@ def _general_objective(states: StateStack, s_b: np.ndarray):
     directions around it, and n and -n give one value.  ``s_b`` holds
     S(rho^B) of each row.
 
-    Returns the objective, which maps state rows (a slice or an index array
-    of B rows, repeats allowed) and directions of shape (3, B or 1, K) to
-    values of shape (B, K): the K directions of each row, or the same K for
-    all.  The per-state tables are indexed by row, never copied per
-    direction.
+    The model takes one ``eigh`` of both outcomes' states omega per centre.
+    With p = tr omega, an outcome adds g = p log p - tr omega log omega to
+    the conditional sum; with A_k = +-t_k.T / 2 its derivative along the
+    tangent t_k and B = +-n.T / 2, the chart gives omega'' = -B, so that
+    g_k = log p tr A_k - tr(log omega A_k) and g_kl = tr A_k tr A_l / p -
+    sum_ab L_ab Re(A_k,ab conj A_l,ab) - delta_kl (log p tr B -
+    tr(log omega B)) in the eigenbasis, L_ab the divided difference of log
+    at the eigenvalues mu_a, mu_b (Daleckii and Krein; Bhatia, Matrix
+    Analysis, ch. V).  Eigenvalues at most ``ZERO_PROB`` are the kernel of
+    omega: in the derivatives their log is taken as 0 and the divided
+    differences between two of them as 0.  The terms that this drops
+    cancel exactly where the kernel keeps its dimension along the sphere,
+    as it does for a state of rank k < dB, whose conditional states have
+    rank k; where it does not, the objective is not smooth.
     """
     dB = states.dB
     r5 = states.mats.reshape(-1, 2, dB, 2, dB)
     blocks = [states.reduced_b()] + [np.einsum("pq,rqjpk->rjk", sigma, r5) for sigma in PAULIS]
     halves = (0.5 * np.stack(blocks, axis=1)).reshape(-1, 4, dB * dB).view(float)
 
-    def objective(rows, dirs):
+    def values(rows, dirs):
         omegas = (_direction_table(dirs).transpose(0, 2, 1) @ halves[rows]).view(complex)
         eigs = np.maximum(np.linalg.eigvalsh(omegas.reshape(omegas.shape[:2] + (dB, dB))), 0.0)
         # (dB, outcome, B, K): the eigenvalue axis leads, as _conditional_sum takes it
         eigs = eigs.reshape(len(eigs), -1, 2, dB).transpose(3, 2, 0, 1)
         return s_b[rows, None] - _conditional_sum(np.ascontiguousarray(eigs))
 
-    return objective
+    def model(rows, frames):
+        table = halves[rows]
+        count = len(table)
+        # n.T / 2, u.T / 2 and v.T / 2 of each centre, stacked, and both outcomes' omega
+        parts = (frames @ table[:, 1:]).view(complex).reshape(count, 1, 3 * dB, dB)
+        base = table[:, None, 0].view(complex).reshape(count, 1, dB, dB)
+        mu, vecs = np.linalg.eigh(base + _SIGNS[:, None, None] * parts[..., :dB, :])
+        # the parts in each outcome's eigenbasis, (A, 2, 3, dB, dB)
+        right = (parts @ vecs).reshape(count, 2, 3, dB, dB).transpose(0, 1, 3, 2, 4)
+        rot = vecs.conj().swapaxes(-1, -2) @ right.reshape(count, 2, dB, 3 * dB)
+        rot = rot.reshape(count, 2, dB, 3, dB).transpose(0, 1, 3, 2, 4)
+        np.maximum(mu, 0.0, out=mu)
+        probs = mu.sum(axis=-1)
+        log_p = np.log(np.maximum(probs, _TINY))[..., None]
+        logs = np.log(np.maximum(mu, _TINY))
+        spread = log_p - logs
+        terms = np.empty(probs.shape + (6,))
+        # p log p - tr(omega log omega), as sum mu (log p - log mu)
+        terms[..., 0] = (mu[..., None, :] @ spread[..., None])[..., 0, 0]
+        # The divided differences of log, log1p(y) / y / lo with y the gap
+        # over the lower eigenvalue (plus the smallest subnormal, so that a
+        # tie gives 1 / lo) ...
+        lo = np.minimum(mu[..., :, None], mu[..., None, :])
+        support = mu > ZERO_PROB
+        if support.all():
+            ratio = np.abs(mu[..., :, None] - mu[..., None, :]) / lo + _TINY
+            divided = np.log1p(ratio) / ratio / lo
+        else:
+            # ... and with a kernel eigenvalue, its log taken as 0, the plain
+            # quotient, or 0 between two of them.
+            logs = np.where(support, logs, 0.0)
+            spread = log_p - logs
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gap = mu[..., :, None] - mu[..., None, :]
+                ratio = np.abs(gap) / lo + _TINY
+                divided = np.where(
+                    support[..., :, None] & support[..., None, :],
+                    np.log1p(ratio) / ratio / lo,
+                    (logs[..., :, None] - logs[..., None, :]) / gap,
+                )
+            np.copyto(divided, 0.0, where=~(support[..., :, None] | support[..., None, :]))
+        # +-(log p tr X - tr(log omega X)) for X = n.T / 2, u.T / 2 and v.T / 2
+        diag = rot.diagonal(axis1=-2, axis2=-1).real
+        first = (diag @ spread[..., None])[..., 0] * _SIGNS[:, None]
+        # tr X tr Y / p - sum_ab L_ab Re(X_ab conj Y_ab) for X, Y = u.T / 2 and
+        # v.T / 2 (p held at the zero-probability cut, below which the model
+        # is not finite)
+        traces = diag[..., 1:, :].sum(axis=-1)
+        tangent = rot[:, :, 1:].reshape(count, 2, 2, -1)
+        hess = (traces / np.maximum(probs, ZERO_PROB)[..., None])[..., :, None] * traces[..., None, :]
+        weighed = (divided.reshape(count, 2, 1, -1) * tangent).view(float)
+        hess -= weighed @ tangent.view(float).swapaxes(-1, -2)
+        terms[..., 1:3] = first[..., 1:]
+        terms[..., 3] = hess[..., 0, 0] - first[..., 0]
+        terms[..., 4] = hess[..., 0, 1]
+        terms[..., 5] = hess[..., 1, 1] - first[..., 0]
+        np.copyto(terms, _CUT, where=probs[..., None] < ZERO_PROB)
+        out = terms.sum(axis=1)
+        out *= -_INV_LN2
+        out[:, 0] += s_b[rows]
+        return out
+
+    def models(rows, frames):
+        return model(np.array(rows), np.array(frames)).tolist()
+
+    return _Objective(values, model, models)
 
 
 # Row (mu, nu) of this matrix dotted with vec(rho) is T_{mu nu} = tr(rho sigma_mu (x) sigma_nu).
@@ -427,7 +555,115 @@ def _two_qubit_piece(q, table, s_b, out):
     np.subtract(s_b, out, out=out)
 
 
-def _two_qubit_objective(states: StateStack, s_b: np.ndarray):
+def _two_qubit_model(q, rows, frames, s_b):
+    """The two-qubit model (see ``_Objective``) at the centres of ``frames``
+    (A, 3, 3) on state ``rows`` (A,), as arrays: (A, 6).
+
+    An outcome's y = (w, x), its weight and vector, is linear in the
+    direction m, so that along the chart y'' = -(y - y0), y0 its value at
+    m = 0; with r = |x|, eigenvalues e-+ = w -+ r and p = e- + e+ it adds
+    f = p log2 p - e- log2 e- - e+ log2 e+ to the conditional sum.  With
+    alpha = 2 log2 p - log2 e- - log2 e+, beta = log2 e- - log2 e+,
+    G = (alpha, beta x / r) and r_k = x.x_k / r,
+        f_k  = G.y_k,
+        f_kl = (p_k p_l / p - e-_k e-_l / e- - e+_k e+_l / e+) / ln 2
+               + beta (x_k.x_l - r_k r_l) / r - delta_kl G.(y - y0).
+    The derivatives of p, e-+ and r come from y_k one product each, so that
+    the large weight 1 / e- of a nearly pure outcome multiplies e-_k
+    itself, never the terms whose difference it is.
+    ``_two_qubit_scalar_model`` runs the same arithmetic on one centre.
+    """
+    qs = q[rows]
+    # (2, A, 4, 3): each outcome's y - y0 and its derivatives y_u and y_v
+    ys = _SIGNS[:, None, None, None] * (qs[:, 1:].transpose(0, 2, 1) @ frames.transpose(0, 2, 1))
+    y = qs[:, 0] + ys[..., 0]
+    r = np.sqrt(np.square(y[..., 1:]).sum(axis=-1))
+    # [p, e-, e+] of each outcome
+    e = np.maximum(y[..., :1] + _SPREAD * r[..., None], 0.0)
+    np.add(e[..., 1], e[..., 2], out=e[..., 0])
+    logs = np.log2(np.maximum(e, _TINY))
+    terms = np.empty(r.shape + (6,))
+    np.matmul(e * logs, _XLOG_SIGNS, out=terms[..., 0])
+    ab = logs @ _ALPHA_BETA
+    alpha, beta = ab[..., 0], ab[..., 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = y[..., 1:] / r[..., None]
+        # rows G, p, e-, e+ and r: y_k times each gives its derivative
+        rates = np.empty(r.shape + (5, 4))
+        rates[..., 0] = _RATE_W
+        rates[..., 0, 0] = alpha
+        np.multiply(_RATE_X[:, None], unit[..., None, :], out=rates[..., 1:])
+        np.multiply(beta[..., None], unit, out=rates[..., 0, 1:])
+        slopes = rates @ ys
+        # the derivatives along u and v of p, e-, e+ and r, then those of x
+        parts = np.concatenate([slopes[..., 1:, 1:], ys[..., 1:, 1:]], axis=-2)
+        weights = np.empty(r.shape + (7,))
+        np.divide(_CURVE, e, out=weights[..., :3])
+        np.multiply((beta / r)[..., None], _BEND, out=weights[..., 3:])
+        hess = (parts * weights[..., None]).swapaxes(-1, -2) @ parts
+        hess -= slopes[..., 0, 0, None, None] * _EYE2
+        terms[..., 1:3] = slopes[..., 0, 1:]
+        terms[..., 3:5] = hess[..., 0, :]
+        terms[..., 5] = hess[..., 1, 1]
+        np.copyto(terms, _CUT, where=e[..., :1] < ZERO_PROB)
+        out = np.add(terms[0], terms[1])
+    np.negative(out, out=out)
+    out[:, 0] += s_b[rows]
+    return out
+
+
+def _two_qubit_scalar_model(q, s_b: float, frame):
+    """``_two_qubit_model`` of one centre in plain floats, the same
+    formulas summed in Python's order rather than BLAS's: ``q`` is the row's
+    4 x 4 table as nested lists and ``frame`` its rows n, u and v.  Returns the six numbers of the model,
+    the derivatives NaN where an outcome falls below the zero-probability
+    cut or has e- = 0 or r = 0."""
+    (w0, b1, b2, b3), (p0, p1, p2, p3), (r0, r1, r2, r3), (t0, t1, t2, t3) = q
+    (n0, n1, n2), (u0, u1, u2), (v0, v1, v2) = frame
+    # q^T times (0, n), (0, u) and (0, v)
+    nw, nx1, nx2, nx3 = (p0 * n0 + r0 * n1 + t0 * n2, p1 * n0 + r1 * n1 + t1 * n2,
+                         p2 * n0 + r2 * n1 + t2 * n2, p3 * n0 + r3 * n1 + t3 * n2)
+    uw, ux1, ux2, ux3 = (p0 * u0 + r0 * u1 + t0 * u2, p1 * u0 + r1 * u1 + t1 * u2,
+                         p2 * u0 + r2 * u1 + t2 * u2, p3 * u0 + r3 * u1 + t3 * u2)
+    vw, vx1, vx2, vx3 = (p0 * v0 + r0 * v1 + t0 * v2, p1 * v0 + r1 * v1 + t1 * v2,
+                         p2 * v0 + r2 * v1 + t2 * v2, p3 * v0 + r3 * v1 + t3 * v2)
+    uu = ux1 * ux1 + ux2 * ux2 + ux3 * ux3
+    uv = ux1 * vx1 + ux2 * vx2 + ux3 * vx3
+    vv = vx1 * vx1 + vx2 * vx2 + vx3 * vx3
+    f = g1 = g2 = a = b = c = 0.0
+    for s in (1.0, -1.0):
+        lw, lx1, lx2, lx3 = s * nw, s * nx1, s * nx2, s * nx3
+        w, x1, x2, x3 = w0 + lw, b1 + lx1, b2 + lx2, b3 + lx3
+        r = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+        em, ep = max(w - r, 0.0), max(w + r, 0.0)
+        p = em + ep
+        if p < ZERO_PROB:
+            g1 = g2 = a = b = c = math.nan
+            continue
+        lp, lq = math.log2(p), math.log2(ep)
+        lm = math.log2(em) if em > 0.0 else 0.0
+        f += p * lp - em * lm - ep * lq
+        if em == 0.0 or r == 0.0:
+            g1 = g2 = a = b = c = math.nan
+            continue
+        alpha, beta = lp + lp - lm - lq, lm - lq
+        dw1, dw2 = s * uw, s * vw
+        dr1 = (x1 * (s * ux1) + x2 * (s * ux2) + x3 * (s * ux3)) / r
+        dr2 = (x1 * (s * vx1) + x2 * (s * vx2) + x3 * (s * vx3)) / r
+        bend = beta / r
+        kp, km, kq = _INV_LN2 / p, -_INV_LN2 / em, -_INV_LN2 / ep
+        dp1, dm1, dq1 = dw1 + dw1, dw1 - dr1, dw1 + dr1
+        dp2, dm2, dq2 = dw2 + dw2, dw2 - dr2, dw2 + dr2
+        shift = alpha * lw + bend * (x1 * lx1 + x2 * lx2 + x3 * lx3)
+        g1 += alpha * dw1 + beta * dr1
+        g2 += alpha * dw2 + beta * dr2
+        a += dp1 * kp * dp1 + dm1 * km * dm1 + dq1 * kq * dq1 + bend * (uu - dr1 * dr1) - shift
+        b += dp1 * kp * dp2 + dm1 * km * dm2 + dq1 * kq * dq2 + bend * (uv - dr1 * dr2)
+        c += dp2 * kp * dp2 + dm2 * km * dm2 + dq2 * kq * dq2 + bend * (vv - dr2 * dr2) - shift
+    return [s_b - f, -g1, -g2, -a, -b, -c]
+
+
+def _two_qubit_objective(states: StateStack, s_b: np.ndarray) -> _Objective:
     """I(P_n;B) over Bloch directions for dA = dB = 2, in the real Pauli form.
 
     With T_{mu nu} = tr(rho sigma_mu (x) sigma_nu), a = T_{i0}, b = T_{0j}
@@ -438,16 +674,16 @@ def _two_qubit_objective(states: StateStack, s_b: np.ndarray):
     row (``_two_qubit_piece``).  Each product has at least two rows and two
     columns, so BLAS takes it as a matrix product, whose entries each sum
     their four terms in one order whatever the product's size; the rows go
-    one product each, so no entry depends on the rows around it.  The
-    objective's arguments are those of ``_general_objective``'s.  A call
+    one product each, so no entry depends on the rows around it.  A call
     runs in pieces of at most ``_PIECE`` values, so its working set is
-    bounded whatever the call's size.
+    bounded whatever the call's size.  The model is ``_two_qubit_model``
+    over arrays and ``_two_qubit_scalar_model`` centre by centre.
     """
     # One matrix-vector product per row, the same arithmetic whatever the stack.
     products = (_PAULI_PAIRS @ states.mats.reshape(-1, 16, 1))[..., 0]
     q = (0.25 * products.real).reshape(-1, 4, 4)
 
-    def objective(rows, dirs):
+    def values(rows, dirs):
         qs = q[rows]
         sb = s_b[rows, None]
         count, size = len(qs), dirs.shape[-1]
@@ -464,7 +700,12 @@ def _two_qubit_objective(states: StateStack, s_b: np.ndarray):
                 _two_qubit_piece(qs[rs], t, sb[rs], out[rs, cs])
         return out
 
-    return objective
+    def models(rows, frames):
+        return [
+            _two_qubit_scalar_model(q[k].tolist(), float(s_b[k]), frame) for k, frame in zip(rows, frames)
+        ]
+
+    return _Objective(values, lambda rows, frames: _two_qubit_model(q, rows, frames, s_b), models)
 
 
 def _directions(angles: np.ndarray) -> np.ndarray:
@@ -658,14 +899,6 @@ def _trust_step(g1: float, g2: float, a: float, b: float, c: float, radius: floa
     return s1, s2, gain, lam > 0.0
 
 
-# Stencil offsets in the tangent chart: the centre, +-u, +-v and the diagonals.
-_H = 1e-4
-_STENCIL = _H * np.array(
-    [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float
-)
-# Rounding noise of the central differences, eps / h and eps / h^2: a point
-# whose gradient and top curvature are below these is stationary.
-_GRAD_NOISE, _CURV_NOISE = 1e-9, 1e-6
 _MAX_ROUNDS = 60
 
 
@@ -674,30 +907,29 @@ _MAX_ROUNDS = 60
 # into calls of this size, when a grid is larger).
 _CALL_DIRECTIONS = 16 * 288
 # Rows per climb block: the rows whose grid peaks are found in one pass and
-# whose ascents share each round's objective call, as many as leave room
-# for the stencils of all their starts in one call (170 rows).  A block of
-# a larger grid holds fewer rows, so that its grid values take no more
-# memory than those of the default grid.
-_CLIMB_ROWS = _CALL_DIRECTIONS // (len(_STENCIL) * _MAX_STARTS)
+# whose ascents share each round's model call, 170 rows of the default grid
+# (383 KB of grid values).  A block of a larger grid holds fewer rows, so
+# that its grid values take no more memory than those of the default grid.
+_CLIMB_ROWS = 170
 _CLIMB_VALUES = _CLIMB_ROWS * OptimizerConfig.grid_theta * OptimizerConfig.grid_phi
 
 
-def _search(objective, count: int, cfg: OptimizerConfig) -> tuple[np.ndarray, ...]:
+def _search(objective: _Objective, count: int, cfg: OptimizerConfig) -> tuple[np.ndarray, ...]:
     """Grid search, then trust-region Newton ascent from every grid peak, of
-    ``objective`` (see ``_general_objective``) on each of ``count`` state rows.
+    ``objective`` (see ``_Objective``) on each of ``count`` state rows.
 
     The rows go in climb blocks of up to ``_CLIMB_ROWS``.  A block's grid
     values come from calls of at most ``_CALL_DIRECTIONS`` directions, the
     pole row (one point, one value for its signed zeros) at its last cell
-    only, whose value fills the row.  One ``_grid_peaks`` pass finds the maxima of all its rows (at most
-    ``_MAX_STARTS`` a row, best first).  Each maximum starts an ascent with
-    a radius of one grid row, and ``_climb`` runs the ascents of the block,
-    one objective call a round for all of them.  Each ascent's result is the
-    best stencil value it saw, the Holevo quantity of a real measurement, so
-    J_A never exceeds the truth.  A row's first ascent wins unless a later
-    one ends more than ``IMPROVE_ATOL`` higher.  Returns the columns value,
-    direction (count, 3), grid maximum and stencil rounds of all the row's
-    ascents.
+    only, whose value fills the row.  One ``_grid_peaks`` pass finds the
+    maxima of all its rows (at most ``_MAX_STARTS`` a row, best first).
+    Each maximum starts an ascent with a radius of one grid row, and
+    ``_climb`` runs the ascents of the block, one model call a round for all
+    of them.  Each ascent's result is the best value at a centre it
+    modelled, the Holevo quantity of a real measurement, so J_A never
+    exceeds the truth.  A row's first ascent wins unless a later one ends
+    more than ``IMPROVE_ATOL`` higher.  Returns the columns value, direction
+    (count, 3), grid maximum and model rounds of all the row's ascents.
     """
     _, dirs = _hemisphere_grid(cfg.grid_theta, cfg.grid_phi)
     frames = _grid_frames(cfg.grid_theta, cfg.grid_phi)
@@ -715,7 +947,7 @@ def _search(objective, count: int, cfg: OptimizerConfig) -> tuple[np.ndarray, ..
         for first in range(start, stop, grid_rows):
             last = min(first + grid_rows, stop)
             for k in range(pole, size, chunk):
-                values[first - start : last - start, k : k + chunk] = objective(
+                values[first - start : last - start, k : k + chunk] = objective.values(
                     slice(first, last), dirs[:, None, k : k + chunk]
                 )
         # The pole row is one point: its last cell's value fills the others.
@@ -739,75 +971,51 @@ def _search(objective, count: int, cfg: OptimizerConfig) -> tuple[np.ndarray, ..
     return found, direction, grid_best, rounds
 
 
-def _model(f0, pu, mu, pv, mv, pp, pm, mp, mm):
-    """The model of a stencil's values (centre, +-u, +-v, the diagonals),
-    elementwise for numbers or arrays: the gradient (g1, g2) and Hessian
-    (a, b, c) by central differences at step ``_H``, and whether the ascent
-    goes on, that is, the model is finite and its gradient or top curvature
-    (a + c + |(a - c, 2 b)|) / 2 is above its rounding noise.  The noise
-    tests compare squares, so a number and an array entry get one answer.
-    """
-    g1, g2 = (pu - mu) / (2.0 * _H), (pv - mv) / (2.0 * _H)
-    a, c = (pu - 2.0 * f0 + mu) / _H**2, (pv - 2.0 * f0 + mv) / _H**2
-    b = (pp - pm - mp + mm) / (4.0 * _H**2)
-    # (a + c + |(a - c, 2 b)|) / 2 > C  exactly when  |(a - c, 2 b)| > 2 C - (a + c)
-    slack, gap = 2.0 * _CURV_NOISE - (a + c), a - c
-    curved = (slack < 0.0) | (gap * gap + 4.0 * b * b > slack * slack)
-    goes = (abs(g1 + g2 + a + b + c) < math.inf) & (
-        (g1 * g1 + g2 * g2 > _GRAD_NOISE**2) | curved
-    )
-    return (g1, g2, a, b, c), goes
-
-
-def _stencil_values(objective, rows, frames: np.ndarray):
-    """The 9 stencil points (A, 9, 3) around the centres of ``frames``
-    (A, 3, 3) and the objective's values there (A, 9), on state ``rows``,
-    in one call."""
-    points = frames[:, :1] + _STENCIL @ frames[:, 1:]
-    points /= np.sqrt((points * points).sum(axis=-1, keepdims=True))
-    return points, objective(rows, points.transpose(2, 0, 1))
-
-
-def _climb(objective, rows: np.ndarray, values: np.ndarray, frames: np.ndarray, radius: float):
+def _climb(
+    objective: _Objective, rows: np.ndarray, values: np.ndarray, frames: np.ndarray, radius: float
+):
     """Trust-region Newton ascents of the objective from the grid peaks with
     tangent ``frames`` (A, 3, 3) and grid ``values`` (A,), on state ``rows``
-    (A,); each round evaluates the stencils of all active ascents in one
-    objective call.
+    (A,); each round takes the exact model (see ``_Objective``) of the
+    centres of all active ascents in one call.
 
-    Each stencil gives the model of ``_model``, and its centre value decides
-    on the step that led there: accepted if it gains at least a tenth of the
-    predicted gain, with the radius doubled when it gains over three
-    quarters on the boundary; rejected otherwise, with the radius cut to a
-    quarter of the step.  An ascent stops where ``_model`` says so, when the
-    predicted gain of its ``_trust_step`` falls to 1e-15 or the radius below
-    1e-12, or after ``_MAX_ROUNDS``, and drops out of the next call.  Round 1,
-    the grid peaks' stencils (every ascent on the named families stops
-    there), runs as arrays; later rounds step the ascents that go on in a
-    loop.  Returns each ascent's best stencil value and point and its number
-    of rounds.
+    Round 1 models the grid peaks, as arrays over the block, and stops each
+    ascent whose model bounds the gain of any step within its radius by
+    1e-15 (every ascent on the named families stops there); later rounds
+    model the centre that each ascent's ``_trust_step`` reaches, through
+    ``objective.models``.
+    The model value at a new centre decides on the step that led there:
+    accepted if it gains at least a tenth of the predicted gain, with the
+    radius doubled when it gains over three quarters on the boundary;
+    rejected otherwise, with the radius cut to a quarter of the step.  An
+    ascent stops when the model of its centre is not finite, when the
+    predicted gain of its step falls to 1e-15 or the radius below 1e-12, or
+    after ``_MAX_ROUNDS``, and drops out of the next call.  Returns each
+    ascent's best value, that of its grid peak or the higher model value of
+    a later centre (the objective's value there, in the model's arithmetic),
+    its point, and the number of model rounds.
     """
-    count = len(rows)
-    points, vals = _stencil_values(objective, rows, frames)
-    rounds = np.ones(count, dtype=int)
-    top = vals.argmax(axis=1)
-    highest = vals[np.arange(count), top]
-    better = highest > values
-    best = np.where(better, highest, values)
-    best_at = np.where(better[:, None], points[np.arange(count), top], frames[:, 0])
-    model, goes = _model(*vals.T)
-    goes = np.flatnonzero(goes)
+    first = objective.model(rows, frames)
+    order, best = rows.tolist(), values.tolist()
+    # The best centre of each ascent, None while it is the grid peak
+    best_at, rounds = [None] * len(best), [1] * len(best)
     # Each ascent that goes on is [ascent, radius, accepted centre, its value,
     # its model].
-    going = [
-        [i, radius, here, value, m]
-        for i, here, value, m in zip(
-            goes.tolist(), frames[goes].tolist(), vals[goes, 0].tolist(), np.array(model).T[goes].tolist()
-        )
-    ]
+    going = []
+    finites = np.isfinite(first).all(axis=1).tolist()
+    for i, (finite, (_, g1, g2, a, b, c)) in enumerate(zip(finites, first.tolist())):
+        # No step within the radius gains more than |g| radius + top
+        # radius^2 / 2 in the model, top its largest curvature if positive:
+        # where that is at most 1e-15, as at every grid peak of the named
+        # families, the ascent stops without a _trust_step.
+        if finite:
+            top = max(0.5 * (a + c) + math.hypot(0.5 * (a - c), b), 0.0)
+            if math.hypot(g1, g2) * radius + 0.5 * top * radius * radius > 1e-15:
+                going.append([i, radius, frames[i].tolist(), best[i], [g1, g2, a, b, c]])
     for k in range(2, _MAX_ROUNDS + 1):
         # The step of each ascent that goes on, from its accepted centre: the
-        # stencil to evaluate, with the predicted gain, length and boundary
-        # flag of the step to it.
+        # centre it reaches, with the predicted gain, length and boundary
+        # flag of the step.
         moves = []
         for ascent in going:
             s1, s2, gain, boundary = _trust_step(*ascent[4], ascent[1])
@@ -818,27 +1026,28 @@ def _climb(objective, rows: np.ndarray, values: np.ndarray, frames: np.ndarray, 
                 moves.append((ascent, frame, gain, math.hypot(s1, s2), boundary))
         if not moves:
             break
-        points, vals = _stencil_values(
-            objective, rows[[move[0][0] for move in moves]], np.array([move[1] for move in moves])
-        )
+        models = objective.models([order[move[0][0]] for move in moves], [move[1] for move in moves])
         going = []
-        for (ascent, frame, gain, length, boundary), pts, v in zip(moves, points, vals.tolist()):
+        for (ascent, frame, gain, length, boundary), (value, *model) in zip(moves, models):
             i = ascent[0]
             rounds[i] = k
-            highest = max(v)
-            if highest > best[i]:
-                best[i], best_at[i] = highest, pts[v.index(highest)]
-            if (ratio := (v[0] - ascent[3]) / gain) >= 0.1:
+            if value > best[i]:
+                best[i], best_at[i] = value, frame[0]
+            if (ratio := (value - ascent[3]) / gain) >= 0.1:
                 if ratio > 0.75 and boundary:
                     ascent[1] *= 2.0
-                model, goes = _model(*v)
-                ascent[2:] = frame, v[0], model
+                ascent[2:] = frame, value, model
+                goes = all(map(math.isfinite, model))
             else:
                 ascent[1] = 0.25 * length
                 goes = ascent[1] >= 1e-12
             if goes:
                 going.append(ascent)
-    return best, best_at, rounds
+    at = frames[:, 0].copy()
+    for i, n in enumerate(best_at):
+        if n is not None:
+            at[i] = n
+    return np.array(best), at, np.array(rounds)
 
 
 def classical_correlation_stack(
@@ -856,7 +1065,8 @@ def classical_correlation_stack(
     LAPACK one.  S(rho^B) and I(A;B) come from the stack's spectra.  Returns
     the columns J_A, the discord D_A = I(A;B) - J_A, the canonical optimal
     direction (shape (P, 3)) and the optimizer trace: the best grid value,
-    the refined value and the stencil rounds of all starts.
+    the refined value and the model rounds of all starts (``iterations``;
+    round 1 models the grid peaks).
     """
     if states.dA != 2:
         raise ValueError(f"classical_correlation supports dA = 2 only, got dA = {states.dA}")

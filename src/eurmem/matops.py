@@ -109,10 +109,11 @@ def hermitian_eigvals(m):
     matrix, or of each matrix of a stack (shape (..., n, n) -> (..., n)).
 
     A 2 x 2 part [[a, b'], [b'*, d]] has (a + d)/2 -+ hypot(h, |b'|), h = (a - d)/2,
-    taken as min(a, d) - e and max(a, d) + e, e = |b'|^2 / (hypot(h, |b'|) + |h|),
-    exact on a diagonal matrix.  A 4 x 4 matrix whose eight entries off the
-    X pattern are exactly 0 has the spectra of its two 2 x 2 blocks in that
-    closed form, decided per matrix; other matrices go to LAPACK.
+    taken as min(a, d) - e and max(a, d) + e, e = |b'| (|b'| / (hypot(h, |b'|) + |h|)),
+    exact on a diagonal matrix and, at equal diagonal entries (h = 0), e = |b'|.
+    A 4 x 4 matrix whose eight entries off the X pattern are exactly 0 has
+    the spectra of its two 2 x 2 blocks in that closed form, decided per
+    matrix; other matrices go to LAPACK.
     """
     m = np.asarray(m)
     if m.shape[-1] == 4:
@@ -126,7 +127,7 @@ def hermitian_eigvals(m):
         return _lapack_eigvals(m)
     h = np.abs(0.5 * (m[..., 0, 0].real - m[..., 1, 1].real))
     off = np.abs(0.5 * (m[..., 0, 1] + m[..., 1, 0].conj()))
-    e = off * off / (np.hypot(h, off) + h + _TINY)
+    e = off * (off / (np.hypot(h, off) + h + _TINY))
     return np.sort(m.diagonal(axis1=-2, axis2=-1).real) + e[..., None] * _SPREAD
 
 

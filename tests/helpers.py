@@ -191,10 +191,32 @@ def spreading_grid_peaks(values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# References for the J_A search: two forms of the two-qubit objective, and
-# the generator form of the trust-region ascent, kept as written before the
-# array ascent replaced it.
+# References for the J_A search: two forms of the two-qubit objective, the
+# generator form of the trust-region ascent, one ascent at a time, and
+# objectives of plain functions on the sphere.
 # ---------------------------------------------------------------------------
+
+
+def sphere_objective(function, derivatives):
+    """An ``infoquant._Objective`` of the same function for every row:
+    ``function`` maps directions (3, ...) to values (...), and
+    ``derivatives`` maps centres (A, 3) to the value (A,), gradient (A, 3)
+    and Hessian (A, 3, 3) of the function on R^3.  Its model at a frame
+    (n, u, v) is the value, U g and U H U^T - (g.n) I, U = (u, v)."""
+
+    def model(rows, frames):
+        value, grad, hess = derivatives(frames[:, 0])
+        tangents = frames[:, 1:]
+        g = (tangents @ grad[..., None])[..., 0]
+        h = tangents @ hess @ tangents.swapaxes(-1, -2)
+        h -= (grad * frames[:, 0]).sum(axis=-1)[:, None, None] * np.eye(2)
+        return np.column_stack([value, g, h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]])
+
+    return infoquant._Objective(
+        lambda rows, dirs: function(dirs),
+        model,
+        lambda rows, frames: model(np.array(rows), np.array(frames)).tolist(),
+    )
 
 
 def _pauli_quarters(states):
@@ -252,66 +274,59 @@ def _reference_frame(x, y, z):
 
 
 def _reference_ascent(value, direction, radius):
-    """One ascent as a coroutine: yields each stencil centre's frame and is
-    sent the stencil's points and values; returns (best value, best point)
-    and its number of rounds."""
-    h = infoquant._H
-    best = (value, direction)
+    """One ascent as a coroutine: yields each centre's frame and is sent its
+    model (value, g1, g2, a, b, c); returns the best (value, point), the grid
+    peak's or a later centre's, and its number of rounds."""
     frame = _reference_frame(*direction)
-    for rounds in range(1, infoquant._MAX_ROUNDS + 1):
-        points, vals = yield frame
-        highest = max(vals)
-        if highest > best[0]:
-            best = (highest, points[vals.index(highest)])
-        if rounds == 1 or (ratio := (vals[0] - here_value) / gain) >= 0.1:
-            if rounds > 1 and ratio > 0.75 and boundary:
+    best = (value, np.array(direction))
+    _, *model = yield frame
+    here_value, rounds = value, 1
+    while all(map(math.isfinite, model)) and rounds < infoquant._MAX_ROUNDS:
+        s1, s2, gain, boundary = infoquant._trust_step(*model, radius)
+        if gain <= 1e-15:
+            break
+        point = [n + s1 * u + s2 * v for n, u, v in zip(*frame)]
+        norm = math.hypot(*point)
+        trial = _reference_frame(*(x / norm for x in point))
+        trial_value, *trial_model = yield trial
+        rounds += 1
+        if trial_value > best[0]:
+            best = (trial_value, np.array(trial[0]))
+        ratio = (trial_value - here_value) / gain
+        if ratio >= 0.1:
+            if ratio > 0.75 and boundary:
                 radius *= 2.0
-            here, here_value = frame, vals[0]
-            f0, pu, mu, pv, mv, pp, pm, mp, mm = vals
-            g1, g2 = (pu - mu) / (2.0 * h), (pv - mv) / (2.0 * h)
-            a, c = (pu - 2.0 * f0 + mu) / h**2, (pv - 2.0 * f0 + mv) / h**2
-            b = (pp - pm - mp + mm) / (4.0 * h**2)
-            curvature = 0.5 * (a + c + math.hypot(a - c, 2.0 * b))
-            if not math.isfinite(g1 + g2 + curvature) or (
-                math.hypot(g1, g2) <= infoquant._GRAD_NOISE and curvature <= infoquant._CURV_NOISE
-            ):
-                break
+            frame, here_value, model = trial, trial_value, trial_model
         else:
             radius = 0.25 * math.hypot(s1, s2)
             if radius < 1e-12:
                 break
-        s1, s2, gain, boundary = infoquant._trust_step(g1, g2, a, b, c, radius)
-        if gain <= 1e-15:
-            break
-        point = [n + s1 * u + s2 * v for n, u, v in zip(*here)]
-        norm = math.hypot(*point)
-        frame = _reference_frame(*(x / norm for x in point))
     return best, rounds
 
 
 def _reference_climb(objective, first_row, ascents):
+    """Run the ascents of a block of rows: the grid peaks' models in one
+    array call, then each ascent to its end, its later centres' models
+    through ``objective.models``."""
     row_of = {a: first_row + r for r, row in enumerate(ascents) for a in row}
-    pending = {a: next(a) for a in row_of}
+    frames = [next(a) for a in row_of]
+    firsts = objective.model(np.array(list(row_of.values())), np.array(frames))
     results = {}
-    while pending:
-        frames = np.array(list(pending.values()))
-        points = frames[:, :1] + infoquant._STENCIL @ frames[:, 1:]
-        points /= np.sqrt((points * points).sum(axis=-1, keepdims=True))
-        rows = np.array([row_of[a] for a in pending])
-        vals = objective(rows, points.transpose(2, 0, 1)).tolist()
-        for ascent, pts, v in zip(list(pending), points, vals):
+    for ascent, model in zip(row_of, firsts.tolist()):
+        while True:
             try:
-                pending[ascent] = ascent.send((pts, v))
+                frame = ascent.send(model)
             except StopIteration as stop:
-                del pending[ascent]
                 results[ascent] = stop.value
+                break
+            (model,) = objective.models([row_of[ascent]], [frame])
     return results
 
 
 def reference_search(objective, count, cfg):
     """``infoquant._search`` with one generator per ascent, each sent its
-    stencil values through a dict; the same (value, direction, grid maximum,
-    rounds) per row."""
+    centres' models; the same (value, direction, grid maximum, rounds) per
+    row."""
     _, dirs = infoquant._hemisphere_grid(cfg.grid_theta, cfg.grid_phi)
     size = dirs.shape[1]
     radius = (np.pi / 2.0) / (cfg.grid_theta - 1)
@@ -325,7 +340,7 @@ def reference_search(objective, count, cfg):
         for first in range(start, stop, grid_rows):
             last = min(first + grid_rows, stop)
             for k in range(0, size, chunk):
-                values[first - start : last - start, k : k + chunk] = objective(
+                values[first - start : last - start, k : k + chunk] = objective.values(
                     slice(first, last), dirs[:, None, k : k + chunk]
                 )
         peaks = infoquant._grid_peaks(values.reshape(-1, cfg.grid_theta, cfg.grid_phi))

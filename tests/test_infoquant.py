@@ -11,6 +11,7 @@ from eurmem.infoquant import (
     OptimizerConfig,
     binary_entropy,
     classical_correlation,
+    classical_correlation_stack,
     conditional_entropy,
     evaluate,
     holevo,
@@ -27,6 +28,7 @@ from eurmem.infoquant import (
     _search,
     _sphere_neighbourhood,
     _state_entropies,
+    _tangent_frame,
     _trust_step,
     _two_qubit_objective,
 )
@@ -63,6 +65,7 @@ from helpers import (
     kernel_reference_two_qubit_objective,
     reference_search,
     reference_two_qubit_objective,
+    sphere_objective,
     spreading_grid_peaks,
 )
 
@@ -347,7 +350,7 @@ def test_direction_objectives_match_holevo():
             slow = [holevo(rho, observable_from_bloch(n)) for n in dirs.T]
             builds = [_general_objective] + ([_two_qubit_objective] if dB == 2 else [])
             for build in builds:
-                values = _objective(build, rho)(slice(0, 1), dirs[:, None])[0]
+                values = _objective(build, rho).values(slice(0, 1), dirs[:, None])[0]
                 np.testing.assert_allclose(values, slow, rtol=0.0, atol=1e-12)
 
 
@@ -391,8 +394,8 @@ def _kernel_stacks():
 def _kernel_calls(states):
     """(rows, directions) of the kernel's calls on a stack: the default grid
     in calls of 1, 5 and 16 rows; one row's 60 x 120 grid in one call, which
-    the kernel splits along its directions; and stencil calls, one set of
-    directions per row, with rows repeated."""
+    the kernel splits along its directions; and calls of nine directions
+    per row, with rows repeated."""
     grid = _hemisphere_grid(12, 24)[1][:, None]
     for rows in (1, 5, 16):
         for start in range(0, len(states), rows):
@@ -409,7 +412,7 @@ def _kernel_calls(states):
 @pytest.mark.parametrize("name, states", list(_kernel_stacks()), ids=lambda v: v if isinstance(v, str) else "")
 def test_two_qubit_kernel_matches_reference_bit_for_bit(name, states):
     s_b = _state_entropies(states)[2]
-    kernel = _two_qubit_objective(states, s_b)
+    kernel = _two_qubit_objective(states, s_b).values
     reference = kernel_reference_two_qubit_objective(states, s_b)
     for rows, dirs in _kernel_calls(states):
         np.testing.assert_array_equal(kernel(rows, dirs), reference(rows, dirs))
@@ -424,7 +427,7 @@ EARLIER_FORM_ATOL = 3e-14
 @pytest.mark.parametrize("name, states", list(_kernel_stacks()), ids=lambda v: v if isinstance(v, str) else "")
 def test_two_qubit_kernel_matches_the_earlier_form(name, states):
     s_b = _state_entropies(states)[2]
-    kernel = _two_qubit_objective(states, s_b)
+    kernel = _two_qubit_objective(states, s_b).values
     earlier = reference_two_qubit_objective(states, s_b)
     for rows, dirs in _kernel_calls(states):
         np.testing.assert_allclose(kernel(rows, dirs), earlier(rows, dirs), rtol=0.0, atol=EARLIER_FORM_ATOL)
@@ -432,7 +435,7 @@ def test_two_qubit_kernel_matches_the_earlier_form(name, states):
 
 @pytest.mark.parametrize("name, states", list(_kernel_stacks()), ids=lambda v: v if isinstance(v, str) else "")
 def test_two_qubit_kernel_rows_do_not_depend_on_their_call(name, states):
-    _assert_rows_do_not_depend_on_their_call(_two_qubit_objective(states, _state_entropies(states)[2]), len(states))
+    _assert_rows_do_not_depend_on_their_call(_two_qubit_objective(states, _state_entropies(states)[2]).values, len(states))
 
 
 def _assert_rows_do_not_depend_on_their_call(objective, count):
@@ -468,7 +471,7 @@ def test_general_objective_is_even_and_has_one_pole_value(dB):
     for b in (np.full(dB, 1.0 / dB), rng.dirichlet(np.ones(dB))):
         states.append(DensityMatrix(np.kron(np.diag([0.4, 0.6]), np.diag(b)), 2, dB))
     stack = _stack_of(states)
-    objective = _general_objective(stack, _state_entropies(stack)[2])
+    objective = _general_objective(stack, _state_entropies(stack)[2]).values
     rows = slice(0, len(states))
     own = _unit_directions(rng, 9 * len(states)).reshape(3, len(states), 9)
     for dirs in (own, _hemisphere_grid(12, 24)[1][:, None]):
@@ -494,7 +497,7 @@ def test_search_with_one_pole_value_matches_the_full_grid_reference(monkeypatch,
     monkeypatch.setattr(infoquant, "_grid_peaks", lambda values: grids.append(values.copy()) or _grid_peaks(values))
     got = list(zip(*_search(objective, len(states), cfg)))
     # the peak pass sees every cell's own value, bit for bit
-    full = objective(slice(0, len(states)), _hemisphere_grid(*shape)[1][:, None])
+    full = objective.values(slice(0, len(states)), _hemisphere_grid(*shape)[1][:, None])
     np.testing.assert_array_equal(grids[0].reshape(full.shape).view(np.int64), full.view(np.int64))
     for (value, at, grid_best, rounds), (ref_value, ref_at, ref_grid_best, ref_rounds) in zip(
         got, reference_search(objective, len(states), cfg)
@@ -502,7 +505,7 @@ def test_search_with_one_pole_value_matches_the_full_grid_reference(monkeypatch,
         assert (value, grid_best, rounds) == (ref_value, ref_grid_best, ref_rounds)
         np.testing.assert_array_equal(at, ref_at)
     np.testing.assert_array_equal(got[0][1], [0.0, 0.0, 1.0])
-    assert got[0][0] == got[0][2] == objective(slice(0, 1), np.array([[[0.0]], [[0.0]], [[1.0]]]))[0, 0]
+    assert got[0][0] == got[0][2] == objective.values(slice(0, 1), np.array([[[0.0]], [[0.0]], [[1.0]]]))[0, 0]
 
 
 def _traced_peak(run):
@@ -520,7 +523,7 @@ def test_two_qubit_grid_call_stays_under_the_mmap_threshold():
     # with a fresh mapping, whose pages fault in anew; the kernel's pieces
     # keep each buffer below it (the whole-call form peaked at ~1 080 KB).
     states = family_stack("bell_diagonal_special", np.linspace(0.0, 1.0, 101))
-    objective = _two_qubit_objective(states, _state_entropies(states)[2])
+    objective = _two_qubit_objective(states, _state_entropies(states)[2]).values
     grid = _hemisphere_grid(12, 24)[1][:, None]
     assert _traced_peak(lambda: objective(slice(16, 32), grid)) <= 512 * 1024
 
@@ -532,7 +535,7 @@ def test_grid_peaks_of_a_preset_block_stay_under_the_mmap_threshold(family):
     # once (294 KB each) they put the pass's traced peak at ~930 KB, now
     # ~360 KB.
     states = family_stack(family, np.linspace(0.0, 1.0, 101))
-    objective = _two_qubit_objective(states, _state_entropies(states)[2])
+    objective = _two_qubit_objective(states, _state_entropies(states)[2]).values
     grid = _hemisphere_grid(12, 24)[1][:, None]
     values = np.concatenate([objective(slice(k, k + 16), grid) for k in range(0, 101, 16)])
     assert _traced_peak(lambda: _grid_peaks(values.reshape(-1, 12, 24))) <= 512 * 1024
@@ -541,8 +544,8 @@ def test_grid_peaks_of_a_preset_block_stay_under_the_mmap_threshold(family):
 def _ascent_corpora():
     """Seeded stacks with dB = 2, 3, 4 and ranks 1 to full, two pure dB = 4
     states whose ascents have steps rejected and radii cut (five each),
-    product states (J_A = 0 on the whole sphere, so a stencil point may
-    beat the peak by rounding alone), and the 303 family states."""
+    product states (J_A = 0 on the whole sphere, so a centre may beat the
+    peak by rounding alone), and the 303 family states."""
     rng = np.random.default_rng(139)
     for dB in (2, 3, 4):
         states = [random_density_matrix(rng, dB=dB, rank=rank) for rank in range(1, 2 * dB + 1) for _ in range(4)]
@@ -557,7 +560,11 @@ def _ascent_corpora():
 def _row_objective(objective, k):
     """``objective`` seen as a one-row objective of its row k."""
     row = np.array([k])
-    return lambda rows, dirs: objective(row[rows], dirs)
+    return objective._replace(
+        values=lambda rows, dirs: objective.values(row[rows], dirs),
+        model=lambda rows, frames: objective.model(row[rows], frames),
+        models=lambda rows, frames: objective.models([k] * len(rows), frames),
+    )
 
 
 @pytest.mark.parametrize("name, states", list(_ascent_corpora()), ids=lambda v: v if isinstance(v, str) else "")
@@ -568,9 +575,15 @@ def test_climb_matches_generator_reference(name, states):
     want = reference_search(objective, len(states), cfg)
     stacked = list(zip(*_search(objective, len(states), cfg)))
     rows = [_row_search(_row_objective(objective, k), cfg) for k in range(len(states))]
-    # Each result is the objective's value at the direction it reports.
+    # Each result is the objective's value at the direction it reports: the
+    # grid value at a grid peak, else the model value of the centre there.
     at = np.array([found[1] for found in stacked])
-    np.testing.assert_array_equal(objective(np.arange(len(states)), at.T[:, :, None])[:, 0], [found[0] for found in stacked])
+    grid = _hemisphere_grid(cfg.grid_theta, cfg.grid_phi)[1].T
+    on_grid = objective.values(np.arange(len(states)), at.T[:, :, None])[:, 0]
+    modelled = objective.models(list(range(len(states))), [_tangent_frame(*n) for n in at.tolist()])
+    for k, found in enumerate(stacked):
+        peak = (at[k] == grid).all(axis=1).any()
+        assert found[0] == (on_grid[k] if peak else modelled[k][0]), (name, k)
     for got in (stacked, rows):
         for k, ((value, at, grid_best, rounds), (ref_value, ref_at, ref_grid_best, ref_rounds)) in enumerate(
             zip(got, want)
@@ -763,7 +776,7 @@ def test_grid_peaks_match_full_grid_label_spreading(shape):
     dirs = _hemisphere_grid(*shape)[1]
     for family in ("werner", "bell_diagonal_special", "xstate"):
         states = family_stack(family, np.linspace(0.0, 1.0, 101))
-        objective = _two_qubit_objective(states, _state_entropies(states)[2])
+        objective = _two_qubit_objective(states, _state_entropies(states)[2]).values
         for k in range(len(states)):
             grids.append(objective(slice(k, k + 1), dirs[:, None]).reshape(shape))
     # one grid at a time, and stacks of 16 grids, as the search's row blocks
@@ -806,12 +819,27 @@ def test_search_keeps_first_start_unless_a_later_one_gains_beyond_noise(lift):
     theta, phi = angles[9 * cfg.grid_phi + 6]
     centre = _directions(np.array([[theta + 0.5 * st, phi + 0.5 * sp]]))[:, 0]
 
-    def objective(rows, dirs):
-        pole = np.exp(-8.0 * (1.0 - dirs[2] ** 2))
-        along = np.einsum("i,i...->...", centre, dirs)
-        return np.maximum(pole, (1.0 + lift) * np.exp(-8.0 * (1.0 - along**2)))
+    # Each bump is h exp(-8 |c x n|^2), |c x n|^2 = 1 - (c.n)^2 on the sphere
+    # but rounded to well under 1e-15 near its peak.
+    bumps = [(1.0, np.array([0.0, 0.0, 1.0])), (1.0 + lift, centre)]
 
-    value, direction, grid_best, _ = _row_search(objective, cfg)
+    def function(dirs):
+        n = np.moveaxis(dirs, 0, -1)
+        return np.maximum(*(h * np.exp(-8.0 * (np.cross(c, n) ** 2).sum(axis=-1)) for h, c in bumps))
+
+    def derivatives(n):
+        # on R^3, s = |c x n|^2 has gradient 2 (n - (c.n) c) and Hessian
+        # 2 (I - c c^T); f = h exp(-8 s) those of the larger bump
+        fits = []
+        for h, c in bumps:
+            f = h * np.exp(-8.0 * (np.cross(c, n) ** 2).sum(axis=-1))
+            ds = 2.0 * (n - (n @ c)[:, None] * c)
+            hess = f[:, None, None] * (64.0 * ds[:, :, None] * ds[:, None, :] - 16.0 * (np.eye(3) - np.outer(c, c)))
+            fits.append((f, -8.0 * f[:, None] * ds, hess))
+        pick = fits[1][0] > fits[0][0]
+        return tuple(np.where(pick.reshape((-1,) + (1,) * (a.ndim - 1)), b, a) for a, b in zip(*fits))
+
+    value, direction, grid_best, _ = _row_search(sphere_objective(function, derivatives), cfg)
     assert grid_best == 1.0
     if lift > IMPROVE_ATOL:
         assert value == pytest.approx(1.0 + lift, abs=1e-15)
@@ -828,9 +856,11 @@ def test_ascent_converges_quadratically_on_a_quadratic_form():
     for _ in range(10):
         q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
         m = q @ np.diag([1.0, 0.6, 0.2]) @ q.T
-        value, direction, _, rounds = _row_search(
-            lambda rows, dirs: np.einsum("i...,ij,j...->...", dirs, m, dirs)
+        objective = sphere_objective(
+            lambda dirs: np.einsum("i...,ij,j...->...", dirs, m, dirs),
+            lambda n: (np.einsum("ai,ij,aj->a", n, m, n), 2.0 * n @ m, np.broadcast_to(2.0 * m, (len(n), 3, 3))),
         )
+        value, direction, _, rounds = _row_search(objective)
         assert rounds <= 4
         assert value == pytest.approx(1.0, abs=1e-15)
         assert abs(direction @ q[:, 0]) == pytest.approx(1.0, abs=1e-12)
@@ -877,7 +907,7 @@ def _tangent_circle(n, angle, count):
 
 
 def test_classical_correlation_is_locally_optimal():
-    # Checked through ``holevo`` on explicit observables, not the stencil.
+    # Checked through ``holevo`` on explicit observables, not the model.
     rng = np.random.default_rng(73)
     for dB in (2, 3, 4):
         for rank in range(1, 2 * dB + 1):
@@ -929,6 +959,96 @@ def test_classical_correlation_degenerate_inputs_stay_finite():
         assert report.classical_correlation >= dense_reference_j_a(rho) - 1e-12
 
 
+def test_two_qubit_scalar_model_matches_the_array_form():
+    # 270 centres on random states of ranks 2 to 4 and the three families:
+    # the forms differ only in the order of their sums (BLAS against plain
+    # floats) and in log2 (numpy's against libm's); measured within 11 ulps
+    # of max(1, |entry|), the Hessian's sums cancelling most.
+    rng = np.random.default_rng(149)
+    states = [random_density_matrix(rng, rank=rank) for rank in (2, 3, 4) for _ in range(20)]
+    for family in ("werner", "bell_diagonal_special", "xstate"):
+        stack = family_stack(family, rng.random(10))
+        states += [DensityMatrix(mat, 2, 2) for mat in stack.mats]
+    stack = _stack_of(states)
+    objective = _two_qubit_objective(stack, _state_entropies(stack)[2])
+    rows = np.repeat(np.arange(len(states)), 3)
+    frames = [_tangent_frame(*n) for n in _unit_directions(rng, len(rows)).T.tolist()]
+    array = objective.model(rows, np.array(frames))
+    scalar = np.array(objective.models(rows.tolist(), frames))
+    assert np.isfinite(array).all() and len(rows) >= 200
+    np.testing.assert_array_less(np.abs(scalar - array), 32 * np.finfo(float).eps * np.maximum(np.abs(array), 1.0))
+
+
+@pytest.mark.parametrize("dB", [2, 3, 4])
+def test_model_values_are_the_objective_values(dB):
+    # J_A may be a model value, so it must be the objective's value at its
+    # centre: measured within 7.8e-16 for two qubits, and within 1.33e-15
+    # (3 ulps of S(rho^B) <= 2) for the LAPACK form, whose eigh and
+    # eigvalsh round the same spectrum differently, on full-rank states.
+    rng = np.random.default_rng(163 + dB)
+    stack = _stack_of([random_density_matrix(rng, dB=dB) for _ in range(256)])
+    dirs = _unit_directions(rng, len(stack))
+    frames = [_tangent_frame(*n) for n in dirs.T.tolist()]
+    rows = np.arange(len(stack))
+    builds = [(_general_objective, 2e-15)] + ([(_two_qubit_objective, 1e-15)] if dB == 2 else [])
+    for build, tol in builds:
+        objective = build(stack, _state_entropies(stack)[2])
+        values = objective.values(rows, dirs[:, :, None])[:, 0]
+        for model in (objective.model(rows, np.array(frames)), np.array(objective.models(rows.tolist(), frames))):
+            np.testing.assert_array_less(np.abs(model[:, 0] - values), tol, err_msg=build.__name__)
+
+
+def _cusp_states():
+    """States where an exact model meets a cusp or a kernel, with whether
+    its model at every direction is finite: pure states (e- = 0 for two
+    qubits, a kernel of omega at dB >= 3), the singlet, Werner at p = 0
+    (x = 0), product states with a pure rho^A (an outcome of probability 0
+    at the pole), and rank-1 and rank-2 states at dB >= 3."""
+    rng = np.random.default_rng(151)
+    yield "singlet", werner(1.0), False
+    yield "werner 0", werner(0.0), False
+    for dB in (2, 3, 4):
+        vec = rng.normal(size=2 * dB) + 1j * rng.normal(size=2 * dB)
+        yield f"pure dB={dB}", pure_state(vec, 2, dB), dB > 2
+        b = random_density_matrix(rng, 1, dB).mat
+        yield f"pure A dB={dB}", DensityMatrix(np.kron(np.diag([1.0, 0.0]), b), 2, dB), None
+        yield f"product dB={dB}", DensityMatrix(np.kron(random_single_qubit_density(rng), b), 2, dB), True
+    for dB in (3, 4):
+        for rank in (1, 2):
+            yield f"rank {rank} dB={dB}", random_density_matrix(rng, dB=dB, rank=rank), True
+
+
+@pytest.mark.parametrize("name, rho, finite", list(_cusp_states()), ids=lambda v: v if isinstance(v, str) else "")
+def test_exact_models_at_cusps_and_kernels(name, rho, finite):
+    # No warning; a model that is not finite where it meets a cusp, so that
+    # the ascent stops at its grid peak; a finite model at a kernel, whose
+    # dropped terms cancel.  Where the objective is constant (all but the
+    # rank-2 states) the ascent stops in round 1 at its grid value.
+    states = rho.stack
+    build = _two_qubit_objective if rho.dB == 2 else _general_objective
+    objective = build(states, _state_entropies(states)[2])
+    frames = np.array([_tangent_frame(*n) for n in _unit_directions(np.random.default_rng(157), 16).T.tolist()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        models = objective.model(np.zeros(len(frames), dtype=int), frames)
+        pole = objective.model(np.array([0]), np.array([_tangent_frame(0.0, 0.0, 1.0)]))
+        report = classical_correlation(rho)
+    if finite is not None:
+        assert np.isfinite(models).all() == finite
+    else:
+        # pure rho^A: finite off the pole, not at it (probability 0 there)
+        assert np.isfinite(models).all() and not np.isfinite(pole).all()
+    if not name.startswith("rank 2"):
+        assert report.iterations == 1
+        assert report.refined_best == report.grid_best
+
+
+@pytest.mark.parametrize("family", ["werner", "bell_diagonal_special", "xstate"])
+def test_preset_family_rows_stop_in_round_one(family):
+    corr = classical_correlation_stack(family_stack(family, np.linspace(0.0, 1.0, 101)))
+    np.testing.assert_array_equal(corr["iterations"], 1)
+
+
 def test_classical_correlation_classical_quantum_state_at_the_pole():
     rng = np.random.default_rng(83)
     for dB in (2, 3, 4):
@@ -936,7 +1056,7 @@ def test_classical_correlation_classical_quantum_state_at_the_pole():
         assert classical_correlation(rho).classical_correlation == pytest.approx(chi, abs=1e-12)
 
 
-def _model(g, hess, s):
+def _quadratic(g, hess, s):
     return g @ s + 0.5 * s @ hess @ s
 
 
@@ -958,7 +1078,7 @@ def test_trust_step_maximises_the_quadratic_model(case):
     s1, s2, gain, boundary = _trust_step(*g, hess[0, 0], hess[0, 1], hess[1, 1], radius)
     s = np.array([s1, s2])
     assert np.hypot(s1, s2) <= radius * (1.0 + 1e-12)
-    assert gain == pytest.approx(_model(g, hess, s), rel=1e-12, abs=1e-300)
+    assert gain == pytest.approx(_quadratic(g, hess, s), rel=1e-12, abs=1e-300)
     # the best point of a fine ring at the boundary, and the interior Newton step
     turns = np.linspace(0.0, 2.0 * np.pi, 20001)
     candidates = list(radius * np.column_stack([np.cos(turns), np.sin(turns)]))
@@ -966,7 +1086,7 @@ def test_trust_step_maximises_the_quadratic_model(case):
         newton = np.linalg.solve(-hess, g)
         if np.hypot(*newton) <= radius:
             candidates.append(newton)
-    best = max(_model(g, hess, c) for c in candidates)
+    best = max(_quadratic(g, hess, c) for c in candidates)
     scale = np.linalg.norm(g) * radius + np.abs(curvatures).max() * radius**2
     assert gain >= best - 1e-9 * scale
     if np.max(curvatures) >= 0.0:
