@@ -925,8 +925,8 @@ def _search(objective: _Objective, count: int, cfg: OptimizerConfig) -> tuple[np
     maxima of all its rows (at most ``_MAX_STARTS`` a row, best first).
     Each maximum starts an ascent with a radius of one grid row, and
     ``_climb`` runs the ascents of the block, one model call a round for all
-    of them.  Each ascent's result is the best value at a centre it
-    modelled, the Holevo quantity of a real measurement, so J_A never
+    of them.  Each ascent's result is an objective value at a direction it
+    visited, the Holevo quantity of a real measurement, so J_A never
     exceeds the truth.  A row's first ascent wins unless a later one ends
     more than ``IMPROVE_ATOL`` higher.  Returns the columns value, direction
     (count, 3), grid maximum and model rounds of all the row's ascents.
@@ -990,15 +990,17 @@ def _climb(
     rejected otherwise, with the radius cut to a quarter of the step.  An
     ascent stops when the model of its centre is not finite, when the
     predicted gain of its step falls to 1e-15 or the radius below 1e-12, or
-    after ``_MAX_ROUNDS``, and drops out of the next call.  Returns each
-    ascent's best value, that of its grid peak or the higher model value of
-    a later centre (the objective's value there, in the model's arithmetic),
-    its point, and the number of model rounds.
+    after ``_MAX_ROUNDS``, and drops out of the next call.  Then one
+    ``objective.values`` call takes the objective at the centre of highest
+    model value of every ascent that rose above its grid peak.  Returns each
+    ascent's value, the higher of that objective value and the grid peak's,
+    its direction, and the number of model rounds.
     """
     first = objective.model(rows, frames)
-    order, best = rows.tolist(), values.tolist()
-    # The best centre of each ascent, None while it is the grid peak
-    best_at, rounds = [None] * len(best), [1] * len(best)
+    order, highest = rows.tolist(), values.tolist()
+    # The centre of each ascent with the highest model value, None while no
+    # centre rose above the grid peak
+    best_at, rounds = [None] * len(highest), [1] * len(highest)
     # Each ascent that goes on is [ascent, radius, accepted centre, its value,
     # its model].
     going = []
@@ -1011,7 +1013,7 @@ def _climb(
         if finite:
             top = max(0.5 * (a + c) + math.hypot(0.5 * (a - c), b), 0.0)
             if math.hypot(g1, g2) * radius + 0.5 * top * radius * radius > 1e-15:
-                going.append([i, radius, frames[i].tolist(), best[i], [g1, g2, a, b, c]])
+                going.append([i, radius, frames[i].tolist(), highest[i], [g1, g2, a, b, c]])
     for k in range(2, _MAX_ROUNDS + 1):
         # The step of each ascent that goes on, from its accepted centre: the
         # centre it reaches, with the predicted gain, length and boundary
@@ -1031,8 +1033,8 @@ def _climb(
         for (ascent, frame, gain, length, boundary), (value, *model) in zip(moves, models):
             i = ascent[0]
             rounds[i] = k
-            if value > best[i]:
-                best[i], best_at[i] = value, frame[0]
+            if value > highest[i]:
+                highest[i], best_at[i] = value, frame[0]
             if (ratio := (value - ascent[3]) / gain) >= 0.1:
                 if ratio > 0.75 and boundary:
                     ascent[1] *= 2.0
@@ -1043,11 +1045,16 @@ def _climb(
                 goes = ascent[1] >= 1e-12
             if goes:
                 going.append(ascent)
-    at = frames[:, 0].copy()
-    for i, n in enumerate(best_at):
-        if n is not None:
-            at[i] = n
-    return np.array(best), at, np.array(rounds)
+    # One objective call at the best centre of every ascent that left its
+    # grid peak: the higher of that value and the peak's is the result.
+    at, best = frames[:, 0].copy(), values.copy()
+    moved = [i for i, n in enumerate(best_at) if n is not None]
+    if moved:
+        later = objective.values(rows[moved], np.array([best_at[i] for i in moved]).T[:, :, None])
+        for i, value in zip(moved, later[:, 0].tolist()):
+            if value > best[i]:
+                best[i], at[i] = value, best_at[i]
+    return best, at, np.array(rounds)
 
 
 def classical_correlation_stack(

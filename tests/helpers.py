@@ -275,10 +275,11 @@ def _reference_frame(x, y, z):
 
 def _reference_ascent(value, direction, radius):
     """One ascent as a coroutine: yields each centre's frame and is sent its
-    model (value, g1, g2, a, b, c); returns the best (value, point), the grid
-    peak's or a later centre's, and its number of rounds."""
+    model (value, g1, g2, a, b, c); returns the grid peak's (value, point),
+    the later centre of highest model value above it (None if none rose
+    above it) and its number of rounds."""
     frame = _reference_frame(*direction)
-    best = (value, np.array(direction))
+    peak = best = (value, np.array(direction))
     _, *model = yield frame
     here_value, rounds = value, 1
     while all(map(math.isfinite, model)) and rounds < infoquant._MAX_ROUNDS:
@@ -301,13 +302,15 @@ def _reference_ascent(value, direction, radius):
             radius = 0.25 * math.hypot(s1, s2)
             if radius < 1e-12:
                 break
-    return best, rounds
+    return peak, None if best is peak else best[1], rounds
 
 
 def _reference_climb(objective, first_row, ascents):
     """Run the ascents of a block of rows: the grid peaks' models in one
     array call, then each ascent to its end, its later centres' models
-    through ``objective.models``."""
+    through ``objective.models``.  An ascent's result is its grid peak's
+    (value, point), or the objective's value at its centre of highest model
+    value, taken alone, where that is higher; with its rounds."""
     row_of = {a: first_row + r for r, row in enumerate(ascents) for a in row}
     frames = [next(a) for a in row_of]
     firsts = objective.model(np.array(list(row_of.values())), np.array(frames))
@@ -317,7 +320,12 @@ def _reference_climb(objective, first_row, ascents):
             try:
                 frame = ascent.send(model)
             except StopIteration as stop:
-                results[ascent] = stop.value
+                peak, centre, rounds = stop.value
+                if centre is not None:
+                    value = objective.values(np.array([row_of[ascent]]), centre[:, None, None])[0, 0]
+                    if value > peak[0]:
+                        peak = (value, centre)
+                results[ascent] = peak, rounds
                 break
             (model,) = objective.models([row_of[ascent]], [frame])
     return results
