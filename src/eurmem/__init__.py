@@ -23,17 +23,13 @@ from .bounds import (
     bounds_report,
     bounds_table,
     closed_form_curves,
-    family_pair_observables,
 )
 from .infoquant import (
     OptimizerConfig,
     binary_entropy,
     classical_correlation,
     classical_correlation_stack,
-    conditional_entropy,
     holevo,
-    mutual_information,
-    shannon_entropy,
     von_neumann_entropy,
 )
 from .matops import (
@@ -49,13 +45,11 @@ from .matops import (
     tensor,
 )
 from .measure import (
-    MeasurementEnsemble,
     ProjectiveObservable,
     observable_from_basis,
     observable_from_bloch,
     observable_from_spec,
     outcome_ensemble,
-    overlap_matrix,
     pauli_observable,
     post_measurement_state,
     q_mu,

@@ -33,7 +33,7 @@ import numpy as np
 
 from .infoquant import _one_row, binary_entropy, evaluate_stack
 from .matops import hermitian_eigvals
-from .measure import MeasurementEnsemble, ProjectiveObservable
+from .measure import ProjectiveObservable
 from .states import DensityMatrix, Row, StateStack
 
 __all__ = [
@@ -77,8 +77,9 @@ def _trace_norm_error(gap: np.ndarray) -> np.ndarray:
     return np.where(error < 0.0, 0.0, np.where(error > 0.5, 0.5, error))
 
 
-def helstrom_error(ensemble: MeasurementEnsemble) -> float:
-    """Minimum error probability for discriminating a two-outcome ensemble.
+def helstrom_error(ensemble: Row) -> float:
+    """Minimum error probability for discriminating a two-outcome ensemble
+    (a ``measure.outcome_ensemble`` row).
 
     P_e = (1 - ||p0 rho0 - p1 rho1||_1) / 2 with the trace norm taken over
     Hermitian eigenvalues; always in [0, 1/2] and never worse than guessing

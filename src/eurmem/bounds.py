@@ -50,7 +50,6 @@ __all__ = [
     "bounds_table",
     "bounds_report",
     "closed_form_curves",
-    "family_pair_observables",
     "family_pairs",
 ]
 
@@ -197,12 +196,17 @@ def closed_form_curves(family: str, p: float, pair: str) -> Row:
 
 
 def family_pairs(family: str, ps, pair: str) -> tuple[list, list]:
-    """``family_pair_observables`` at each p of a sequence: the lists of X
-    and of Z, one entry per p.
+    """The concrete observables behind the closed-form labels X, Y, Z at
+    each p of a sequence: the lists of X and of Z, one entry per p.
 
-    For bell_diagonal_special one stable sort of -|r_i| orders the axes of
-    every p at once (ties keep x, y, z order); x comes first unless
-    p > |1 - 2p|, so the lists hold at most two distinct pairs.
+    bell_diagonal_special: the Bloch axes sorted by decreasing |r_i| with
+    r = (1-2p, -p, -p) (ties keep x, y, z order); the pair "xy" is the top
+    two, "xz" the top and bottom.  One stable sort of -|r_i| orders the axes
+    of every p at once; x comes first unless p > |1 - 2p|, so the lists hold
+    at most two distinct pairs, and for p < 1/3 they are literally
+    (sigma_x, sigma_y) / (sigma_x, sigma_z).
+
+    xstate: literally (sigma_x, sigma_y) or (sigma_x, sigma_z).
     """
     key = _check_pair(pair)
     ps = np.asarray(ps, dtype=float)
@@ -215,19 +219,3 @@ def family_pairs(family: str, ps, pair: str) -> tuple[list, list]:
     if family == "xstate":
         return [pauli_observable("x")] * len(ps), [pauli_observable("y" if key == "xy" else "z")] * len(ps)
     raise ValueError(f"no preset observables for family {family!r}")
-
-
-def family_pair_observables(
-    family: str, p: float, pair: str
-) -> tuple[ProjectiveObservable, ProjectiveObservable]:
-    """The concrete observables behind the closed-form labels X, Y, Z.
-
-    bell_diagonal_special: the Bloch axes sorted by decreasing |r_i| with
-    r = (1-2p, -p, -p) (ties keep x, y, z order); the pair "xy" is the top
-    two, "xz" the top and bottom.  For p < 1/3 that is literally
-    (sigma_x, sigma_y) / (sigma_x, sigma_z).
-
-    xstate: literally (sigma_x, sigma_y) or (sigma_x, sigma_z).
-    """
-    xs, zs = family_pairs(family, [p], pair)
-    return xs[0], zs[0]

@@ -195,6 +195,8 @@ def _sweep_spec(args) -> tuple[dict, Path]:
             if not is_number(value):
                 raise ValueError(f"sweep spec field {field!r} must be a number, got {value!r}")
             spec[field] = to_float(value, f"sweep spec field {field!r}")
+        if not isinstance(spec.get("out", ""), str):
+            raise ValueError(f"sweep spec field 'out' must be a string, got {spec['out']!r}")
         return spec, Path(args.out or spec.get("out") or f"{spec['family']}_sweep.csv")
     if not (args.family and args.x and args.z):
         raise ValueError("sweep needs --preset, --spec, or --family with --x and --z")

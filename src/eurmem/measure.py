@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .matops import projector, tensor
-from .states import DensityMatrix, complex_matrix, is_number, to_float
+from .states import DensityMatrix, Row, complex_matrix, is_number, to_float
 
 __all__ = [
     "ORTHO_ATOL",
@@ -35,14 +35,12 @@ __all__ = [
     "observable_from_bloch",
     "pauli_observable",
     "observable_from_spec",
-    "overlap_matrix",
     "overlaps",
     "q_mu",
     "q_prime",
     "incompatibility",
     "require_on_a",
     "conditional_stack",
-    "MeasurementEnsemble",
     "post_measurement_state",
     "outcome_ensemble",
 ]
@@ -185,14 +183,9 @@ def require_on_a(rho, *observables: ProjectiveObservable):
             raise ValueError(f"observable dimension {obs.d} does not match dA = {rho.dA}")
 
 
-def overlap_matrix(x: ProjectiveObservable, z: ProjectiveObservable) -> np.ndarray:
-    """c_ij = |<x_i|z_j>|^2, a doubly stochastic real matrix."""
-    _require_same_dim(x, z)
-    return overlaps(x.basis, z.basis)
-
-
 def overlaps(x_bases: np.ndarray, z_bases: np.ndarray) -> np.ndarray:
-    """The overlap matrices of two bases, or of two stacks of them (..., d, d)."""
+    """c_ij = |<x_i|z_j>|^2, a doubly stochastic real matrix, of two bases or
+    of each pair of two stacks of them (..., d, d)."""
     return np.abs(x_bases.conj().swapaxes(-1, -2) @ z_bases) ** 2
 
 
@@ -216,7 +209,8 @@ def incompatibility(c_matrix: np.ndarray):
 
 def q_mu(x: ProjectiveObservable, z: ProjectiveObservable) -> float:
     """Incompatibility log2(1/c) with c the largest squared basis overlap."""
-    return float(incompatibility(overlap_matrix(x, z))[0])
+    _require_same_dim(x, z)
+    return float(incompatibility(overlaps(x.basis, z.basis))[0])
 
 
 def q_prime(x: ProjectiveObservable, z: ProjectiveObservable) -> float:
@@ -226,21 +220,8 @@ def q_prime(x: ProjectiveObservable, z: ProjectiveObservable) -> float:
     multiplicity, so q' = q_mu whenever the maximum is attained twice.
     For qubit observables c = c2 and q' reduces to q_mu.
     """
-    return float(incompatibility(overlap_matrix(x, z))[1])
-
-
-@dataclass(frozen=True)
-class MeasurementEnsemble:
-    """Outcome probabilities and Bob's conditional states for one observable.
-
-    ``effective[i]`` is False for outcomes with probability below
-    ``ZERO_PROB``; those carry a maximally mixed placeholder state and are
-    excluded from averages.
-    """
-
-    probs: np.ndarray
-    cond_states: tuple[np.ndarray, ...]
-    effective: tuple[bool, ...]
+    _require_same_dim(x, z)
+    return float(incompatibility(overlaps(x.basis, z.basis))[1])
 
 
 def conditional_stack(states, bases) -> np.ndarray:
@@ -274,8 +255,12 @@ def post_measurement_state(rho: DensityMatrix, obs: ProjectiveObservable) -> Den
     return DensityMatrix(out, rho.dA, rho.dB)
 
 
-def outcome_ensemble(rho: DensityMatrix, obs: ProjectiveObservable) -> MeasurementEnsemble:
-    """Measurement statistics of ``obs`` on subsystem A of ``rho``."""
+def outcome_ensemble(rho: DensityMatrix, obs: ProjectiveObservable) -> Row:
+    """Measurement statistics of ``obs`` on subsystem A of ``rho``:
+    ``Row(probs=..., cond_states=..., effective=...)``, the outcome
+    probabilities, Bob's conditional states rho^B_i and, per outcome, whether
+    p_i reaches ``ZERO_PROB``; an outcome below it carries a maximally mixed
+    placeholder state and is excluded from averages."""
     require_on_a(rho, obs)
     omegas = conditional_stack(rho.stack, [obs.basis[None]])[0, 0]
     probs = np.maximum(np.einsum("ijj->i", omegas).real, 0.0)
@@ -284,4 +269,4 @@ def outcome_ensemble(rho: DensityMatrix, obs: ProjectiveObservable) -> Measureme
     cond = tuple(
         omega / p if ok else placeholder for omega, p, ok in zip(omegas, probs, effective)
     )
-    return MeasurementEnsemble(probs, cond, effective)
+    return Row(probs=probs, cond_states=cond, effective=effective)

@@ -235,10 +235,6 @@ class DensityMatrix:
         object.__setattr__(self, "mat", stack.mats[0])
         object.__setattr__(self, "stack", stack)
 
-    @property
-    def dim(self) -> int:
-        return self.dA * self.dB
-
     def reduced_a(self) -> np.ndarray:
         """Tr_B rho^AB."""
         return partial_trace(self.mat, (self.dA, self.dB), "A")
@@ -246,9 +242,6 @@ class DensityMatrix:
     def reduced_b(self) -> np.ndarray:
         """Tr_A rho^AB."""
         return partial_trace(self.mat, (self.dA, self.dB), "B")
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.mat @ self.mat)))
 
 
 def pure_state(vec, dA: int, dB: int) -> DensityMatrix:

@@ -12,13 +12,14 @@ from eurmem.bounds import (
     actual_uncertainty,
     bounds_report,
     closed_form_curves,
-    family_pair_observables,
+    family_pairs,
 )
 from eurmem.cli import main
 from eurmem.infoquant import (
+    _entropies,
     binary_entropy,
     classical_correlation,
-    shannon_entropy,
+    evaluate,
     von_neumann_entropy,
 )
 from eurmem.measure import outcome_ensemble, pauli_observable
@@ -122,7 +123,7 @@ def test_criterion_03_closed_form_oracle_equivalence():
         for pair in ("xy", "xz"):
             for p in P_GRID:
                 rho = builder(p)
-                x, z = family_pair_observables(family, p, pair)
+                (x,), (z,) = family_pairs(family, [p], pair)
                 rep = bounds_report(rho, x, z, classical_correlation(rho))
                 cf = closed_form_curves(family, p, pair)
                 worst = max(
@@ -255,21 +256,21 @@ def test_criterion_09_exact_identities():
     rng = np.random.default_rng(9)
     worst_chain = 0.0
     worst_decomp = 0.0
-    from eurmem.infoquant import conditional_entropy, holevo
+    from eurmem.infoquant import holevo
     from eurmem.measure import post_measurement_state
 
     for _ in range(500):
         rho = random_density_matrix(rng)
         x, z = random_projective_pair(rng)
-        h_x = shannon_entropy(outcome_ensemble(rho, x).probs)
-        s_xb = conditional_entropy(post_measurement_state(rho, x))
+        h_x = float(_entropies(outcome_ensemble(rho, x).probs))
+        s_xb = evaluate(post_measurement_state(rho, x), x, z).s_cond
         worst_chain = max(worst_chain, abs(s_xb + holevo(rho, x) - h_x))
 
         # The report computes actual as H - I(.;B) itself, so the left side
         # comes from the explicit classical-quantum states instead.
         rep = bounds_report(rho, x, z)
-        actual_cq = s_xb + conditional_entropy(post_measurement_state(rho, z))
-        h_z = shannon_entropy(outcome_ensemble(rho, z).probs)
+        actual_cq = s_xb + evaluate(post_measurement_state(rho, z), x, z).s_cond
+        h_z = float(_entropies(outcome_ensemble(rho, z).probs))
         s_a = von_neumann_entropy(rho.reduced_a())
         worst_decomp = max(
             worst_decomp,

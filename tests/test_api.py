@@ -1,15 +1,42 @@
 """Public API surface: the names the benchmark traces and the package
-re-exports must keep resolving."""
+re-exports must keep resolving, the package's public names are exactly the
+listed set, and the README's Python examples run."""
 
+import ast
 import importlib
 import inspect
 import json
+import re
 from pathlib import Path
 
 import eurmem
 
-BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
 MODULES = ("apps", "bounds", "cli", "infoquant", "matops", "measure", "states")
+
+# Every public name of the ``eurmem`` package.  A change that adds or drops
+# one edits this set and says so in CHANGES.md.
+PUBLIC_NAMES = {
+    # states
+    "DensityMatrix", "Row", "StateStack", "StateValidationError", "bell_diagonal",
+    "bell_diagonal_special", "family_stack", "from_spec", "maximally_mixed", "pure_schmidt",
+    "pure_state", "to_spec", "validate", "werner", "x_state_special",
+    # matops
+    "I2", "PAULIS", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "basis_ket", "hermitian_eigvals",
+    "partial_trace", "projector", "tensor",
+    # measure
+    "ProjectiveObservable", "observable_from_basis", "observable_from_bloch",
+    "observable_from_spec", "outcome_ensemble", "pauli_observable", "post_measurement_state",
+    "q_mu", "q_prime",
+    # infoquant
+    "OptimizerConfig", "binary_entropy", "classical_correlation", "classical_correlation_stack",
+    "holevo", "von_neumann_entropy",
+    # bounds
+    "actual_uncertainty", "bounds_report", "bounds_table", "closed_form_curves",
+    # apps
+    "applications_report", "applications_table", "helstrom_error", "witness",
+}
 
 
 def _module(short):
@@ -56,3 +83,32 @@ def test_package_reexports_are_in_module_all():
         if name not in getattr(importlib.import_module(owner), "__all__", ()):
             stray.append(f"{owner}.{name}")
     assert not stray, f"re-exported names missing from their module's __all__: {stray}"
+
+
+def test_package_public_names_are_the_listed_set():
+    public = {
+        name for name, value in vars(eurmem).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == PUBLIC_NAMES, (
+        f"added: {sorted(public - PUBLIC_NAMES)}, dropped: {sorted(PUBLIC_NAMES - public)}"
+    )
+
+
+def test_readme_python_examples_run():
+    # The README's python blocks run in order in one namespace, and every
+    # top-level comparison in them holds.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.S | re.M)
+    assert blocks
+    namespace: dict = {}
+    comparisons = 0
+    for block in blocks:
+        for node in ast.parse(block).body:
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Compare):
+                expr = ast.Expression(node.value)
+                assert eval(compile(expr, "README.md", "eval"), namespace), ast.unparse(node)
+                comparisons += 1
+            else:
+                exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert comparisons

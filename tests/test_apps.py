@@ -7,12 +7,11 @@ from eurmem.apps import applications_report, helstrom_error, witness
 from eurmem.bounds import bounds_report
 from eurmem.infoquant import binary_entropy, von_neumann_entropy
 from eurmem.measure import (
-    MeasurementEnsemble,
     observable_from_basis,
     outcome_ensemble,
     pauli_observable,
 )
-from eurmem.states import maximally_mixed, pure_schmidt, pure_state, werner
+from eurmem.states import Row, maximally_mixed, pure_schmidt, pure_state, werner
 
 from helpers import (
     conditional_blocks,
@@ -62,7 +61,7 @@ def test_witness_monotone_berta_implies_ours():
 
 
 def test_helstrom_orthogonal_states_perfectly_distinguishable():
-    ens = MeasurementEnsemble(
+    ens = Row(
         probs=np.array([0.5, 0.5]),
         cond_states=(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
         effective=(True, True),
@@ -72,7 +71,7 @@ def test_helstrom_orthogonal_states_perfectly_distinguishable():
 
 def test_helstrom_identical_states_prior_guessing():
     for p0 in (0.5, 0.3, 0.05):
-        ens = MeasurementEnsemble(
+        ens = Row(
             probs=np.array([p0, 1.0 - p0]),
             cond_states=(np.eye(2, dtype=complex) / 2, np.eye(2, dtype=complex) / 2),
             effective=(True, True),
@@ -157,7 +156,7 @@ def test_applications_report_fields():
 def _ensemble_by_projectors(rho, obs):
     blocks = conditional_blocks(rho, obs)
     probs = np.array([np.trace(b).real for b in blocks])
-    return MeasurementEnsemble(probs, tuple(b / p for b, p in zip(blocks, probs)), (True, True))
+    return Row(probs=probs, cond_states=tuple(b / p for b, p in zip(blocks, probs)), effective=(True, True))
 
 
 def test_application_bounds_match_per_ensemble_helstrom():

@@ -7,16 +7,15 @@ from eurmem.bounds import (
     actual_uncertainty,
     bounds_report,
     closed_form_curves,
-    family_pair_observables,
     family_pairs,
 )
 from eurmem.cli import _sweep_grid
 from eurmem.infoquant import (
+    _entropies,
     binary_entropy,
     classical_correlation,
-    conditional_entropy,
+    evaluate,
     holevo,
-    shannon_entropy,
     von_neumann_entropy,
 )
 from eurmem.measure import (
@@ -59,14 +58,12 @@ def test_actual_uncertainty_examples():
 
 def test_actual_uncertainty_terms_nonnegative():
     # classical-quantum states have nonnegative conditional entropy
-    from eurmem.infoquant import conditional_entropy
-    from eurmem.measure import post_measurement_state
-
     rng = np.random.default_rng(3)
     for _ in range(20):
         rho = random_density_matrix(rng)
-        for obs in random_mub_pair(rng):
-            assert conditional_entropy(post_measurement_state(rho, obs)) >= -1e-9
+        x, z = random_mub_pair(rng)
+        for obs in (x, z):
+            assert evaluate(post_measurement_state(rho, obs), x, z).s_cond >= -1e-9
 
 
 def test_bound_maassen_uffink_is_q_mu():
@@ -139,7 +136,7 @@ def test_bound_pati_bell_diagonal_special_display():
         corr = classical_correlation(rho)
         s_ab = h(p) + (1.0 - p)
         display = s_ab + max(0.0, 2.0 - s_ab - 2.0 * max(1 - h(p), 1 - h((1 + p) / 2)))
-        xx, zz = family_pair_observables("bell_diagonal_special", p, "xz")
+        (xx,), (zz,) = family_pairs("bell_diagonal_special", [p], "xz")
         assert bounds_report(rho, xx, zz, corr).bound_pati == pytest.approx(display, abs=1e-6)
 
 
@@ -161,7 +158,7 @@ def test_bound_ours_bell_diagonal_special_xy_closed_form():
         a, b = 1 - h(p), 1 - h((1 + p) / 2)
         s_ab = h(p) + (1.0 - p)
         expected = s_ab + max(0.0, (2.0 - s_ab) - max(a, b) - b)
-        xx, yy = family_pair_observables("bell_diagonal_special", p, "xy")
+        (xx,), (yy,) = family_pairs("bell_diagonal_special", [p], "xy")
         assert bounds_report(rho, xx, yy).bound_ours == pytest.approx(expected, abs=1e-9)
 
 
@@ -195,11 +192,12 @@ def test_decomposition_identity():
         rho = random_density_matrix(rng)
         x, z = random_projective_pair(rng)
         rep = bounds_report(rho, x, z)
-        actual_cq = conditional_entropy(post_measurement_state(rho, x)) + conditional_entropy(
-            post_measurement_state(rho, z)
+        actual_cq = (
+            evaluate(post_measurement_state(rho, x), x, z).s_cond
+            + evaluate(post_measurement_state(rho, z), x, z).s_cond
         )
-        h_x = shannon_entropy(outcome_ensemble(rho, x).probs)
-        h_z = shannon_entropy(outcome_ensemble(rho, z).probs)
+        h_x = float(_entropies(outcome_ensemble(rho, x).probs))
+        h_z = float(_entropies(outcome_ensemble(rho, z).probs))
         s_a = von_neumann_entropy(rho.reduced_a())
         assert actual_cq == pytest.approx(h_x + h_z - s_a + rep.s_cond + rep.delta, abs=1e-9)
         assert rep.actual == pytest.approx(actual_cq, abs=1e-12)
@@ -262,7 +260,7 @@ def test_oracle_equivalence_spot_checks():
         for pair in ("xy", "xz"):
             for p in (0.0, 0.25, 0.5, 0.75, 1.0):
                 rho = builder(p)
-                x, z = family_pair_observables(family, p, pair)
+                (x,), (z,) = family_pairs(family, [p], pair)
                 corr = classical_correlation(rho)
                 rep = bounds_report(rho, x, z, corr)
                 cf = closed_form_curves(family, p, pair)
@@ -273,14 +271,14 @@ def test_oracle_equivalence_spot_checks():
 
 def test_family_pair_observables_sorted_axes():
     # below p = 1/3 the literal axes already sort correctly
-    x, y = family_pair_observables("bell_diagonal_special", 0.2, "xy")
+    (x,), (y,) = family_pairs("bell_diagonal_special", [0.2], "xy")
     assert (x.label(), y.label()) == ("sigma_x", "sigma_y")
     # above p = 1/3 the y and z axes carry the largest |r|
-    x, y = family_pair_observables("bell_diagonal_special", 0.8, "xy")
+    (x,), (y,) = family_pairs("bell_diagonal_special", [0.8], "xy")
     assert (x.label(), y.label()) == ("sigma_y", "sigma_z")
-    x, z = family_pair_observables("bell_diagonal_special", 0.8, "xz")
+    (x,), (z,) = family_pairs("bell_diagonal_special", [0.8], "xz")
     assert (x.label(), z.label()) == ("sigma_y", "sigma_x")
-    x, z = family_pair_observables("xstate", 0.8, "xz")
+    (x,), (z,) = family_pairs("xstate", [0.8], "xz")
     assert (x.label(), z.label()) == ("sigma_x", "sigma_z")
 
 
@@ -291,8 +289,8 @@ def test_family_pair_observables_matches_the_stable_argsort_rule():
         order = np.argsort(-np.abs(np.array([1.0 - 2.0 * p, -p, -p])), kind="stable")
         want = {"xy": order[[0, 1]], "xz": order[[0, 2]]}
         for pair, axes in want.items():
-            got = family_pair_observables("bell_diagonal_special", p, pair)
-            assert [obs.label() for obs in got] == [f"sigma_{'xyz'[k]}" for k in axes], (p, pair)
+            (x,), (z,) = family_pairs("bell_diagonal_special", [p], pair)
+            assert [x.label(), z.label()] == [f"sigma_{'xyz'[k]}" for k in axes], (p, pair)
 
 
 def _sorted_axes_rule(family, p, pair):
@@ -314,6 +312,6 @@ def test_family_pairs_of_a_block_follow_the_one_p_rule(family):
         assert len(xs) == len(zs) == len(ps)
         assert len(set(zip(xs, zs))) <= 2
         for p, x, z in zip(ps, xs, zs):
-            assert (x, z) == family_pair_observables(family, p, pair), (p, pair)
+            assert ([x], [z]) == family_pairs(family, [p], pair), (p, pair)
             want = [pauli_observable(axis) for axis in _sorted_axes_rule(family, p, pair)]
             assert [x, z] == want, (p, pair)

@@ -526,6 +526,7 @@ def test_sweep_spec_missing_field_named(capsys, tmp_path, field):
         ({"p_start": "0"}, "sweep spec field 'p_start' must be a number, got '0'"),
         ({"p_step": None}, "sweep spec field 'p_step' must be a number, got None"),
         ({"p_end": True}, "sweep spec field 'p_end' must be a number, got True"),
+        ({"out": 5}, "sweep spec field 'out' must be a string, got 5"),
     ],
 )
 def test_sweep_spec_malformed_entry_named(capsys, tmp_path, change, message):
@@ -539,6 +540,52 @@ def test_sweep_spec_malformed_entry_named(capsys, tmp_path, change, message):
     assert code == 2
     assert err.startswith(f"error: {message}")
     assert not list(tmp_path.glob("x*.csv"))
+
+
+def test_sweep_spec_out_checked_without_out_flag(capsys, tmp_path, monkeypatch):
+    spec = {"family": "xstate", "p_start": 0.0, "p_end": 0.2, "p_step": 0.1,
+            "pairs": [["sigma_x", "sigma_z"]], "out": 5}
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "sweep", "--spec", str(spec_path))
+    assert (code, err) == (2, "error: sweep spec field 'out' must be a string, got 5\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def _near_boundary_states():
+    """Two states inside the validation tolerances whose clipped spectra leave
+    the outcome terms slightly off: (a) a conditional state whose smallest
+    eigenvalue is -1.5 times its outcome probability, (b) outcome
+    probabilities that sum to 1 + 1.44e-9 once the negative one is clamped."""
+    d, e = 1.5e-10, 0.9e-10
+    a = np.diag([1.0 - d + e, 0.0, d, -e])
+    b = np.diag([1.0 + 16 * e] + [0.0] * 15 + [-e] * 16)
+    return [(2, a), (16, b)]
+
+
+@pytest.mark.parametrize("dB, mat", _near_boundary_states(), ids=["dB2", "dB16"])
+def test_state_that_passes_validation_is_evaluated(capsys, tmp_path, dB, mat):
+    doc = {"explicit": {"dA": 2, "dB": dB, "re": mat.tolist(), "im": np.zeros_like(mat).tolist()}}
+    state = write_state(tmp_path, doc)
+    commands = {
+        "validate": (),
+        "discord": (),
+        "bounds": ("--x", "x", "--z", "z", "--with-discord"),
+        "apps": ("--x", "x", "--z", "z"),
+    }
+    records = {}
+    for command, flags in commands.items():
+        code, out, err = run_cli(capsys, command, "--state", state, *flags, "--format", "json")
+        assert (code, err) == (0, ""), command
+        records[command] = json.loads(out)
+    for command in ("discord", "bounds", "apps"):
+        for key, value in records[command].items():
+            if isinstance(value, float):
+                assert np.isfinite(value), (command, key)
+    bounds = records["bounds"]
+    assert bounds["bound_berta"] <= bounds["bound_ours"] + 1e-8
+    assert bounds["bound_ours"] <= bounds["actual"] + 1e-8
 
 
 @pytest.mark.parametrize(

@@ -12,16 +12,14 @@ from eurmem.infoquant import (
     binary_entropy,
     classical_correlation,
     classical_correlation_stack,
-    conditional_entropy,
     evaluate,
     holevo,
-    mutual_information,
-    shannon_entropy,
     von_neumann_entropy,
 )
 from eurmem.infoquant import (
     IMPROVE_ATOL,
     _directions,
+    _entropies,
     _general_objective,
     _grid_peaks,
     _hemisphere_grid,
@@ -70,17 +68,16 @@ from helpers import (
 )
 
 
+X, Z = pauli_observable("x"), pauli_observable("z")
+
+
 def test_shannon_entropy_values():
-    assert shannon_entropy([1.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
-    assert shannon_entropy([0.5, 0.5]) == pytest.approx(1.0, abs=1e-15)
-    assert shannon_entropy([0.25] * 4) == pytest.approx(2.0, abs=1e-15)
-
-
-def test_shannon_entropy_input_validation():
-    with pytest.raises(ValueError, match="negative"):
-        shannon_entropy([1.2, -0.2])
-    with pytest.raises(ValueError, match="sum to 1"):
-        shannon_entropy([0.5, 0.4])
+    assert _entropies(np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-15)
+    assert _entropies(np.array([0.5, 0.5])) == pytest.approx(1.0, abs=1e-15)
+    assert _entropies(np.full(4, 0.25)) == pytest.approx(2.0, abs=1e-15)
+    # H(X) of the evaluation pass is the same sum over the outcome probabilities
+    ev = evaluate(x_state_special(0.3), X, Z)
+    assert ev.h_z == _entropies(ev.z_probs)
 
 
 def test_binary_entropy_values():
@@ -101,7 +98,7 @@ def test_von_neumann_entropy_values():
     for p in (0.2, 0.6, 0.95):
         spectrum = [(1 + 3 * p) / 4, (1 - p) / 4, (1 - p) / 4, (1 - p) / 4]
         assert von_neumann_entropy(werner(p)) == pytest.approx(
-            shannon_entropy(spectrum), abs=1e-12
+            _entropies(np.array(spectrum)), abs=1e-12
         )
 
 
@@ -111,30 +108,30 @@ def test_von_neumann_entropy_trace_check():
 
 
 def test_conditional_entropy_values():
-    assert conditional_entropy(werner(1.0)) == pytest.approx(-1.0, abs=1e-9)
+    assert evaluate(werner(1.0), X, Z).s_cond == pytest.approx(-1.0, abs=1e-9)
     rng = np.random.default_rng(3)
     a = random_single_qubit_density(rng)
     b = random_single_qubit_density(rng)
     product = DensityMatrix(tensor(a, b), 2, 2)
-    assert conditional_entropy(product) == pytest.approx(von_neumann_entropy(a), abs=1e-10)
+    assert evaluate(product, X, Z).s_cond == pytest.approx(von_neumann_entropy(a), abs=1e-10)
 
 
 def test_conditional_entropy_x_state_closed_form():
     h = binary_entropy
     for p in (0.0, 0.3, 0.7, 1.0):
         expected = h(p) - h(p / 2)
-        assert conditional_entropy(x_state_special(p)) == pytest.approx(expected, abs=1e-10)
+        assert evaluate(x_state_special(p), X, Z).s_cond == pytest.approx(expected, abs=1e-10)
 
 
 def test_mutual_information_values():
     rng = np.random.default_rng(5)
-    assert mutual_information(random_product_state(rng)) == pytest.approx(0.0, abs=1e-10)
+    assert evaluate(random_product_state(rng), X, Z).i_ab == pytest.approx(0.0, abs=1e-10)
     lam = random_schmidt_coeffs(rng)
     pure = pure_schmidt(lam)
-    assert mutual_information(pure) == pytest.approx(
+    assert evaluate(pure, X, Z).i_ab == pytest.approx(
         2 * von_neumann_entropy(pure.reduced_b()), abs=1e-10
     )
-    assert mutual_information(x_state_special(1.0)) == pytest.approx(2.0, abs=1e-10)
+    assert evaluate(x_state_special(1.0), X, Z).i_ab == pytest.approx(2.0, abs=1e-10)
 
 
 def test_holevo_bell_diagonal_closed_form():
@@ -171,7 +168,7 @@ def test_holevo_bounds_on_random_states():
         obs = random_observable(rng)
         value = holevo(rho, obs)
         s_b = von_neumann_entropy(rho.reduced_b())
-        h_out = shannon_entropy(outcome_ensemble(rho, obs).probs)
+        h_out = _entropies(outcome_ensemble(rho, obs).probs)
         assert -1e-9 <= value <= min(h_out, s_b) + 1e-9
 
 
@@ -235,9 +232,9 @@ def test_identity_conditional_plus_holevo_is_outcome_entropy():
     for _ in range(50):
         rho = random_density_matrix(rng)
         obs = random_observable(rng)
-        s_xb = conditional_entropy(post_measurement_state(rho, obs))
+        s_xb = evaluate(post_measurement_state(rho, obs), obs, obs).s_cond
         i_xb = holevo(rho, obs)
-        h_x = shannon_entropy(outcome_ensemble(rho, obs).probs)
+        h_x = _entropies(outcome_ensemble(rho, obs).probs)
         assert s_xb + i_xb == pytest.approx(h_x, abs=1e-9)
 
 
@@ -247,9 +244,8 @@ def test_identity_marginal_entropy_decomposition():
     for _ in range(50):
         rho = random_density_matrix(rng)
         s_a = von_neumann_entropy(rho.reduced_a())
-        assert conditional_entropy(rho) + mutual_information(rho) == pytest.approx(
-            s_a, abs=1e-9
-        )
+        ev = evaluate(rho, X, Z)
+        assert ev.s_cond + ev.i_ab == pytest.approx(s_a, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +260,9 @@ def _per_state_terms(rho, obs):
     probs = np.array([np.trace(b).real for b in blocks])
     cond = sum(p * von_neumann_entropy(b / p) for p, b in zip(probs, blocks) if p > 1e-14)
     i_b = von_neumann_entropy(rho.reduced_b()) - cond
-    s_xb = conditional_entropy(post_measurement_state(rho, obs))
-    return probs, np.array(blocks), shannon_entropy(probs), i_b, s_xb
+    cq = post_measurement_state(rho, obs)
+    s_xb = von_neumann_entropy(cq) - von_neumann_entropy(cq.reduced_b())
+    return probs, np.array(blocks), _entropies(probs), i_b, s_xb
 
 
 def _incompatibility_by_loops(x, z):
@@ -302,7 +299,8 @@ def test_evaluation_pass_matches_cq_route(dA, dB, rank):
             actual += s_xb
             holevos.append(i_b)
         assert ev["actual"] == pytest.approx(actual, abs=1e-12)
-        assert ev["delta"] == pytest.approx(mutual_information(rho) - sum(holevos), abs=1e-12)
+        i_ab = von_neumann_entropy(rho.reduced_a()) + ev["s_b"] - ev["s_ab"]
+        assert ev["delta"] == pytest.approx(i_ab - sum(holevos), abs=1e-12)
         assert (ev["q_mu"], ev["q_prime"]) == pytest.approx(_incompatibility_by_loops(x, z), abs=1e-12)
 
 
@@ -597,7 +595,7 @@ def test_classical_correlation_wide_memory_never_below_pauli_axes():
         report = classical_correlation(rho)
         assert report.classical_correlation >= max(holevo(rho, a) for a in axes) - 1e-9
         assert report.classical_correlation + report.discord == pytest.approx(
-            mutual_information(rho), abs=1e-9
+            evaluate(rho, X, Z).i_ab, abs=1e-9
         )
 
 
@@ -610,7 +608,7 @@ def test_classical_correlation_bell_diagonal_closed_form():
         expected = 1.0 - binary_entropy((1.0 + np.max(np.abs(r))) / 2.0)
         assert report.classical_correlation == pytest.approx(expected, abs=1e-12)
         assert report.classical_correlation + report.discord == pytest.approx(
-            mutual_information(rho), abs=1e-9
+            evaluate(rho, X, Z).i_ab, abs=1e-9
         )
 
 

@@ -13,7 +13,7 @@ from eurmem.measure import (
     observable_from_bloch,
     observable_from_spec,
     outcome_ensemble,
-    overlap_matrix,
+    overlaps,
     pauli_observable,
     post_measurement_state,
     q_mu,
@@ -87,18 +87,18 @@ def test_orthonormality_enforced():
 
 def test_overlap_identity_for_equal_bases():
     x = pauli_observable("x")
-    np.testing.assert_allclose(overlap_matrix(x, x), np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(overlaps(x.basis, x.basis), np.eye(2), atol=1e-12)
 
 
 def test_overlap_mub_pair_is_uniform():
-    c = overlap_matrix(pauli_observable("x"), pauli_observable("z"))
+    c = overlaps(pauli_observable("x").basis, pauli_observable("z").basis)
     np.testing.assert_allclose(c, np.full((2, 2), 0.5), atol=1e-12)
 
 
 def test_overlap_at_bloch_angle():
     theta = np.pi / 3
     tilted = observable_from_bloch((np.sin(theta), 0.0, np.cos(theta)))
-    c = overlap_matrix(pauli_observable("z"), tilted)
+    c = overlaps(pauli_observable("z").basis, tilted.basis)
     cs, sn = np.cos(theta / 2) ** 2, np.sin(theta / 2) ** 2
     np.testing.assert_allclose(c, [[cs, sn], [sn, cs]], atol=1e-12)
 
@@ -107,7 +107,7 @@ def test_overlap_doubly_stochastic_random_bases():
     rng = np.random.default_rng(21)
     for d in (2, 3, 4):
         for _ in range(5):
-            c = overlap_matrix(random_observable(rng, d), random_observable(rng, d))
+            c = overlaps(random_observable(rng, d).basis, random_observable(rng, d).basis)
             np.testing.assert_allclose(c.sum(axis=0), np.ones(d), atol=1e-10)
             np.testing.assert_allclose(c.sum(axis=1), np.ones(d), atol=1e-10)
 
@@ -124,7 +124,7 @@ def test_q_mu_exact_for_mub_and_capped_at_log_d():
     # The overlaps of exact MUBs round to just below 1/d; q_mu must not pass log2 d.
     for a, b in ("xz", "zx", "xy", "yz"):
         x, z = pauli_observable(a), pauli_observable(b)
-        assert incompatibility(overlap_matrix(x, z)) == (1.0, 1.0)
+        assert incompatibility(overlaps(x.basis, z.basis)) == (1.0, 1.0)
     rng = np.random.default_rng(37)
     for _ in range(20):
         assert q_mu(*random_mub_pair(rng)) <= 1.0
@@ -251,7 +251,9 @@ def test_dimension_mismatch_raises():
     with pytest.raises(ValueError, match="does not match dA"):
         outcome_ensemble(rho, three)
     with pytest.raises(ValueError, match="different dimensions"):
-        overlap_matrix(pauli_observable("x"), three)
+        q_mu(pauli_observable("x"), three)
+    with pytest.raises(ValueError, match="different dimensions"):
+        q_prime(three, pauli_observable("x"))
 
 
 def test_observable_from_spec_forms():

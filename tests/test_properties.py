@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eurmem.apps import WITNESS_MARGIN, applications_report
-from eurmem.bounds import bounds_report, family_pair_observables
+from eurmem.bounds import bounds_report, family_pairs
 from eurmem.states import DensityMatrix, bell_diagonal_special, x_state_special
 
 from helpers import random_density_matrix, random_observable, random_unitary
@@ -23,7 +23,7 @@ PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, database=None, dera
 @pytest.mark.parametrize("pair", ["xy", "xz"])
 @pytest.mark.parametrize("p", [0.0, 1e-13, 0.5, 1.0 - 1e-13, 1.0])
 def test_bound_ordering_on_boundary_states(family, builder, pair, p):
-    x, z = family_pair_observables(family, p, pair)
+    (x,), (z,) = family_pairs(family, [p], pair)
     rep = bounds_report(builder(p), x, z)
     assert rep.bound_berta <= rep.bound_ours <= rep.actual + ORDER_EPS
 

@@ -68,7 +68,7 @@ def test_bell_diagonal_outside_tetrahedron_fails_psd():
 
 def test_x_state_special_limits():
     np.testing.assert_allclose(x_state_special(1.0).mat, np.outer(KET_PSI_PLUS, KET_PSI_PLUS.conj()), atol=1e-15)
-    assert x_state_special(1.0).purity() == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(x_state_special(1.0).mat @ x_state_special(1.0).mat).real == pytest.approx(1.0, abs=1e-12)
     ket11 = np.zeros(4)
     ket11[3] = 1.0
     np.testing.assert_allclose(x_state_special(0.0).mat, np.outer(ket11, ket11), atol=1e-15)
@@ -79,7 +79,7 @@ def test_pure_schmidt_is_pure():
     for _ in range(10):
         lam = random_schmidt_coeffs(rng)
         rho = pure_schmidt(lam)
-        assert rho.purity() == pytest.approx(1.0, abs=1e-10)
+        assert np.trace(rho.mat @ rho.mat).real == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(rho.reduced_b())), np.sort(lam), atol=1e-12)
 
 
@@ -139,7 +139,7 @@ def test_from_spec_families():
     rho = from_spec({"family": {"name": "bell_diagonal", "r": [0.5, -0.2, 0.1]}})
     np.testing.assert_allclose(rho.mat, bell_diagonal([0.5, -0.2, 0.1]).mat, atol=1e-15)
     rho = from_spec({"family": {"name": "pure_schmidt", "lambdas": [0.75, 0.25]}})
-    assert rho.purity() == pytest.approx(1.0, abs=1e-10)
+    assert np.trace(rho.mat @ rho.mat).real == pytest.approx(1.0, abs=1e-10)
 
 
 def test_from_spec_explicit_and_roundtrip():
@@ -162,7 +162,7 @@ def test_from_spec_rejects_missing_params():
 
 def test_maximally_mixed_helper():
     rho = maximally_mixed()
-    assert rho.dim == 4
+    assert rho.mat.shape == (4, 4)
     assert np.trace(rho.mat).real == pytest.approx(1.0)
 
 
