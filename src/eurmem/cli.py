@@ -30,7 +30,7 @@ import numpy as np
 from .apps import applications_report
 from .bounds import bounds_report, bounds_table, family_pairs
 from .infoquant import OptimizerConfig, classical_correlation, classical_correlation_stack
-from .measure import observable_from_spec
+from .measure import observable_from_spec, require_on_a
 from .states import (
     ONE_PARAMETER_FAMILIES,
     StateValidationError,
@@ -219,6 +219,8 @@ def _sweep_pairs(family: str, pairs) -> list:
             resolved.append(lambda ps, label=entry: family_pairs(family, ps, label))
         elif isinstance(entry, list) and len(entry) == 2:
             xz = [_load_observable_arg(r) if isinstance(r, str) else observable_from_spec(r) for r in entry]
+            # Checked here, as the sweep would, so that a mismatch fails before any file opens.
+            require_on_a(family_stack(family, [0.0]), *xz)
             resolved.append(lambda ps, xz=xz: xz)
         else:
             raise ValueError(

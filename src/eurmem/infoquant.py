@@ -32,16 +32,17 @@ most three), each step taking the value, gradient and Hessian in a
 tangent chart from the objective's exact model (``_Objective``).  On a
 stack, the grids of up to 16 rows share one objective call, and a climb
 block of up to 170 rows has one peak pass and one ascent loop, one model
-call a round: the first round models the grid peaks as arrays over the
-block (every ascent on the named families stops after it), later ones
-the centres the ascents reach, one at a time for two qubits.  For two
-qubits the objective takes the real Pauli-correlation form: one small
-matrix product per row gives the weights and Bloch vectors of both
-outcomes of each direction, and the model's derivatives are closed forms
-in them.  It runs per row and never with a single row or column, so that
-BLAS sums each entry in one order whatever the call, in pieces whose
-buffers stay under glibc's 128 KB mmap threshold (the peak pass takes
-the grids 16 at a time for the same reason).  For dB >= 3 the same
+call a round: the first round models the grid peaks (every ascent on the
+named families stops after it), later ones the centres the ascents
+reach.  For two qubits the objective takes the real Pauli-correlation
+form: one small matrix product per row gives the weights and Bloch
+vectors of both outcomes of each direction, and the model's derivatives
+are closed forms in them, in plain floats for a call of a few centres and
+as arrays for more, the two forms bit for bit alike.  The objective runs
+per row and never with a single row or column, so that BLAS sums each
+entry in one order whatever the call, in pieces whose buffers stay under
+glibc's 128 KB mmap threshold (the peak pass takes the grids 16 at a time
+for the same reason).  For dB >= 3 the same
 product per row, by a (4, dB^2) matrix, gives both outcomes' conditional
 states of B, which LAPACK diagonalizes; the model takes their
 eigenvectors too, and the Hessian the divided differences of log at
@@ -300,42 +301,31 @@ class _Objective(NamedTuple):
     The model of a centre n with tangent frame (u, v) is the value at n and
     the gradient (g1, g2) and Hessian (a, b, c) at s = 0 of s ->
     I(P_m;B), m = (n + s1 u + s2 v) / |n + s1 u + s2 v|, so that m'' = -n.
-    ``model(rows, frames)`` takes A rows (an index array) and the frames
-    (A, 3, 3), rows n, u and v, and returns these six numbers as (A, 6), as
-    arrays over the whole block; ``models(rows, frames)`` takes lists of
-    rows and of frames (three tuples each) and returns a list of the six
-    numbers of each centre.  The derivatives are not finite where an
-    outcome falls below the zero-probability cut, whose edge is a cusp of
-    the objective (the probability reaches 0 only on a product state with a
-    pure rho^A, where the objective is 0 everywhere), and, for two qubits,
-    where an outcome's smaller eigenvalue is 0 or its Bloch vector x is 0.
+    ``model(rows, frames)`` takes the rows of A centres and their frames
+    (A, 3, 3), rows n, u and v, as arrays or lists, and returns a list of
+    the six numbers of each centre, whatever the call.  The
+    derivatives are not finite where an outcome falls below the
+    zero-probability cut, whose edge is a cusp of the objective (the
+    probability reaches 0 only on a product state with a pure rho^A, where
+    the objective is 0 everywhere), and, for two qubits, where an outcome's
+    smaller eigenvalue is 0 or its Bloch vector x is 0.
     """
 
     values: Callable
     model: Callable
-    models: Callable
 
 
 _SIGNS = np.array([1.0, -1.0])
 _INV_LN2 = 1.0 / math.log(2.0)
-# Constants of _two_qubit_model: w + r times _SPREAD is [w, e-, e+]; the
-# x log2 x terms and the logs of [p, e-, e+] combine by _XLOG_SIGNS into f
-# and by _ALPHA_BETA into alpha and beta; the rows G, p, e-, e+ and r of the
-# derivatives take _RATE_W (alpha in place of G's 0) on w and _RATE_X
-# (beta in place of G's 0) times x / r on x; the outer products of the
-# derivatives of p, e-, e+, r and x weigh _CURVE over [p, e-, e+] and
-# beta / r times _BEND.
+# [w, e-, e+] is w + r _SPREAD; the Hessian terms weigh _CURVE / [p, e-, e+].
 _SPREAD = np.array([0.0, -1.0, 1.0])
-_XLOG_SIGNS = np.array([1.0, -1.0, -1.0])
-_ALPHA_BETA = np.array([[2.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
-_RATE_W = np.array([0.0, 2.0, 1.0, 1.0, 0.0])
-_RATE_X = np.array([0.0, 0.0, -1.0, 1.0, 1.0])
 _CURVE = np.array([_INV_LN2, -_INV_LN2, -_INV_LN2])
-_BEND = np.array([-1.0, 1.0, 1.0, 1.0])
-_EYE2 = np.eye(2)
 # The model terms of an outcome below the zero-probability cut: its value
 # is dropped, as the objective drops it, and its derivatives are not finite.
 _CUT = np.array([0.0] + [math.nan] * 5)
+# Two-qubit model calls of at most this many centres run in plain floats,
+# larger ones as arrays, whose fixed cost is that of ~13-16 such centres.
+_FLOAT_CENTRES = 12
 
 
 def _general_objective(states: StateStack, s_b: np.ndarray) -> _Objective:
@@ -378,7 +368,7 @@ def _general_objective(states: StateStack, s_b: np.ndarray) -> _Objective:
         return s_b[rows, None] - _conditional_sum(np.ascontiguousarray(eigs))
 
     def model(rows, frames):
-        table = halves[rows]
+        table, frames = halves[rows], np.asarray(frames)
         count = len(table)
         # n.T / 2, u.T / 2 and v.T / 2 of each centre, stacked, and both outcomes' omega
         parts = (frames @ table[:, 1:]).view(complex).reshape(count, 1, 3 * dB, dB)
@@ -437,12 +427,9 @@ def _general_objective(states: StateStack, s_b: np.ndarray) -> _Objective:
         out = terms.sum(axis=1)
         out *= -_INV_LN2
         out[:, 0] += s_b[rows]
-        return out
+        return out.tolist()
 
-    def models(rows, frames):
-        return model(np.array(rows), np.array(frames)).tolist()
-
-    return _Objective(values, model, models)
+    return _Objective(values, model)
 
 
 # Row (mu, nu) of this matrix dotted with vec(rho) is T_{mu nu} = tr(rho sigma_mu (x) sigma_nu).
@@ -459,7 +446,7 @@ _PIECE = 1920
 # 0 * -1074 = -0.0 for x = 0.  No -0.0 outlives an outcome's
 # p log2 p - sum mu log2 mu: all its terms are zeros only when p = 0 or
 # p = 1, and then it is +0.0.
-_TINY = np.finfo(float).smallest_subnormal
+_TINY = float(np.finfo(float).smallest_subnormal)
 
 
 def _direction_table(dirs):
@@ -522,99 +509,115 @@ def _two_qubit_model(q, rows, frames, s_b):
         f_k  = G.y_k,
         f_kl = (p_k p_l / p - e-_k e-_l / e- - e+_k e+_l / e+) / ln 2
                + beta (x_k.x_l - r_k r_l) / r - delta_kl G.(y - y0).
-    The derivatives of p, e-+ and r come from y_k one product each, so that
-    the large weight 1 / e- of a nearly pure outcome multiplies e-_k
-    itself, never the terms whose difference it is.
-    ``_two_qubit_scalar_model`` runs the same arithmetic on one centre.
+    The derivatives of p, e-+ and r come from y_k, so that the large
+    weight 1 / e- of a nearly pure outcome multiplies e-_k itself, never
+    the terms whose difference it is.  Elementwise operations only, each
+    sum left to right: the operations of ``_two_qubit_scalar_model`` in
+    its order, so that the two forms agree bit for bit.
     """
     qs = q[rows]
-    # (2, A, 4, 3): each outcome's y - y0 and its derivatives y_u and y_v
-    ys = _SIGNS[:, None, None, None] * (qs[:, 1:].transpose(0, 2, 1) @ frames.transpose(0, 2, 1))
-    y = qs[:, 0] + ys[..., 0]
-    r = np.sqrt(np.square(y[..., 1:]).sum(axis=-1))
-    # [p, e-, e+] of each outcome
-    e = np.maximum(y[..., :1] + _SPREAD * r[..., None], 0.0)
-    np.add(e[..., 1], e[..., 2], out=e[..., 0])
-    logs = np.log2(np.maximum(e, _TINY))
-    terms = np.empty(r.shape + (6,))
-    np.matmul(e * logs, _XLOG_SIGNS, out=terms[..., 0])
-    ab = logs @ _ALPHA_BETA
-    alpha, beta = ab[..., 0], ab[..., 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        unit = y[..., 1:] / r[..., None]
-        # rows G, p, e-, e+ and r: y_k times each gives its derivative
-        rates = np.empty(r.shape + (5, 4))
-        rates[..., 0] = _RATE_W
-        rates[..., 0, 0] = alpha
-        np.multiply(_RATE_X[:, None], unit[..., None, :], out=rates[..., 1:])
-        np.multiply(beta[..., None], unit, out=rates[..., 0, 1:])
-        slopes = rates @ ys
-        # the derivatives along u and v of p, e-, e+ and r, then those of x
-        parts = np.concatenate([slopes[..., 1:, 1:], ys[..., 1:, 1:]], axis=-2)
-        weights = np.empty(r.shape + (7,))
-        np.divide(_CURVE, e, out=weights[..., :3])
-        np.multiply((beta / r)[..., None], _BEND, out=weights[..., 3:])
-        hess = (parts * weights[..., None]).swapaxes(-1, -2) @ parts
-        hess -= slopes[..., 0, 0, None, None] * _EYE2
-        terms[..., 1:3] = slopes[..., 0, 1:]
-        terms[..., 3:5] = hess[..., 0, :]
-        terms[..., 5] = hess[..., 1, 1]
-        np.copyto(terms, _CUT, where=e[..., :1] < ZERO_PROB)
-        out = np.add(terms[0], terms[1])
+        # q^T times (0, n), (0, u) and (0, v): (A, 3, 4)
+        lin = qs[:, None, 1] * frames[..., :1] + qs[:, None, 2] * frames[..., 1:2]
+        lin += qs[:, None, 3] * frames[..., 2:]
+        # x_k.x_l of the tangents, (A, 2, 2)
+        xx = lin[:, 1:, None, 1:] * lin[:, None, 1:, 1:]
+        gram = (xx[..., 0] + xx[..., 1]) + xx[..., 2]
+        # (2, A, 3, 4): each outcome's y - y0 and its derivatives y_u and y_v
+        ys = _SIGNS[:, None, None, None] * lin
+        y = qs[:, 0] + ys[:, :, 0]
+        xx = y[..., 1:] * y[..., 1:]
+        r = np.sqrt((xx[..., 0] + xx[..., 1]) + xx[..., 2])
+        # [p, e-, e+] of each outcome
+        e = np.maximum(y[..., :1] + _SPREAD * r[..., None], 0.0)
+        np.add(e[..., 1], e[..., 2], out=e[..., 0])
+        logs = np.log2(np.maximum(e, _TINY))
+        lp, lm, lq = logs[..., 0], logs[..., 1], logs[..., 2]
+        terms, xlog = np.empty(r.shape + (6,)), e * logs
+        terms[..., 0] = (xlog[..., 0] - xlog[..., 1]) - xlog[..., 2]
+        alpha, beta = ((lp + lp) - lm) - lq, lm - lq
+        # x.(y - y0), x.y_u and x.y_v; r_u and r_v
+        xx = y[..., None, 1:] * ys[..., 1:]
+        dots = (xx[..., 0] + xx[..., 1]) + xx[..., 2]
+        dr = dots[..., 1:] / r[..., None]
+        dw = ys[:, :, 1:, 0]
+        terms[..., 1:3] = alpha[..., None] * dw + beta[..., None] * dr
+        # the derivatives of [p, e-, e+] along u and v, (2, A, 3, 2)
+        de = np.stack([dw + dw, dw - dr, dw + dr], axis=-2)
+        xx = (de[..., :, None] * (_CURVE / e)[..., None, None]) * de[..., None, :]
+        bend = beta / r
+        hess = ((xx[..., 0, :, :] + xx[..., 1, :, :]) + xx[..., 2, :, :]) + bend[..., None, None] * (
+            gram - dr[..., :, None] * dr[..., None, :]
+        )
+        # a, b and c, a and c less the shift; the derivatives not finite
+        # where e- = 0 or r = 0, and below the cut
+        hess = hess.reshape(r.shape + (4,))
+        hess[..., ::3] -= (alpha * ys[:, :, 0, 0] + bend * dots[..., 0])[..., None]
+        terms[..., 3:5], terms[..., 5] = hess[..., :2], hess[..., 3]
+    np.copyto(terms[..., 1:], math.nan, where=((e[..., 1] == 0.0) | (r == 0.0))[..., None])
+    np.copyto(terms, _CUT, where=e[..., :1] < ZERO_PROB)
+    out = (0.0 + terms[0]) + terms[1]
     np.negative(out, out=out)
     out[:, 0] += s_b[rows]
     return out
 
 
-def _two_qubit_scalar_model(q, s_b: float, frame):
-    """``_two_qubit_model`` of one centre in plain floats, the same
-    formulas summed in Python's order rather than BLAS's: ``q`` is the row's
-    4 x 4 table as nested lists and ``frame`` its rows n, u and v.  Returns the six numbers of the model,
-    the derivatives NaN where an outcome falls below the zero-probability
-    cut or has e- = 0 or r = 0."""
-    (w0, b1, b2, b3), (p0, p1, p2, p3), (r0, r1, r2, r3), (t0, t1, t2, t3) = q
-    (n0, n1, n2), (u0, u1, u2), (v0, v1, v2) = frame
-    # q^T times (0, n), (0, u) and (0, v)
-    nw, nx1, nx2, nx3 = (p0 * n0 + r0 * n1 + t0 * n2, p1 * n0 + r1 * n1 + t1 * n2,
-                         p2 * n0 + r2 * n1 + t2 * n2, p3 * n0 + r3 * n1 + t3 * n2)
-    uw, ux1, ux2, ux3 = (p0 * u0 + r0 * u1 + t0 * u2, p1 * u0 + r1 * u1 + t1 * u2,
-                         p2 * u0 + r2 * u1 + t2 * u2, p3 * u0 + r3 * u1 + t3 * u2)
-    vw, vx1, vx2, vx3 = (p0 * v0 + r0 * v1 + t0 * v2, p1 * v0 + r1 * v1 + t1 * v2,
-                         p2 * v0 + r2 * v1 + t2 * v2, p3 * v0 + r3 * v1 + t3 * v2)
-    uu = ux1 * ux1 + ux2 * ux2 + ux3 * ux3
-    uv = ux1 * vx1 + ux2 * vx2 + ux3 * vx3
-    vv = vx1 * vx1 + vx2 * vx2 + vx3 * vx3
-    f = g1 = g2 = a = b = c = 0.0
-    for s in (1.0, -1.0):
-        lw, lx1, lx2, lx3 = s * nw, s * nx1, s * nx2, s * nx3
-        w, x1, x2, x3 = w0 + lw, b1 + lx1, b2 + lx2, b3 + lx3
-        r = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
-        em, ep = max(w - r, 0.0), max(w + r, 0.0)
-        p = em + ep
-        if p < ZERO_PROB:
-            g1 = g2 = a = b = c = math.nan
-            continue
-        lp, lq = math.log2(p), math.log2(ep)
-        lm = math.log2(em) if em > 0.0 else 0.0
-        f += p * lp - em * lm - ep * lq
-        if em == 0.0 or r == 0.0:
-            g1 = g2 = a = b = c = math.nan
-            continue
-        alpha, beta = lp + lp - lm - lq, lm - lq
-        dw1, dw2 = s * uw, s * vw
-        dr1 = (x1 * (s * ux1) + x2 * (s * ux2) + x3 * (s * ux3)) / r
-        dr2 = (x1 * (s * vx1) + x2 * (s * vx2) + x3 * (s * vx3)) / r
-        bend = beta / r
-        kp, km, kq = _INV_LN2 / p, -_INV_LN2 / em, -_INV_LN2 / ep
-        dp1, dm1, dq1 = dw1 + dw1, dw1 - dr1, dw1 + dr1
-        dp2, dm2, dq2 = dw2 + dw2, dw2 - dr2, dw2 + dr2
-        shift = alpha * lw + bend * (x1 * lx1 + x2 * lx2 + x3 * lx3)
-        g1 += alpha * dw1 + beta * dr1
-        g2 += alpha * dw2 + beta * dr2
-        a += dp1 * kp * dp1 + dm1 * km * dm1 + dq1 * kq * dq1 + bend * (uu - dr1 * dr1) - shift
-        b += dp1 * kp * dp2 + dm1 * km * dm2 + dq1 * kq * dq2 + bend * (uv - dr1 * dr2)
-        c += dp2 * kp * dp2 + dm2 * km * dm2 + dq2 * kq * dq2 + bend * (vv - dr2 * dr2) - shift
-    return [s_b - f, -g1, -g2, -a, -b, -c]
+def _two_qubit_scalar_model(q, rows, frames, s_b) -> list:
+    """``_two_qubit_model`` in plain floats, centre by centre, with one
+    ``np.log2`` call over all centres' [p, e-, e+]: the same operations in
+    the same order, so that the two forms agree bit for bit.  ``frames``
+    holds each centre's rows n, u and v as nested sequences."""
+    centres, eigs = [], []
+    for k, frame in zip(rows, frames):
+        (w0, b1, b2, b3), (p0, p1, p2, p3), (r0, r1, r2, r3), (t0, t1, t2, t3) = q[k].tolist()
+        (n0, n1, n2), (u0, u1, u2), (v0, v1, v2) = frame
+        # q^T times (0, n), (0, u) and (0, v)
+        nw, nx1, nx2, nx3 = (p0 * n0 + r0 * n1 + t0 * n2, p1 * n0 + r1 * n1 + t1 * n2,
+                             p2 * n0 + r2 * n1 + t2 * n2, p3 * n0 + r3 * n1 + t3 * n2)
+        uw, ux1, ux2, ux3 = (p0 * u0 + r0 * u1 + t0 * u2, p1 * u0 + r1 * u1 + t1 * u2,
+                             p2 * u0 + r2 * u1 + t2 * u2, p3 * u0 + r3 * u1 + t3 * u2)
+        vw, vx1, vx2, vx3 = (p0 * v0 + r0 * v1 + t0 * v2, p1 * v0 + r1 * v1 + t1 * v2,
+                             p2 * v0 + r2 * v1 + t2 * v2, p3 * v0 + r3 * v1 + t3 * v2)
+        outcomes = []
+        for s in (1.0, -1.0):
+            lw, lx1, lx2, lx3 = s * nw, s * nx1, s * nx2, s * nx3
+            w, x1, x2, x3 = w0 + lw, b1 + lx1, b2 + lx2, b3 + lx3
+            r = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+            em, ep = w - r, w + r
+            em, ep = 0.0 if em < 0.0 else em, 0.0 if ep < 0.0 else ep
+            p = em + ep
+            # max(x, _TINY) of x >= 0: the logs of np.maximum(e, _TINY)
+            eigs += (p or _TINY, em or _TINY, ep or _TINY)
+            outcomes.append((s, lw, lx1, lx2, lx3, x1, x2, x3, r, em, ep, p))
+        tangents = (uw, ux1, ux2, ux3, vw, vx1, vx2, vx3, ux1 * ux1 + ux2 * ux2 + ux3 * ux3,
+                    ux1 * vx1 + ux2 * vx2 + ux3 * vx3, vx1 * vx1 + vx2 * vx2 + vx3 * vx3)
+        centres.append((float(s_b[k]), tangents, outcomes))
+    models = []
+    for (sb, tangents, outcomes), logs in zip(centres, np.log2(eigs).reshape(-1, 2, 3).tolist()):
+        uw, ux1, ux2, ux3, vw, vx1, vx2, vx3, uu, uv, vv = tangents
+        f = g1 = g2 = a = b = c = 0.0
+        for (s, lw, lx1, lx2, lx3, x1, x2, x3, r, em, ep, p), (lp, lm, lq) in zip(outcomes, logs):
+            if p >= ZERO_PROB:
+                f += p * lp - em * lm - ep * lq
+            if p < ZERO_PROB or em == 0.0 or r == 0.0:
+                g1 = g2 = a = b = c = math.nan
+                continue
+            alpha, beta = lp + lp - lm - lq, lm - lq
+            dw1, dw2 = s * uw, s * vw
+            dr1 = (x1 * (s * ux1) + x2 * (s * ux2) + x3 * (s * ux3)) / r
+            dr2 = (x1 * (s * vx1) + x2 * (s * vx2) + x3 * (s * vx3)) / r
+            bend = beta / r
+            kp, km, kq = _INV_LN2 / p, -_INV_LN2 / em, -_INV_LN2 / ep
+            dp1, dm1, dq1 = dw1 + dw1, dw1 - dr1, dw1 + dr1
+            dp2, dm2, dq2 = dw2 + dw2, dw2 - dr2, dw2 + dr2
+            shift = alpha * lw + bend * (x1 * lx1 + x2 * lx2 + x3 * lx3)
+            g1 += alpha * dw1 + beta * dr1
+            g2 += alpha * dw2 + beta * dr2
+            a += dp1 * kp * dp1 + dm1 * km * dm1 + dq1 * kq * dq1 + bend * (uu - dr1 * dr1) - shift
+            b += dp1 * kp * dp2 + dm1 * km * dm2 + dq1 * kq * dq2 + bend * (uv - dr1 * dr2)
+            c += dp2 * kp * dp2 + dm2 * km * dm2 + dq2 * kq * dq2 + bend * (vv - dr2 * dr2) - shift
+        models.append([sb - f, -g1, -g2, -a, -b, -c])
+    return models
 
 
 def _two_qubit_objective(states: StateStack, s_b: np.ndarray) -> _Objective:
@@ -630,8 +633,9 @@ def _two_qubit_objective(states: StateStack, s_b: np.ndarray) -> _Objective:
     their four terms in one order whatever the product's size; the rows go
     one product each, so no entry depends on the rows around it.  A call
     runs in pieces of at most ``_PIECE`` values, so its working set is
-    bounded whatever the call's size.  The model is ``_two_qubit_model``
-    over arrays and ``_two_qubit_scalar_model`` centre by centre.
+    bounded whatever the call's size.  Model calls of at most
+    ``_FLOAT_CENTRES`` centres run ``_two_qubit_scalar_model``, larger ones
+    ``_two_qubit_model``.
     """
     # One matrix-vector product per row, the same arithmetic whatever the stack.
     products = (_PAULI_PAIRS @ states.mats.reshape(-1, 16, 1))[..., 0]
@@ -654,12 +658,13 @@ def _two_qubit_objective(states: StateStack, s_b: np.ndarray) -> _Objective:
                 _two_qubit_piece(qs[rs], t, sb[rs], out[rs, cs])
         return out
 
-    def models(rows, frames):
-        return [
-            _two_qubit_scalar_model(q[k].tolist(), float(s_b[k]), frame) for k, frame in zip(rows, frames)
-        ]
+    def model(rows, frames):
+        if len(rows) > _FLOAT_CENTRES:
+            return _two_qubit_model(q, rows, np.asarray(frames), s_b).tolist()
+        frames = frames.tolist() if isinstance(frames, np.ndarray) else frames
+        return _two_qubit_scalar_model(q, rows, frames, s_b)
 
-    return _Objective(values, lambda rows, frames: _two_qubit_model(q, rows, frames, s_b), models)
+    return _Objective(values, model)
 
 
 def _directions(angles: np.ndarray) -> np.ndarray:
@@ -931,13 +936,12 @@ def _climb(
     """Trust-region Newton ascents of the objective from the grid peaks with
     tangent ``frames`` (A, 3, 3) and grid ``values`` (A,), on state ``rows``
     (A,); each round takes the exact model (see ``_Objective``) of the
-    centres of all active ascents in one call.
+    centres of all active ascents in one ``objective.model`` call.
 
-    Round 1 models the grid peaks, as arrays over the block, and stops each
-    ascent whose model bounds the gain of any step within its radius by
-    1e-15 (every ascent on the named families stops there); later rounds
-    model the centre that each ascent's ``_trust_step`` reaches, through
-    ``objective.models``.
+    Round 1 models the grid peaks and stops each ascent whose model bounds
+    the gain of any step within its radius by 1e-15 (every ascent on the
+    named families stops there); each later round models the centre that
+    each ascent's ``_trust_step`` reaches.
     The model value at a new centre decides on the step that led there:
     accepted if it gains at least a tenth of the predicted gain, with the
     radius doubled when it gains over three quarters on the boundary;
@@ -950,40 +954,25 @@ def _climb(
     ascent's value, the higher of that objective value and the grid peak's,
     its direction, and the number of model rounds.
     """
-    first = objective.model(rows, frames)
     order, highest = rows.tolist(), values.tolist()
     # The centre of each ascent with the highest model value, None while no
     # centre rose above the grid peak
     best_at, rounds = [None] * len(highest), [1] * len(highest)
     # Each ascent that goes on is [ascent, radius, accepted centre, its value,
-    # its model].
-    going = []
-    finites = np.isfinite(first).all(axis=1).tolist()
-    for i, (finite, (_, g1, g2, a, b, c)) in enumerate(zip(finites, first.tolist())):
-        # No step within the radius gains more than |g| radius + top
-        # radius^2 / 2 in the model, top its largest curvature if positive:
-        # where that is at most 1e-15, as at every grid peak of the named
-        # families, the ascent stops without a _trust_step.
-        if finite:
+    # its model]; each move is (ascent, the centre its step reaches, and the
+    # predicted gain, length and boundary flag of the step).
+    centres, moves = (rows, frames), []
+    for k in range(1, _MAX_ROUNDS + 1):
+        models = objective.model(*centres)
+        going = []
+        # Round 1, with no moves: no step within the radius gains more than
+        # |g| radius + top radius^2 / 2, top the largest curvature if positive;
+        # at most 1e-15 (the named families' peaks), the ascent stops there.
+        for i, (_, g1, g2, a, b, c) in enumerate(models if k == 1 else ()):
             top = max(0.5 * (a + c) + math.hypot(0.5 * (a - c), b), 0.0)
             if math.hypot(g1, g2) * radius + 0.5 * top * radius * radius > 1e-15:
-                going.append([i, radius, frames[i].tolist(), highest[i], [g1, g2, a, b, c]])
-    for k in range(2, _MAX_ROUNDS + 1):
-        # The step of each ascent that goes on, from its accepted centre: the
-        # centre it reaches, with the predicted gain, length and boundary
-        # flag of the step.
-        moves = []
-        for ascent in going:
-            s1, s2, gain, boundary = _trust_step(*ascent[4], ascent[1])
-            if gain > 1e-15:
-                point = [n + s1 * u + s2 * v for n, u, v in zip(*ascent[2])]
-                norm = math.hypot(*point)
-                frame = _tangent_frame(*(x / norm for x in point))
-                moves.append((ascent, frame, gain, math.hypot(s1, s2), boundary))
-        if not moves:
-            break
-        models = objective.models([order[move[0][0]] for move in moves], [move[1] for move in moves])
-        going = []
+                if all(map(math.isfinite, model := [g1, g2, a, b, c])):
+                    going.append([i, radius, frames[i].tolist(), highest[i], model])
         for (ascent, frame, gain, length, boundary), (value, *model) in zip(moves, models):
             i = ascent[0]
             rounds[i] = k
@@ -999,6 +988,17 @@ def _climb(
                 goes = ascent[1] >= 1e-12
             if goes:
                 going.append(ascent)
+        moves = []
+        for ascent in going:
+            s1, s2, gain, boundary = _trust_step(*ascent[4], ascent[1])
+            if gain > 1e-15:
+                point = [n + s1 * u + s2 * v for n, u, v in zip(*ascent[2])]
+                norm = math.hypot(*point)
+                frame = _tangent_frame(*(x / norm for x in point))
+                moves.append((ascent, frame, gain, math.hypot(s1, s2), boundary))
+        if not moves:
+            break
+        centres = [order[move[0][0]] for move in moves], [move[1] for move in moves]
     # One objective call at the best centre of every ascent that left its
     # grid peak: the higher of that value and the peak's is the result.
     at, best = frames[:, 0].copy(), values.copy()

@@ -205,18 +205,15 @@ def sphere_objective(function, derivatives):
     (n, u, v) is the value, U g and U H U^T - (g.n) I, U = (u, v)."""
 
     def model(rows, frames):
+        frames = np.asarray(frames)
         value, grad, hess = derivatives(frames[:, 0])
         tangents = frames[:, 1:]
         g = (tangents @ grad[..., None])[..., 0]
         h = tangents @ hess @ tangents.swapaxes(-1, -2)
         h -= (grad * frames[:, 0]).sum(axis=-1)[:, None, None] * np.eye(2)
-        return np.column_stack([value, g, h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]])
+        return np.column_stack([value, g, h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]]).tolist()
 
-    return infoquant._Objective(
-        lambda rows, dirs: function(dirs),
-        model,
-        lambda rows, frames: model(np.array(rows), np.array(frames)).tolist(),
-    )
+    return infoquant._Objective(lambda rows, dirs: function(dirs), model)
 
 
 def _pauli_quarters(states):
@@ -307,15 +304,15 @@ def _reference_ascent(value, direction, radius):
 
 def _reference_climb(objective, first_row, ascents):
     """Run the ascents of a block of rows: the grid peaks' models in one
-    array call, then each ascent to its end, its later centres' models
-    through ``objective.models``.  An ascent's result is its grid peak's
-    (value, point), or the objective's value at its centre of highest model
-    value, taken alone, where that is higher; with its rounds."""
+    call, then each ascent to its end, one model call per later centre.  An
+    ascent's result is its grid peak's (value, point), or the objective's
+    value at its centre of highest model value, taken alone, where that is
+    higher; with its rounds."""
     row_of = {a: first_row + r for r, row in enumerate(ascents) for a in row}
     frames = [next(a) for a in row_of]
     firsts = objective.model(np.array(list(row_of.values())), np.array(frames))
     results = {}
-    for ascent, model in zip(row_of, firsts.tolist()):
+    for ascent, model in zip(row_of, firsts):
         while True:
             try:
                 frame = ascent.send(model)
@@ -327,7 +324,7 @@ def _reference_climb(objective, first_row, ascents):
                         peak = (value, centre)
                 results[ascent] = peak, rounds
                 break
-            (model,) = objective.models([row_of[ascent]], [frame])
+            (model,) = objective.model([row_of[ascent]], [frame])
     return results
 
 

@@ -542,6 +542,27 @@ def test_sweep_spec_malformed_entry_named(capsys, tmp_path, change, message):
     assert not list(tmp_path.glob("x*.csv"))
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (["sigma_x", {"basis": {"re": np.eye(3).tolist()}}], "observables have different dimensions: 2 vs 3"),
+        ([{"basis": {"re": np.eye(3).tolist()}}] * 2, "observable dimension 3 does not match dA = 2"),
+    ],
+)
+def test_sweep_spec_pair_of_wrong_dimension_writes_no_file(capsys, tmp_path, pair, message):
+    # The spec fails before any output file opens: no file is made, and an
+    # existing one of that name is left as it was.
+    spec = {"family": "werner", "p_start": 0.0, "p_end": 0.2, "p_step": 0.1, "pairs": [pair]}
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    for out, before in ((tmp_path / "new.csv", None), (tmp_path / "old.csv", b"p,keep\n1,2\n")):
+        if before is not None:
+            out.write_bytes(before)
+        code, _, err = run_cli(capsys, "sweep", "--spec", str(spec_path), "--out", str(out))
+        assert (code, err) == (2, f"error: {message}\n")
+        assert (out.read_bytes() if out.exists() else None) == before
+
+
 def test_sweep_spec_out_checked_without_out_flag(capsys, tmp_path, monkeypatch):
     spec = {"family": "xstate", "p_start": 0.0, "p_end": 0.2, "p_step": 0.1,
             "pairs": [["sigma_x", "sigma_z"]], "out": 5}

@@ -561,7 +561,6 @@ def _row_objective(objective, k):
     return objective._replace(
         values=lambda rows, dirs: objective.values(row[rows], dirs),
         model=lambda rows, frames: objective.model(row[rows], frames),
-        models=lambda rows, frames: objective.models([k] * len(rows), frames),
     )
 
 
@@ -953,24 +952,35 @@ def test_classical_correlation_degenerate_inputs_stay_finite():
         assert report.classical_correlation >= dense_reference_j_a(rho) - 1e-12
 
 
+def _model_in_calls(objective, rows, frames, size):
+    """``objective.model`` of the centres of ``rows`` and ``frames`` (A, 3, 3),
+    in calls of ``size`` centres, as one (A, 6) array."""
+    calls = range(0, len(rows), size)
+    return np.array([m for k in calls for m in objective.model(rows[k : k + size], frames[k : k + size])])
+
+
 def test_two_qubit_scalar_model_matches_the_array_form():
-    # 270 centres on random states of ranks 2 to 4 and the three families:
-    # the forms differ only in the order of their sums (BLAS against plain
-    # floats) and in log2 (numpy's against libm's); measured within 11 ulps
-    # of max(1, |entry|), the Hessian's sums cancelling most.
+    # The two forms run the same operations in the same order, with numpy's
+    # log2 in both, so they agree bit for bit, NaN in the same places: on
+    # 270 centres of random states of ranks 2 to 4 and the three families,
+    # and on the two-qubit cusp states at 16 directions and the pole.
     rng = np.random.default_rng(149)
     states = [random_density_matrix(rng, rank=rank) for rank in (2, 3, 4) for _ in range(20)]
     for family in ("werner", "bell_diagonal_special", "xstate"):
         stack = family_stack(family, rng.random(10))
         states += [DensityMatrix(mat, 2, 2) for mat in stack.mats]
-    stack = _stack_of(states)
+    cusps = [rho for _, rho, _ in _cusp_states() if rho.dB == 2]
+    stack = _stack_of(states + cusps)
     objective = _two_qubit_objective(stack, _state_entropies(stack)[2])
-    rows = np.repeat(np.arange(len(states)), 3)
-    frames = [_tangent_frame(*n) for n in _unit_directions(rng, len(rows)).T.tolist()]
-    array = objective.model(rows, np.array(frames))
-    scalar = np.array(objective.models(rows.tolist(), frames))
-    assert np.isfinite(array).all() and len(rows) >= 200
-    np.testing.assert_array_less(np.abs(scalar - array), 32 * np.finfo(float).eps * np.maximum(np.abs(array), 1.0))
+    rows = np.concatenate([np.repeat(np.arange(len(states)), 3), np.repeat(np.arange(len(states), len(stack)), 17)])
+    dirs = _unit_directions(rng, len(rows)).T
+    dirs[3 * len(states) + 16 :: 17] = (0.0, 0.0, 1.0)
+    frames = np.array([_tangent_frame(*n) for n in dirs.tolist()])
+    array = _model_in_calls(objective, rows, frames, len(rows))
+    assert len(rows) > infoquant._FLOAT_CENTRES and len(cusps) == 5
+    assert np.isfinite(array[: 3 * len(states)]).all() and np.isnan(array[3 * len(states) :]).any()
+    for size in (1, infoquant._FLOAT_CENTRES):
+        np.testing.assert_array_equal(_model_in_calls(objective, rows, frames, size), array)
 
 
 @pytest.mark.parametrize("dB", [2, 3, 4])
@@ -989,7 +999,8 @@ def test_model_values_are_the_objective_values(dB):
     for build, tol in builds:
         objective = build(stack, _state_entropies(stack)[2])
         values = objective.values(rows, dirs[:, :, None])[:, 0]
-        for model in (objective.model(rows, np.array(frames)), np.array(objective.models(rows.tolist(), frames))):
+        for size in (len(rows), 1):
+            model = _model_in_calls(objective, rows, np.array(frames), size)
             np.testing.assert_array_less(np.abs(model[:, 0] - values), tol, err_msg=build.__name__)
 
 
@@ -1026,7 +1037,7 @@ def test_exact_models_at_cusps_and_kernels(name, rho, finite):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         models = objective.model(np.zeros(len(frames), dtype=int), frames)
-        pole = objective.model(np.array([0]), np.array([_tangent_frame(0.0, 0.0, 1.0)]))
+        pole = objective.model([0], [_tangent_frame(0.0, 0.0, 1.0)])
         report = classical_correlation(rho)
     if finite is not None:
         assert np.isfinite(models).all() == finite

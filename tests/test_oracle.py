@@ -11,7 +11,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from eurmem.infoquant import _general_objective, _state_entropies, _tangent_frame, _two_qubit_objective
+from eurmem.infoquant import (
+    _FLOAT_CENTRES,
+    _general_objective,
+    _state_entropies,
+    _tangent_frame,
+    _two_qubit_objective,
+)
 from eurmem.matops import hermitian_eigvals
 from eurmem.states import ONE_PARAMETER_FAMILIES, DensityMatrix
 
@@ -187,7 +193,9 @@ def test_exact_models_match_the_oracle(dB, rank):
         for build in [_general_objective] + ([_two_qubit_objective] if dB == 2 else []):
             objective = build(states, s_b)
             value = objective.values(np.array([0]), n[:, None, None])[0, 0]
-            for got in (objective.model(np.array([0]), np.array([frame]))[0], objective.models([0], [frame])[0]):
+            # one centre, and more than the two-qubit plain-float limit
+            for size in (1, _FLOAT_CENTRES + 1):
+                got = objective.model([0] * size, [frame] * size)[0]
                 assert abs(got[0] - want[0]) <= MODEL_VALUE_TOL, (build.__name__, got[0], want[0])
                 np.testing.assert_allclose(got[1:], want[1:], rtol=0.0, atol=MODEL_DERIVATIVE_TOL)
                 if rank is None or dB == 2:

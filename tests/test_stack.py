@@ -110,6 +110,24 @@ def test_stack_rows_equal_one_row_calls(name, states):
         _assert_rows_match(row, applications_report(rho, x, z), f"{name} row {k}")
 
 
+def test_random_two_qubit_stack_models_round_one_as_arrays(monkeypatch):
+    # The row test above compares the two-qubit array model (round 1 of the
+    # stack, over all its grid peaks) with the plain-float one (every
+    # one-row call) only while the stack has more grid peaks than the
+    # plain-float limit.
+    calls, array_model = [], infoquant._two_qubit_model
+    monkeypatch.setattr(
+        infoquant, "_two_qubit_model", lambda q, rows, *rest: calls.append(len(rows)) or array_model(q, rows, *rest)
+    )
+    states = dict(_corpora())["random dB=2"]
+    classical_correlation_stack(_stack(states))
+    assert calls and calls[0] > infoquant._FLOAT_CENTRES
+    calls.clear()
+    for rho in states:
+        classical_correlation(rho)
+    assert calls == []
+
+
 @pytest.mark.parametrize("name, states", list(_corpora()), ids=lambda v: v if isinstance(v, str) else "")
 def test_stack_rows_do_not_depend_on_row_order(name, states):
     x, z = pauli_observable("x"), pauli_observable("z")
