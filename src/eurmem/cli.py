@@ -48,9 +48,9 @@ SWEEP_HEADER = "p,q_mu,s_cond,i_ab,i_xb,i_zb,delta,bound_berta,bound_pati,bound_
 _SWEEP_FIELDS = SWEEP_HEADER.split(",")
 _SWEEP_LINE = ",".join(["%.12g"] * len(_SWEEP_FIELDS)) + "\n"
 # Largest sweep accepted, in rows: p_step 1e-5 over [0, 1].  Each row runs
-# the J_A optimizer and the bounds, about 0.1-0.13 ms on a family state with
-# one pair (10 001-row sweeps take 1.3-1.6 s, start-up included, on a 2-vCPU
-# x86-64 host), so this is already 10-13 s of work.
+# the J_A optimizer and the bounds, about 0.04-0.08 ms on a family state with
+# one pair (10 001-row sweeps take 0.6-1.0 s, start-up included, on a 2-vCPU
+# x86-64 host), so this is already 4-8 s of work.
 MAX_SWEEP_ROWS = 100_001
 # A sweep is evaluated as stacks of this many states (one spectra pass each),
 # so that its memory does not grow with its length.

@@ -22,7 +22,7 @@ on it.  A stacked call returns a table, a dict of per-row columns, and its
 one-row view (``evaluate``, ``classical_correlation``) is a ``states.Row``
 read through ``_one_row``; a row's numbers do not depend on the rows around
 it.  Memory is bounded by the caller's stacks (the CLI sweeps 128-row
-blocks) and, in the J_A search, by ``_CALL_DIRECTIONS`` and ``_CLIMB_ROWS``.
+blocks) and, in the J_A search, by ``_CALL_VALUES`` and ``_CLIMB_ROWS``.
 
 The classical-correlation optimizer searches rank-1 projective qubit
 measurements by their Bloch direction: a coarse 12 x 24 hemisphere grid,
@@ -30,7 +30,7 @@ whose pole row is one point and evaluated once, then a trust-region
 Newton ascent on the unit sphere from each of the grid's local maxima (at
 most three), each step taking the value, gradient and Hessian in a
 tangent chart from the objective's exact model (``_Objective``).  On a
-stack, the grids of up to 16 rows share one objective call, and a climb
+stack, the grids of several rows share one objective call, and a climb
 block of up to 170 rows has one peak pass and one ascent loop, one model
 call a round: the first round models the grid peaks (every ascent on the
 named families stops after it), later ones the centres the ascents
@@ -38,11 +38,10 @@ reach.  For two qubits the objective takes the real Pauli-correlation
 form: one small matrix product per row gives the weights and Bloch
 vectors of both outcomes of each direction, and the model's derivatives
 are closed forms in them, in plain floats for a call of a few centres and
-as arrays for more, the two forms bit for bit alike.  The objective runs
+as arrays for more, the two forms bit for bit alike.  The product runs
 per row and never with a single row or column, so that BLAS sums each
-entry in one order whatever the call, in pieces whose buffers stay under
-glibc's 128 KB mmap threshold (the peak pass takes the grids 16 at a time
-for the same reason).  For dB >= 3 the same
+entry in one order whatever the call, and ``_CALL_VALUES`` bounds each
+call.  For dB >= 3 the same
 product per row, by a (4, dB^2) matrix, gives both outcomes' conditional
 states of B, which LAPACK diagonalizes; the model takes their
 eigenvectors too, and the Hessian the divided differences of log at
@@ -53,6 +52,7 @@ POVMs, although for the named state families the two coincide.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -100,7 +100,8 @@ def _entropies(w: np.ndarray) -> np.ndarray:
     """-sum w log2 w over the last axis of ``w`` (a spectrum or a probability
     vector), with entries clipped to [0, 1] so that machine-precision
     negativity cannot poison the logarithms."""
-    return -_xlog2x(np.minimum(np.maximum(w, 0.0), 1.0)).sum(axis=-1)
+    # 0.0 - sum, not -sum: a zero entropy is 0.0, never -0.0
+    return 0.0 - _xlog2x(np.minimum(np.maximum(w, 0.0), 1.0)).sum(axis=-1)
 
 
 def binary_entropy(x):
@@ -113,7 +114,7 @@ def binary_entropy(x):
     if outside.any():
         raise ValueError(f"binary entropy argument {float(x[outside][0])!r} outside [0, 1]")
     x = np.minimum(np.maximum(x, 0.0), 1.0)
-    h = -(_xlog2x(x) + _xlog2x(1.0 - x))
+    h = 0.0 - (_xlog2x(x) + _xlog2x(1.0 - x))
     return float(h) if h.ndim == 0 else h
 
 
@@ -140,7 +141,7 @@ def _state_entropies(states: StateStack) -> tuple[np.ndarray, np.ndarray, np.nda
     within 1e-10 and eigenvalues above -1e-10, inside ``von_neumann_entropy``'s checks."""
     w = np.minimum(np.maximum(np.concatenate(states.spectra, axis=-1), 0.0), 1.0)
     n = states.dA * states.dB
-    return tuple(-np.add.reduceat(_xlog2x(w), (0, n, n + states.dA), axis=-1).T)
+    return tuple(0.0 - np.add.reduceat(_xlog2x(w), (0, n, n + states.dA), axis=-1).T)
 
 
 def _conditional_sum(eigs) -> np.ndarray:
@@ -275,6 +276,11 @@ class OptimizerConfig:
     grid_phi: int = 24
 
     def __post_init__(self):
+        for name in ("grid_theta", "grid_phi"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"optimizer {name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.grid_theta < 2 or self.grid_phi < 4:
             raise ValueError("optimizer grid must have grid_theta >= 2 and grid_phi >= 4")
         if self.grid_theta * self.grid_phi > MAX_GRID_POINTS:
@@ -436,12 +442,6 @@ def _general_objective(states: StateStack, s_b: np.ndarray) -> _Objective:
 _PAULI_PAIRS = np.array(
     [np.kron(s, t).T.ravel() for s in (I2,) + PAULIS for t in (I2,) + PAULIS]
 )
-# Values per piece of a two-qubit objective call, at most: the piece's
-# buffers, its 8 matrix-product terms and its 6 log terms per value, and the
-# table of its directions, 8 entries per direction (each at most 120 KB),
-# then stay under glibc's default 128 KB mmap threshold, so every buffer
-# comes from the heap and is reused by the next piece.
-_PIECE = 1920
 # x log2 x is x times log2 of max(x, this): x itself for x > 0, and
 # 0 * -1074 = -0.0 for x = 0.  No -0.0 outlives an outcome's
 # p log2 p - sum mu log2 mu: all its terms are zeros only when p = 0 or
@@ -458,42 +458,6 @@ def _direction_table(dirs):
     table[:, 1:, :, 0] = n
     np.negative(n, out=table[:, 1:, :, 1])
     return table.reshape(len(table), 4, -1)
-
-
-def _two_qubit_piece(q, table, s_b, out):
-    """The two-qubit objective at the directions of one piece, written to
-    ``out`` (b, k): ``q`` (b, 4, 4) and ``s_b`` (b, 1) of its rows and
-    ``table`` (b or 1, 4, 2k) of its directions (``_direction_table``).
-
-    One matrix product per row, q^T times the table, gives each outcome's
-    weight (1 + a.n) / 4 and vector (b + C^T n) / 4; the outcome's
-    eigenvalues are max(weight -+ |vector|, 0) and its probability p their
-    sum.  Every piece runs the same operations in the same order, so a
-    value does not depend on the call or the piece it is in.
-    """
-    terms = np.empty((4,) + s_b.shape[:1] + table.shape[-1:])
-    np.matmul(q.transpose(0, 2, 1), table, out=terms.transpose(1, 0, 2))
-    np.multiply(terms[1:], terms[1:], out=terms[1:])
-    radius = terms[1]
-    radius += terms[2]
-    radius += terms[3]
-    np.sqrt(radius, out=radius)
-    # [p, e-, e+] of each outcome, in place of the terms
-    eigs = terms[1:]
-    np.subtract(terms[0], radius, out=eigs[1])
-    np.add(terms[0], radius, out=eigs[2])
-    np.maximum(eigs[1:], 0.0, out=eigs[1:])
-    np.add(eigs[1], eigs[2], out=eigs[0])
-    xlog = np.maximum(eigs, _TINY)
-    np.log2(xlog, out=xlog)
-    xlog *= eigs
-    # p log2 p - sum mu log2 mu per outcome, 0 below the zero-probability cut
-    xlog[1] += xlog[2]
-    cond = np.subtract(xlog[0], xlog[1], out=xlog[0])
-    np.copyto(cond, 0.0, where=eigs[0] < ZERO_PROB)
-    outcomes = cond.reshape(len(cond), -1, 2)
-    np.add(outcomes[..., 0], outcomes[..., 1], out=out)
-    np.subtract(s_b, out, out=out)
 
 
 def _two_qubit_model(q, rows, frames, s_b):
@@ -627,13 +591,13 @@ def _two_qubit_objective(states: StateStack, s_b: np.ndarray) -> _Objective:
     and C = T_{ij}, the outcome n+- has probability (1 +- a.n)/2 and its
     unnormalized conditional state on B the eigenvalues
     ((1 +- a.n) +- |b +- C^T n|)/4: both outcomes of a direction come from
-    q = T / 4 applied to (1, n) and (1, -n), one small matrix product per
-    row (``_two_qubit_piece``).  Each product has at least two rows and two
-    columns, so BLAS takes it as a matrix product, whose entries each sum
-    their four terms in one order whatever the product's size; the rows go
-    one product each, so no entry depends on the rows around it.  A call
-    runs in pieces of at most ``_PIECE`` values, so its working set is
-    bounded whatever the call's size.  Model calls of at most
+    q = T / 4 applied to (1, n) and (1, -n) (``_direction_table``), one
+    small matrix product per row.  Each product has at least two rows and
+    two columns, so BLAS takes it as a matrix product, whose entries each
+    sum their four terms in one order whatever the product's size; the rows
+    go one product each, so no entry depends on the rows around it.  A
+    ``values`` call is one run of these operations, its buffers sized by
+    the call (see ``_CALL_VALUES``).  Model calls of at most
     ``_FLOAT_CENTRES`` centres run ``_two_qubit_scalar_model``, larger ones
     ``_two_qubit_model``.
     """
@@ -642,21 +606,30 @@ def _two_qubit_objective(states: StateStack, s_b: np.ndarray) -> _Objective:
     q = (0.25 * products.real).reshape(-1, 4, 4)
 
     def values(rows, dirs):
-        qs = q[rows]
-        sb = s_b[rows, None]
-        count, size = len(qs), dirs.shape[-1]
-        shared = dirs.shape[1] == 1
-        out = np.empty((count, size))
-        # Pieces of whole rows, or of one row's directions when a row is larger.
-        step_rows, step_cols = max(1, _PIECE // size), min(size, _PIECE)
-        for c in range(0, size, step_cols):
-            cs = slice(c, c + step_cols)
-            table = _direction_table(dirs[:, :, cs]) if shared else None
-            for r in range(0, count, step_rows):
-                rs = slice(r, r + step_rows)
-                t = table if shared else _direction_table(dirs[:, rs, cs])
-                _two_qubit_piece(qs[rs], t, sb[rs], out[rs, cs])
-        return out
+        qs, table = q[rows], _direction_table(dirs)
+        terms = np.empty((4, len(qs), table.shape[-1]))
+        np.matmul(qs.transpose(0, 2, 1), table, out=terms.transpose(1, 0, 2))
+        np.multiply(terms[1:], terms[1:], out=terms[1:])
+        radius = terms[1]
+        radius += terms[2]
+        radius += terms[3]
+        np.sqrt(radius, out=radius)
+        # [p, e-, e+] of each outcome, in place of the terms
+        eigs = terms[1:]
+        np.subtract(terms[0], radius, out=eigs[1])
+        np.add(terms[0], radius, out=eigs[2])
+        np.maximum(eigs[1:], 0.0, out=eigs[1:])
+        np.add(eigs[1], eigs[2], out=eigs[0])
+        xlog = np.maximum(eigs, _TINY)
+        np.log2(xlog, out=xlog)
+        xlog *= eigs
+        # p log2 p - sum mu log2 mu per outcome, 0 below the zero-probability cut
+        xlog[1] += xlog[2]
+        cond = np.subtract(xlog[0], xlog[1], out=xlog[0])
+        np.copyto(cond, 0.0, where=eigs[0] < ZERO_PROB)
+        outcomes = cond.reshape(len(cond), -1, 2)
+        out = np.add(outcomes[..., 0], outcomes[..., 1])
+        return np.subtract(s_b[rows, None], out, out=out)
 
     def model(rows, frames):
         if len(rows) > _FLOAT_CENTRES:
@@ -752,10 +725,9 @@ def _grid_peaks(values: np.ndarray) -> list[np.ndarray]:
     count, rows, cols = values.shape
     size, half = rows * cols, cols // 2
     peak = np.empty(values.shape, dtype=bool)
-    # The peak test takes as many grids at a time as one grid call holds,
-    # so that their padded copies stay in cache and under glibc's 128 KB
-    # mmap threshold.
-    step = max(1, _CALL_DIRECTIONS // size)
+    # The peak test takes a few grids at a time, so that their padded
+    # copies stay in cache and under glibc's 128 KB mmap threshold.
+    step = max(1, _PEAK_GRIDS * _DEFAULT_GRID // size)
     for first in range(0, count, step):
         grids = values[first : first + step]
         highest = _sphere_neighbourhood(grids, np.maximum) - IMPROVE_ATOL
@@ -861,16 +833,26 @@ def _trust_step(g1: float, g2: float, a: float, b: float, c: float, radius: floa
 _MAX_ROUNDS = 60
 
 
-# Directions per objective call, at most: a grid call holds the grids of as
-# many rows as fit (16 rows of the default grid; one row, its grid split
-# into calls of this size, when a grid is larger).
-_CALL_DIRECTIONS = 16 * 288
+# Values per objective call (rows times directions), at most.  A grid call
+# holds the evaluated directions of as many rows as fit (7 rows of the
+# default grid), or a chunk of this many directions of one row when a row
+# holds more; the closing call of ``_climb`` holds at most _MAX_STARTS
+# directions per row of a climb block (510 values).  The two-qubit
+# objective's buffers, its 8 matrix-product terms per value and the table of
+# its directions (8 entries per direction), then each stay at or under
+# 120 KB, below glibc's default 128 KB mmap threshold: every buffer comes
+# from the heap and is reused by the next call, so a call takes no fresh
+# pages.
+_CALL_VALUES = 1920
+_DEFAULT_GRID = OptimizerConfig.grid_theta * OptimizerConfig.grid_phi
+# Grids of the default size per chunk of the peak test (a larger grid, fewer)
+_PEAK_GRIDS = 16
 # Rows per climb block: the rows whose grid peaks are found in one pass and
 # whose ascents share each round's model call, 170 rows of the default grid
 # (383 KB of grid values).  A block of a larger grid holds fewer rows, so
 # that its grid values take no more memory than those of the default grid.
 _CLIMB_ROWS = 170
-_CLIMB_VALUES = _CLIMB_ROWS * OptimizerConfig.grid_theta * OptimizerConfig.grid_phi
+_CLIMB_VALUES = _CLIMB_ROWS * _DEFAULT_GRID
 
 
 def _search(objective: _Objective, count: int, cfg: OptimizerConfig) -> tuple[np.ndarray, ...]:
@@ -878,9 +860,9 @@ def _search(objective: _Objective, count: int, cfg: OptimizerConfig) -> tuple[np
     ``objective`` (see ``_Objective``) on each of ``count`` state rows.
 
     The rows go in climb blocks of up to ``_CLIMB_ROWS``.  A block's grid
-    values come from calls of at most ``_CALL_DIRECTIONS`` directions, the
-    pole row (one point, one value for its signed zeros) at its last cell
-    only, whose value fills the row.  One ``_grid_peaks`` pass finds the
+    values come from calls of at most ``_CALL_VALUES`` values, the pole row
+    (one point, one value for its signed zeros) at its last cell only,
+    whose value fills the row.  One ``_grid_peaks`` pass finds the
     maxima of all its rows (at most ``_MAX_STARTS`` a row, best first).
     Each maximum starts an ascent with a radius of one grid row, and
     ``_climb`` runs the ascents of the block, one model call a round for all
@@ -895,9 +877,9 @@ def _search(objective: _Objective, count: int, cfg: OptimizerConfig) -> tuple[np
     size = dirs.shape[1]
     radius = (np.pi / 2.0) / (cfg.grid_theta - 1)
     block = max(1, min(_CLIMB_ROWS, _CLIMB_VALUES // size))
-    grid_rows = max(1, _CALL_DIRECTIONS // size)
-    chunk = min(size, _CALL_DIRECTIONS)
     pole = cfg.grid_phi - 1
+    grid_rows = max(1, _CALL_VALUES // (size - pole))
+    chunk = min(size - pole, _CALL_VALUES)
     found, grid_best = np.empty(count), np.empty(count)
     direction, rounds = np.empty((count, 3)), np.empty(count, dtype=int)
     for start in range(0, count, block):
@@ -1035,7 +1017,7 @@ def classical_correlation_stack(
     s_ab, s_a, s_b = _state_entropies(states)
     build = _two_qubit_objective if states.dB == 2 else _general_objective
     value, at, grid_best, rounds = _search(build(states, s_b), len(states), cfg)
-    j_a = np.where(0.0 > value, 0.0, value)
+    j_a = np.where(value > 0.0, value, 0.0)
     return {
         "classical_correlation": j_a,
         "discord": (s_a + s_b - s_ab) - j_a,

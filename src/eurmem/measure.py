@@ -64,6 +64,11 @@ class ProjectiveObservable:
         basis = np.array(self.basis, dtype=complex)
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise ValueError("observable basis must be a square matrix of column vectors")
+        if basis.shape[0] < 2:
+            raise ValueError(
+                "observable basis must have at least two outcomes: q' needs the "
+                "second-largest overlap of two bases, which a 1 x 1 basis lacks"
+            )
         gram = basis.conj().T @ basis
         defect = float(np.max(np.abs(gram - np.eye(basis.shape[0]))))
         if not defect <= ORTHO_ATOL:
@@ -236,7 +241,7 @@ def conditional_stack(states, bases) -> np.ndarray:
         bases = np.broadcast_arrays(*bases)
     x = np.concatenate(bases, axis=-1).swapaxes(-1, -2)  # x[p, (k, i), a] = <a|x_i>
     half = x.conj() @ states.mats.reshape(-1, dA, dB * dA * dB)
-    terms = half.reshape(len(half), -1, dB, dA, dB) * x[:, :, None, :, None]
+    terms = half.reshape(len(half), x.shape[1], dB, dA, dB) * x[:, :, None, :, None]
     return terms.sum(axis=-2).reshape(len(half), len(bases), dA, dB, dB)
 
 

@@ -225,10 +225,11 @@ def _pauli_quarters(states):
 
 def kernel_reference_two_qubit_objective(states, s_b):
     """The two-qubit objective in the operation order of
-    ``infoquant._two_qubit_objective``, as one batch without pieces: per
-    row, q^T times the columns (1, n) and (1, -n) of every direction in one
-    matrix product; then the radius as ((x^2 + y^2) + z^2), the eigenvalues
-    and ``infoquant._conditional_sum`` over both outcomes, n first."""
+    ``infoquant._two_qubit_objective``, with plain operators for its in-place
+    ones: per row, q^T times the columns (1, n) and (1, -n) of every
+    direction in one matrix product; then the radius as ((x^2 + y^2) + z^2),
+    the eigenvalues and ``infoquant._conditional_sum`` over both outcomes, n
+    first."""
     q = _pauli_quarters(states)
 
     def objective(rows, dirs):
@@ -336,8 +337,8 @@ def reference_search(objective, count, cfg):
     size = dirs.shape[1]
     radius = (np.pi / 2.0) / (cfg.grid_theta - 1)
     block = max(1, min(infoquant._CLIMB_ROWS, infoquant._CLIMB_VALUES // size))
-    grid_rows = max(1, infoquant._CALL_DIRECTIONS // size)
-    chunk = min(size, infoquant._CALL_DIRECTIONS)
+    grid_rows = max(1, infoquant._CALL_VALUES // size)
+    chunk = min(size, infoquant._CALL_VALUES)
     found = []
     for start in range(0, count, block):
         stop = min(start + block, count)

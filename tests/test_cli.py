@@ -654,6 +654,32 @@ def test_malformed_observable_spec_exits_2_naming_the_field(capsys, tmp_path, sp
 
 
 @pytest.mark.parametrize(
+    "state",
+    [
+        {"explicit": {"dA": 2, "dB": 2, "re": np.diag([1.0, 0.0, 0.0, 0.0]).tolist()}},
+        {"family": {"name": "xstate", "p": 0.0}},
+        {"family": {"name": "pure_schmidt", "lambdas": [1.0, 0.0]}},
+    ],
+)
+def test_product_state_reports_print_no_negative_zero(capsys, state):
+    # Zero entropies, Holevo quantities and J_A are 0.0, as `correction` is.
+    for command in (["bounds", "--with-discord", "--x", "x", "--z", "z"], ["discord"],
+                    ["apps", "--x", "x", "--z", "z"]):
+        code, out, err = run_cli(capsys, *command, "--state", json.dumps(state), "--format", "json")
+        assert (code, err) == (0, "")
+        assert "-0.0" not in out, command[0]
+
+
+def test_one_outcome_observable_exits_2_naming_the_reason(capsys):
+    # A dA = 1 state validates, but its only observable has one outcome.
+    state = '{"explicit": {"dA": 1, "dB": 2, "re": [[0.5, 0], [0, 0.5]]}}'
+    one = '{"basis": {"re": [[1]]}}'
+    code, out, err = run_cli(capsys, "bounds", "--state", state, "--x", one, "--z", one)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: observable basis must have at least two outcomes")
+
+
+@pytest.mark.parametrize(
     "explicit, message",
     [
         (

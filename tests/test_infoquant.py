@@ -1,5 +1,6 @@
 """Entropy, Holevo, delta, and classical-correlation optimizer tests."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -18,6 +19,7 @@ from eurmem.infoquant import (
 )
 from eurmem.infoquant import (
     IMPROVE_ATOL,
+    _CALL_VALUES,
     _directions,
     _entropies,
     _general_objective,
@@ -81,8 +83,9 @@ def test_shannon_entropy_values():
 
 
 def test_binary_entropy_values():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
+    # +0.0, never -0.0
+    assert not np.signbit(binary_entropy(0.0)) and binary_entropy(0.0) == 0.0
+    assert not np.signbit(binary_entropy(1.0)) and binary_entropy(1.0) == 0.0
     assert binary_entropy(0.5) == pytest.approx(1.0, abs=1e-15)
     assert binary_entropy(0.75) == pytest.approx(0.8112781244591328, abs=1e-12)
 
@@ -391,8 +394,8 @@ def _kernel_stacks():
 
 def _kernel_calls(states):
     """(rows, directions) of the kernel's calls on a stack: the default grid
-    in calls of 1, 5 and 16 rows; one row's 60 x 120 grid in one call, which
-    the kernel splits along its directions; and calls of nine directions
+    in calls of 1, 5 and 16 rows; one row's 60 x 120 grid in one call, above
+    the search's call bound (``_CALL_VALUES``); and calls of nine directions
     per row, with rows repeated."""
     grid = _hemisphere_grid(12, 24)[1][:, None]
     for rows in (1, 5, 16):
@@ -518,12 +521,16 @@ def _traced_peak(run):
 
 def test_two_qubit_grid_call_stays_under_the_mmap_threshold():
     # glibc serves a request of 128 KB or more (its default mmap threshold)
-    # with a fresh mapping, whose pages fault in anew; the kernel's pieces
-    # keep each buffer below it (the whole-call form peaked at ~1 080 KB).
+    # with a fresh mapping, whose pages fault in anew; a call of
+    # _CALL_VALUES values keeps each buffer below it, as rows of a grid or
+    # as one row's chunk of a larger grid (peaks of ~260 and ~350 KB; a
+    # 16-row call of the whole default grid peaks at ~600 KB).
     states = family_stack("bell_diagonal_special", np.linspace(0.0, 1.0, 101))
     objective = _two_qubit_objective(states, _state_entropies(states)[2]).values
-    grid = _hemisphere_grid(12, 24)[1][:, None]
-    assert _traced_peak(lambda: objective(slice(16, 32), grid)) <= 512 * 1024
+    grid, dense = (_hemisphere_grid(*shape)[1][:, None] for shape in ((12, 24), (60, 120)))
+    for rows, dirs in ((slice(16, 24), grid[..., :240]), (slice(16, 17), dense[..., :1920])):
+        assert objective(rows, dirs).size == _CALL_VALUES
+        assert _traced_peak(lambda: objective(rows, dirs)) <= 512 * 1024
 
 
 @pytest.mark.parametrize("family", ["bell_diagonal_special", "xstate"])
@@ -661,6 +668,17 @@ def test_optimizer_config_validation():
     OptimizerConfig(256, 256)
     with pytest.raises(ValueError, match="258 = 66048 points is above the limit of 65536"):
         OptimizerConfig(256, 258)
+    # each field an integer, named when it is not; numpy integers pass as ints
+    for args, message in (
+        ((12.5, 24), "grid_theta must be an integer, got 12.5"),
+        ((12, 24.0), "grid_phi must be an integer, got 24.0"),
+        (("12", 24), "grid_theta must be an integer, got '12'"),
+        ((True, 24), "grid_theta must be an integer, got True"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OptimizerConfig(*args)
+    cfg = OptimizerConfig(np.int64(12), np.int32(24))
+    assert cfg == OptimizerConfig() and type(cfg.grid_theta) is type(cfg.grid_phi) is int
 
 
 def test_classical_correlation_coarse_grid_still_converges():
@@ -772,7 +790,7 @@ def test_grid_peaks_match_full_grid_label_spreading(shape):
         objective = _two_qubit_objective(states, _state_entropies(states)[2]).values
         for k in range(len(states)):
             grids.append(objective(slice(k, k + 1), dirs[:, None]).reshape(shape))
-    # one grid at a time, and stacks of 16 grids, as the search's row blocks
+    # one grid at a time, and stacks of 16 grids, as the peak test's chunks
     want = [spreading_grid_peaks(values) for values in grids]
     for values, peaks in zip(grids, want):
         np.testing.assert_array_equal(_peaks(values), peaks)

@@ -85,6 +85,11 @@ def test_orthonormality_enforced():
         observable_from_basis(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
+def test_one_outcome_basis_is_rejected():
+    with pytest.raises(ValueError, match="at least two outcomes"):
+        observable_from_basis(np.array([[1.0]]))
+
+
 def test_overlap_identity_for_equal_bases():
     x = pauli_observable("x")
     np.testing.assert_allclose(overlaps(x.basis, x.basis), np.eye(2), atol=1e-12)

@@ -18,7 +18,7 @@ from eurmem import infoquant
 from eurmem.apps import _verdict, applications_report, applications_table, witness
 from eurmem.bounds import bounds_report, bounds_table, closed_form_curves
 from eurmem.infoquant import (
-    _CALL_DIRECTIONS,
+    _CALL_VALUES,
     _CLIMB_ROWS,
     OptimizerConfig,
     _canonical_directions,
@@ -162,10 +162,33 @@ def test_qutrit_stack_rows_equal_one_row_calls(dB):
             _assert_rows_match(row, bounds_report(rho, xk, zk).to_dict(), where)
 
 
+@pytest.mark.parametrize("dB", [2, 3])
+def test_every_stacked_call_on_an_empty_stack_returns_empty_columns(dB):
+    # the same keys as on one row, each column of 0 rows (None stays None)
+    one = _random_corpus(dB, 1, 29)[0].stack
+    empty = family_stack("werner", []) if dB == 2 else StateStack(np.zeros((0, 2 * dB, 2 * dB)), 2, dB)
+    x, z = pauli_observable("x"), pauli_observable("z")
+    calls = [
+        lambda states: evaluate_stack(states, x, z),
+        lambda states: bounds_table(states, x, z),
+        lambda states: bounds_table(states, x, z, classical_correlation_stack(states)),
+        lambda states: applications_table(states, x, z),
+        classical_correlation_stack,
+    ]
+    for call in calls:
+        want, got = call(one), call(empty)
+        assert list(got) == list(want)
+        for key, col in got.items():
+            if want[key] is None:
+                assert col is None, key
+            else:
+                assert col.shape == (0,) + want[key].shape[1:], key
+
+
 def _counted_search(monkeypatch):
-    """Count the J_A search's work: the directions of each objective call,
-    and the ``_grid_peaks`` and ``_climb`` passes."""
-    seen = {"directions": [], "_grid_peaks": 0, "_climb": 0}
+    """Count the J_A search's work: the shape (rows, directions) of each
+    objective call, and the ``_grid_peaks`` and ``_climb`` passes."""
+    seen = {"calls": [], "_grid_peaks": 0, "_climb": 0}
     for name in ("_two_qubit_objective", "_general_objective"):
 
         def build(states, s_b, build=getattr(infoquant, name)):
@@ -173,7 +196,7 @@ def _counted_search(monkeypatch):
 
             def counted(rows, dirs):
                 values = objective.values(rows, dirs)
-                seen["directions"].append(values.size)
+                seen["calls"].append(values.shape)
                 return values
 
             return objective._replace(values=counted)
@@ -189,15 +212,19 @@ def _counted_search(monkeypatch):
     return seen
 
 
+def _largest_call(seen):
+    return max(rows * directions for rows, directions in seen["calls"])
+
+
 @pytest.mark.parametrize("family", ["bell_diagonal_special", "xstate", "werner"])
 def test_a_preset_stack_takes_one_peak_pass_and_one_ascent_loop(monkeypatch, family):
     seen = _counted_search(monkeypatch)
     classical_correlation_stack(family_stack(family, np.linspace(0.0, 1.0, 101)))
     assert seen["_grid_peaks"] == seen["_climb"] == 1
-    # seven grid calls of at most 16 rows, each row's pole evaluated once
+    # fifteen grid calls of at most 7 rows, each row's pole evaluated once
     # (288 - 23 directions), then the ascent rounds
-    assert seen["directions"][:7] == [16 * 265] * 6 + [5 * 265]
-    assert max(seen["directions"]) <= _CALL_DIRECTIONS
+    assert seen["calls"][:15] == [(7, 265)] * 14 + [(3, 265)]
+    assert _largest_call(seen) <= _CALL_VALUES
 
 
 def test_climb_blocks_keep_every_row_of_a_long_stack(monkeypatch):
@@ -207,7 +234,7 @@ def test_climb_blocks_keep_every_row_of_a_long_stack(monkeypatch):
     corr = classical_correlation_stack(_stack(states))
     assert _CLIMB_ROWS == 170
     assert seen["_grid_peaks"] == seen["_climb"] == 3
-    assert max(seen["directions"]) <= _CALL_DIRECTIONS
+    assert _largest_call(seen) <= _CALL_VALUES
     for k, one in enumerate(singles):
         _assert_rows_match(_table_row(corr, k), one, f"row {k}")
 
@@ -219,13 +246,27 @@ def test_a_grid_above_the_call_cap_is_split(monkeypatch, dB):
     singles = [_correlation_fields(classical_correlation(rho, cfg)) for rho in states]
     seen = _counted_search(monkeypatch)
     classical_correlation(states[0], cfg)
-    # the pole row's 120 cells take one direction
-    assert seen["directions"][:2] == [_CALL_DIRECTIONS, 7200 - 119 - _CALL_DIRECTIONS]
-    assert max(seen["directions"]) <= _CALL_DIRECTIONS
+    # the pole row's 120 cells take one direction, and the row's other
+    # 7 081 go in calls of at most _CALL_VALUES
+    assert seen["calls"][:4] == [(1, 1920)] * 3 + [(1, 1321)]
+    assert _largest_call(seen) <= _CALL_VALUES
     corr = classical_correlation_stack(_stack(states), cfg)
-    assert max(seen["directions"]) <= _CALL_DIRECTIONS
+    assert _largest_call(seen) <= _CALL_VALUES
     for k, one in enumerate(singles):
         _assert_rows_match(_table_row(corr, k), one, f"row {k}")
+
+
+@pytest.mark.parametrize("dB", [2, 4])
+def test_every_objective_call_holds_at_most_call_values(monkeypatch, dB):
+    # A full climb block and part of the next, whose ascents leave their
+    # grid peaks, so that each block's closing call (one direction per
+    # ascent) runs too.
+    seen = _counted_search(monkeypatch)
+    classical_correlation_stack(_stack(_random_corpus(dB, 200, 23)))
+    assert seen["_climb"] == 2
+    closing = [rows for rows, directions in seen["calls"] if directions == 1]
+    assert len(closing) == 2 and max(closing) <= 3 * _CLIMB_ROWS
+    assert _largest_call(seen) <= _CALL_VALUES
 
 
 # 2.5 times the traced J_A peak of a 128-row bell_diagonal_special stack
