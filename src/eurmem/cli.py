@@ -103,8 +103,11 @@ def _load_observable_arg(arg: str):
         ) from None
 
 
-def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(grid_theta=args.grid_theta, grid_phi=args.grid_phi)
+def _optimizer_config(args) -> OptimizerConfig | None:
+    """The config of the grid flags given, the other at its default; None
+    without either, so that the J_A search takes its default for the state's dB."""
+    grid = {name: getattr(args, name) for name in ("grid_theta", "grid_phi") if getattr(args, name) is not None}
+    return OptimizerConfig(**grid) if grid else None
 
 
 def _emit(text: str, out: str | None):
@@ -328,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "table", "csv"), default="json")
         p.add_argument("--out", help="write output to this path instead of stdout")
         if optimizer:
-            p.add_argument("--grid-theta", type=int, default=OptimizerConfig.grid_theta)
-            p.add_argument("--grid-phi", type=int, default=OptimizerConfig.grid_phi)
+            p.add_argument("--grid-theta", type=int)
+            p.add_argument("--grid-phi", type=int)
 
     p_bounds = sub.add_parser("bounds", help="bound report for one (state, X, Z) triple")
     add_common(p_bounds, observables=True, optimizer=True)
@@ -355,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--x", help="first observable spec (custom sweeps)")
     p_sweep.add_argument("--z", help="second observable spec (custom sweeps)")
     p_sweep.add_argument("--out", help="output CSV path")
-    p_sweep.add_argument("--grid-theta", type=int, default=OptimizerConfig.grid_theta)
-    p_sweep.add_argument("--grid-phi", type=int, default=OptimizerConfig.grid_phi)
+    p_sweep.add_argument("--grid-theta", type=int)
+    p_sweep.add_argument("--grid-phi", type=int)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_discord = sub.add_parser("discord", help="classical correlation and discord")

@@ -25,16 +25,19 @@ it.  Memory is bounded by the caller's stacks (the CLI sweeps 128-row
 blocks) and, in the J_A search, by ``_CALL_VALUES`` and ``_CLIMB_ROWS``.
 
 The classical-correlation optimizer searches rank-1 projective qubit
-measurements by their Bloch direction: a coarse 12 x 24 hemisphere grid,
-whose pole row is one point and evaluated once, then a trust-region
-Newton ascent on the unit sphere from each of the grid's local maxima (at
-most three), each step taking the value, gradient and Hessian in a
-tangent chart from the objective's exact model (``_Objective``).  On a
-stack, the grids of several rows share one objective call, and a climb
-block of up to 170 rows has one peak pass and one ascent loop, one model
-call a round: the first round models the grid peaks (every ascent on the
-named families stops after it), later ones the centres the ascents
-reach.  For two qubits the objective takes the real Pauli-correlation
+measurements by their Bloch direction: a coarse hemisphere grid (12 x 24
+for dB = 2, 6 x 12 for dB >= 3; ``_default_grid``), whose pole row is one
+point and evaluated once, then a trust-region Newton ascent on the unit
+sphere from each of the grid's local maxima (at most three) and, for
+dB >= 3, from one seed: the best of the axes of the state's correlation
+blocks and A's Bloch vector.  Each step takes the value, gradient and
+Hessian in a tangent chart from the objective's exact model
+(``_Objective``); ``iterations`` counts the rounds of every start, the
+seed's included.  On a stack, the grids of several rows share one
+objective call, and a climb block of up to 170 rows has one peak pass and
+one ascent loop, one model call a round: the first round models the
+starts (every ascent on the named families stops after it), later ones
+the centres the ascents reach.  For two qubits the objective takes the real Pauli-correlation
 form: one small matrix product per row gives the weights and Bloch
 vectors of both outcomes of each direction, and the model's derivatives
 are closed forms in them, in plain floats for a call of a few centres and
@@ -86,7 +89,8 @@ PROB_SUM_ATOL = 1e-9
 # Grid values closer than this are tied, and a later ascent must beat the
 # first by more than this to win.
 IMPROVE_ATOL = 1e-13
-# Local maxima of the grid refined, best first.
+# Local maxima of the grid refined, best first; for dB >= 3 the row's best
+# seed is one start more, after them.
 _MAX_STARTS = 3
 
 
@@ -175,14 +179,17 @@ def _observables(obs) -> list[ProjectiveObservable]:
     return [obs] if isinstance(obs, ProjectiveObservable) else list(obs)
 
 
-def _bases(observables: list[ProjectiveObservable], distinct, rows: int) -> np.ndarray:
+def _bases(observables: list[ProjectiveObservable], distinct, states: StateStack) -> np.ndarray:
     """The (1, d, d) basis of one observable for all rows, or the (P, d, d)
     bases of one observable per row, gathered by one index from those of the
-    ``distinct`` observables, which include them all."""
+    ``distinct`` observables, which include them all; (0, dA, dA) for no
+    observables on no rows."""
     if len(observables) == 1:
         return observables[0].basis[None]
-    if len(observables) != rows:
-        raise ValueError(f"got {len(observables)} observables for a stack of {rows} states")
+    if len(observables) != len(states):
+        raise ValueError(f"got {len(observables)} observables for a stack of {len(states)} states")
+    if not observables:
+        return np.empty((0, states.dA, states.dA), dtype=complex)
     position = {obs: k for k, obs in enumerate(distinct)}
     return np.stack([obs.basis for obs in distinct])[[position[obs] for obs in observables]]
 
@@ -201,7 +208,7 @@ def evaluate_stack(states: StateStack, x, z) -> dict[str, np.ndarray]:
     # Each distinct observable once, X first, so that a mismatch names X's dimension.
     distinct = dict.fromkeys(xs + zs)
     require_on_a(states, *distinct)
-    bases = [_bases(xs, distinct, len(states)), _bases(zs, distinct, len(states))]
+    bases = [_bases(xs, distinct, states), _bases(zs, distinct, states)]
     s_ab, s_a, s_b = _state_entropies(states)
     probs, omegas, shannons, holevos = _outcome_terms(states, bases, s_b)
     q_mu, q_prime = np.broadcast_to(incompatibility(overlaps(*bases)), (2, len(states)))
@@ -270,7 +277,8 @@ MAX_GRID_POINTS = 65_536
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Grid resolution of the J_A search."""
+    """Grid resolution of the J_A search.  Without a config the search takes
+    these defaults, 12 x 24, for dB = 2, and 6 x 12 for dB >= 3."""
 
     grid_theta: int = 12
     grid_phi: int = 24
@@ -295,6 +303,12 @@ class OptimizerConfig:
             )
 
 
+def _default_grid(dB: int) -> OptimizerConfig:
+    """The J_A grid when none is given: 12 x 24 for dB = 2, and 6 x 12 for
+    dB >= 3, whose search also climbs from a seed (see ``_search``)."""
+    return OptimizerConfig() if dB == 2 else OptimizerConfig(6, 12)
+
+
 class _Objective(NamedTuple):
     """I(P_n;B) of the rows of a state stack over Bloch directions n, with its
     exact model in a tangent chart.
@@ -315,10 +329,15 @@ class _Objective(NamedTuple):
     probability reaches 0 only on a product state with a pure rho^A, where
     the objective is 0 everywhere), and, for two qubits, where an outcome's
     smaller eigenvalue is 0 or its Bloch vector x is 0.
+
+    ``seeds(rows)``, where given, maps state rows as ``values`` takes them
+    to S unit directions of each, (3, B, S), of which ``_search`` climbs the
+    best.
     """
 
     values: Callable
     model: Callable
+    seeds: Callable | None = None
 
 
 _SIGNS = np.array([1.0, -1.0])
@@ -360,11 +379,28 @@ def _general_objective(states: StateStack, s_b: np.ndarray) -> _Objective:
     cancel exactly where the kernel keeps its dimension along the sphere,
     as it does for a state of rank k < dB, whose conditional states have
     rank k; where it does not, the objective is not smooth.
+
+    For dB >= 3 the seeds of a row are the eigenvectors of K_ij =
+    Re tr(T_i' T_j'), T_i' the traceless part of T_i, from one batched 3 x 3
+    ``eigh`` (on Bell-diagonal states the optimum lies on such an axis; Luo,
+    PRA 77, 042303, 2008), and A's Bloch vector a = (tr T_i), or K's first
+    eigenvector again where a = 0.  For dB = 2 there are none, as for
+    ``_two_qubit_objective``, whose search this objective then reproduces.
     """
     dB = states.dB
     r5 = states.mats.reshape(-1, 2, dB, 2, dB)
     blocks = [states.reduced_b()] + [np.einsum("pq,rqjpk->rjk", sigma, r5) for sigma in PAULIS]
     halves = (0.5 * np.stack(blocks, axis=1)).reshape(-1, 4, dB * dB).view(float)
+
+    def seeds(rows):
+        # T_i / 2 as reals, whose dot products are Re tr(T_i T_j) / 4, and tr T_i / 2
+        t = halves[rows, 1:]
+        traces = t[..., :: 2 * (dB + 1)].sum(axis=-1)
+        k = t @ t.swapaxes(-1, -2) - traces[:, :, None] * (traces[:, None, :] / dB)
+        vecs = np.linalg.eigh(k)[1]
+        norm = np.sqrt((traces * traces).sum(axis=-1, keepdims=True))
+        bloch = np.divide(traces, norm, out=vecs[..., 0].copy(), where=norm > 0.0)
+        return np.concatenate([vecs, bloch[..., None]], axis=-1).transpose(1, 0, 2)
 
     def values(rows, dirs):
         omegas = (_direction_table(dirs).transpose(0, 2, 1) @ halves[rows]).view(complex)
@@ -435,7 +471,7 @@ def _general_objective(states: StateStack, s_b: np.ndarray) -> _Objective:
         out[:, 0] += s_b[rows]
         return out.tolist()
 
-    return _Objective(values, model)
+    return _Objective(values, model, seeds if dB > 2 else None)
 
 
 # Row (mu, nu) of this matrix dotted with vec(rho) is T_{mu nu} = tr(rho sigma_mu (x) sigma_nu).
@@ -835,14 +871,15 @@ _MAX_ROUNDS = 60
 
 # Values per objective call (rows times directions), at most.  A grid call
 # holds the evaluated directions of as many rows as fit (7 rows of the
-# default grid), or a chunk of this many directions of one row when a row
-# holds more; the closing call of ``_climb`` holds at most _MAX_STARTS
-# directions per row of a climb block (510 values).  The two-qubit
-# objective's buffers, its 8 matrix-product terms per value and the table of
-# its directions (8 entries per direction), then each stay at or under
-# 120 KB, below glibc's default 128 KB mmap threshold: every buffer comes
-# from the heap and is reused by the next call, so a call takes no fresh
-# pages.
+# two-qubit default grid), or a chunk of this many directions of one row
+# when a row holds more; the closing call of ``_climb`` holds at most one
+# direction per start of a climb block: 510 values for two qubits
+# (_MAX_STARTS a row), 680 for dB >= 3 (one seed start more), as many as
+# the call that scores the seeds (four a row).  The two-qubit objective's
+# buffers, its 8 matrix-product terms per value and the table of its
+# directions (8 entries per direction), then each stay at or under 120 KB,
+# below glibc's default 128 KB mmap threshold: every buffer comes from the
+# heap and is reused by the next call, so a call takes no fresh pages.
 _CALL_VALUES = 1920
 _DEFAULT_GRID = OptimizerConfig.grid_theta * OptimizerConfig.grid_phi
 # Grids of the default size per chunk of the peak test (a larger grid, fewer)
@@ -856,21 +893,25 @@ _CLIMB_VALUES = _CLIMB_ROWS * _DEFAULT_GRID
 
 
 def _search(objective: _Objective, count: int, cfg: OptimizerConfig) -> tuple[np.ndarray, ...]:
-    """Grid search, then trust-region Newton ascent from every grid peak, of
-    ``objective`` (see ``_Objective``) on each of ``count`` state rows.
+    """Grid search, then trust-region Newton ascent from every grid peak and
+    from one seed, of ``objective`` (see ``_Objective``) on each of
+    ``count`` state rows.
 
     The rows go in climb blocks of up to ``_CLIMB_ROWS``.  A block's grid
     values come from calls of at most ``_CALL_VALUES`` values, the pole row
     (one point, one value for its signed zeros) at its last cell only,
     whose value fills the row.  One ``_grid_peaks`` pass finds the
     maxima of all its rows (at most ``_MAX_STARTS`` a row, best first).
-    Each maximum starts an ascent with a radius of one grid row, and
-    ``_climb`` runs the ascents of the block, one model call a round for all
-    of them.  Each ascent's result is an objective value at a direction it
-    visited, the Holevo quantity of a real measurement, so J_A never
-    exceeds the truth.  A row's first ascent wins unless a later one ends
-    more than ``IMPROVE_ATOL`` higher.  Returns the columns value, direction
-    (count, 3), grid maximum and model rounds of all the row's ascents.
+    Where the objective has seeds, one ``values`` call scores those of the
+    block's rows, and each row's best seed (ties to the first) is one more
+    start, after its grid peaks.  Each start begins an ascent with a radius
+    of one grid row, and ``_climb`` runs the ascents of the block, one
+    model call a round for all of them.  Each ascent's result is an
+    objective value at a direction it visited, the Holevo quantity of a
+    real measurement, so J_A never exceeds the truth.  A row's first ascent
+    wins unless a later one ends more than ``IMPROVE_ATOL`` higher.  Returns
+    the columns value, direction (count, 3), grid maximum (over the grid
+    only) and model rounds of all the row's ascents, the seed's included.
     """
     _, dirs = _hemisphere_grid(cfg.grid_theta, cfg.grid_phi)
     frames = _grid_frames(cfg.grid_theta, cfg.grid_phi)
@@ -898,7 +939,19 @@ def _search(objective: _Objective, count: int, cfg: OptimizerConfig) -> tuple[np
         counts = [len(cells) for cells in starts]
         cells = np.concatenate(starts)
         row = np.repeat(np.arange(start, stop), counts)
-        best, at, steps = _climb(objective, row, values[row - start, cells], frames[cells], radius)
+        peak_values, peak_frames = values[row - start, cells], frames[cells]
+        if objective.seeds is not None:
+            seeds = objective.seeds(slice(start, stop))
+            scores = objective.values(slice(start, stop), seeds)
+            each, pick = np.arange(stop - start), scores.argmax(axis=1)
+            seed_frames = [_tangent_frame(*n) for n in seeds[:, each, pick].T.tolist()]
+            # each row's best seed, after its grid peaks
+            ends = np.cumsum(counts)
+            row = np.insert(row, ends, each + start)
+            peak_values = np.insert(peak_values, ends, scores[each, pick])
+            peak_frames = np.insert(peak_frames, ends, seed_frames, axis=0)
+            counts = [n + 1 for n in counts]
+        best, at, steps = _climb(objective, row, peak_values, peak_frames, radius)
         ends, steps = best.tolist(), steps.tolist()
         grid_best[start:stop] = values.max(axis=1)
         first = 0
@@ -915,12 +968,13 @@ def _search(objective: _Objective, count: int, cfg: OptimizerConfig) -> tuple[np
 def _climb(
     objective: _Objective, rows: np.ndarray, values: np.ndarray, frames: np.ndarray, radius: float
 ):
-    """Trust-region Newton ascents of the objective from the grid peaks with
-    tangent ``frames`` (A, 3, 3) and grid ``values`` (A,), on state ``rows``
-    (A,); each round takes the exact model (see ``_Objective``) of the
-    centres of all active ascents in one ``objective.model`` call.
+    """Trust-region Newton ascents of the objective from the starts (grid
+    peaks and seeds) with tangent ``frames`` (A, 3, 3) and objective
+    ``values`` (A,), on state ``rows`` (A,); each round takes the exact model
+    (see ``_Objective``) of the centres of all active ascents in one
+    ``objective.model`` call.
 
-    Round 1 models the grid peaks and stops each ascent whose model bounds
+    Round 1 models the starts and stops each ascent whose model bounds
     the gain of any step within its radius by 1e-15 (every ascent on the
     named families stops there); each later round models the centre that
     each ascent's ``_trust_step`` reaches.
@@ -932,9 +986,9 @@ def _climb(
     predicted gain of its step falls to 1e-15 or the radius below 1e-12, or
     after ``_MAX_ROUNDS``, and drops out of the next call.  Then one
     ``objective.values`` call takes the objective at the centre of highest
-    model value of every ascent that rose above its grid peak.  Returns each
-    ascent's value, the higher of that objective value and the grid peak's,
-    its direction, and the number of model rounds.
+    model value of every ascent that rose above its start.  Returns each
+    ascent's value, the higher of that objective value and the start's, its
+    direction, and the number of model rounds.
     """
     order, highest = rows.tolist(), values.tolist()
     # The centre of each ascent with the highest model value, None while no
@@ -1000,20 +1054,22 @@ def classical_correlation_stack(
     for every row of a state stack.
 
     A coarse grid over the upper hemisphere (directions n and -n induce the
-    same two-outcome measurement) seeds a trust-region Newton ascent on the
-    sphere from each of its local maxima (see ``_search``).  Grid ties
-    resolve to the lowest (theta, phi) index, so the result is
-    deterministic, and a row's result does not depend on the other rows.
-    Two-qubit states use the real Pauli-correlation objective, wider B the
-    LAPACK one.  S(rho^B) and I(A;B) come from the stack's spectra.  Returns
-    the columns J_A, the discord D_A = I(A;B) - J_A, the canonical optimal
-    direction (shape (P, 3)) and the optimizer trace: the best grid value,
-    the refined value and the model rounds of all starts (``iterations``;
-    round 1 models the grid peaks).
+    same two-outcome measurement), ``config`` or else 12 x 24 for dB = 2 and
+    6 x 12 for dB >= 3, starts a trust-region Newton ascent on the sphere
+    from each of its local maxima and, for dB >= 3, from the row's best
+    seed (see ``_search``).  Grid and seed ties resolve to the lowest index,
+    so the result is deterministic, and a row's result does not depend on
+    the other rows.  Two-qubit states use the real Pauli-correlation
+    objective, wider B the LAPACK one.  S(rho^B) and I(A;B) come from the
+    stack's spectra.  Returns the columns J_A, the discord
+    D_A = I(A;B) - J_A, the canonical optimal direction (shape (P, 3)) and
+    the optimizer trace: the best grid value, the refined value and the
+    model rounds of all starts, the seed's included (``iterations``; round 1
+    models the starts).
     """
     if states.dA != 2:
         raise ValueError(f"classical_correlation supports dA = 2 only, got dA = {states.dA}")
-    cfg = config or OptimizerConfig()
+    cfg = config or _default_grid(states.dB)
     s_ab, s_a, s_b = _state_entropies(states)
     build = _two_qubit_objective if states.dB == 2 else _general_objective
     value, at, grid_best, rounds = _search(build(states, s_b), len(states), cfg)

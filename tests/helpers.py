@@ -38,6 +38,27 @@ def random_density_matrix(
     return DensityMatrix(m / np.trace(m).real, dA, dB)
 
 
+def hard_x_matrices(rng: np.random.Generator, dB: int, count: int) -> np.ndarray:
+    """``count`` X-states near the PSD boundary (Dirichlet(0.3) diagonals,
+    coherences at 0.9 to 1 of their largest value), hidden by random local
+    unitaries, with B embedded in C^dB by a random isometry for dB > 2: the
+    states on which a coarse J_A grid's peaks can miss the optimum."""
+    mats = []
+    for _ in range(count):
+        dd = rng.dirichlet(np.ones(4) * 0.3)
+        z = np.sqrt(dd[0] * dd[3]) * rng.uniform(0.9, 1) * np.exp(2j * np.pi * rng.uniform())
+        w = np.sqrt(dd[1] * dd[2]) * rng.uniform(0.9, 1) * np.exp(2j * np.pi * rng.uniform())
+        m = np.diag(dd).astype(complex)
+        m[0, 3], m[3, 0], m[1, 2], m[2, 1] = z, np.conj(z), w, np.conj(w)
+        u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+        m = u @ m @ u.conj().T
+        if dB > 2:
+            embed = np.kron(np.eye(2), random_unitary(rng, dB)[:, :2])
+            m = embed @ m @ embed.conj().T
+        mats.append(m)
+    return np.array(mats)
+
+
 def random_observable(rng: np.random.Generator, d: int = 2) -> ProjectiveObservable:
     return observable_from_basis(random_unitary(rng, d))
 
@@ -331,8 +352,8 @@ def _reference_climb(objective, first_row, ascents):
 
 def reference_search(objective, count, cfg):
     """``infoquant._search`` with one generator per ascent, each sent its
-    centres' models; the same (value, direction, grid maximum, rounds) per
-    row."""
+    centres' models, and each row's seeds scored on their own; the same
+    (value, direction, grid maximum, rounds) per row."""
     _, dirs = infoquant._hemisphere_grid(cfg.grid_theta, cfg.grid_phi)
     size = dirs.shape[1]
     radius = (np.pi / 2.0) / (cfg.grid_theta - 1)
@@ -354,6 +375,13 @@ def reference_search(objective, count, cfg):
             [_reference_ascent(float(v[k]), dirs[:, k], radius) for k in cells[: infoquant._MAX_STARTS]]
             for v, cells in zip(values, peaks)
         ]
+        if objective.seeds is not None:
+            # each row's best seed, ties to the first, after its grid peaks
+            for row, ascent in enumerate(ascents, start):
+                seeds = objective.seeds(slice(row, row + 1))[:, 0]
+                scores = objective.values(slice(row, row + 1), seeds[:, None])[0].tolist()
+                k = scores.index(max(scores))
+                ascent.append(_reference_ascent(scores[k], seeds[:, k], radius))
         results = _reference_climb(objective, start, ascents)
         for grid_best, row in zip(values.max(axis=1).tolist(), ascents):
             (value, direction), _ = results[row[0]]

@@ -821,6 +821,20 @@ def test_sweep_spanning_row_blocks_matches_per_row_reports(tmp_path, capsys):
     assert traced_peak(0.0005, "longer") <= 1.5 * traced_peak(0.001, "long")
 
 
+def test_discord_without_grid_flags_takes_the_default_grid_of_its_db(capsys):
+    # no flag: the per-dB default (6 x 12 for dB = 3); one flag: the other at 12 x 24's value
+    rho = random_density_matrix(np.random.default_rng(5), dB=3)
+    state = json.dumps(to_spec(rho))
+    reports = {}
+    for flags in ((), ("--grid-theta", "12"), ("--grid-theta", "6", "--grid-phi", "12")):
+        code, out, _ = run_cli(capsys, "discord", "--state", state, *flags)
+        assert code == 0
+        reports[flags] = json.loads(out)
+    want = classical_correlation(rho).to_dict()
+    assert reports[()] == reports[("--grid-theta", "6", "--grid-phi", "12")] == json.loads(json.dumps(want))
+    assert reports[("--grid-theta", "12")]["grid_best"] != want["grid_best"]
+
+
 def test_parser_is_built_once_and_keeps_no_parsed_state(capsys):
     # a generic state, whose grid maximum depends on the grid
     state = json.dumps(to_spec(random_density_matrix(np.random.default_rng(3))))

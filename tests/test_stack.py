@@ -38,6 +38,7 @@ from eurmem.states import (
     StateValidationError,
     family_stack,
     validate,
+    werner,
 )
 
 from helpers import random_density_matrix, random_observable
@@ -183,6 +184,23 @@ def test_every_stacked_call_on_an_empty_stack_returns_empty_columns(dB):
                 assert col is None, key
             else:
                 assert col.shape == (0,) + want[key].shape[1:], key
+
+
+def test_an_empty_stack_takes_empty_observable_lists():
+    # one observable per row, none for no rows: columns of 0 rows, shaped as
+    # those of one row with one observable each
+    one, empty = werner(0.5).stack, family_stack("werner", [])
+    x, z = pauli_observable("x"), pauli_observable("z")
+    calls = [
+        lambda states, xs, zs: evaluate_stack(states, xs, zs),
+        lambda states, xs, zs: bounds_table(states, xs, zs, classical_correlation_stack(states)),
+        lambda states, xs, zs: applications_table(states, xs, zs),
+    ]
+    for call in calls:
+        want, got = call(one, [x], [z]), call(empty, [], [])
+        assert list(got) == list(want)
+        for key, col in got.items():
+            assert col.shape == (0,) + want[key].shape[1:], key
 
 
 def _counted_search(monkeypatch):
