@@ -162,6 +162,8 @@ def _sweep_grid(p_start: float, p_end: float, p_step: float) -> list[float]:
         raise ValueError("sweep requires 0 <= p_start <= p_end <= 1")
     if not p_step > 0.0:
         raise ValueError("sweep requires p_step > 0")
+    if p_step == math.inf:
+        raise ValueError("sweep requires a finite p_step, got inf")
     span = (p_end - p_start) / p_step + 1e-9
     if span >= MAX_SWEEP_ROWS:
         rows = math.floor(span) + 1 if math.isfinite(span) else span
@@ -181,11 +183,23 @@ def _indexed_path(path: Path, index: int, total: int) -> Path:
     return path.with_name(f"{path.stem}_pair{index + 1}{path.suffix}")
 
 
+# The p range of a preset, and of a --family sweep without the p flags
+_DEFAULT_RANGE = {"p_start": 0.0, "p_end": 1.0, "p_step": 0.01}
+
+
 def _sweep_spec(args) -> tuple[dict, Path]:
-    """The sweep named by --preset, --spec or --family as a spec, and its path."""
+    """The sweep named by --preset, --spec or --family as a spec, and its path;
+    --preset and --spec take no other source flag."""
+    names = ("preset", "spec", "family", "x", "z", *_DEFAULT_RANGE)
+    given = [name for name in names if getattr(args, name) is not None]
+    if given and given[0] in ("preset", "spec") and len(given) > 1:
+        flags = ["--" + name.replace("_", "-") for name in given]
+        raise ValueError(
+            f"sweep {flags[0]} takes no {', '.join(flags[1:])}: give one of --preset, --spec, "
+            "or --family with --x and --z"
+        )
     if args.preset:
-        spec = {**PRESETS[args.preset], "p_start": 0.0, "p_end": 1.0, "p_step": 0.01}
-        return spec, Path(args.out or f"{args.preset}.csv")
+        return {**PRESETS[args.preset], **_DEFAULT_RANGE}, Path(args.out or f"{args.preset}.csv")
     if args.spec:
         spec = json.loads(Path(args.spec).read_text(encoding="utf-8"), parse_int=_LongInt)
         if not isinstance(spec, dict):
@@ -203,8 +217,9 @@ def _sweep_spec(args) -> tuple[dict, Path]:
         return spec, Path(args.out or spec.get("out") or f"{spec['family']}_sweep.csv")
     if not (args.family and args.x and args.z):
         raise ValueError("sweep needs --preset, --spec, or --family with --x and --z")
-    spec = dict(family=args.family, p_start=args.p_start, p_end=args.p_end, p_step=args.p_step)
-    spec["pairs"] = [[args.x, args.z]]
+    spec = {"family": args.family, "pairs": [[args.x, args.z]]}
+    for name, default in _DEFAULT_RANGE.items():
+        spec[name] = default if getattr(args, name) is None else getattr(args, name)
     return spec, Path(args.out or f"{args.family}_sweep.csv")
 
 
@@ -352,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--preset", choices=sorted(PRESETS))
     p_sweep.add_argument("--spec", help="sweep specification JSON file")
     p_sweep.add_argument("--family", choices=sorted(ONE_PARAMETER_FAMILIES))
-    p_sweep.add_argument("--p-start", type=float, default=0.0)
-    p_sweep.add_argument("--p-end", type=float, default=1.0)
-    p_sweep.add_argument("--p-step", type=float, default=0.01)
+    p_sweep.add_argument("--p-start", type=float, help="first p (custom sweeps; default 0)")
+    p_sweep.add_argument("--p-end", type=float, help="last p (custom sweeps; default 1)")
+    p_sweep.add_argument("--p-step", type=float, help="p step (custom sweeps; default 0.01)")
     p_sweep.add_argument("--x", help="first observable spec (custom sweeps)")
     p_sweep.add_argument("--z", help="second observable spec (custom sweeps)")
     p_sweep.add_argument("--out", help="output CSV path")

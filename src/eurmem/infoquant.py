@@ -26,14 +26,16 @@ blocks) and, in the J_A search, by ``_CALL_VALUES`` and ``_CLIMB_ROWS``.
 
 The classical-correlation optimizer searches rank-1 projective qubit
 measurements by their Bloch direction: a coarse hemisphere grid (12 x 24
-for dB = 2, 6 x 12 for dB >= 3; ``_default_grid``), whose pole row is one
-point and evaluated once, then a trust-region Newton ascent on the unit
-sphere from each of the grid's local maxima (at most three) and, for
-dB >= 3, from one seed: the best of the axes of the state's correlation
-blocks and A's Bloch vector.  Each step takes the value, gradient and
-Hessian in a tangent chart from the objective's exact model
-(``_Objective``); ``iterations`` counts the rounds of every start, the
-seed's included.  On a stack, the grids of several rows share one
+for dB = 2, 6 x 12 for dB >= 3; ``_default_grid``), whose pole row and
+antipodal equator pairs are one point each and evaluated once, then a
+trust-region Newton ascent on the unit sphere from each of the grid's
+local maxima (at most three) and, for dB >= 3, from one seed where it
+beats the grid: the best of the axes of the state's correlation blocks
+and A's Bloch vector, scored in the grid's call.  Each step takes the
+value, gradient and Hessian in a tangent chart from the objective's exact
+model (``_Objective``), and an ascent whose steps have converged ends
+without modelling its last centre; ``iterations`` counts the rounds of
+every start, the seed's included.  On a stack, the grids of several rows share one
 objective call, and a climb block of up to 170 rows has one peak pass and
 one ascent loop, one model call a round: the first round models the
 starts (every ascent on the named families stops after it), later ones
@@ -90,7 +92,7 @@ PROB_SUM_ATOL = 1e-9
 # first by more than this to win.
 IMPROVE_ATOL = 1e-13
 # Local maxima of the grid refined, best first; for dB >= 3 the row's best
-# seed is one start more, after them.
+# seed is one start more, after them, where it beats the grid.
 _MAX_STARTS = 3
 
 
@@ -305,7 +307,8 @@ class OptimizerConfig:
 
 def _default_grid(dB: int) -> OptimizerConfig:
     """The J_A grid when none is given: 12 x 24 for dB = 2, and 6 x 12 for
-    dB >= 3, whose search also climbs from a seed (see ``_search``)."""
+    dB >= 3, whose search also climbs from a seed that beats the grid (see
+    ``_search``)."""
     return OptimizerConfig() if dB == 2 else OptimizerConfig(6, 12)
 
 
@@ -332,7 +335,7 @@ class _Objective(NamedTuple):
 
     ``seeds(rows)``, where given, maps state rows as ``values`` takes them
     to S unit directions of each, (3, B, S), of which ``_search`` climbs the
-    best.
+    best where it beats the grid.
     """
 
     values: Callable
@@ -871,11 +874,12 @@ _MAX_ROUNDS = 60
 
 # Values per objective call (rows times directions), at most.  A grid call
 # holds the evaluated directions of as many rows as fit (7 rows of the
-# two-qubit default grid), or a chunk of this many directions of one row
-# when a row holds more; the closing call of ``_climb`` holds at most one
-# direction per start of a climb block: 510 values for two qubits
-# (_MAX_STARTS a row), 680 for dB >= 3 (one seed start more), as many as
-# the call that scores the seeds (four a row).  The two-qubit objective's
+# two-qubit default grid, 32 of the dB >= 3 one with their four seeds), or
+# a chunk of this many directions of one row when a row holds more (its
+# seeds in the last); the closing call of ``_climb`` holds at most two
+# directions per start of a climb block (its best and its unmodelled last
+# centre): 1 020 values for two qubits (_MAX_STARTS a row), 1 360 for
+# dB >= 3 (one seed start more).  The two-qubit objective's
 # buffers, its 8 matrix-product terms per value and the table of its
 # directions (8 entries per direction), then each stay at or under 120 KB,
 # below glibc's default 128 KB mmap threshold: every buffer comes from the
@@ -893,67 +897,83 @@ _CLIMB_VALUES = _CLIMB_ROWS * _DEFAULT_GRID
 
 
 def _search(objective: _Objective, count: int, cfg: OptimizerConfig) -> tuple[np.ndarray, ...]:
-    """Grid search, then trust-region Newton ascent from every grid peak and
-    from one seed, of ``objective`` (see ``_Objective``) on each of
-    ``count`` state rows.
+    """Grid search, then trust-region Newton ascent from every grid peak and,
+    where it beats the grid, from one seed, of ``objective`` (see
+    ``_Objective``) on each of ``count`` state rows.
 
-    The rows go in climb blocks of up to ``_CLIMB_ROWS``.  A block's grid
-    values come from calls of at most ``_CALL_VALUES`` values, the pole row
-    (one point, one value for its signed zeros) at its last cell only,
-    whose value fills the row.  One ``_grid_peaks`` pass finds the
-    maxima of all its rows (at most ``_MAX_STARTS`` a row, best first).
-    Where the objective has seeds, one ``values`` call scores those of the
-    block's rows, and each row's best seed (ties to the first) is one more
-    start, after its grid peaks.  Each start begins an ascent with a radius
-    of one grid row, and ``_climb`` runs the ascents of the block, one
-    model call a round for all of them.  Each ascent's result is an
-    objective value at a direction it visited, the Holevo quantity of a
-    real measurement, so J_A never exceeds the truth.  A row's first ascent
-    wins unless a later one ends more than ``IMPROVE_ATOL`` higher.  Returns
-    the columns value, direction (count, 3), grid maximum (over the grid
-    only) and model rounds of all the row's ascents, the seed's included.
+    The rows go in climb blocks of up to ``_CLIMB_ROWS``.  A row evaluates
+    one cell of the pole row (one point, one value for its signed zeros),
+    every cell between and the first half of the equator row, whose other
+    half holds the values of their antipodes (the same measurements); then,
+    where the objective has seeds, its seeds.  A block's values come from
+    calls of at most ``_CALL_VALUES`` values, so that a row's seeds are
+    scored in the grid call of its last cells.  One ``_grid_peaks`` pass
+    finds the maxima of all its rows (at most ``_MAX_STARTS`` a row, best
+    first).  A row's best seed (ties to the first) is one more start, after
+    its grid peaks, where its value exceeds the row's grid maximum.  Each
+    start begins an ascent with a radius of one grid row, and ``_climb``
+    runs the ascents of the block, one model call a round for all of them.
+    Each ascent's result is an objective value at a direction it visited,
+    the Holevo quantity of a real measurement, so J_A never exceeds the
+    truth.  A row's first ascent wins unless a later one ends more than
+    ``IMPROVE_ATOL`` higher.  Returns the columns value, direction
+    (count, 3), grid maximum (over the grid only) and model rounds of all
+    the row's ascents, the seed's included.
     """
     _, dirs = _hemisphere_grid(cfg.grid_theta, cfg.grid_phi)
     frames = _grid_frames(cfg.grid_theta, cfg.grid_phi)
     size = dirs.shape[1]
     radius = (np.pi / 2.0) / (cfg.grid_theta - 1)
     block = max(1, min(_CLIMB_ROWS, _CLIMB_VALUES // size))
-    pole = cfg.grid_phi - 1
-    grid_rows = max(1, _CALL_VALUES // (size - pole))
-    chunk = min(size - pole, _CALL_VALUES)
+    pole, half = cfg.grid_phi - 1, cfg.grid_phi // 2
+    # the evaluated cells: the pole row's last, then up to the equator's half
+    evaluated = dirs[:, None, pole : size - half]
+    cells = evaluated.shape[-1]
     found, grid_best = np.empty(count), np.empty(count)
     direction, rounds = np.empty((count, 3)), np.empty(count, dtype=int)
     for start in range(0, count, block):
         stop = min(start + block, count)
-        values = np.empty((stop - start, size))
+        seeds = None if objective.seeds is None else objective.seeds(slice(start, stop))
+        width = cells + (0 if seeds is None else seeds.shape[-1])
+        grid_rows = max(1, _CALL_VALUES // width)
+        chunk = min(width, _CALL_VALUES)
+        # each row's values from the pole cell on, its seeds' where the
+        # equator's second half goes (beyond it, for seeds that overrun it)
+        values = np.empty((stop - start, max(size, pole + width)))
         for first in range(start, stop, grid_rows):
             last = min(first + grid_rows, stop)
-            for k in range(pole, size, chunk):
-                values[first - start : last - start, k : k + chunk] = objective.values(
-                    slice(first, last), dirs[:, None, k : k + chunk]
-                )
-        # The pole row is one point: its last cell's value fills the others.
+            for k in range(0, width, chunk):
+                end = min(k + chunk, width)
+                call = evaluated[..., k:end]
+                if end > cells:
+                    tail = seeds[:, first - start : last - start, max(k - cells, 0) : end - cells]
+                    call = np.concatenate([np.broadcast_to(call, (3, last - first, call.shape[-1])), tail], axis=2)
+                values[first - start : last - start, pole + k : pole + end] = objective.values(slice(first, last), call)
+        scores = values[:, pole + cells : pole + width].copy()
+        values = values[:, :size]
+        # The pole row and each equator pair are one point each: one value fills them.
         values[:, :pole] = values[:, pole, None]
+        values[:, size - half :] = values[:, size - 2 * half : size - half]
         peaks = _grid_peaks(values.reshape(-1, cfg.grid_theta, cfg.grid_phi))
-        starts = [cells[:_MAX_STARTS] for cells in peaks]
-        counts = [len(cells) for cells in starts]
-        cells = np.concatenate(starts)
+        grid_best[start:stop] = values.max(axis=1)
+        starts = [found_cells[:_MAX_STARTS] for found_cells in peaks]
+        counts = [len(found_cells) for found_cells in starts]
         row = np.repeat(np.arange(start, stop), counts)
-        peak_values, peak_frames = values[row - start, cells], frames[cells]
-        if objective.seeds is not None:
-            seeds = objective.seeds(slice(start, stop))
-            scores = objective.values(slice(start, stop), seeds)
-            each, pick = np.arange(stop - start), scores.argmax(axis=1)
-            seed_frames = [_tangent_frame(*n) for n in seeds[:, each, pick].T.tolist()]
-            # each row's best seed, after its grid peaks
-            ends = np.cumsum(counts)
-            row = np.insert(row, ends, each + start)
-            peak_values = np.insert(peak_values, ends, scores[each, pick])
-            peak_frames = np.insert(peak_frames, ends, seed_frames, axis=0)
-            counts = [n + 1 for n in counts]
+        peak_cells = np.concatenate(starts)
+        peak_values, peak_frames = values[row - start, peak_cells], frames[peak_cells]
+        if seeds is not None:
+            # the best seed of each row where it beats the grid, after the row's peaks
+            beats = np.flatnonzero(scores.max(axis=1) > grid_best[start:stop])
+            pick = scores[beats].argmax(axis=1)
+            seed_frames = [_tangent_frame(*n) for n in seeds[:, beats, pick].T.tolist()]
+            ends = np.cumsum(counts)[beats]
+            row = np.insert(row, ends, beats + start)
+            peak_values = np.insert(peak_values, ends, scores[beats, pick])
+            peak_frames = np.insert(peak_frames, ends, np.reshape(seed_frames, (-1, 3, 3)), axis=0)
+            for i in beats.tolist():
+                counts[i] += 1
         best, at, steps = _climb(objective, row, peak_values, peak_frames, radius)
         ends, steps = best.tolist(), steps.tolist()
-        grid_best[start:stop] = values.max(axis=1)
         first = 0
         for i, n in enumerate(counts, start):
             pick = first
@@ -984,19 +1004,26 @@ def _climb(
     rejected otherwise, with the radius cut to a quarter of the step.  An
     ascent stops when the model of its centre is not finite, when the
     predicted gain of its step falls to 1e-15 or the radius below 1e-12, or
-    after ``_MAX_ROUNDS``, and drops out of the next call.  Then one
-    ``objective.values`` call takes the objective at the centre of highest
-    model value of every ascent that rose above its start.  Returns each
-    ascent's value, the higher of that objective value and the start's, its
-    direction, and the number of model rounds.
+    after ``_MAX_ROUNDS``, and drops out of the next call.  It also stops,
+    without modelling the centre its step reaches, once the step has
+    converged: its predicted gain is at most 1e-8 and at most ten times the
+    square of the previous step's, which was inside the radius and gained
+    within 1 % of its prediction.  Then one ``objective.values`` call takes
+    the objective at the centre of highest model value of every ascent that
+    rose above its start, and at the unmodelled last centre of every ascent
+    that has one.  Returns each ascent's value, the highest of these
+    objective values and the start's (in that order, ties to the first),
+    its direction, and the number of model rounds.
     """
     order, highest = rows.tolist(), values.tolist()
     # The centre of each ascent with the highest model value, None while no
-    # centre rose above the grid peak
-    best_at, rounds = [None] * len(highest), [1] * len(highest)
+    # centre rose above the start, and the centre of its unmodelled last step
+    best_at, last_at, rounds = [None] * len(highest), [None] * len(highest), [1] * len(highest)
     # Each ascent that goes on is [ascent, radius, accepted centre, its value,
-    # its model]; each move is (ascent, the centre its step reaches, and the
-    # predicted gain, length and boundary flag of the step).
+    # its model, the predicted gain of the step that reached it if that step
+    # was inside the radius and within 1 % of it, else 0]; each move is
+    # (ascent, the centre its step reaches, and the predicted gain, length
+    # and boundary flag of the step).
     centres, moves = (rows, frames), []
     for k in range(1, _MAX_ROUNDS + 1):
         models = objective.model(*centres)
@@ -1008,7 +1035,7 @@ def _climb(
             top = max(0.5 * (a + c) + math.hypot(0.5 * (a - c), b), 0.0)
             if math.hypot(g1, g2) * radius + 0.5 * top * radius * radius > 1e-15:
                 if all(map(math.isfinite, model := [g1, g2, a, b, c])):
-                    going.append([i, radius, frames[i].tolist(), highest[i], model])
+                    going.append([i, radius, frames[i].tolist(), highest[i], model, 0.0])
         for (ascent, frame, gain, length, boundary), (value, *model) in zip(moves, models):
             i = ascent[0]
             rounds[i] = k
@@ -1017,10 +1044,11 @@ def _climb(
             if (ratio := (value - ascent[3]) / gain) >= 0.1:
                 if ratio > 0.75 and boundary:
                     ascent[1] *= 2.0
-                ascent[2:] = frame, value, model
+                met = not boundary and abs(ratio - 1.0) <= 0.01
+                ascent[2:] = frame, value, model, gain if met else 0.0
                 goes = all(map(math.isfinite, model))
             else:
-                ascent[1] = 0.25 * length
+                ascent[1], ascent[5] = 0.25 * length, 0.0
                 goes = ascent[1] >= 1e-12
             if goes:
                 going.append(ascent)
@@ -1031,19 +1059,24 @@ def _climb(
                 point = [n + s1 * u + s2 * v for n, u, v in zip(*ascent[2])]
                 norm = math.hypot(*point)
                 frame = _tangent_frame(*(x / norm for x in point))
-                moves.append((ascent, frame, gain, math.hypot(s1, s2), boundary))
+                if gain <= 1e-8 and gain <= 10.0 * ascent[5] * ascent[5]:
+                    last_at[ascent[0]] = frame[0]
+                else:
+                    moves.append((ascent, frame, gain, math.hypot(s1, s2), boundary))
         if not moves:
             break
         centres = [order[move[0][0]] for move in moves], [move[1] for move in moves]
-    # One objective call at the best centre of every ascent that left its
-    # grid peak: the higher of that value and the peak's is the result.
+    # One objective call at the best centre and the last centre of every
+    # ascent that has them: the highest of these values and the start's is
+    # the result.
     at, best = frames[:, 0].copy(), values.copy()
-    moved = [i for i, n in enumerate(best_at) if n is not None]
-    if moved:
-        later = objective.values(rows[moved], np.array([best_at[i] for i in moved]).T[:, :, None])
-        for i, value in zip(moved, later[:, 0].tolist()):
+    visits = [(i, n) for i, pair in enumerate(zip(best_at, last_at)) for n in pair if n is not None]
+    if visits:
+        ascents, points = zip(*visits)
+        later = objective.values(rows[list(ascents)], np.array(points).T[:, :, None])
+        for i, n, value in zip(ascents, points, later[:, 0].tolist()):
             if value > best[i]:
-                best[i], at[i] = value, best_at[i]
+                best[i], at[i] = value, n
     return best, at, np.array(rounds)
 
 
@@ -1057,9 +1090,9 @@ def classical_correlation_stack(
     same two-outcome measurement), ``config`` or else 12 x 24 for dB = 2 and
     6 x 12 for dB >= 3, starts a trust-region Newton ascent on the sphere
     from each of its local maxima and, for dB >= 3, from the row's best
-    seed (see ``_search``).  Grid and seed ties resolve to the lowest index,
-    so the result is deterministic, and a row's result does not depend on
-    the other rows.  Two-qubit states use the real Pauli-correlation
+    seed where it beats the grid (see ``_search``).  Grid and seed ties
+    resolve to the lowest index, so the result is deterministic, and a row's
+    result does not depend on the other rows.  Two-qubit states use the real Pauli-correlation
     objective, wider B the LAPACK one.  S(rho^B) and I(A;B) come from the
     stack's spectra.  Returns the columns J_A, the discord
     D_A = I(A;B) - J_A, the canonical optimal direction (shape (P, 3)) and

@@ -294,20 +294,28 @@ def _reference_frame(x, y, z):
 
 def _reference_ascent(value, direction, radius):
     """One ascent as a coroutine: yields each centre's frame and is sent its
-    model (value, g1, g2, a, b, c); returns the grid peak's (value, point),
-    the later centre of highest model value above it (None if none rose
-    above it) and its number of rounds."""
+    model (value, g1, g2, a, b, c); returns the start's (value, point), the
+    later centre of highest model value above it (None if none rose above
+    it), the centre of its last step where that step converged and was not
+    modelled (else None) and its number of rounds."""
     frame = _reference_frame(*direction)
     peak = best = (value, np.array(direction))
     _, *model = yield frame
-    here_value, rounds = value, 1
-    while all(map(math.isfinite, model)) and rounds < infoquant._MAX_ROUNDS:
+    here_value, rounds, converged, last = value, 1, 0.0, None
+    while all(map(math.isfinite, model)):
         s1, s2, gain, boundary = infoquant._trust_step(*model, radius)
         if gain <= 1e-15:
             break
         point = [n + s1 * u + s2 * v for n, u, v in zip(*frame)]
         norm = math.hypot(*point)
         trial = _reference_frame(*(x / norm for x in point))
+        # a step of at most 1e-8 and at most ten times the square of the
+        # last, a Newton step that met its prediction within 1 %
+        if gain <= 1e-8 and gain <= 10.0 * converged * converged:
+            last = np.array(trial[0])
+            break
+        if rounds == infoquant._MAX_ROUNDS:
+            break
         trial_value, *trial_model = yield trial
         rounds += 1
         if trial_value > best[0]:
@@ -316,20 +324,21 @@ def _reference_ascent(value, direction, radius):
         if ratio >= 0.1:
             if ratio > 0.75 and boundary:
                 radius *= 2.0
+            converged = 0.0 if boundary or abs(ratio - 1.0) > 0.01 else gain
             frame, here_value, model = trial, trial_value, trial_model
         else:
-            radius = 0.25 * math.hypot(s1, s2)
+            radius, converged = 0.25 * math.hypot(s1, s2), 0.0
             if radius < 1e-12:
                 break
-    return peak, None if best is peak else best[1], rounds
+    return peak, None if best is peak else best[1], last, rounds
 
 
 def _reference_climb(objective, first_row, ascents):
-    """Run the ascents of a block of rows: the grid peaks' models in one
-    call, then each ascent to its end, one model call per later centre.  An
-    ascent's result is its grid peak's (value, point), or the objective's
-    value at its centre of highest model value, taken alone, where that is
-    higher; with its rounds."""
+    """Run the ascents of a block of rows: the starts' models in one call,
+    then each ascent to its end, one model call per later centre.  An
+    ascent's result is its start's (value, point), or the objective's value
+    at its centre of highest model value, then at its unmodelled last
+    centre, each taken alone, where that is higher; with its rounds."""
     row_of = {a: first_row + r for r, row in enumerate(ascents) for a in row}
     frames = [next(a) for a in row_of]
     firsts = objective.model(np.array(list(row_of.values())), np.array(frames))
@@ -339,11 +348,12 @@ def _reference_climb(objective, first_row, ascents):
             try:
                 frame = ascent.send(model)
             except StopIteration as stop:
-                peak, centre, rounds = stop.value
-                if centre is not None:
-                    value = objective.values(np.array([row_of[ascent]]), centre[:, None, None])[0, 0]
-                    if value > peak[0]:
-                        peak = (value, centre)
+                peak, *points, rounds = stop.value
+                for point in points:
+                    if point is not None:
+                        value = objective.values(np.array([row_of[ascent]]), point[:, None, None])[0, 0]
+                        if value > peak[0]:
+                            peak = (value, point)
                 results[ascent] = peak, rounds
                 break
             (model,) = objective.model([row_of[ascent]], [frame])
@@ -352,10 +362,12 @@ def _reference_climb(objective, first_row, ascents):
 
 def reference_search(objective, count, cfg):
     """``infoquant._search`` with one generator per ascent, each sent its
-    centres' models, and each row's seeds scored on their own; the same
-    (value, direction, grid maximum, rounds) per row."""
+    centres' models, every grid cell evaluated (the equator's second half
+    then takes the values of its antipodes, as the search's does), and each
+    row's seeds scored on their own; the same (value, direction, grid
+    maximum, rounds) per row."""
     _, dirs = infoquant._hemisphere_grid(cfg.grid_theta, cfg.grid_phi)
-    size = dirs.shape[1]
+    size, half = dirs.shape[1], cfg.grid_phi // 2
     radius = (np.pi / 2.0) / (cfg.grid_theta - 1)
     block = max(1, min(infoquant._CLIMB_ROWS, infoquant._CLIMB_VALUES // size))
     grid_rows = max(1, infoquant._CALL_VALUES // size)
@@ -370,6 +382,7 @@ def reference_search(objective, count, cfg):
                 values[first - start : last - start, k : k + chunk] = objective.values(
                     slice(first, last), dirs[:, None, k : k + chunk]
                 )
+        values[:, size - half :] = values[:, size - 2 * half : size - half]
         peaks = infoquant._grid_peaks(values.reshape(-1, cfg.grid_theta, cfg.grid_phi))
         ascents = [
             [_reference_ascent(float(v[k]), dirs[:, k], radius) for k in cells[: infoquant._MAX_STARTS]]
@@ -377,11 +390,13 @@ def reference_search(objective, count, cfg):
         ]
         if objective.seeds is not None:
             # each row's best seed, ties to the first, after its grid peaks
-            for row, ascent in enumerate(ascents, start):
+            # where it beats the grid
+            for row, ascent, grid_best in zip(range(start, stop), ascents, values.max(axis=1).tolist()):
                 seeds = objective.seeds(slice(row, row + 1))[:, 0]
                 scores = objective.values(slice(row, row + 1), seeds[:, None])[0].tolist()
                 k = scores.index(max(scores))
-                ascent.append(_reference_ascent(scores[k], seeds[:, k], radius))
+                if scores[k] > grid_best:
+                    ascent.append(_reference_ascent(scores[k], seeds[:, k], radius))
         results = _reference_climb(objective, start, ascents)
         for grid_best, row in zip(values.max(axis=1).tolist(), ascents):
             (value, direction), _ = results[row[0]]

@@ -203,6 +203,66 @@ def test_sweep_invalid_range_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()  # no partial file
 
 
+@pytest.mark.parametrize("source", ["flag", "spec"])
+def test_sweep_infinite_p_step_exits_2_naming_it(tmp_path, capsys, source):
+    # p = 0 * inf is nan, which once failed deep in family_stack
+    out = tmp_path / "x.csv"
+    if source == "flag":
+        args = ["--family", "werner", "--x", "sigma_x", "--z", "sigma_z", "--p-step", "inf"]
+    else:
+        spec = tmp_path / "sweep.json"
+        # 1e999 is a JSON number that parses as inf
+        spec.write_text('{"family": "xstate", "p_start": 0, "p_end": 1, "p_step": 1e999, "pairs": ["xz"]}')
+        args = ["--spec", str(spec)]
+    code, out_text, err = run_cli(capsys, "sweep", *args, "--out", str(out))
+    assert (code, out_text, err) == (2, "", "error: sweep requires a finite p_step, got inf\n")
+    assert not out.exists()
+
+
+_ONE_SOURCE = "give one of --preset, --spec, or --family with --x and --z"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ["--spec", "SPEC", "--family", "werner", "--x", "x", "--z", "z", "--p-step", "0.25"],
+            "sweep --spec takes no --family, --x, --z, --p-step",
+        ),
+        (["--spec", "SPEC", "--p-start", "0.5", "--p-end", "0.6"], "sweep --spec takes no --p-start, --p-end"),
+        (["--preset", "fig1a", "--spec", "SPEC"], "sweep --preset takes no --spec"),
+        (
+            ["--preset", "fig2", "--family", "xstate", "--x", "x", "--z", "z"],
+            "sweep --preset takes no --family, --x, --z",
+        ),
+        (["--preset", "fig2", "--p-step", "0.5"], "sweep --preset takes no --p-step"),
+    ],
+    ids=["spec and family", "spec and range", "preset and spec", "preset and family", "preset and step"],
+)
+def test_sweep_with_mixed_sources_exits_2_naming_the_flags(tmp_path, capsys, args, message):
+    # Once the --family flags were dropped without a word, and the spec's sweep written.
+    spec = tmp_path / "sweep.json"
+    spec.write_text('{"family": "xstate", "p_start": 0, "p_end": 1, "p_step": 0.5, "pairs": ["xz"]}')
+    out = tmp_path / "x.csv"
+    argv = [str(spec) if arg == "SPEC" else arg for arg in args]
+    code, out_text, err = run_cli(capsys, "sweep", *argv, "--out", str(out))
+    assert (code, out_text, err) == (2, "", f"error: {message}: {_ONE_SOURCE}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "source", [["--preset", "fig2"], ["--spec", "SPEC"], ["--family", "xstate", "--x", "x", "--z", "z"]]
+)
+def test_sweep_grid_and_out_flags_go_with_any_source(tmp_path, capsys, source):
+    spec = tmp_path / "sweep.json"
+    spec.write_text('{"family": "xstate", "p_start": 0, "p_end": 1, "p_step": 0.5, "pairs": ["xz"]}')
+    out = tmp_path / "x.csv"
+    argv = [str(spec) if arg == "SPEC" else arg for arg in source]
+    code, _, err = run_cli(capsys, "sweep", *argv, "--grid-theta", "6", "--grid-phi", "12", "--out", str(out))
+    assert (code, err) == (0, "")
+    assert out.read_text(encoding="utf-8").startswith(SWEEP_HEADER + "\n0,")
+
+
 def test_discord_bell_diagonal_closed_form(capsys, tmp_path):
     state = write_state(
         tmp_path, {"family": {"name": "bell_diagonal", "r": [0.5, 0.3, 0.1]}}

@@ -487,8 +487,9 @@ def test_general_objective_is_even_and_has_one_pole_value(dB):
 @pytest.mark.parametrize("dB", [2, 3, 4])
 @pytest.mark.parametrize("shape", [(2, 4), (12, 24), (60, 120)])
 def test_search_with_one_pole_value_matches_the_full_grid_reference(monkeypatch, dB, shape):
-    # _search evaluates the pole row at one cell; the reference evaluates
-    # every cell.  Row 0's optimum is the pole.
+    # _search evaluates the pole row at one cell and each antipodal equator
+    # pair at its first cell; the reference evaluates every cell.  Row 0's
+    # optimum is the pole.
     rng = np.random.default_rng(150 + dB)
     states = [_cq_state(rng, dB, 0.3)[0]] + [random_density_matrix(rng, dB=dB) for _ in range(3)]
     stack = _stack_of(states)
@@ -498,9 +499,13 @@ def test_search_with_one_pole_value_matches_the_full_grid_reference(monkeypatch,
     grids = []
     monkeypatch.setattr(infoquant, "_grid_peaks", lambda values: grids.append(values.copy()) or _grid_peaks(values))
     got = list(zip(*_search(objective, len(states), cfg)))
-    # the peak pass sees every cell's own value, bit for bit
+    # the peak pass sees every cell's own value, bit for bit, but on the
+    # equator's second half, which holds the values of its antipodes
     full = objective.values(slice(0, len(states)), _hemisphere_grid(*shape)[1][:, None])
-    np.testing.assert_array_equal(grids[0].reshape(full.shape).view(np.int64), full.view(np.int64))
+    seen, half = grids[0].reshape(full.shape), shape[1] // 2
+    np.testing.assert_array_equal(seen[:, :-half].view(np.int64), full[:, :-half].view(np.int64))
+    np.testing.assert_array_equal(seen[:, -half:].view(np.int64), full[:, -2 * half : -half].view(np.int64))
+    np.testing.assert_allclose(full[:, -half:], full[:, -2 * half : -half], rtol=0.0, atol=1e-14)
     for (value, at, grid_best, rounds), (ref_value, ref_at, ref_grid_best, ref_rounds) in zip(
         got, reference_search(objective, len(states), cfg)
     ):
@@ -617,6 +622,87 @@ def test_default_search_reaches_a_dense_search_on_hard_rows(seed, dB):
     mats = hard_x_matrices(np.random.default_rng(seed), dB, max(rows) + 1)[list(rows)]
     j_a = classical_correlation_stack(StateStack(mats, 2, dB))["classical_correlation"]
     np.testing.assert_array_less(np.array(list(rows.values())) - 1e-12, j_a)
+
+
+# The rows of the two-qubit hard X-state corpus of rng 29 on which the
+# default search stops short of a 60 x 120 one (by 6.4e-5, 9.6e-7, 8.3e-5,
+# 2.0e-4 and 1.2e-5), with that search's J_A: the two-qubit search has no
+# seed start yet.
+_TWO_QUBIT_MISSES = {
+    1523: 0.01145738133023022,
+    5471: 0.019453022647555718,
+    11862: 0.005046542046978297,
+    14211: 0.05170834558151238,
+    18285: 0.0020772669306808877,
+}
+
+
+@pytest.fixture(scope="module")
+def hard_two_qubit_rows():
+    return hard_x_matrices(np.random.default_rng(29), 2, max(_TWO_QUBIT_MISSES) + 1)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the two-qubit search has no seed start")
+@pytest.mark.parametrize("row", list(_TWO_QUBIT_MISSES))
+def test_default_search_reaches_a_dense_search_on_hard_two_qubit_rows(hard_two_qubit_rows, row):
+    j_a = classical_correlation_stack(StateStack(hard_two_qubit_rows[row : row + 1], 2, 2))["classical_correlation"]
+    assert j_a[0] > _TWO_QUBIT_MISSES[row] - 1e-12
+
+
+def _seed_starts(monkeypatch):
+    """For each climb, the number of grid peaks climbed, and the start values
+    and results of all its ascents, the seed's last where it is climbed."""
+    seen = []
+
+    def grid_peaks(values, run=infoquant._grid_peaks):
+        peaks = run(values)
+        seen.append([min(len(cells), infoquant._MAX_STARTS) for cells in peaks])
+        return peaks
+
+    def climb(objective, rows, values, frames, radius, run=infoquant._climb):
+        best, at, rounds = run(objective, rows, values, frames, radius)
+        seen[-1] = (seen[-1][0], values.tolist(), best.tolist())
+        return best, at, rounds
+
+    monkeypatch.setattr(infoquant, "_grid_peaks", grid_peaks)
+    monkeypatch.setattr(infoquant, "_climb", climb)
+    return seen
+
+
+def test_the_seed_is_climbed_only_where_it_beats_the_grid(monkeypatch):
+    seen = _seed_starts(monkeypatch)
+    # hard row 540 (rng 31, dB = 4), whose optimum only the seed reaches
+    won = DensityMatrix(hard_x_matrices(np.random.default_rng(31), 4, 541)[540], 2, 4)
+    report = classical_correlation(won)
+    (peaks, starts, ends), = seen
+    assert len(starts) == peaks + 1 and starts[-1] > report.grid_best
+    assert ends[-1] > max(ends[:-1]) + IMPROVE_ATOL and report.classical_correlation == ends[-1]
+    # a random full-rank state whose grid maximum is above every seed's value
+    seen.clear()
+    beaten = random_density_matrix(np.random.default_rng(7), dB=4)
+    report = classical_correlation(beaten)
+    (peaks, starts, ends), = seen
+    objective = _general_objective(beaten.stack, _state_entropies(beaten.stack)[2])
+    scores = objective.values(slice(0, 1), objective.seeds(slice(0, 1)))
+    assert len(starts) == peaks and scores.max() <= report.grid_best
+
+
+def test_a_wide_memory_j_a_makes_few_model_calls(monkeypatch):
+    # A converged ascent ends without modelling the centre of its last step,
+    # and the seed climbs only where it beats the grid: about three model
+    # calls a row at dB = 4, where modelling every centre and climbing every
+    # seed takes 4.2 to 4.4.
+    calls = []
+
+    def build(states, s_b, run=_general_objective):
+        objective = run(states, s_b)
+        return objective._replace(model=lambda rows, frames: calls.append(len(rows)) or objective.model(rows, frames))
+
+    monkeypatch.setattr(infoquant, "_general_objective", build)
+    rng = np.random.default_rng(163)
+    for _ in range(64):
+        classical_correlation(random_density_matrix(rng, dB=4))
+    assert len(calls) / 64 <= 3.3
 
 
 def test_classical_correlation_wide_memory_never_below_pauli_axes():
@@ -1073,8 +1159,8 @@ def test_exact_models_at_cusps_and_kernels(name, rho, finite):
     # No warning; a model that is not finite where it meets a cusp, so that
     # the ascent stops at its grid peak; a finite model at a kernel, whose
     # dropped terms cancel.  Where the objective is constant (all but the
-    # rank-2 states) every start (the grid's one plateau, and for dB >= 3
-    # the seed) stops in round 1 at its grid value.
+    # rank-2 states) the grid's one plateau stops in round 1 at its grid
+    # value, and for dB >= 3 no seed beats it, so none is climbed.
     states = rho.stack
     build = _two_qubit_objective if rho.dB == 2 else _general_objective
     objective = build(states, _state_entropies(states)[2])
@@ -1090,7 +1176,7 @@ def test_exact_models_at_cusps_and_kernels(name, rho, finite):
         # pure rho^A: finite off the pole, not at it (probability 0 there)
         assert np.isfinite(models).all() and not np.isfinite(pole).all()
     if not name.startswith("rank 2"):
-        assert report.iterations == (1 if rho.dB == 2 else 2)
+        assert report.iterations == 1
         assert report.refined_best == report.grid_best
 
 

@@ -239,9 +239,10 @@ def test_a_preset_stack_takes_one_peak_pass_and_one_ascent_loop(monkeypatch, fam
     seen = _counted_search(monkeypatch)
     classical_correlation_stack(family_stack(family, np.linspace(0.0, 1.0, 101)))
     assert seen["_grid_peaks"] == seen["_climb"] == 1
-    # fifteen grid calls of at most 7 rows, each row's pole evaluated once
-    # (288 - 23 directions), then the ascent rounds
-    assert seen["calls"][:15] == [(7, 265)] * 14 + [(3, 265)]
+    # fifteen grid calls of at most 7 rows, each row's pole and each of its
+    # antipodal equator pairs evaluated once (288 - 23 - 12 directions), then
+    # the ascent rounds
+    assert seen["calls"][:15] == [(7, 253)] * 14 + [(3, 253)]
     assert _largest_call(seen) <= _CALL_VALUES
 
 
@@ -264,9 +265,10 @@ def test_a_grid_above_the_call_cap_is_split(monkeypatch, dB):
     singles = [_correlation_fields(classical_correlation(rho, cfg)) for rho in states]
     seen = _counted_search(monkeypatch)
     classical_correlation(states[0], cfg)
-    # the pole row's 120 cells take one direction, and the row's other
-    # 7 081 go in calls of at most _CALL_VALUES
-    assert seen["calls"][:4] == [(1, 1920)] * 3 + [(1, 1321)]
+    # the pole row's 120 cells take one direction, the equator's 120 take
+    # 60, and the row's other 6 960 and, for dB >= 3, its 4 seeds go in
+    # calls of at most _CALL_VALUES
+    assert seen["calls"][:4] == [(1, 1920)] * 3 + [(1, 1261 if dB == 2 else 1265)]
     assert _largest_call(seen) <= _CALL_VALUES
     corr = classical_correlation_stack(_stack(states), cfg)
     assert _largest_call(seen) <= _CALL_VALUES
@@ -274,17 +276,26 @@ def test_a_grid_above_the_call_cap_is_split(monkeypatch, dB):
         _assert_rows_match(_table_row(corr, k), one, f"row {k}")
 
 
-@pytest.mark.parametrize("dB", [2, 4])
+@pytest.mark.parametrize("dB", [2, 3, 4])
 def test_every_objective_call_holds_at_most_call_values(monkeypatch, dB):
     # A full climb block and part of the next, whose ascents leave their
-    # grid peaks, so that each block's closing call (one direction per
-    # ascent) runs too.
+    # grid peaks, so that each block's closing call (the best and the
+    # unmodelled last centre of each ascent, one direction each) runs too.
     seen = _counted_search(monkeypatch)
     classical_correlation_stack(_stack(_random_corpus(dB, 200, 23)))
     assert seen["_climb"] == 2
     closing = [rows for rows, directions in seen["calls"] if directions == 1]
     assert len(closing) == 2 and max(closing) <= 3 * _CLIMB_ROWS
     assert _largest_call(seen) <= _CALL_VALUES
+
+
+def test_a_one_row_wide_memory_j_a_makes_two_objective_calls(monkeypatch):
+    # the grid call, which scores the seeds too, and the closing call
+    seen = _counted_search(monkeypatch)
+    classical_correlation(_random_corpus(4, 1, 29)[0])
+    # the 6 x 12 grid's 55 evaluated cells (one pole cell, four rows of 12,
+    # half the equator) and the row's 4 seeds
+    assert len(seen["calls"]) == 2 and seen["calls"][0] == (1, 59)
 
 
 # 2.5 times the traced J_A peak of a 128-row bell_diagonal_special stack
