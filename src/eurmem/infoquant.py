@@ -13,45 +13,19 @@ Core quantities on a bipartite state rho^AB:
                       on A
     D_A               quantum discord I(A;B) - J_A
 
-``evaluate_stack`` evaluates P states of one shape (a ``states.StateStack``)
-with X and Z in one pass: the entropies of rho^AB, rho^A and rho^B in one
-x log2 x pass over the stack's spectra (computed once, shared with J_A),
-and the conditional states of both observables from one batched product
-and one eigenvalue call; the bounds and application numbers are arithmetic
-on it.  A stacked call returns a table, a dict of per-row columns, and its
-one-row view (``evaluate``, ``classical_correlation``) is a ``states.Row``
-read through ``_one_row``; a row's numbers do not depend on the rows around
-it.  Memory is bounded by the caller's stacks (the CLI sweeps 128-row
-blocks) and, in the J_A search, by ``_CALL_VALUES`` and ``_CLIMB_ROWS``.
+The pieces:
 
-The classical-correlation optimizer searches rank-1 projective qubit
-measurements by their Bloch direction: a coarse hemisphere grid (12 x 24
-for dB = 2, 6 x 12 for dB >= 3; ``_default_grid``), whose pole row and
-antipodal equator pairs are one point each and evaluated once, then a
-trust-region Newton ascent on the unit sphere from each of the grid's
-local maxima (at most three) and, for dB >= 3, from one seed where it
-beats the grid: the best of the axes of the state's correlation blocks
-and A's Bloch vector, scored in the grid's call.  Each step takes the
-value, gradient and Hessian in a tangent chart from the objective's exact
-model (``_Objective``), and an ascent whose steps have converged ends
-without modelling its last centre; ``iterations`` counts the rounds of
-every start, the seed's included.  On a stack, the grids of several rows share one
-objective call, and a climb block of up to 170 rows has one peak pass and
-one ascent loop, one model call a round: the first round models the
-starts (every ascent on the named families stops after it), later ones
-the centres the ascents reach.  For two qubits the objective takes the real Pauli-correlation
-form: one small matrix product per row gives the weights and Bloch
-vectors of both outcomes of each direction, and the model's derivatives
-are closed forms in them, in plain floats for a call of a few centres and
-as arrays for more, the two forms bit for bit alike.  The product runs
-per row and never with a single row or column, so that BLAS sums each
-entry in one order whatever the call, and ``_CALL_VALUES`` bounds each
-call.  For dB >= 3 the same
-product per row, by a (4, dB^2) matrix, gives both outcomes' conditional
-states of B, which LAPACK diagonalizes; the model takes their
-eigenvectors too, and the Hessian the divided differences of log at
-their eigenvalues.  The optimum is projective, not one over general
-POVMs, although for the named state families the two coincide.
+    binary_entropy, von_neumann_entropy    h(x), and S(rho) of one state
+    evaluate_stack, holevo                 the evaluation pass over a
+                                           ``states.StateStack``, and I(P;B)
+    classical_correlation_stack            J_A and D_A by the Bloch-direction search
+    _default_grid, _search, _climb         the search's grid, its starts, its ascents
+    _Objective                             I(P_n;B) over directions, with its model:
+    _two_qubit_objective                   for dB = 2, in the real Pauli form
+    _general_objective                     for any dB, from LAPACK eigenvalues
+    _CALL_VALUES, _CLIMB_ROWS              the search's memory bounds
+    evaluate, classical_correlation        one-row views of the stacked tables
+                                           (dicts of per-row columns), by ``_one_row``
 """
 
 from __future__ import annotations
@@ -87,12 +61,10 @@ __all__ = [
     "classical_correlation",
 ]
 
-PROB_SUM_ATOL = 1e-9
 # Grid values closer than this are tied, and a later ascent must beat the
 # first by more than this to win.
 IMPROVE_ATOL = 1e-13
-# Local maxima of the grid refined, best first; for dB >= 3 the row's best
-# seed is one start more, after them, where it beats the grid.
+# Grid maxima refined per row, at most, best first (see ``_search``).
 _MAX_STARTS = 3
 
 
@@ -116,7 +88,8 @@ def binary_entropy(x):
     Elementwise for an array; a float for a number.
     """
     x = np.asarray(x, dtype=float)
-    outside = (x < -1e-12) | (x > 1.0 + 1e-12)
+    # written so that NaN, which fails every comparison, is outside
+    outside = ~((x >= -1e-12) & (x <= 1.0 + 1e-12))
     if outside.any():
         raise ValueError(f"binary entropy argument {float(x[outside][0])!r} outside [0, 1]")
     x = np.minimum(np.maximum(x, 0.0), 1.0)
@@ -125,26 +98,18 @@ def binary_entropy(x):
 
 
 def von_neumann_entropy(state) -> float:
-    """S(rho) = -tr rho log2 rho of a density matrix (or PSD unit-trace array).
-
-    The spectrum must sum to 1 within ``PROB_SUM_ATOL`` and have no
-    eigenvalue below -1e-8.
-    """
-    mat = state.mat if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
-    w = hermitian_eigvals(mat)
-    total = float(w.sum())
-    if abs(total - 1.0) > PROB_SUM_ATOL:
-        raise ValueError(f"state trace must be 1 within {PROB_SUM_ATOL:.0e}, got {total!r}")
-    low = float(w.min())
-    if low < -1e-8:
-        raise ValueError(f"state has a significantly negative eigenvalue: {low!r}")
-    return float(_entropies(w))
+    """S(rho) = -tr rho log2 rho of a ``DensityMatrix``, from the spectrum its
+    validation computed, or of a raw d x d matrix, validated first as
+    ``DensityMatrix(m, d, 1)`` (which raises ``StateValidationError``)."""
+    if not isinstance(state, DensityMatrix):
+        mat = np.asarray(state, dtype=complex)
+        state = DensityMatrix(mat, len(mat) if mat.ndim else 1, 1)
+    return float(_entropies(state.stack._spectrum[0]))
 
 
 def _state_entropies(states: StateStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S(rho^AB), S(rho^A) and S(rho^B) of each row, by ``_entropies``' rule in one
-    pass over the stack's spectra; its validation holds each state to unit trace
-    within 1e-10 and eigenvalues above -1e-10, inside ``von_neumann_entropy``'s checks."""
+    pass over the stack's spectra."""
     w = np.minimum(np.maximum(np.concatenate(states.spectra, axis=-1), 0.0), 1.0)
     n = states.dA * states.dB
     return tuple(0.0 - np.add.reduceat(_xlog2x(w), (0, n, n + states.dA), axis=-1).T)
@@ -197,7 +162,10 @@ def _bases(observables: list[ProjectiveObservable], distinct, states: StateStack
 
 
 def evaluate_stack(states: StateStack, x, z) -> dict[str, np.ndarray]:
-    """One pass over the rows of a state stack, after rejecting mismatched dimensions.
+    """One pass over the rows of a state stack, after rejecting mismatched
+    dimensions: the state entropies in one x log2 x pass over the stack's
+    spectra, and the conditional states of X and Z from one batched product
+    and one eigenvalue call.
 
     ``x`` and ``z`` are each one observable for every row, or a sequence of
     one observable per row.  Returns a column over the rows of each
@@ -268,19 +236,14 @@ def holevo(rho: DensityMatrix, obs: ProjectiveObservable) -> float:
     return float(holevos[0, 0])
 
 
-# ---------------------------------------------------------------------------
-# Classical correlation via Bloch-sphere optimization (qubit A only)
-# ---------------------------------------------------------------------------
-
-
 # Largest J_A grid accepted, in points; it admits a 256 x 256 grid.
 MAX_GRID_POINTS = 65_536
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Grid resolution of the J_A search.  Without a config the search takes
-    these defaults, 12 x 24, for dB = 2, and 6 x 12 for dB >= 3."""
+    """Grid resolution of the J_A search, whose fields default to the
+    two-qubit grid of ``_default_grid``."""
 
     grid_theta: int = 12
     grid_phi: int = 24
@@ -307,8 +270,8 @@ class OptimizerConfig:
 
 def _default_grid(dB: int) -> OptimizerConfig:
     """The J_A grid when none is given: 12 x 24 for dB = 2, and 6 x 12 for
-    dB >= 3, whose search also climbs from a seed that beats the grid (see
-    ``_search``)."""
+    dB >= 3, where the objective's seeds (see ``_search``) make the coarser
+    grid safe."""
     return OptimizerConfig() if dB == 2 else OptimizerConfig(6, 12)
 
 
@@ -326,16 +289,15 @@ class _Objective(NamedTuple):
     I(P_m;B), m = (n + s1 u + s2 v) / |n + s1 u + s2 v|, so that m'' = -n.
     ``model(rows, frames)`` takes the rows of A centres and their frames
     (A, 3, 3), rows n, u and v, as arrays or lists, and returns a list of
-    the six numbers of each centre, whatever the call.  The
-    derivatives are not finite where an outcome falls below the
-    zero-probability cut, whose edge is a cusp of the objective (the
-    probability reaches 0 only on a product state with a pure rho^A, where
-    the objective is 0 everywhere), and, for two qubits, where an outcome's
-    smaller eigenvalue is 0 or its Bloch vector x is 0.
+    the six numbers of each centre, whatever the call.  The derivatives are
+    not finite where an outcome falls below the zero-probability cut, whose
+    edge is a cusp of the objective (the probability reaches 0 only on a
+    product state with a pure rho^A, where the objective is 0 everywhere),
+    and, for two qubits, where an outcome's smaller eigenvalue is 0 or its
+    Bloch vector x is 0.
 
     ``seeds(rows)``, where given, maps state rows as ``values`` takes them
-    to S unit directions of each, (3, B, S), of which ``_search`` climbs the
-    best where it beats the grid.
+    to S unit directions of each, (3, B, S): starts for ``_search``.
     """
 
     values: Callable
@@ -351,8 +313,10 @@ _CURVE = np.array([_INV_LN2, -_INV_LN2, -_INV_LN2])
 # The model terms of an outcome below the zero-probability cut: its value
 # is dropped, as the objective drops it, and its derivatives are not finite.
 _CUT = np.array([0.0] + [math.nan] * 5)
-# Two-qubit model calls of at most this many centres run in plain floats,
-# larger ones as arrays, whose fixed cost is that of ~13-16 such centres.
+# Two-qubit model calls of at most this many centres run in plain floats
+# (``_two_qubit_scalar_model``), larger ones as arrays (``_two_qubit_model``),
+# whose fixed cost is that of ~13-16 such centres.  The two forms agree bit
+# for bit, so a row's result does not depend on the size of its call.
 _FLOAT_CENTRES = 12
 
 
@@ -515,8 +479,8 @@ def _two_qubit_model(q, rows, frames, s_b):
     The derivatives of p, e-+ and r come from y_k, so that the large
     weight 1 / e- of a nearly pure outcome multiplies e-_k itself, never
     the terms whose difference it is.  Elementwise operations only, each
-    sum left to right: the operations of ``_two_qubit_scalar_model`` in
-    its order, so that the two forms agree bit for bit.
+    sum left to right, in ``_two_qubit_scalar_model``'s order (see
+    ``_FLOAT_CENTRES``).
     """
     qs = q[rows]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -567,9 +531,9 @@ def _two_qubit_model(q, rows, frames, s_b):
 
 def _two_qubit_scalar_model(q, rows, frames, s_b) -> list:
     """``_two_qubit_model`` in plain floats, centre by centre, with one
-    ``np.log2`` call over all centres' [p, e-, e+]: the same operations in
-    the same order, so that the two forms agree bit for bit.  ``frames``
-    holds each centre's rows n, u and v as nested sequences."""
+    ``np.log2`` call over all centres' [p, e-, e+], and the same operations
+    in the same order.  ``frames`` holds each centre's rows n, u and v as
+    nested sequences."""
     centres, eigs = [], []
     for k, frame in zip(rows, frames):
         (w0, b1, b2, b3), (p0, p1, p2, p3), (r0, r1, r2, r3), (t0, t1, t2, t3) = q[k].tolist()
@@ -635,10 +599,8 @@ def _two_qubit_objective(states: StateStack, s_b: np.ndarray) -> _Objective:
     two columns, so BLAS takes it as a matrix product, whose entries each
     sum their four terms in one order whatever the product's size; the rows
     go one product each, so no entry depends on the rows around it.  A
-    ``values`` call is one run of these operations, its buffers sized by
-    the call (see ``_CALL_VALUES``).  Model calls of at most
-    ``_FLOAT_CENTRES`` centres run ``_two_qubit_scalar_model``, larger ones
-    ``_two_qubit_model``.
+    ``values`` call is one run of these operations (see ``_CALL_VALUES``),
+    and ``model`` runs the form that ``_FLOAT_CENTRES`` picks.
     """
     # One matrix-vector product per row, the same arithmetic whatever the stack.
     products = (_PAULI_PAIRS @ states.mats.reshape(-1, 16, 1))[..., 0]
@@ -732,15 +694,12 @@ def _sphere_padded(grid: np.ndarray) -> np.ndarray:
 
 def _sphere_neighbourhood(grid: np.ndarray, reduce) -> np.ndarray:
     """``reduce`` over the 3 x 3 neighbourhood of each cell of a hemisphere
-    grid, or of each grid of a stack (..., rows, cols), on the sphere (see
-    ``_sphere_padded``).
+    grid, or of each grid of a stack (..., rows, cols), on the sphere of
+    ``_sphere_padded``, where the pole row's neighbourhood is all of row 1.
 
-    The pole row is one cell, whose neighbourhood is all of row 1, and each
-    equator cell is the same point as its antipode grid_phi / 2 columns
-    away, with the same neighbourhood.  ``reduce`` is a binary ufunc,
-    applied along phi and then along theta to shifted slices of the padded
-    grid: the neighbourhoods are never gathered, so the working memory is three
-    copies of the input.
+    ``reduce`` is a binary ufunc, applied along phi and then along theta to
+    shifted slices of the padded grid: the neighbourhoods are never
+    gathered, so the working memory is three copies of the input.
     """
     ext = _sphere_padded(grid)
     across = reduce(ext[..., :-2], ext[..., 1:-1])
@@ -765,7 +724,7 @@ def _grid_peaks(values: np.ndarray) -> list[np.ndarray]:
     size, half = rows * cols, cols // 2
     peak = np.empty(values.shape, dtype=bool)
     # The peak test takes a few grids at a time, so that their padded
-    # copies stay in cache and under glibc's 128 KB mmap threshold.
+    # copies stay in cache and on the heap (see ``_CALL_VALUES``).
     step = max(1, _PEAK_GRIDS * _DEFAULT_GRID // size)
     for first in range(0, count, step):
         grids = values[first : first + step]
@@ -874,32 +833,29 @@ _MAX_ROUNDS = 60
 
 # Values per objective call (rows times directions), at most.  A grid call
 # holds the evaluated directions of as many rows as fit (7 rows of the
-# two-qubit default grid, 32 of the dB >= 3 one with their four seeds), or
-# a chunk of this many directions of one row when a row holds more (its
-# seeds in the last); the closing call of ``_climb`` holds at most two
-# directions per start of a climb block (its best and its unmodelled last
-# centre): 1 020 values for two qubits (_MAX_STARTS a row), 1 360 for
-# dB >= 3 (one seed start more).  The two-qubit objective's
-# buffers, its 8 matrix-product terms per value and the table of its
-# directions (8 entries per direction), then each stay at or under 120 KB,
-# below glibc's default 128 KB mmap threshold: every buffer comes from the
-# heap and is reused by the next call, so a call takes no fresh pages.
+# two-qubit default grid, 32 of the dB >= 3 one with their four seeds), or a
+# chunk of this many directions of one row (its seeds in the last); the
+# closing call of ``_climb`` holds at most two directions per start of a
+# climb block (its best and its unmodelled last centre): 1 020 values for
+# two qubits (_MAX_STARTS a row), 1 360 for dB >= 3 (one seed start more).
+# The two-qubit objective's buffers (8 matrix-product terms per value, 8
+# table entries per direction) then stay at or under 120 KB, below glibc's
+# default 128 KB mmap threshold: each comes from the heap and is reused by
+# the next call, so a call takes no fresh pages.
 _CALL_VALUES = 1920
 _DEFAULT_GRID = OptimizerConfig.grid_theta * OptimizerConfig.grid_phi
 # Grids of the default size per chunk of the peak test (a larger grid, fewer)
 _PEAK_GRIDS = 16
 # Rows per climb block: the rows whose grid peaks are found in one pass and
-# whose ascents share each round's model call, 170 rows of the default grid
-# (383 KB of grid values).  A block of a larger grid holds fewer rows, so
-# that its grid values take no more memory than those of the default grid.
+# whose ascents share each round's model call.  A block of a grid larger
+# than the default holds fewer rows, in the default's 383 KB of values.
 _CLIMB_ROWS = 170
 _CLIMB_VALUES = _CLIMB_ROWS * _DEFAULT_GRID
 
 
 def _search(objective: _Objective, count: int, cfg: OptimizerConfig) -> tuple[np.ndarray, ...]:
-    """Grid search, then trust-region Newton ascent from every grid peak and,
-    where it beats the grid, from one seed, of ``objective`` (see
-    ``_Objective``) on each of ``count`` state rows.
+    """Grid search, then trust-region Newton ascents (``_climb``), of
+    ``objective`` (see ``_Objective``) on each of ``count`` state rows.
 
     The rows go in climb blocks of up to ``_CLIMB_ROWS``.  A row evaluates
     one cell of the pole row (one point, one value for its signed zeros),
@@ -908,17 +864,14 @@ def _search(objective: _Objective, count: int, cfg: OptimizerConfig) -> tuple[np
     where the objective has seeds, its seeds.  A block's values come from
     calls of at most ``_CALL_VALUES`` values, so that a row's seeds are
     scored in the grid call of its last cells.  One ``_grid_peaks`` pass
-    finds the maxima of all its rows (at most ``_MAX_STARTS`` a row, best
-    first).  A row's best seed (ties to the first) is one more start, after
-    its grid peaks, where its value exceeds the row's grid maximum.  Each
-    start begins an ascent with a radius of one grid row, and ``_climb``
-    runs the ascents of the block, one model call a round for all of them.
-    Each ascent's result is an objective value at a direction it visited,
-    the Holevo quantity of a real measurement, so J_A never exceeds the
-    truth.  A row's first ascent wins unless a later one ends more than
-    ``IMPROVE_ATOL`` higher.  Returns the columns value, direction
-    (count, 3), grid maximum (over the grid only) and model rounds of all
-    the row's ascents, the seed's included.
+    finds the maxima of all its rows.  The starts of a row are its best
+    ``_MAX_STARTS`` maxima, best first, then its best seed (ties to the
+    first) where that seed's value exceeds the row's grid maximum.  Each
+    start begins an ascent with a radius of one grid row, and one
+    ``_climb`` runs the ascents of the block.  A row's first ascent wins
+    unless a later one ends more than ``IMPROVE_ATOL`` higher.  Returns the
+    columns value, direction (count, 3), grid maximum (over the grid only)
+    and model rounds of all the row's ascents, the seed's included.
     """
     _, dirs = _hemisphere_grid(cfg.grid_theta, cfg.grid_phi)
     frames = _grid_frames(cfg.grid_theta, cfg.grid_phi)
@@ -926,7 +879,6 @@ def _search(objective: _Objective, count: int, cfg: OptimizerConfig) -> tuple[np
     radius = (np.pi / 2.0) / (cfg.grid_theta - 1)
     block = max(1, min(_CLIMB_ROWS, _CLIMB_VALUES // size))
     pole, half = cfg.grid_phi - 1, cfg.grid_phi // 2
-    # the evaluated cells: the pole row's last, then up to the equator's half
     evaluated = dirs[:, None, pole : size - half]
     cells = evaluated.shape[-1]
     found, grid_best = np.empty(count), np.empty(count)
@@ -951,7 +903,6 @@ def _search(objective: _Objective, count: int, cfg: OptimizerConfig) -> tuple[np
                 values[first - start : last - start, pole + k : pole + end] = objective.values(slice(first, last), call)
         scores = values[:, pole + cells : pole + width].copy()
         values = values[:, :size]
-        # The pole row and each equator pair are one point each: one value fills them.
         values[:, :pole] = values[:, pole, None]
         values[:, size - half :] = values[:, size - 2 * half : size - half]
         peaks = _grid_peaks(values.reshape(-1, cfg.grid_theta, cfg.grid_phi))
@@ -962,7 +913,6 @@ def _search(objective: _Objective, count: int, cfg: OptimizerConfig) -> tuple[np
         peak_cells = np.concatenate(starts)
         peak_values, peak_frames = values[row - start, peak_cells], frames[peak_cells]
         if seeds is not None:
-            # the best seed of each row where it beats the grid, after the row's peaks
             beats = np.flatnonzero(scores.max(axis=1) > grid_best[start:stop])
             pick = scores[beats].argmax(axis=1)
             seed_frames = [_tangent_frame(*n) for n in seeds[:, beats, pick].T.tolist()]
@@ -988,19 +938,18 @@ def _search(objective: _Objective, count: int, cfg: OptimizerConfig) -> tuple[np
 def _climb(
     objective: _Objective, rows: np.ndarray, values: np.ndarray, frames: np.ndarray, radius: float
 ):
-    """Trust-region Newton ascents of the objective from the starts (grid
-    peaks and seeds) with tangent ``frames`` (A, 3, 3) and objective
-    ``values`` (A,), on state ``rows`` (A,); each round takes the exact model
-    (see ``_Objective``) of the centres of all active ascents in one
-    ``objective.model`` call.
+    """Trust-region Newton ascents of the objective from the starts with
+    tangent ``frames`` (A, 3, 3) and objective ``values`` (A,), on state
+    ``rows`` (A,); each round takes the exact model (see ``_Objective``) of
+    the centres of all active ascents in one ``objective.model`` call.
 
-    Round 1 models the starts and stops each ascent whose model bounds
-    the gain of any step within its radius by 1e-15 (every ascent on the
-    named families stops there); each later round models the centre that
-    each ascent's ``_trust_step`` reaches.
-    The model value at a new centre decides on the step that led there:
-    accepted if it gains at least a tenth of the predicted gain, with the
-    radius doubled when it gains over three quarters on the boundary;
+    Round 1 models the starts.  No step within the radius r gains more than
+    |g| r + max(top curvature, 0) r^2 / 2, and an ascent whose bound is at
+    most 1e-15 stops there, as every ascent on the named families does.
+    Each later round models the centre that each ascent's ``_trust_step``
+    reaches.  The model value at a new centre decides on the step that led
+    there: accepted if it gains at least a tenth of the predicted gain, with
+    the radius doubled when it gains over three quarters on the boundary;
     rejected otherwise, with the radius cut to a quarter of the step.  An
     ascent stops when the model of its centre is not finite, when the
     predicted gain of its step falls to 1e-15 or the radius below 1e-12, or
@@ -1008,12 +957,16 @@ def _climb(
     without modelling the centre its step reaches, once the step has
     converged: its predicted gain is at most 1e-8 and at most ten times the
     square of the previous step's, which was inside the radius and gained
-    within 1 % of its prediction.  Then one ``objective.values`` call takes
-    the objective at the centre of highest model value of every ascent that
-    rose above its start, and at the unmodelled last centre of every ascent
-    that has one.  Returns each ascent's value, the highest of these
-    objective values and the start's (in that order, ties to the first),
-    its direction, and the number of model rounds.
+    within 1 % of its prediction.
+
+    Then one ``objective.values`` call takes the objective at the centre of
+    highest model value of every ascent that rose above its start, and at
+    the unmodelled last centre of every ascent that has one.  An ascent's
+    result is the highest of these values and its start's (ties to the
+    start, then the best centre): an objective value at a direction the
+    search visited, the Holevo quantity of a real measurement, so J_A never
+    exceeds the truth.  Returns each ascent's result, its direction, and its
+    model rounds.
     """
     order, highest = rows.tolist(), values.tolist()
     # The centre of each ascent with the highest model value, None while no
@@ -1028,9 +981,6 @@ def _climb(
     for k in range(1, _MAX_ROUNDS + 1):
         models = objective.model(*centres)
         going = []
-        # Round 1, with no moves: no step within the radius gains more than
-        # |g| radius + top radius^2 / 2, top the largest curvature if positive;
-        # at most 1e-15 (the named families' peaks), the ascent stops there.
         for i, (_, g1, g2, a, b, c) in enumerate(models if k == 1 else ()):
             top = max(0.5 * (a + c) + math.hypot(0.5 * (a - c), b), 0.0)
             if math.hypot(g1, g2) * radius + 0.5 * top * radius * radius > 1e-15:
@@ -1066,9 +1016,6 @@ def _climb(
         if not moves:
             break
         centres = [order[move[0][0]] for move in moves], [move[1] for move in moves]
-    # One objective call at the best centre and the last centre of every
-    # ascent that has them: the highest of these values and the start's is
-    # the result.
     at, best = frames[:, 0].copy(), values.copy()
     visits = [(i, n) for i, pair in enumerate(zip(best_at, last_at)) for n in pair if n is not None]
     if visits:
@@ -1084,22 +1031,21 @@ def classical_correlation_stack(
     states: StateStack, config: OptimizerConfig | None = None
 ) -> dict[str, np.ndarray]:
     """Maximize the Holevo quantity over projective qubit measurements on A,
-    for every row of a state stack.
+    for every row of a state stack, by ``_search`` on the grid ``config``
+    (an ``OptimizerConfig``), or else on ``_default_grid``'s.
 
-    A coarse grid over the upper hemisphere (directions n and -n induce the
-    same two-outcome measurement), ``config`` or else 12 x 24 for dB = 2 and
-    6 x 12 for dB >= 3, starts a trust-region Newton ascent on the sphere
-    from each of its local maxima and, for dB >= 3, from the row's best
-    seed where it beats the grid (see ``_search``).  Grid and seed ties
-    resolve to the lowest index, so the result is deterministic, and a row's
-    result does not depend on the other rows.  Two-qubit states use the real Pauli-correlation
-    objective, wider B the LAPACK one.  S(rho^B) and I(A;B) come from the
-    stack's spectra.  Returns the columns J_A, the discord
-    D_A = I(A;B) - J_A, the canonical optimal direction (shape (P, 3)) and
-    the optimizer trace: the best grid value, the refined value and the
-    model rounds of all starts, the seed's included (``iterations``; round 1
-    models the starts).
+    The grid covers the upper hemisphere, as directions n and -n induce the
+    same two-outcome measurement.  Grid and seed ties resolve to the lowest
+    index, so the result is deterministic, and a row's result does not
+    depend on the other rows.  The optimum is projective, not one over
+    general POVMs, although for the named state families the two coincide.
+    Returns the columns J_A, the discord D_A = I(A;B) - J_A, the canonical
+    optimal direction (shape (P, 3)) and the optimizer trace: the best grid
+    value, the refined value and the model rounds of all starts
+    (``iterations``).
     """
+    if config is not None and not isinstance(config, OptimizerConfig):
+        raise TypeError(f"classical_correlation config must be an OptimizerConfig or None, got {config!r}")
     if states.dA != 2:
         raise ValueError(f"classical_correlation supports dA = 2 only, got dA = {states.dA}")
     cfg = config or _default_grid(states.dB)

@@ -42,6 +42,7 @@ from eurmem.measure import (
 from eurmem.states import (
     DensityMatrix,
     StateStack,
+    StateValidationError,
     bell_diagonal,
     bell_diagonal_special,
     family_stack,
@@ -94,6 +95,10 @@ def test_binary_entropy_values():
 def test_binary_entropy_range_check():
     with pytest.raises(ValueError):
         binary_entropy(1.1)
+    # NaN, which fails every comparison, is outside too, as a number and in an array
+    for x in (np.nan, np.array([0.2, np.nan])):
+        with pytest.raises(ValueError, match=re.escape("binary entropy argument nan outside [0, 1]")):
+            binary_entropy(x)
 
 
 def test_von_neumann_entropy_values():
@@ -104,11 +109,30 @@ def test_von_neumann_entropy_values():
         assert von_neumann_entropy(werner(p)) == pytest.approx(
             _entropies(np.array(spectrum)), abs=1e-12
         )
+        # a state and its raw matrix, validated on the way, give the same bits
+        assert von_neumann_entropy(werner(p)) == von_neumann_entropy(werner(p).mat)
 
 
 def test_von_neumann_entropy_trace_check():
     with pytest.raises(ValueError, match="trace"):
         von_neumann_entropy(np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "mat, invariant",
+    [
+        ([[np.nan, 0.0], [0.0, 1.0]], "finite"),
+        ([[np.inf, 0.0], [0.0, 1.0]], "finite"),
+        ([[0.5, 0.3], [-0.3, 0.5]], "hermitian"),
+        (np.diag([0.5, 0.5 + 5e-10]), "trace"),
+        (np.diag([1.0 + 2e-10, -2e-10]), "psd"),
+    ],
+)
+def test_von_neumann_entropy_validates_a_raw_matrix_as_a_state(mat, invariant):
+    # a raw d x d matrix is held to the invariants of DensityMatrix(m, d, 1)
+    with pytest.raises(StateValidationError) as err:
+        von_neumann_entropy(mat)
+    assert err.value.invariant == invariant
 
 
 def test_conditional_entropy_values():
@@ -791,6 +815,14 @@ def test_optimizer_config_validation():
             OptimizerConfig(*args)
     cfg = OptimizerConfig(np.int64(12), np.int32(24))
     assert cfg == OptimizerConfig() and type(cfg.grid_theta) is type(cfg.grid_phi) is int
+
+
+@pytest.mark.parametrize("config", ["12", (12, 24)])
+def test_classical_correlation_rejects_a_config_that_is_not_an_optimizer_config(config):
+    with pytest.raises(TypeError, match="config must be an OptimizerConfig or None"):
+        classical_correlation(werner(0.5), config)
+    with pytest.raises(TypeError, match="config must be an OptimizerConfig or None"):
+        classical_correlation_stack(werner(0.5).stack, config)
 
 
 def test_classical_correlation_coarse_grid_still_converges():

@@ -205,8 +205,9 @@ def test_an_empty_stack_takes_empty_observable_lists():
 
 def _counted_search(monkeypatch):
     """Count the J_A search's work: the shape (rows, directions) of each
-    objective call, and the ``_grid_peaks`` and ``_climb`` passes."""
-    seen = {"calls": [], "_grid_peaks": 0, "_climb": 0}
+    objective call, the ``_grid_peaks`` and ``_climb`` passes, and the
+    starts of each ``_climb`` pass."""
+    seen = {"calls": [], "_grid_peaks": 0, "_climb": 0, "starts": []}
     for name in ("_two_qubit_objective", "_general_objective"):
 
         def build(states, s_b, build=getattr(infoquant, name)):
@@ -224,6 +225,8 @@ def _counted_search(monkeypatch):
 
         def counted(*args, name=name, run=getattr(infoquant, name)):
             seen[name] += 1
+            if name == "_climb":
+                seen["starts"].append(len(args[1]))
             return run(*args)
 
         monkeypatch.setattr(infoquant, name, counted)
@@ -285,7 +288,10 @@ def test_every_objective_call_holds_at_most_call_values(monkeypatch, dB):
     classical_correlation_stack(_stack(_random_corpus(dB, 200, 23)))
     assert seen["_climb"] == 2
     closing = [rows for rows, directions in seen["calls"] if directions == 1]
-    assert len(closing) == 2 and max(closing) <= 3 * _CLIMB_ROWS
+    # the rule that _CALL_VALUES is sized by: at most two directions per start
+    assert len(closing) == 2
+    for rows, starts in zip(closing, seen["starts"]):
+        assert rows <= 2 * starts
     assert _largest_call(seen) <= _CALL_VALUES
 
 
