@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .infoquant import _one_row, binary_entropy, evaluate_stack
+from .infoquant import _one_row, _row_evaluation, binary_entropy, evaluate_stack
 from .matops import hermitian_eigvals
 from .measure import ProjectiveObservable
 from .states import DensityMatrix, Row, StateStack
@@ -67,7 +67,7 @@ def witness(
     rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
 ) -> Row:
     """Flag entanglement when the measured uncertainty undercuts a threshold."""
-    return _one_row(_verdict(evaluate_stack(rho.stack, x, z)))
+    return _one_row(_verdict(_row_evaluation(rho, x, z)))
 
 
 def _trace_norm_error(gap: np.ndarray) -> np.ndarray:
@@ -97,15 +97,17 @@ def helstrom_error(ensemble: Row) -> float:
     )
 
 
-def applications_table(states: StateStack, x, z) -> dict[str, np.ndarray]:
-    """Witness verdict plus both application bounds, each a column over the
-    rows of a state stack (dA = 2); ``x`` and ``z`` as in ``evaluate_stack``."""
-    if states.dA != 2:
+def _require_qubit_a(dA: int):
+    if dA != 2:
         raise ValueError(
             "applications_report supports dA = 2 only (the Helstrom errors "
-            f"discriminate two outcomes), got dA = {states.dA}"
+            f"discriminate two outcomes), got dA = {dA}"
         )
-    ev = evaluate_stack(states, x, z)
+
+
+def _applications_columns(ev: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Witness verdict plus both application bounds as arithmetic on an
+    ``evaluate_stack`` table of dA = 2 states."""
     omegas = np.stack((ev["x_omegas"], ev["z_omegas"]), axis=1)
     # b_F = h(Pe_X) + h(Pe_Z); the errors are already clamped to [0, 1/2].
     h = binary_entropy(_trace_norm_error(omegas[:, :, 0] - omegas[:, :, 1]))
@@ -120,8 +122,16 @@ def applications_table(states: StateStack, x, z) -> dict[str, np.ndarray]:
     }
 
 
+def applications_table(states: StateStack, x, z) -> dict[str, np.ndarray]:
+    """Witness verdict plus both application bounds, each a column over the
+    rows of a state stack (dA = 2); ``x`` and ``z`` as in ``evaluate_stack``."""
+    _require_qubit_a(states.dA)
+    return _applications_columns(evaluate_stack(states, x, z))
+
+
 def applications_report(
     rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
 ) -> Row:
     """Witness verdict plus both application bounds as one flat row (dA = 2)."""
-    return _one_row(applications_table(rho.stack, x, z))
+    _require_qubit_a(rho.dA)
+    return _one_row(_applications_columns(_row_evaluation(rho, x, z)))

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .infoquant import _one_row, binary_entropy, evaluate_stack
+from .infoquant import _one_row, _row_evaluation, binary_entropy, evaluate_stack
 from .measure import ProjectiveObservable, pauli_observable
 from .states import DensityMatrix, Row, StateStack
 
@@ -54,21 +54,15 @@ __all__ = [
 ]
 
 
-def bounds_table(states: StateStack, x, z, corr: dict | None = None) -> dict[str, np.ndarray | None]:
-    """Every bound and its ingredients as a column over the rows of a state stack.
-
-    ``x`` and ``z`` are as in ``infoquant.evaluate_stack`` (one observable,
-    or one per row); ``corr`` is the ``classical_correlation_stack`` table
-    of the same rows, whose ``discord`` and ``classical_correlation`` it
-    reads.  ``bound_pati`` and ``pati_correction`` are None without it.
-    """
-    ev = evaluate_stack(states, x, z)
+def _bounds_columns(ev: dict[str, np.ndarray], corr: dict | None) -> dict[str, np.ndarray | None]:
+    """Every bound and its ingredients as arithmetic on an ``evaluate_stack``
+    table and, for ``bound_pati``, a ``classical_correlation_stack`` table."""
     berta = ev["q_mu"] + ev["s_cond"]
     correction = pati = None
     if corr is not None:
         gap = corr["discord"] - corr["classical_correlation"]
         if gap.shape != berta.shape:
-            raise ValueError(f"got {gap.size} correlation rows for {len(states)} states")
+            raise ValueError(f"got {gap.size} correlation rows for {berta.size} states")
         correction = np.where(gap > 0.0, gap, 0.0)
         pati = berta + correction
     return {
@@ -90,6 +84,17 @@ def bounds_table(states: StateStack, x, z, corr: dict | None = None) -> dict[str
     }
 
 
+def bounds_table(states: StateStack, x, z, corr: dict | None = None) -> dict[str, np.ndarray | None]:
+    """Every bound and its ingredients as a column over the rows of a state stack.
+
+    ``x`` and ``z`` are as in ``infoquant.evaluate_stack`` (one observable,
+    or one per row); ``corr`` is the ``classical_correlation_stack`` table
+    of the same rows, whose ``discord`` and ``classical_correlation`` it
+    reads.  ``bound_pati`` and ``pati_correction`` are None without it.
+    """
+    return _bounds_columns(evaluate_stack(states, x, z), corr)
+
+
 def bounds_report(
     rho: DensityMatrix,
     x: ProjectiveObservable,
@@ -100,14 +105,14 @@ def bounds_report(
     state's ``classical_correlation`` row (the one optimizer-backed input)."""
     keys = ("discord", "classical_correlation")
     rows = None if corr is None else {key: np.array([corr[key]]) for key in keys}
-    return _one_row(bounds_table(rho.stack, x, z, rows))
+    return _one_row(_bounds_columns(_row_evaluation(rho, x, z), rows))
 
 
 def actual_uncertainty(
     rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable
 ) -> float:
     """S(X|B) + S(Z|B), computed as H(X) - I(X;B) + H(Z) - I(Z;B)."""
-    return float(evaluate_stack(rho.stack, x, z)["actual"][0])
+    return float(_row_evaluation(rho, x, z)["actual"][0])
 
 
 # ---------------------------------------------------------------------------

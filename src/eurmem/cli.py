@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -29,7 +30,7 @@ import numpy as np
 
 from .apps import applications_report
 from .bounds import bounds_report, bounds_table, family_pairs
-from .infoquant import OptimizerConfig, classical_correlation, classical_correlation_stack
+from .infoquant import OptimizerConfig, _default_grid, classical_correlation, classical_correlation_stack
 from .measure import observable_from_spec, require_on_a
 from .states import (
     ONE_PARAMETER_FAMILIES,
@@ -103,11 +104,12 @@ def _load_observable_arg(arg: str):
         ) from None
 
 
-def _optimizer_config(args) -> OptimizerConfig | None:
-    """The config of the grid flags given, the other at its default; None
-    without either, so that the J_A search takes its default for the state's dB."""
+def _optimizer_config(args, dB: int) -> OptimizerConfig | None:
+    """The config of the grid flags given, the other at its value in the
+    default grid for dB; None without either, so that the J_A search takes
+    that default itself."""
     grid = {name: getattr(args, name) for name in ("grid_theta", "grid_phi") if getattr(args, name) is not None}
-    return OptimizerConfig(**grid) if grid else None
+    return dataclasses.replace(_default_grid(dB), **grid) if grid else None
 
 
 def _emit(text: str, out: str | None):
@@ -146,7 +148,7 @@ def cmd_bounds(args) -> int:
     rho, echo = _load_state_arg(args.state)
     x = _load_observable_arg(args.x)
     z = _load_observable_arg(args.z)
-    corr = classical_correlation(rho, _optimizer_config(args)) if args.with_discord else None
+    corr = classical_correlation(rho, _optimizer_config(args, rho.dB)) if args.with_discord else None
     report = bounds_report(rho, x, z, corr)
     record = report.to_dict()
     record.update(echo)
@@ -256,7 +258,8 @@ def cmd_sweep(args) -> int:
         names = sorted(ONE_PARAMETER_FAMILIES)
         raise ValueError(f"sweep family must be one of {names}, got {family!r}")
     pairs = _sweep_pairs(family, spec.get("pairs"))
-    cfg = _optimizer_config(args)
+    # every sweep family is a two-qubit family
+    cfg = _optimizer_config(args, 2)
     with contextlib.ExitStack() as stack:
         # Each block's rows go out as they come, so a sweep's memory is that of one block.
         files = [
@@ -279,7 +282,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_discord(args) -> int:
     rho, echo = _load_state_arg(args.state)
-    report = classical_correlation(rho, _optimizer_config(args))
+    report = classical_correlation(rho, _optimizer_config(args, rho.dB))
     record = report.to_dict()
     record.update(echo)
     _emit(_render_flat(record, args.format), args.out)

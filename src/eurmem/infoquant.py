@@ -26,6 +26,8 @@ The pieces:
     _CALL_VALUES, _CLIMB_ROWS              the search's memory bounds
     evaluate, classical_correlation        one-row views of the stacked tables
                                            (dicts of per-row columns), by ``_one_row``
+    _row_evaluation                        the evaluation the one-row views of one
+                                           (state, X, Z) triple share
 """
 
 from __future__ import annotations
@@ -217,10 +219,37 @@ def _one_row(table: dict) -> Row:
     )
 
 
+@lru_cache(maxsize=1)
+def _shared_evaluation(states: StateStack, x: ProjectiveObservable, z: ProjectiveObservable) -> dict:
+    table = evaluate_stack(states, x, z)
+    # The arrays an ``evaluate`` row hands out; every other column leaves a
+    # one-row view as a number.
+    for key in ("x_probs", "x_omegas", "z_probs", "z_omegas"):
+        table[key].setflags(write=False)
+    return table
+
+
+def _row_evaluation(rho: DensityMatrix, x, z) -> dict[str, np.ndarray]:
+    """The ``evaluate_stack`` table of ``rho``'s one-row stack, which the
+    one-row views read.  Back-to-back views of the same (state, X, Z) objects
+    share one evaluation: a memo of one row, keyed by identity (states and
+    observables are frozen and compare by identity, and the memo's strong
+    references keep an id from being reused), whose outcome arrays are
+    read-only.  A sequence of one observable counts as that observable; any
+    other argument is evaluated unmemoized, and fails there as it would in
+    ``evaluate_stack``.
+    """
+    xs, zs = _observables(x), _observables(z)
+    if len(xs) == len(zs) == 1 and all(isinstance(obs, ProjectiveObservable) for obs in xs + zs):
+        return _shared_evaluation(rho.stack, xs[0], zs[0])
+    return evaluate_stack(rho.stack, x, z)
+
+
 def evaluate(rho: DensityMatrix, x: ProjectiveObservable, z: ProjectiveObservable) -> Row:
     """``evaluate_stack`` on the one-row stack of ``rho``, at that row: the
-    entropies and terms are numbers, and the outcome arrays lose the row axis."""
-    return _one_row(evaluate_stack(rho.stack, x, z))
+    entropies and terms are numbers, and the outcome arrays lose the row axis
+    (read-only: they are shared with the other one-row views of the triple)."""
+    return _one_row(_row_evaluation(rho, x, z))
 
 
 def holevo(rho: DensityMatrix, obs: ProjectiveObservable) -> float:

@@ -175,6 +175,9 @@ class StateStack:
     Each row is validated at construction as a :class:`DensityMatrix` is;
     the first row that fails raises its ``StateValidationError``.  Each
     spectrum is computed once: rho^AB's by the validation, the others on first use.
+    ``mats`` is read-only (and so is ``DensityMatrix.mat``, a view of it), since
+    the cached spectra and the one-row views' shared evaluation assume the
+    states never change.
     """
 
     mats: np.ndarray
@@ -184,6 +187,7 @@ class StateStack:
 
     def __post_init__(self):
         mats = np.array(self.mats, dtype=complex)
+        mats.flags.writeable = False
         object.__setattr__(self, "mats", mats)
         report, spectrum = _stack_report(mats, self.dA, self.dB)
         object.__setattr__(self, "_spectrum", spectrum)

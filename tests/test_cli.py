@@ -22,7 +22,7 @@ from eurmem.cli import (
     build_parser,
     main,
 )
-from eurmem.infoquant import MAX_GRID_POINTS, binary_entropy, classical_correlation
+from eurmem.infoquant import MAX_GRID_POINTS, OptimizerConfig, binary_entropy, classical_correlation
 from eurmem.measure import pauli_observable
 from eurmem.states import from_spec, to_spec, werner
 
@@ -882,17 +882,21 @@ def test_sweep_spanning_row_blocks_matches_per_row_reports(tmp_path, capsys):
 
 
 def test_discord_without_grid_flags_takes_the_default_grid_of_its_db(capsys):
-    # no flag: the per-dB default (6 x 12 for dB = 3); one flag: the other at 12 x 24's value
+    # no flag: the per-dB default (6 x 12 for dB = 3); one flag: the other at that default's value
     rho = random_density_matrix(np.random.default_rng(5), dB=3)
     state = json.dumps(to_spec(rho))
-    reports = {}
-    for flags in ((), ("--grid-theta", "12"), ("--grid-theta", "6", "--grid-phi", "12")):
+    cases = {
+        (): None,
+        ("--grid-theta", "6", "--grid-phi", "12"): None,
+        ("--grid-theta", "12"): OptimizerConfig(12, 12),
+        ("--grid-phi", "24"): OptimizerConfig(6, 24),
+    }
+    for flags, cfg in cases.items():
         code, out, _ = run_cli(capsys, "discord", "--state", state, *flags)
         assert code == 0
-        reports[flags] = json.loads(out)
-    want = classical_correlation(rho).to_dict()
-    assert reports[()] == reports[("--grid-theta", "6", "--grid-phi", "12")] == json.loads(json.dumps(want))
-    assert reports[("--grid-theta", "12")]["grid_best"] != want["grid_best"]
+        assert json.loads(out) == json.loads(json.dumps(classical_correlation(rho, cfg).to_dict())), flags
+    # filled from the two-qubit default, --grid-phi 24 would search 12 x 24, which differs here
+    assert classical_correlation(rho, OptimizerConfig(12, 24)).grid_best != classical_correlation(rho).grid_best
 
 
 def test_parser_is_built_once_and_keeps_no_parsed_state(capsys):

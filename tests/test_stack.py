@@ -7,6 +7,7 @@ matrix products go through the same kernel).
 """
 
 import copy
+import itertools
 import json
 import pickle
 import tracemalloc
@@ -16,7 +17,7 @@ import pytest
 
 from eurmem import infoquant
 from eurmem.apps import _verdict, applications_report, applications_table, witness
-from eurmem.bounds import bounds_report, bounds_table, closed_form_curves
+from eurmem.bounds import actual_uncertainty, bounds_report, bounds_table, closed_form_curves
 from eurmem.infoquant import (
     _CALL_VALUES,
     _CLIMB_ROWS,
@@ -29,7 +30,7 @@ from eurmem.infoquant import (
     evaluate_stack,
 )
 from eurmem.matops import hermitian_eigvals
-from eurmem.measure import pauli_observable
+from eurmem.measure import ProjectiveObservable, pauli_observable
 from eurmem.states import (
     ONE_PARAMETER_FAMILIES,
     DensityMatrix,
@@ -378,6 +379,130 @@ def test_evaluate_is_the_row_of_a_one_row_stack():
     ev = evaluate(rho, pauli_observable("x"), pauli_observable("y"))
     assert ev["x_probs"].shape == (2,) and ev["x_omegas"].shape == (2, 2, 2)
     assert all(isinstance(ev[key], float) for key in ("s_ab", "delta", "actual", "q_mu"))
+
+
+_ONE_ROW_VIEWS = {
+    "evaluate": evaluate,
+    "bounds_report": bounds_report,
+    "applications_report": applications_report,
+    "witness": witness,
+    "actual_uncertainty": actual_uncertainty,
+}
+
+
+def _first_row(table):
+    return {key: None if col is None else col[0] for key, col in table.items()}
+
+
+def _counted_evaluations(monkeypatch):
+    calls = []
+
+    def counted(states, x, z):
+        calls.append(states)
+        return evaluate_stack(states, x, z)
+
+    monkeypatch.setattr(infoquant, "evaluate_stack", counted)
+    return calls
+
+
+def test_one_row_views_of_one_triple_share_one_evaluation(monkeypatch):
+    rng = np.random.default_rng(41)
+    rho, other = random_density_matrix(rng), random_density_matrix(rng)
+    x, z = random_observable(rng), random_observable(rng)
+    calls = _counted_evaluations(monkeypatch)
+    for order in itertools.permutations(_ONE_ROW_VIEWS):
+        before = len(calls)
+        evaluate(other, x, z)
+        for name in order:
+            _ONE_ROW_VIEWS[name](rho, x, z)
+        assert calls[before:] == [other.stack, rho.stack], order
+    # a view of another triple in between evaluates both again
+    for triple in ((other, x, z), (rho, x, z), (rho, z, x), (rho, x, z), (other, x, z), (rho, x, z)):
+        before = len(calls)
+        bounds_report(*triple)
+        applications_report(*triple)
+        assert calls[before:] == [triple[0].stack]
+
+
+def test_a_new_object_of_the_same_state_or_basis_is_evaluated_again(monkeypatch):
+    rng = np.random.default_rng(43)
+    rho = random_density_matrix(rng)
+    x, z = random_observable(rng), random_observable(rng)
+    calls = _counted_evaluations(monkeypatch)
+    twins = (
+        (rho, x, z),
+        (DensityMatrix(rho.mat, 2, 2), x, z),
+        (rho, ProjectiveObservable(x.basis, x.name), z),
+        (rho, x, ProjectiveObservable(z.basis, z.name)),
+    )
+    reports = [bounds_report(*triple) for triple in twins]
+    assert len(calls) == len(twins)
+    assert all(report == reports[0] for report in reports)
+
+
+def test_one_row_views_are_row_zero_of_their_tables_on_a_shared_evaluation():
+    rng = np.random.default_rng(47)
+    for rho in (random_density_matrix(rng), random_density_matrix(rng, 2, 3), werner(0.4)):
+        x, z = random_observable(rng), random_observable(rng)
+        corr = classical_correlation(rho)
+        corr_rows = classical_correlation_stack(rho.stack)
+        ev = evaluate_stack(rho.stack, x, z)
+        # the first view evaluates; every later one reads the shared table
+        views = {
+            "evaluate": (evaluate(rho, x, z), ev),
+            "bounds_report": (bounds_report(rho, x, z), bounds_table(rho.stack, x, z)),
+            "bounds_report with J_A": (bounds_report(rho, x, z, corr), bounds_table(rho.stack, x, z, corr_rows)),
+            "applications_report": (applications_report(rho, x, z), applications_table(rho.stack, x, z)),
+            "witness": (witness(rho, x, z), _verdict(ev)),
+        }
+        for name, (row, table) in views.items():
+            assert list(row) == list(table), name
+            _assert_rows_match(row, _first_row(table), name)
+        assert actual_uncertainty(rho, x, z) == ev["actual"][0]
+
+
+def test_the_arrays_of_an_evaluate_row_are_read_only():
+    rng = np.random.default_rng(53)
+    rho = random_density_matrix(rng)
+    x, z = random_observable(rng), random_observable(rng)
+    ev = evaluate(rho, x, z)
+    for key in ("x_probs", "x_omegas", "z_probs", "z_omegas"):
+        assert not ev[key].flags.writeable, key
+        with pytest.raises(ValueError, match="read-only"):
+            ev[key][0] = 0.0
+    np.testing.assert_equal(evaluate(rho, x, z), _first_row(evaluate_stack(rho.stack, x, z)))
+
+
+def test_a_failing_one_row_view_leaves_the_next_call_correct(monkeypatch):
+    rng = np.random.default_rng(59)
+    rho = random_density_matrix(rng)
+    x, z = random_observable(rng), random_observable(rng)
+    qutrit_a = random_density_matrix(rng, 3, 2)
+    calls = _counted_evaluations(monkeypatch)
+    want = _first_row(bounds_table(rho.stack, x, z))
+    for _ in range(2):
+        before = len(calls)
+        with pytest.raises(ValueError, match="supports dA = 2 only"):
+            applications_report(qutrit_a, random_observable(rng, 3), random_observable(rng, 3))
+        # the dA check comes before any evaluation
+        assert len(calls) == before
+        with pytest.raises(ValueError, match="observable dimension 3 does not match dA = 2"):
+            bounds_report(rho, random_observable(rng, 3), z)
+        _assert_rows_match(bounds_report(rho, x, z), want, "after a failure")
+
+
+def test_one_row_views_take_a_one_observable_sequence(monkeypatch):
+    rng = np.random.default_rng(61)
+    rho = random_density_matrix(rng)
+    x, z = random_observable(rng), random_observable(rng)
+    calls = _counted_evaluations(monkeypatch)
+    want = bounds_report(rho, x, z)
+    assert bounds_report(rho, [x], [z]) == bounds_report(rho, (x,), z) == want
+    assert applications_report(rho, [x], [z]) == applications_report(rho, x, z)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="got 2 observables for a stack of 1 states"):
+        bounds_report(rho, [x, z], [z, x])
+    assert bounds_report(rho, [x], [z]) == want
 
 
 @pytest.mark.parametrize("family", sorted(ONE_PARAMETER_FAMILIES))

@@ -7,6 +7,7 @@ from eurmem.matops import PAULIS, tensor
 from eurmem.states import (
     KET_PSI_PLUS,
     DensityMatrix,
+    StateStack,
     StateValidationError,
     bell_diagonal,
     bell_diagonal_special,
@@ -177,3 +178,15 @@ def test_validate_reports_non_finite_entries():
     with pytest.raises(StateValidationError) as err:
         DensityMatrix(mat, 2, 2)
     assert err.value.invariant == "finite"
+
+
+def test_state_matrices_are_read_only_copies():
+    mat = np.eye(4, dtype=complex) / 4
+    rho = DensityMatrix(mat, 2, 2)
+    stack = StateStack(np.array([mat, werner(0.3).mat]), 2, 2)
+    for frozen in (rho.mat, rho.stack.mats, stack.mats):
+        with pytest.raises(ValueError, match="read-only"):
+            frozen[0, 0] = 1.0
+    # the caller's array is copied, not frozen
+    mat[0, 0] = 1.0
+    assert rho.mat[0, 0] == 0.25
