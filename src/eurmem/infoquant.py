@@ -19,7 +19,8 @@ The pieces:
     evaluate_stack, holevo                 the evaluation pass over a
                                            ``states.StateStack``, and I(P;B)
     classical_correlation_stack            J_A and D_A by the Bloch-direction search
-    _default_grid, _search, _climb         the search's grid, its starts, its ascents
+    _default_grid, _search                 the search's grid, and the search
+    _grid_peaks, _climb                    its starts (each grid's best maxima), its ascents
     _Objective                             I(P_n;B) over directions, with its model:
     _two_qubit_objective                   for dB = 2, in the real Pauli form
     _general_objective                     for any dB, from LAPACK eigenvalues
@@ -721,33 +722,34 @@ def _sphere_padded(grid: np.ndarray) -> np.ndarray:
     return ext
 
 
-def _sphere_neighbourhood(grid: np.ndarray, reduce) -> np.ndarray:
-    """``reduce`` over the 3 x 3 neighbourhood of each cell of a hemisphere
+def _sphere_neighbourhood(grid: np.ndarray) -> np.ndarray:
+    """The maximum over the 3 x 3 neighbourhood of each cell of a hemisphere
     grid, or of each grid of a stack (..., rows, cols), on the sphere of
     ``_sphere_padded``, where the pole row's neighbourhood is all of row 1.
 
-    ``reduce`` is a binary ufunc, applied along phi and then along theta to
-    shifted slices of the padded grid: the neighbourhoods are never
-    gathered, so the working memory is three copies of the input.
+    The maximum is taken along phi and then along theta over shifted slices
+    of the padded grid: the neighbourhoods are never gathered, so the
+    working memory is three copies of the input.
     """
     ext = _sphere_padded(grid)
-    across = reduce(ext[..., :-2], ext[..., 1:-1])
-    reduce(across, ext[..., 2:], out=across)
-    out = reduce(across[..., :-2, :], across[..., 1:-1, :])
-    reduce(out, across[..., 2:, :], out=out)
-    out[..., 0, :] = reduce.reduce(out[..., 0, :], axis=-1, keepdims=True)
+    across = np.maximum(ext[..., :-2], ext[..., 1:-1])
+    np.maximum(across, ext[..., 2:], out=across)
+    out = np.maximum(across[..., :-2, :], across[..., 1:-1, :])
+    np.maximum(out, across[..., 2:, :], out=out)
+    out[..., 0, :] = out[..., 0, :].max(axis=-1, keepdims=True)
     return out
 
 
 def _grid_peaks(values: np.ndarray) -> list[np.ndarray]:
-    """Flat indices of the local maxima of each hemisphere grid of a stack
-    (B, rows, cols) of values, best first, one array per grid.
+    """Flat indices of the best ``_MAX_STARTS`` local maxima of each
+    hemisphere grid of a stack (B, rows, cols) of values, best first with
+    ties to the lowest flat index, one small array per grid.
 
-    A cell is a maximum when no neighbour exceeds it by more than
-    ``IMPROVE_ATOL``; a connected set of maxima (a plateau, the pole row or
-    an antipodal equator pair) counts once, at its best cell.  Ties go to
-    the lowest flat index.  Both the peak test and the merging of connected
-    maxima take their neighbourhoods from ``_sphere_neighbourhood``.
+    A cell is a maximum when no neighbour (see ``_sphere_neighbourhood``)
+    exceeds it by more than ``IMPROVE_ATOL``.  The pole row, and an equator
+    cell with its antipode, are one point each, whatever their rounding, and
+    count once, at their first cell; the cells of a plateau or a ridge each
+    count.
     """
     count, rows, cols = values.shape
     size, half = rows * cols, cols // 2
@@ -757,45 +759,19 @@ def _grid_peaks(values: np.ndarray) -> list[np.ndarray]:
     step = max(1, _PEAK_GRIDS * _DEFAULT_GRID // size)
     for first in range(0, count, step):
         grids = values[first : first + step]
-        highest = _sphere_neighbourhood(grids, np.maximum) - IMPROVE_ATOL
-        np.greater_equal(grids, highest, out=peak[first : first + step])
-    del highest  # before the merging, whose buffers are the pass's largest
-    # The pole row, and an equator cell with its antipode, are one point
-    # each, whatever their rounding.
-    peak[:, 0] = peak[:, 0].any(axis=1, keepdims=True)
-    peak[:, -1, :half] = peak[:, -1, half:] = peak[:, -1, :half] | peak[:, -1, half:]
+        np.greater_equal(grids, _sphere_neighbourhood(grids) - IMPROVE_ATOL, out=peak[first : first + step])
+    peak[:, 0, 0] = peak[:, 0].any(axis=1)
+    peak[:, 0, 1:] = False
+    peak[:, -1, :half] |= peak[:, -1, half:]
+    peak[:, -1, half:] = False
+    # grid first, then value from the highest; the sort is stable, so ties
+    # go by index
     cells = np.flatnonzero(peak)
-    total = len(cells)
-    if total > count:
-        # Some grid has several maxima (each has at least its highest cell).
-        # A maximum is labelled by its position in ``cells`` (an equator cell
-        # by its antipode's), other cells by ``total``, which never wins, in
-        # the smallest type that holds it.  Each round takes the neighbourhood
-        # minimum of all label grids and jumps labels among the maxima, until
-        # a round changes nothing: each connected set then holds its lowest.
-        flat = np.full(count * size, total, dtype=np.min_scalar_type(total))
-        flat[cells] = np.arange(total, dtype=flat.dtype)
-        labels = flat.reshape(values.shape)
-        labels[:, -1, half:] = labels[:, -1, :half]
-        settled = flat[cells]
-        while True:
-            spread = _sphere_neighbourhood(labels, np.minimum).ravel()[cells]
-            while not np.array_equal(jumped := spread[spread], spread):
-                spread = jumped
-            if np.array_equal(spread, settled):
-                break
-            flat[cells] = settled = spread
-        # Each set's best cell comes first among its cells in the order of
-        # label, then value from the highest (the sort is stable, so ties go
-        # by index); the sets of a grid then go best first, ties by index.
-        order = np.lexsort((-values.ravel()[cells], settled))
-        ordered = settled[order]
-        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-        best = cells[order[starts]]
-        cells = best[np.lexsort((best, -values.ravel()[best], best // size))]
+    cells = cells[np.lexsort((-values.ravel()[cells], cells // size))]
     grid, local = np.divmod(cells, size)
     bounds = np.searchsorted(grid, np.arange(count + 1)).tolist()
-    return [local[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    # copies: views would keep the block's index array alive into the climb
+    return [local[a : min(b, a + _MAX_STARTS)].copy() for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _tangent_frame(x: float, y: float, z: float):
@@ -893,14 +869,15 @@ def _search(objective: _Objective, count: int, cfg: OptimizerConfig) -> tuple[np
     where the objective has seeds, its seeds.  A block's values come from
     calls of at most ``_CALL_VALUES`` values, so that a row's seeds are
     scored in the grid call of its last cells.  One ``_grid_peaks`` pass
-    finds the maxima of all its rows.  The starts of a row are its best
-    ``_MAX_STARTS`` maxima, best first, then its best seed (ties to the
-    first) where that seed's value exceeds the row's grid maximum.  Each
-    start begins an ascent with a radius of one grid row, and one
-    ``_climb`` runs the ascents of the block.  A row's first ascent wins
-    unless a later one ends more than ``IMPROVE_ATOL`` higher.  Returns the
-    columns value, direction (count, 3), grid maximum (over the grid only)
-    and model rounds of all the row's ascents, the seed's included.
+    gives the starts of all its rows: a row's best ``_MAX_STARTS`` grid
+    maxima, best first (so a plateau or a ridge gives several), then its
+    best seed (ties to the first) where that seed's value exceeds the row's
+    grid maximum.  Each start begins an ascent with a radius of one grid
+    row, and one ``_climb`` runs the ascents of the block.  A row's first
+    ascent wins unless a later one ends more than ``IMPROVE_ATOL`` higher.
+    Returns the columns value, direction (count, 3), grid maximum (over the
+    grid only) and model rounds of all the row's ascents, the seed's
+    included.
     """
     _, dirs = _hemisphere_grid(cfg.grid_theta, cfg.grid_phi)
     frames = _grid_frames(cfg.grid_theta, cfg.grid_phi)
@@ -936,10 +913,9 @@ def _search(objective: _Objective, count: int, cfg: OptimizerConfig) -> tuple[np
         values[:, size - half :] = values[:, size - 2 * half : size - half]
         peaks = _grid_peaks(values.reshape(-1, cfg.grid_theta, cfg.grid_phi))
         grid_best[start:stop] = values.max(axis=1)
-        starts = [found_cells[:_MAX_STARTS] for found_cells in peaks]
-        counts = [len(found_cells) for found_cells in starts]
+        counts = list(map(len, peaks))
         row = np.repeat(np.arange(start, stop), counts)
-        peak_cells = np.concatenate(starts)
+        peak_cells = np.concatenate(peaks)
         peak_values, peak_frames = values[row - start, peak_cells], frames[peak_cells]
         if seeds is not None:
             beats = np.flatnonzero(scores.max(axis=1) > grid_best[start:stop])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from eurmem import (
     tensor,
 )
 from eurmem import infoquant
-from eurmem.infoquant import IMPROVE_ATOL, _sphere_neighbourhood
+from eurmem.infoquant import IMPROVE_ATOL
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -183,32 +184,42 @@ def dense_reference_j_a(rho: DensityMatrix) -> float:
     return max(value, 0.0)
 
 
-def spreading_grid_peaks(values: np.ndarray) -> np.ndarray:
-    """The reference for ``_grid_peaks`` on one grid, apart from its
-    bookkeeping: the same peak test, with labels that are flat cell indices
-    (the pole row and each equator pair start with one), spread by the same
-    neighbourhood minimum with one pointer jump per pass, over all cells,
-    until they settle; then the best cell of each label, best first, ties to
-    the lowest index.  ``_grid_peaks`` labels by position among the maxima,
-    works on stacks of grids, and jumps among the maxima until that settles."""
-    half = values.shape[1] // 2
-    peak = values >= _sphere_neighbourhood(values, np.maximum) - IMPROVE_ATOL
-    peak[-1, :half] = peak[-1, half:] = peak[-1, :half] | peak[-1, half:]
-    cells = np.flatnonzero(peak)
-    none = values.size
-    index = np.arange(none).reshape(values.shape)
-    index[0] = 0
-    index[-1, half:] = index[-1, :half]
-    labels = np.where(peak, index, none)
-    while np.ptp(labels.flat[cells]) > 0:
-        spread = np.where(peak, _sphere_neighbourhood(labels, np.minimum), none)
-        spread = np.append(spread.ravel(), none)[spread]
-        if np.array_equal(spread, labels):
-            break
-        labels = spread
-    order = cells[np.argsort(-values.flat[cells], kind="stable")]
-    _, first = np.unique(labels.flat[order], return_index=True)
-    return order[np.sort(first)]
+def neighbourhood_cells(i, j, rows, cols):
+    """The cells around (i, j) of a hemisphere grid, written out: phi wraps,
+    the row above the pole row is itself, and the row beyond the equator is
+    the row before it turned by pi."""
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            ii, jj = max(i + di, 0), (j + dj) % cols
+            if ii == rows:
+                ii, jj = rows - 2, (jj + cols // 2) % cols
+            yield ii, jj
+
+
+@lru_cache(maxsize=4)
+def _neighbourhood_table(rows, cols):
+    """The flat indices (rows * cols, 9) of each cell's ``neighbourhood_cells``."""
+    return np.array(
+        [np.ravel_multi_index(tuple(zip(*neighbourhood_cells(i, j, rows, cols))), (rows, cols))
+         for i in range(rows) for j in range(cols)]
+    )
+
+
+def brute_force_grid_peaks(values: np.ndarray) -> np.ndarray:
+    """The reference for ``_grid_peaks`` on one grid: each cell against the
+    maximum of its explicit neighbourhood (the pole row's is all of rows 0
+    and 1), the pole row and each equator cell with its antipode counted
+    once, at the first cell, then the best ``_MAX_STARTS`` maxima, best
+    first, ties to the lowest index."""
+    rows, cols = values.shape
+    half = cols // 2
+    highest = values.ravel()[_neighbourhood_table(rows, cols)].max(axis=1).reshape(values.shape)
+    highest[0] = values[:2].max()
+    peak = values >= highest - IMPROVE_ATOL
+    peak[0] = [peak[0].any()] + [False] * (cols - 1)
+    peak[-1] = np.r_[peak[-1, :half] | peak[-1, half:], [False] * half]
+    cells = sorted(np.flatnonzero(peak).tolist(), key=lambda cell: (-values.flat[cell], cell))
+    return np.array(cells[: infoquant._MAX_STARTS])
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +396,7 @@ def reference_search(objective, count, cfg):
         values[:, size - half :] = values[:, size - 2 * half : size - half]
         peaks = infoquant._grid_peaks(values.reshape(-1, cfg.grid_theta, cfg.grid_phi))
         ascents = [
-            [_reference_ascent(float(v[k]), dirs[:, k], radius) for k in cells[: infoquant._MAX_STARTS]]
+            [_reference_ascent(float(v[k]), dirs[:, k], radius) for k in cells]
             for v, cells in zip(values, peaks)
         ]
         if objective.seeds is not None:

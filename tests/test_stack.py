@@ -307,14 +307,15 @@ def test_a_one_row_wide_memory_j_a_makes_two_objective_calls(monkeypatch):
 
 # 2.5 times the traced J_A peak of a 128-row bell_diagonal_special stack
 # when this bound was set (765.6 kB at 12 x 24, 808.6 kB at 60 x 120), in
-# bytes.  Werner then peaked at 1 542 and 1 827 kB.
+# bytes.  Werner then peaked at 1 542 and 1 827 kB, and at 1 405 and
+# 1 781 kB once each grid's starts were its best maxima, unmerged.
 _WERNER_J_A_PEAK = {(12, 24): 1_914_000, (60, 120): 2_021_000}
 
 
 @pytest.mark.parametrize("shape", [(12, 24), (60, 120)])
 def test_werner_j_a_memory_stays_near_that_of_a_family_with_few_maxima(shape):
     # Every cell of a Werner grid is a maximum, so a Werner climb block
-    # merges the most maxima of any; its J_A peak memory stays within a
+    # sorts the most maxima of any; its J_A peak memory stays within a
     # fixed bound, so that a smaller peak elsewhere cannot fail it.
     cfg = OptimizerConfig(*shape)
     states = family_stack("werner", np.linspace(0.0, 1.0, 128))
