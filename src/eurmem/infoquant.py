@@ -357,7 +357,9 @@ def _general_objective(states: StateStack, s_b: np.ndarray) -> _Objective:
     are (rho^B +- sum_i n_i T_i)/2 with T_i = Tr_A[(sigma_i (x) I) rho], two
     dB x dB eigenvalue problems per direction.  One matrix product per row,
     the columns (1, n) and (1, -n) of ``_direction_table`` times the row's
-    (4, dB^2) matrix (rho^B, T_x, T_y, T_z) / 2 read as reals, builds both;
+    (4, dB^2) matrix (rho^B, T_x, T_y, T_z) / 2 read as reals, builds both
+    (the matrices of all rows come from one ``einsum`` against the stack
+    ``_PAULI_STACK`` of (I, sigma_x, sigma_y, sigma_z));
     as in ``_two_qubit_objective`` no value depends on the rows or
     directions around it, and n and -n give one value.  ``s_b`` holds
     S(rho^B) of each row.
@@ -386,8 +388,8 @@ def _general_objective(states: StateStack, s_b: np.ndarray) -> _Objective:
     """
     dB = states.dB
     r5 = states.mats.reshape(-1, 2, dB, 2, dB)
-    blocks = [states.reduced_b()] + [np.einsum("pq,rqjpk->rjk", sigma, r5) for sigma in PAULIS]
-    halves = (0.5 * np.stack(blocks, axis=1)).reshape(-1, 4, dB * dB).view(float)
+    blocks = np.einsum("mpq,rqjpk->rmjk", _PAULI_STACK, r5)
+    halves = (0.5 * blocks).reshape(-1, 4, dB * dB).view(float)
 
     def seeds(rows):
         # T_i / 2 as reals, whose dot products are Re tr(T_i T_j) / 4, and tr T_i / 2
@@ -471,10 +473,9 @@ def _general_objective(states: StateStack, s_b: np.ndarray) -> _Objective:
     return _Objective(values, model, seeds if dB > 2 else None)
 
 
+_PAULI_STACK = np.array((I2,) + PAULIS)
 # Row (mu, nu) of this matrix dotted with vec(rho) is T_{mu nu} = tr(rho sigma_mu (x) sigma_nu).
-_PAULI_PAIRS = np.array(
-    [np.kron(s, t).T.ravel() for s in (I2,) + PAULIS for t in (I2,) + PAULIS]
-)
+_PAULI_PAIRS = np.array([np.kron(s, t).T.ravel() for s in _PAULI_STACK for t in _PAULI_STACK])
 # x log2 x is x times log2 of max(x, this): x itself for x > 0, and
 # 0 * -1074 = -0.0 for x = 0.  No -0.0 outlives an outcome's
 # p log2 p - sum mu log2 mu: all its terms are zeros only when p = 0 or
@@ -868,16 +869,17 @@ def _search(objective: _Objective, count: int, cfg: OptimizerConfig) -> tuple[np
     half holds the values of their antipodes (the same measurements); then,
     where the objective has seeds, its seeds.  A block's values come from
     calls of at most ``_CALL_VALUES`` values, so that a row's seeds are
-    scored in the grid call of its last cells.  One ``_grid_peaks`` pass
-    gives the starts of all its rows: a row's best ``_MAX_STARTS`` grid
-    maxima, best first (so a plateau or a ridge gives several), then its
-    best seed (ties to the first) where that seed's value exceeds the row's
-    grid maximum.  Each start begins an ascent with a radius of one grid
-    row, and one ``_climb`` runs the ascents of the block.  A row's first
-    ascent wins unless a later one ends more than ``IMPROVE_ATOL`` higher.
-    Returns the columns value, direction (count, 3), grid maximum (over the
-    grid only) and model rounds of all the row's ascents, the seed's
-    included.
+    scored in the grid call of its last cells (one array of their
+    directions and the seeds).  One ``_grid_peaks`` pass gives the starts of
+    all its rows: a row's best ``_MAX_STARTS`` grid maxima, best first (so
+    a plateau or a ridge gives several), then its best seed (ties to the
+    first) where that seed's value exceeds the row's grid maximum, put
+    there by one stable sort on the row ids (skipped where no seed does).
+    Each start begins an ascent with a radius of one grid row, and one
+    ``_climb`` runs the ascents of the block.  A row's first ascent wins
+    unless a later one ends more than ``IMPROVE_ATOL`` higher.  Returns the
+    columns value, direction (count, 3), grid maximum (over the grid only)
+    and model rounds of all the row's ascents, the seed's included.
     """
     _, dirs = _hemisphere_grid(cfg.grid_theta, cfg.grid_phi)
     frames = _grid_frames(cfg.grid_theta, cfg.grid_phi)
@@ -904,8 +906,9 @@ def _search(objective: _Objective, count: int, cfg: OptimizerConfig) -> tuple[np
                 end = min(k + chunk, width)
                 call = evaluated[..., k:end]
                 if end > cells:
-                    tail = seeds[:, first - start : last - start, max(k - cells, 0) : end - cells]
-                    call = np.concatenate([np.broadcast_to(call, (3, last - first, call.shape[-1])), tail], axis=2)
+                    grid, call = call.shape[-1], np.empty((3, last - first, end - k))
+                    call[..., :grid] = evaluated[..., k:end]
+                    call[..., grid:] = seeds[:, first - start : last - start, max(k - cells, 0) : end - cells]
                 values[first - start : last - start, pole + k : pole + end] = objective.values(slice(first, last), call)
         scores = values[:, pole + cells : pole + width].copy()
         values = values[:, :size]
@@ -917,14 +920,16 @@ def _search(objective: _Objective, count: int, cfg: OptimizerConfig) -> tuple[np
         row = np.repeat(np.arange(start, stop), counts)
         peak_cells = np.concatenate(peaks)
         peak_values, peak_frames = values[row - start, peak_cells], frames[peak_cells]
-        if seeds is not None:
-            beats = np.flatnonzero(scores.max(axis=1) > grid_best[start:stop])
+        beats = [] if seeds is None else np.flatnonzero(scores.max(axis=1) > grid_best[start:stop])
+        if len(beats):
             pick = scores[beats].argmax(axis=1)
             seed_frames = [_tangent_frame(*n) for n in seeds[:, beats, pick].T.tolist()]
-            ends = np.cumsum(counts)[beats]
-            row = np.insert(row, ends, beats + start)
-            peak_values = np.insert(peak_values, ends, scores[beats, pick])
-            peak_frames = np.insert(peak_frames, ends, np.reshape(seed_frames, (-1, 3, 3)), axis=0)
+            row = np.concatenate([row, beats + start])
+            # stable on the row ids, so each seed follows its row's grid peaks
+            order = np.argsort(row, kind="stable")
+            row = row[order]
+            peak_values = np.concatenate([peak_values, scores[beats, pick]])[order]
+            peak_frames = np.concatenate([peak_frames, seed_frames])[order]
             for i in beats.tolist():
                 counts[i] += 1
         best, at, steps = _climb(objective, row, peak_values, peak_frames, radius)

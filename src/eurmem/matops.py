@@ -113,15 +113,19 @@ def hermitian_eigvals(m):
     exact on a diagonal matrix and, at equal diagonal entries (h = 0), e = |b'|.
     A 4 x 4 matrix whose eight entries off the X pattern are exactly 0 has
     the spectra of its two 2 x 2 blocks in that closed form, decided per
-    matrix; other matrices go to LAPACK.
+    matrix; other matrices go to LAPACK.  A 4 x 4 stack with no X matrix
+    goes to LAPACK whole, and a stack of X matrices only makes no LAPACK call.
     """
     m = np.asarray(m)
     if m.shape[-1] == 4:
         flat = m.reshape(-1, 16)
         x = ~flat[:, _OFF_X].any(axis=1)
+        if not x.any():
+            return _lapack_eigvals(m)
         w = np.empty((len(flat), 4))
         w[x] = np.sort(hermitian_eigvals(flat[x][:, _X_BLOCKS]).reshape(-1, 4), axis=-1)
-        w[~x] = _lapack_eigvals(flat[~x].reshape(-1, 4, 4))
+        if not x.all():
+            w[~x] = _lapack_eigvals(flat[~x].reshape(-1, 4, 4))
         return w.reshape(m.shape[:-1])
     if m.shape[-1] != 2:
         return _lapack_eigvals(m)

@@ -713,6 +713,57 @@ def test_the_seed_is_climbed_only_where_it_beats_the_grid(monkeypatch):
     assert len(starts) == peaks and scores.max() <= report.grid_best
 
 
+def test_a_stack_climbs_each_seed_after_its_row_grid_peaks(monkeypatch):
+    # Climb blocks of three dB = 4 rows: hard row 540 (rng 31), whose seed
+    # beats the grid, first in the first block, in the middle of the second
+    # and last in the third, among random full-rank rows whose grids beat
+    # their seeds; the fourth block climbs no seed.
+    won = hard_x_matrices(np.random.default_rng(31), 4, 541)[540]
+    rng = np.random.default_rng(7)
+    draws = [random_density_matrix(rng, dB=4).mat for _ in range(11)]
+    beaten = [draws[k] for k in (0, 1, 2, 4, 5, 6, 8, 10)]
+    mats = np.array([won, *beaten[:3], won, *beaten[3:6], won, *beaten[6:]])
+    singles = [classical_correlation(DensityMatrix(m, 2, 4)) for m in mats]
+    peaks, climbs = [], []
+
+    def grid_peaks(values, run=infoquant._grid_peaks):
+        found = run(values)
+        peaks.extend(cells.tolist() for cells in found)
+        return found
+
+    def climb(objective, rows, values, frames, radius, run=infoquant._climb):
+        climbs.append((rows.tolist(), frames.copy()))
+        return run(objective, rows, values, frames, radius)
+
+    monkeypatch.setattr(infoquant, "_CLIMB_ROWS", 3)
+    monkeypatch.setattr(infoquant, "_grid_peaks", grid_peaks)
+    monkeypatch.setattr(infoquant, "_climb", climb)
+    states = StateStack(mats, 2, 4)
+    stacked = classical_correlation_stack(states)
+    for k, one in enumerate(singles):
+        for key, col in stacked.items():
+            assert np.asarray(col[k]).tobytes() == np.asarray(one[key]).tobytes(), (k, key)
+    # each row's starts: its grid peaks' frames in order, then its seed
+    assert len(climbs) == 4
+    rows = [k for block, _ in climbs for k in block]
+    frames = np.concatenate([block for _, block in climbs])
+    assert rows == sorted(rows)
+    objective = _general_objective(states, _state_entropies(states)[2])
+    seeds = objective.seeds(slice(None))
+    scores = objective.values(slice(None), seeds).max(axis=1)
+    grid = infoquant._grid_frames(6, 12)
+    at, seeded = 0, []
+    for k, cells in enumerate(peaks):
+        np.testing.assert_array_equal(frames[at : at + len(cells)], grid[cells])
+        at += len(cells)
+        if rows.count(k) > len(cells):
+            seeded.append(k)
+            assert any(np.array_equal(frames[at, 0], n) for n in seeds[:, k].T)
+            at += 1
+    assert at == len(rows) and seeded == [0, 4, 8]
+    assert list(np.flatnonzero(scores > stacked["grid_best"])) == seeded
+
+
 def test_a_wide_memory_j_a_makes_few_model_calls(monkeypatch):
     # A converged ascent ends without modelling the centre of its last step,
     # and the seed climbs only where it beats the grid: about three model

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eurmem import matops
 from eurmem.matops import (
     I2,
     SIGMA_X,
@@ -153,6 +154,51 @@ def test_x_matrices_take_the_spectra_of_their_two_blocks():
     for m in other:
         np.testing.assert_array_equal(hermitian_eigvals(m), np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
     assert hermitian_eigvals(mats.reshape(2, 7, 4, 4)).shape == (2, 7, 4)
+
+
+_X_PATTERN = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+
+
+def _fast_path_stacks():
+    """All-X, no-X and mixed (P, k, d, 4, 4) stacks, and each one's X mask."""
+    rng = np.random.default_rng(37)
+    g = rng.normal(size=(2, 3, 2, 2, 4, 4)) + 1j * rng.normal(size=(2, 3, 2, 2, 4, 4))
+    all_x, no_x = np.where(_X_PATTERN, g[0], 0.0), g[1]
+    pick = np.arange(12).reshape(3, 2, 2, 1, 1) % 3 == 0
+    return {
+        "all-X": (all_x, np.ones((3, 2, 2), dtype=bool)),
+        "no-X": (no_x, np.zeros((3, 2, 2), dtype=bool)),
+        "mixed": (np.where(pick, all_x, no_x), pick[..., 0, 0]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["all-X", "no-X", "mixed"])
+def test_a_4x4_stack_keeps_each_matrix_spectrum_and_its_shape(kind):
+    # An X matrix's spectrum from its two blocks in closed form, any other
+    # from LAPACK on its Hermitian part, whatever the rest of the stack
+    stack, is_x = _fast_path_stacks()[kind]
+    w = hermitian_eigvals(stack)
+    assert w.shape == (3, 2, 2, 4)
+    for m, wk, x in zip(stack.reshape(-1, 4, 4), w.reshape(-1, 4), is_x.ravel()):
+        if x:
+            blocks = [m[np.ix_(b, b)] for b in ([0, 3], [1, 2])]
+            want = np.sort(np.concatenate([hermitian_eigvals(b) for b in blocks]))
+        else:
+            want = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+        np.testing.assert_array_equal(wk, want)
+
+
+def test_a_4x4_stack_of_one_kind_takes_one_path(monkeypatch):
+    lapack, run = matops._lapack_eigvals, matops.hermitian_eigvals
+    lapack_calls, closed_calls = [], []
+    monkeypatch.setattr(matops, "_lapack_eigvals", lambda m: lapack_calls.append(m.shape) or lapack(m))
+    monkeypatch.setattr(matops, "hermitian_eigvals", lambda m: closed_calls.append(m.shape) or run(m))
+    stacks = _fast_path_stacks()
+    run(stacks["no-X"][0])
+    assert lapack_calls == [(3, 2, 2, 4, 4)] and closed_calls == []
+    lapack_calls.clear()
+    run(stacks["all-X"][0])
+    assert lapack_calls == [] and closed_calls == [(12, 2, 2, 2)]
 
 
 def test_partial_trace_of_a_stack_is_per_matrix():
